@@ -382,9 +382,6 @@ class AffineCartan:
             root = root.classical()
         return w - w.coords[i] * root
 
-    def classical_project(self, w: Weight) -> Weight:
-        return w.classical()
-
     # -- serialization --------------------------------------------------
 
     def to_json(self):

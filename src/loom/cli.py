@@ -16,17 +16,21 @@ import sys
 import tempfile
 
 from .cartan import CartanError, Weight, build_cartan
-from .crystals import DEFAULT_NODE_CAP, GraphOps, NodeCapError, TensorOps, generate
+from .crystals import GenerationError, GraphOps, NodeCapError, TensorOps, generate
 from .embedding import affinized_tensor_crystal, fundamental_crystal, path_crystal_window
 from .paths import PathError
 from .verify import SUITE_ALIASES, SUITES, run_suite
 
 
-def _node_cap(args) -> int:
-    if args.node_cap is not None:
-        return args.node_cap
+def _node_cap(args, parser):
+    """--node-cap, else LOOM_NODE_CAP, else None for the default cap."""
     env = os.environ.get("LOOM_NODE_CAP")
-    return int(env) if env else DEFAULT_NODE_CAP
+    if args.node_cap is not None or not env:
+        return args.node_cap
+    try:
+        return int(env)
+    except ValueError:
+        parser.error("LOOM_NODE_CAP must be an integer, got %r" % env)
 
 
 def parse_weight_label(cartan, text: str) -> Weight:
@@ -82,7 +86,9 @@ def cmd_gen(args, parser) -> int:
         cartan = build_cartan(args.type, args.rank)
     except CartanError as err:
         parser.error(str(err))
-    cap = _node_cap(args)
+    if args.power < 1:
+        parser.error("--power must be positive")
+    cap = _node_cap(args, parser)
     try:
         if args.ls:
             if args.weight is None or args.window is None:
@@ -91,34 +97,28 @@ def cmd_gen(args, parser) -> int:
                 seed = parse_weight_label(cartan, args.weight)
             except (ValueError, CartanError) as err:
                 parser.error(str(err))
-            graph = path_crystal_window(
-                cartan, seed, args.window, node_cap=cap, threads=args.threads
-            )
+            graph = path_crystal_window(cartan, seed, args.window, node_cap=cap)
         elif args.ambient == "affine":
             if args.window is None:
                 parser.error("--ambient affine needs --window")
             if not 1 <= args.i <= args.rank:
                 parser.error("--i must be between 1 and the rank")
             seed = cartan.classical_fundamental(args.i, classical=False)
-            graph = path_crystal_window(
-                cartan, seed, args.window, node_cap=cap, threads=args.threads
-            )
+            graph = path_crystal_window(cartan, seed, args.window, node_cap=cap)
         else:
             if not 1 <= args.i <= args.rank:
                 parser.error("--i must be between 1 and the rank")
-            base = fundamental_crystal(cartan, args.i, node_cap=cap, threads=args.threads)
+            base = fundamental_crystal(cartan, args.i, node_cap=cap)
             if args.affinize:
                 if args.window is None:
                     parser.error("--affinize needs --window")
                 graph = affinized_tensor_crystal(
-                    cartan, base, args.power, args.window,
-                    node_cap=cap, threads=args.threads,
+                    cartan, base, args.power, args.window, node_cap=cap
                 )
             elif args.power > 1:
                 ops = TensorOps([GraphOps(base, cartan.pairing)] * args.power)
                 graph = generate(
                     ops, (base.seed,) * args.power, node_cap=cap,
-                    threads=args.threads,
                     label="%s:power%d" % (base.label, args.power),
                 )
             else:
@@ -126,7 +126,7 @@ def cmd_gen(args, parser) -> int:
     except NodeCapError as err:
         sys.stderr.write("error: %s\n" % err)
         return 3
-    except PathError as err:
+    except (GenerationError, PathError) as err:
         parser.error(str(err))
 
     if args.format == "dot":
@@ -157,8 +157,7 @@ def cmd_verify(args, parser) -> int:
             t1=args.t1,
             t2=args.t2,
             seeds=args.seeds,
-            node_cap=_node_cap(args),
-            threads=args.threads,
+            node_cap=_node_cap(args, parser),
         )
     except NodeCapError as err:
         sys.stderr.write("error: %s\n" % err)
@@ -200,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--window", type=int)
     gen.add_argument("--format", choices=["json", "dot", "summary"], default="json")
     gen.add_argument("--out")
-    gen.add_argument("--threads", type=int, default=1)
+    gen.add_argument("--threads", type=int, default=1,
+                     help="accepted and ignored; kept so existing command lines run unchanged")
     gen.add_argument("--node-cap", type=int, dest="node_cap")
     gen.set_defaults(func=cmd_gen)
 
@@ -218,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seeds", type=int, default=20)
     ver.add_argument("--json", action="store_true")
     ver.add_argument("--out")
-    ver.add_argument("--threads", type=int, default=1)
+    ver.add_argument("--threads", type=int, default=1,
+                     help="accepted and ignored; kept so existing command lines run unchanged")
     ver.add_argument("--node-cap", type=int, dest="node_cap")
     ver.set_defaults(func=cmd_verify)
     return parser

@@ -11,7 +11,6 @@ plug into the same engine.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -279,13 +278,10 @@ def key_str(key) -> str:
     return str(key)
 
 
-def generate(ops, seed, *, window=None, node_cap=None, threads=1,
-             label="") -> CrystalGraph:
+def generate(ops, seed, *, window=None, node_cap=None, label="") -> CrystalGraph:
     """Breadth-first closure of a seed under all raising and lowering maps.
 
-    Deterministic: frontiers are processed in sorted key order, and the
-    optional thread pool only parallelises the per-node operator
-    applications, whose results are merged in frontier order.
+    Deterministic: frontiers are processed in sorted key order.
     """
     if node_cap is None:
         node_cap = DEFAULT_NODE_CAP
@@ -318,46 +314,36 @@ def generate(ops, seed, *, window=None, node_cap=None, threads=1,
     f_edges: dict = {}
     truncated = False
     frontier = [(seed_key, seed)]
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while frontier:
-            frontier.sort(key=lambda kv: kv[0])
-            elements = [x for _, x in frontier]
-            if pool is not None:
-                results = list(pool.map(expand, elements))
-            else:
-                results = [expand(x) for x in elements]
-            fresh: dict = {}
-            for (key, _), moves in zip(frontier, results):
-                for i, kind, y in moves:
-                    if y is None:
-                        continue
-                    if not in_window(y):
-                        truncated = True
-                        continue
-                    ykey = ops.key(y)
-                    if ykey not in nodes and ykey not in fresh:
-                        fresh[ykey] = y
-                    edge = (key, i) if kind == "f" else (ykey, i)
-                    dst = ykey if kind == "f" else key
-                    if f_edges.setdefault(edge, dst) != dst:
-                        raise GenerationError(
-                            "conflicting lowering edges at %r, i=%d" % (edge[0], i)
-                        )
-            frontier = []
-            for ykey in sorted(fresh):
-                y = fresh[ykey]
-                nodes[ykey] = Node(y, ops.wt(y),
-                                   tuple(ops.eps(y, i) for i in idx),
-                                   tuple(ops.phi(y, i) for i in idx))
-                frontier.append((ykey, y))
-                if len(nodes) > node_cap:
-                    raise NodeCapError(
-                        "closure exceeded the node cap of %d" % node_cap
+    while frontier:
+        frontier.sort(key=lambda kv: kv[0])
+        fresh: dict = {}
+        for key, x in frontier:
+            for i, kind, y in expand(x):
+                if y is None:
+                    continue
+                if not in_window(y):
+                    truncated = True
+                    continue
+                ykey = ops.key(y)
+                if ykey not in nodes and ykey not in fresh:
+                    fresh[ykey] = y
+                edge = (key, i) if kind == "f" else (ykey, i)
+                dst = ykey if kind == "f" else key
+                if f_edges.setdefault(edge, dst) != dst:
+                    raise GenerationError(
+                        "conflicting lowering edges at %r, i=%d" % (edge[0], i)
                     )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        frontier = []
+        for ykey in sorted(fresh):
+            y = fresh[ykey]
+            nodes[ykey] = Node(y, ops.wt(y),
+                               tuple(ops.eps(y, i) for i in idx),
+                               tuple(ops.phi(y, i) for i in idx))
+            frontier.append((ykey, y))
+            if len(nodes) > node_cap:
+                raise NodeCapError(
+                    "closure exceeded the node cap of %d" % node_cap
+                )
     return CrystalGraph(
         label=label, indices=tuple(idx), nodes=nodes, f_edges=f_edges,
         seed=seed_key, truncated=truncated, window=window,

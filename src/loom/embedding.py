@@ -17,10 +17,13 @@ from fractions import Fraction
 
 from .cartan import AffineCartan, Weight
 from .crystals import (
+    DEFAULT_NODE_CAP,
     AffineOps,
     CrystalGraph,
+    GenerationError,
     GraphOps,
     Node,
+    NodeCapError,
     TensorOps,
     generate,
 )
@@ -121,22 +124,19 @@ def c_class(table: EnergyTable, graph: CrystalGraph, element, m: int) -> int:
     return (major_index(table, factors) + degree) % m
 
 
-def fundamental_crystal(cartan: AffineCartan, i: int, *, node_cap=None, threads=1) -> CrystalGraph:
+def fundamental_crystal(cartan: AffineCartan, i: int, *, node_cap=None) -> CrystalGraph:
     """Closure of the straight classical path to the i-th level-zero weight."""
-    kwargs = {"threads": threads}
-    if node_cap is not None:
-        kwargs["node_cap"] = node_cap
     seed = linear_path(cartan.classical_fundamental(i))
     return generate(
         PathOps(cartan, "classical"),
         seed,
+        node_cap=node_cap,
         label="%s:B(w%d)" % (cartan.name, i),
-        **kwargs,
     )
 
 
 def tensor_power_crystal(cartan, base: CrystalGraph, m: int,
-                         *, node_cap=None, threads=1) -> CrystalGraph:
+                         *, node_cap=None) -> CrystalGraph:
     """Closure of the diagonal seed tuple; covers the whole power set.
 
     Tensor powers of a fundamental crystal are indecomposable, so closure
@@ -144,11 +144,8 @@ def tensor_power_crystal(cartan, base: CrystalGraph, m: int,
     assumed.  Elements are m-tuples of base keys even for m equal to one.
     """
     ops = TensorOps([GraphOps(base, cartan.pairing)] * m)
-    kwargs = {"threads": threads}
-    if node_cap is not None:
-        kwargs["node_cap"] = node_cap
-    graph = generate(ops, (base.seed,) * m,
-                     label="%s:power%d" % (base.label, m), **kwargs)
+    graph = generate(ops, (base.seed,) * m, node_cap=node_cap,
+                     label="%s:power%d" % (base.label, m))
     if len(graph) != len(base) ** m:
         raise EmbeddingError(
             "tensor power closure missed elements: %d of %d"
@@ -158,7 +155,7 @@ def tensor_power_crystal(cartan, base: CrystalGraph, m: int,
 
 
 def affinized_tensor_crystal(cartan, base: CrystalGraph, m: int, window: int,
-                             *, node_cap=None, threads=1) -> CrystalGraph:
+                             *, node_cap=None) -> CrystalGraph:
     """Window of the affinised tensor power, built as the full product.
 
     The affinisation is the product of the tensor power with the integers
@@ -168,7 +165,12 @@ def affinized_tensor_crystal(cartan, base: CrystalGraph, m: int, window: int,
     and an in-window degree becomes a node outright, with the operator
     edges induced between in-window pairs.
     """
-    tensor = tensor_power_crystal(cartan, base, m, node_cap=node_cap, threads=threads)
+    if window < 0:
+        raise GenerationError("window must be non-negative")
+    tensor = tensor_power_crystal(cartan, base, m, node_cap=node_cap)
+    cap = DEFAULT_NODE_CAP if node_cap is None else node_cap
+    if len(tensor) * (2 * window + 1) > cap:
+        raise NodeCapError("affinised window exceeds the node cap of %d" % cap)
     ops = AffineOps(TensorOps([GraphOps(base, cartan.pairing)] * m))
     nodes = {}
     f_edges = {}
@@ -209,21 +211,17 @@ def affinized_tensor_crystal(cartan, base: CrystalGraph, m: int, window: int,
 
 
 def path_crystal_window(cartan, seed_weight: Weight, window: int,
-                        *, node_cap=None, threads=1) -> CrystalGraph:
+                        *, node_cap=None) -> CrystalGraph:
     """Windowed closure of a straight affine seed path."""
-    kwargs = {"threads": threads}
-    if node_cap is not None:
-        kwargs["node_cap"] = node_cap
     seed = linear_path(seed_weight)
     return generate(
-        PathOps(cartan, "affine"), seed, window=window,
+        PathOps(cartan, "affine"), seed, window=window, node_cap=node_cap,
         label="%s:LS(%r):W%d" % (cartan.name, seed_weight, window),
-        **kwargs,
     )
 
 
 def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
-                         *, node_cap=None, threads=1) -> dict:
+                         *, node_cap=None) -> dict:
     """Windowed check that the embedding splits into the straight-seed pieces.
 
     Generates the affinised tensor crystal and the path crystals of the
@@ -241,10 +239,9 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
     def check(name, ok, detail=""):
         checks.append({"name": name, "pass": bool(ok), "detail": detail})
 
-    base = fundamental_crystal(cartan, i, node_cap=node_cap, threads=threads)
+    base = fundamental_crystal(cartan, i, node_cap=node_cap)
     table = energy_table(base, cartan.pairing)
-    aff = affinized_tensor_crystal(cartan, base, m, window,
-                                   node_cap=node_cap, threads=threads)
+    aff = affinized_tensor_crystal(cartan, base, m, window, node_cap=node_cap)
 
     images = {}
     for key in aff.sorted_keys():
@@ -281,7 +278,7 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
     pieces = {}
     for n in range(m):
         pieces[n] = path_crystal_window(
-            cartan, m * fw + n * delta, window, node_cap=node_cap, threads=threads
+            cartan, m * fw + n * delta, window, node_cap=node_cap
         )
 
     image_keys = {
@@ -348,7 +345,7 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
         if r > window:
             continue
         shifted = path_crystal_window(
-            cartan, m * fw + r * delta, window, node_cap=node_cap, threads=threads
+            cartan, m * fw + r * delta, window, node_cap=node_cap
         )
         shifted_keys = {
             k for k in shifted.nodes if abs(shifted.nodes[k].wt.delta) <= inner

@@ -180,23 +180,15 @@ def energy_edge_check(graph: CrystalGraph, pairing, table: EnergyTable) -> list[
 def compatible_total_order(graph: CrystalGraph, table: EnergyTable):
     """A total order with energy zero exactly on weakly decreasing pairs.
 
-    Searches all orderings of the nodes; returns one as a list (largest
-    first) or None.  Only sensible for small fundamental crystals.
+    Returns the order as a list (largest first) or None.  In such an
+    order the node of rank r has energy zero against exactly n - r nodes,
+    so sorting by that count gives the only candidate, which is then
+    checked against the whole table.
     """
-    from itertools import permutations
-
     keys = graph.sorted_keys()
-    for perm in permutations(keys):
-        rank = {k: r for r, k in enumerate(perm)}
-        ok = True
-        for a in keys:
-            for b in keys:
-                expect = 0 if rank[a] <= rank[b] else 1
-                if table.value(a, b) != expect:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return list(perm)
-    return None
+    zeros = {a: sum(table.value(a, b) == 0 for b in keys) for a in keys}
+    order = sorted(keys, key=lambda a: -zeros[a])
+    rank = {k: r for r, k in enumerate(order)}
+    ok = all(table.value(a, b) == (0 if rank[a] <= rank[b] else 1)
+             for a in keys for b in keys)
+    return order if ok else None

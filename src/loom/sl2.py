@@ -155,21 +155,6 @@ def act_E_div(v: TensorVector, r: int) -> TensorVector:
     return out.scale(Q_ONE / qfact(r)) if r else out
 
 
-def act(generator: str, v: TensorVector, r: int = 1) -> TensorVector:
-    """Named-generator dispatch: E, F, K, K-1, E(r), F(r)."""
-    table = {
-        "E": lambda: act_E(v),
-        "F": lambda: act_F(v),
-        "K": lambda: act_K(v, 1),
-        "K-1": lambda: act_K(v, -1),
-        "E(r)": lambda: act_E_div(v, r),
-        "F(r)": lambda: act_F_div(v, r),
-    }
-    if generator not in table:
-        raise ValueError("unknown generator %r" % generator)
-    return table[generator]()
-
-
 def _tensor_join(shape, left: TensorVector, right: TensorVector) -> TensorVector:
     out: dict = {}
     for lidx, lc in left.coords:

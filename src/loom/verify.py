@@ -54,15 +54,12 @@ class Report:
         return self.obj
 
 
-def _tensor_graph(cartan, base, power, *, node_cap=None, threads=1):
+def _tensor_graph(cartan, base, power, *, node_cap=None):
     if power == 1:
         return base
     ops = TensorOps([GraphOps(base, cartan.pairing)] * power)
-    kwargs = {"threads": threads}
-    if node_cap is not None:
-        kwargs["node_cap"] = node_cap
-    return generate(ops, (base.seed,) * power,
-                    label="%s:power%d" % (base.label, power), **kwargs)
+    return generate(ops, (base.seed,) * power, node_cap=node_cap,
+                    label="%s:power%d" % (base.label, power))
 
 
 def suite_normality(cartan: AffineCartan, i: int, power: int = 1, **kw) -> dict:
@@ -350,42 +347,22 @@ SUITE_ALIASES = {
 
 
 def run_suite(name: str, *, type_label="A", rank=1, i=1, power=2, window=3,
-              t1=1, t2=1, seeds=20, node_cap=None, threads=1) -> dict:
+              t1=1, t2=1, seeds=20, node_cap=None) -> dict:
     name = SUITE_ALIASES.get(name, name)
-    if name == "all":
-        cartan = build_cartan(type_label, rank)
-        kw = {"node_cap": node_cap, "threads": threads}
-        reports = [
-            suite_normality(cartan, i, power, **kw),
-            suite_weyl(cartan, i, **kw),
-            suite_stretch(cartan, i, **kw),
-            suite_concat(cartan, i, **kw),
-            suite_xi(cartan, i, min(window, 2), **kw),
-            suite_energy(cartan, i, seeds, **kw),
-            suite_maj(cartan, i, power, **kw),
-            suite_psi(cartan, i, power, window, **kw),
-            suite_decompose(cartan, i, power, window, **kw),
-            suite_sl2(t1, t2),
-        ]
-        return {
-            "suite": "all",
-            "reports": reports,
-            "pass": all(r["pass"] for r in reports),
-        }
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise KeyError("unknown suite %r" % name)
-    if name == "sl2":
-        return suite_sl2(t1, t2)
-    cartan = build_cartan(type_label, rank)
-    kw = {"node_cap": node_cap, "threads": threads}
-    if name == "energy":
-        return suite_energy(cartan, i, seeds, **kw)
-    if name in ("maj",):
-        return suite_maj(cartan, i, power, **kw)
-    if name in ("psi", "decompose"):
-        return SUITES[name](cartan, i, power, window, **kw)
-    if name == "xi":
-        return suite_xi(cartan, i, window, **kw)
-    if name == "normality":
-        return suite_normality(cartan, i, power, **kw)
-    return SUITES[name](cartan, i, **kw)
+    # positional arguments of each suite after (cartan, i)
+    extra = {"normality": (power,), "xi": (window,), "energy": (seeds,),
+             "maj": (power,), "psi": (power, window), "decompose": (power, window)}
+    cartan = None if name == "sl2" else build_cartan(type_label, rank)
+
+    def run(suite):
+        if suite == "sl2":
+            return SUITES[suite](t1, t2)
+        return SUITES[suite](cartan, i, *extra.get(suite, ()), node_cap=node_cap)
+
+    if name != "all":
+        return run(name)
+    extra["xi"] = (min(window, 2),)
+    reports = [run(suite) for suite in SUITES]
+    return {"suite": "all", "reports": reports, "pass": all(r["pass"] for r in reports)}

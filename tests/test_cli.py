@@ -99,6 +99,29 @@ def test_node_cap_env_override(tmp_path, monkeypatch):
     assert code == 3
 
 
+def test_affinized_node_cap_exit_code(tmp_path):
+    code = main(["gen", "--type", "A", "--rank", "1", "--affinize", "--power", "2",
+                 "--window", "300", "--node-cap", "10", "--out", str(tmp_path / "x.json")])
+    assert code == 3
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("env,argv", [
+    ("abc", []),
+    (None, ["--ambient", "affine", "--window", "-1"]),
+    (None, ["--affinize", "--power", "2", "--window", "-1"]),
+    (None, ["--power", "0"]),
+    (None, ["--affinize", "--power", "0", "--window", "2"]),
+], ids=["cap-env-not-int", "affine-window", "affinize-window", "power", "affinize-power"])
+def test_bad_gen_input_exits_2(tmp_path, monkeypatch, env, argv):
+    if env is not None:
+        monkeypatch.setenv("LOOM_NODE_CAP", env)
+    with pytest.raises(SystemExit) as err:
+        main(["gen", "--type", "A", "--rank", "1"] + argv
+             + ["--out", str(tmp_path / "x.json")])
+    assert err.value.code == 2
+
+
 def test_deterministic_artifacts(tmp_path):
     texts = []
     for run_id in range(2):

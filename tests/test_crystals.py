@@ -168,14 +168,6 @@ def test_node_cap(a1):
                  linear_path(a1.classical_fundamental(1)), node_cap=1)
 
 
-def test_threaded_generation_matches(a2, a2_base):
-    ops = TensorOps([GraphOps(a2_base, a2.pairing)] * 2)
-    one = generate(ops, (a2_base.seed,) * 2, threads=1)
-    four = generate(ops, (a2_base.seed,) * 2, threads=4)
-    assert one.sorted_keys() == four.sorted_keys()
-    assert one.f_edges == four.f_edges
-
-
 def test_graph_json_and_dot(a1_base):
     obj = a1_base.to_json()
     assert obj["truncated"] is False

@@ -1,21 +1,24 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from loom import (
     CrystalGraph,
+    build_cartan,
     choose_grid,
     compatible_total_order,
     energy_edge_check,
     energy_table,
+    fundamental_crystal,
     linear_path,
     major_index,
     refine,
     refined_major_index,
 )
 from loom.crystals import Node
-from loom.energy import DisconnectedTensorSquareError, EnergyError
+from loom.energy import DisconnectedTensorSquareError, EnergyError, EnergyTable
 
 
 def a1_keys(a1):
@@ -53,6 +56,47 @@ def test_a2_energy_values_and_order(a2_base, a2_energy):
     rank = {k: r for r, k in enumerate(order)}
     for (a, b), v in a2_energy.chi.items():
         assert v == (0 if rank[a] <= rank[b] else 1)
+
+
+def brute_force_order(graph, table):
+    """Reference: the first ordering of all nodes that fits the table."""
+    keys = graph.sorted_keys()
+    for perm in permutations(keys):
+        rank = {k: r for r, k in enumerate(perm)}
+        if all(table.value(a, b) == (0 if rank[a] <= rank[b] else 1)
+               for a in keys for b in keys):
+            return list(perm)
+    return None
+
+
+@pytest.mark.parametrize("label,rank,i,exists", [
+    ("A", 1, 1, True), ("A", 2, 1, True), ("A", 3, 1, True), ("C", 2, 1, True),
+    ("A", 3, 2, False), ("B", 2, 1, False),
+])
+def test_total_order_matches_brute_force(label, rank, i, exists):
+    cartan = build_cartan(label, rank)
+    base = fundamental_crystal(cartan, i)
+    table = energy_table(base, cartan.pairing)
+    order = compatible_total_order(base, table)
+    assert order == brute_force_order(base, table)
+    assert (order is not None) == exists
+
+
+@pytest.mark.parametrize("zeros", [
+    # a cycle a < b < c < a: every node has two zeros, no order fits
+    {(0, 1), (1, 2), (2, 0)},
+    # distinct zero counts, but node 1 has its zero on the wrong side
+    {(0, 1), (0, 2), (1, 0)},
+])
+def test_total_order_rejects_synthetic_tables(a1_base, zeros):
+    keys = range(3)
+    node = next(iter(a1_base.nodes.values()))
+    graph = CrystalGraph(label="toy", indices=(0, 1), nodes={k: node for k in keys},
+                         f_edges={}, seed=0)
+    chi = {(a, b): 0 if a == b or (a, b) in zeros else 1 for a in keys for b in keys}
+    table = EnergyTable(crystal_label="toy", seed=0, grid=1, chi=chi)
+    assert brute_force_order(graph, table) is None
+    assert compatible_total_order(graph, table) is None
 
 
 def test_energy_randomized_bfs_deterministic(a2, a2_base, a2_energy):

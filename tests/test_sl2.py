@@ -8,7 +8,6 @@ from loom.sl2 import (
     NotInLatticeError,
     StringLattice,
     TensorVector,
-    act,
     act_E,
     act_E_div,
     act_E_div_split,
@@ -40,8 +39,6 @@ def test_action_examples():
     u1 = singular_vector(1, 1, 1)
     assert u1 == basis((1, 1), (0, 1)) - basis((1, 1), (1, 0)).scale(QScalar.q_power(1))
     assert act_E(u1).is_zero
-    assert act("E", basis((1, 1), (0, 1))) == basis((1, 1), (0, 0))
-    assert act("F(r)", basis((1, 1), (0, 0)), r=2) == act_F_div(basis((1, 1), (0, 0)), 2)
 
 
 def test_defining_relations_small():

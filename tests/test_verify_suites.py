@@ -3,6 +3,17 @@ import pytest
 from loom.verify import SUITES, run_suite
 
 
+def expected_params(name, power, window, seeds, t1, t2):
+    """The params each suite reports when run_suite passes it the arguments."""
+    if name == "sl2":
+        return {"t1": t1, "t2": t2}
+    extra = {"normality": {"power": power}, "stretch": {"factors": [2, 3]},
+             "xi": {"window": window}, "energy": {"seeds": seeds},
+             "maj": {"power": power}, "psi": {"power": power, "window": window},
+             "decompose": {"power": power, "window": window}}
+    return {"type": "A1", "i": 1, **extra.get(name, {})}
+
+
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_each_suite_passes_on_defaults(name):
     params = {"type_label": "A", "rank": 1, "i": 1, "power": 2, "window": 3,
@@ -10,6 +21,7 @@ def test_each_suite_passes_on_defaults(name):
     report = run_suite(name, **params)
     assert report["pass"], report
     assert report["checks"]
+    assert report["params"] == expected_params(name, 2, 3, 5, 1, 2)
 
 
 def test_suite_aliases():
@@ -19,10 +31,14 @@ def test_suite_aliases():
 
 
 def test_all_runs_everything():
-    report = run_suite("all", type_label="A", rank=1, i=1, power=2, window=3,
-                       t1=1, t2=1, seeds=3)
+    report = run_suite("all", type_label="A", rank=1, i=1, power=3, window=3,
+                       t1=1, t2=2, seeds=4)
     assert report["pass"]
-    assert {r["suite"] for r in report["reports"]} == set(SUITES)
+    assert [r["suite"] for r in report["reports"]] == list(SUITES)
+    for sub in report["reports"]:
+        # xi runs on a window of at most two
+        window = 2 if sub["suite"] == "xi" else 3
+        assert sub["params"] == expected_params(sub["suite"], 3, window, 4, 1, 2)
 
 
 def test_unknown_suite_rejected():
