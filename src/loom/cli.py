@@ -36,10 +36,12 @@ def _node_cap(args, parser):
 def parse_weight_label(cartan, text: str) -> Weight:
     """Integer combinations of level-zero fundamentals and the null root.
 
-    Grammar: terms like ``2w1``, ``-w2``, ``+3d`` joined by signs, or a
-    bare ``0``; whitespace is ignored.
+    Grammar: one or more terms like ``2w1``, ``-w2``, ``+3d``, each after
+    the first preceded by its sign, or a bare ``0``; spaces are ignored.
     """
     squeezed = text.replace(" ", "")
+    if not squeezed:
+        raise ValueError("empty weight label")
     if squeezed in ("0", "+0", "-0"):
         return cartan.zero_weight(classical=False)
     out = cartan.zero_weight(classical=False)
@@ -47,7 +49,7 @@ def parse_weight_label(cartan, text: str) -> Weight:
     pattern = re.compile(r"([+-]?)(\d*)(?:w(\d+)|d)")
     while pos < len(squeezed):
         m = pattern.match(squeezed, pos)
-        if m is None:
+        if m is None or (pos > 0 and not m.group(1)):
             raise ValueError("cannot parse weight term at %r" % squeezed[pos:])
         sign, count, index = m.groups()
         coeff = int(count) if count else 1

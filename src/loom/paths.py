@@ -1,20 +1,21 @@
 """Piecewise linear paths in the weight lattice and the root operators.
 
-A path starts at the origin and is stored as a sequence of
-``(direction, duration)`` segments whose durations sum to one; the
-direction is the derivative, so the displacement across a segment is
-``duration * direction``.  Paths that differ only by a piecewise linear
-reparametrisation are equal: equality and hashing use the sequence of
-displacements of maximal straight stretches, which is exactly the data a
-reparametrisation cannot touch.
+A path starts at the origin and is stored as the sequence of its maximal
+straight stretches, each a ``(displacement, duration)`` pair; durations
+sum to one.  Paths that differ only by a piecewise linear
+reparametrisation are equal: the displacements are exactly the data a
+reparametrisation cannot touch, so the stored tuple of displacements is
+the key for equality and hashing.  A stretch's direction, the derivative
+of the path there, is derived as displacement / duration only where it is
+needed (serialisation and the uniform grid).
 
 The raising operator acts on the height function ``h(tau)``, the negated
 coroot pairing along the path.  It leaves the path alone until the last
 time ``h`` sits one below its maximum, reflects the stretch where ``h``
 climbs to the maximum, and translates the rest; the lowering operator is
-the mirror image.  Both reduce to pure surgery on segment directions:
-the translated tail keeps its directions, only the climbing stretch gets
-reflected.
+the mirror image.  Both reduce to pure surgery on the displacements:
+the translated tail keeps its displacements, only the climbing stretch
+gets reflected.
 
 The height maximum is required to be an integer.  Paths produced by
 closure from linear seeds satisfy this; anything else is outside the
@@ -41,29 +42,24 @@ class IntegralityError(PathError):
 
 def _collinear_merge(u: Weight, du: Fraction, v: Weight, dv: Fraction):
     """Merge two consecutive segments if v is a positive multiple of u."""
-    ucoords = list(u.coords) + ([u.delta] if u.delta is not None else [])
-    vcoords = list(v.coords) + ([v.delta] if v.delta is not None else [])
-    ratio = None
-    for a, b in zip(ucoords, vcoords):
-        if a == 0:
-            if b != 0:
-                return None
-        else:
-            r = b / a
-            if ratio is None:
-                ratio = r
-            elif ratio != r:
-                return None
-    if ratio is None or ratio <= 0:
+    uc = u.coords + ((u.delta,) if u.delta is not None else ())
+    vc = v.coords + ((v.delta,) if v.delta is not None else ())
+    # u is not zero; v = r*u with r > 0 iff every 2x2 minor against a
+    # pivot of u vanishes and the pivot coordinates agree in sign
+    j = next(k for k, a in enumerate(uc) if a != 0)
+    if uc[j] * vc[j] <= 0 or any(a * vc[j] != b * uc[j] for a, b in zip(uc, vc)):
         return None
-    incr = u * du + v * dv
-    total = du + dv
-    return (incr * (1 / total), total)
+    return (u + v, du + dv)
 
 
 @dataclass(frozen=True, eq=False)
 class Path:
-    """Canonical piecewise linear path from the origin."""
+    """Canonical piecewise linear path from the origin.
+
+    ``segments`` holds ``(displacement, duration)`` pairs of the maximal
+    straight stretches; the direction of a stretch is its displacement
+    divided by its duration.
+    """
 
     segments: tuple[tuple[Weight, Fraction], ...]
     ambient: str
@@ -76,13 +72,13 @@ class Path:
     def weight(self) -> Weight:
         """Endpoint of the path."""
         w = _zero_weight(self.ambient, self.ncoords)
-        for d, t in self.segments:
-            w = w + d * t
+        for v, _ in self.segments:
+            w = w + v
         return w
 
     def key(self):
         """Reparametrisation-invariant identity: the stretch displacements."""
-        return tuple(d * t for d, t in self.segments)
+        return tuple(v for v, _ in self.segments)
 
     def __eq__(self, other):
         return (
@@ -94,6 +90,10 @@ class Path:
 
     def __hash__(self):
         return hash((self.ambient, self.key()))
+
+    def directions(self) -> list[Weight]:
+        """Derivative of the path on each stretch."""
+        return [v * (1 / t) for v, t in self.segments]
 
     def breakpoints(self) -> list[Fraction]:
         """Cumulative times 0 = t_0 < ... < t_k = 1."""
@@ -107,7 +107,7 @@ class Path:
 
     def to_json(self):
         segments = []
-        for d, t in self.segments:
+        for d, (_, t) in zip(self.directions(), self.segments):
             entry = {
                 "dir": ["%d/%d" % (c.numerator, c.denominator) for c in d.coords],
                 "len": "%d/%d" % (t.numerator, t.denominator),
@@ -120,7 +120,9 @@ class Path:
     def __repr__(self):
         if self.is_constant:
             return "Path(constant)"
-        return "Path(%s)" % "; ".join("%r x %s" % (d, t) for d, t in self.segments)
+        return "Path(%s)" % "; ".join(
+            "%r x %s" % (d, t) for d, (_, t) in zip(self.directions(), self.segments)
+        )
 
 
 def _zero_weight(ambient: str, ncoords: int) -> Weight:
@@ -129,14 +131,14 @@ def _zero_weight(ambient: str, ncoords: int) -> Weight:
 
 
 def make_path(segments, ambient: str | None = None, ncoords: int | None = None) -> Path:
-    """Build a path in canonical form.
+    """Build a path in canonical form from ``(direction, duration)`` segments.
 
     Zero-direction stretches are pauses and are removed; the remaining
     durations are rescaled to fill [0, 1], which is a reparametrisation.
     Consecutive segments pointing along the same ray are merged.  The
     endpoint must be a lattice weight.
     """
-    moving = []
+    moves = []
     total = Fraction(0)
     for d, t in segments:
         t = frac(t)
@@ -154,27 +156,35 @@ def make_path(segments, ambient: str | None = None, ncoords: int | None = None) 
         elif ncoords != len(d.coords):
             raise PathError("path mixes weights of different ranks")
         total += t
-        if not d.is_zero:
-            moving.append((d, t))
+        moves.append((d * t, t))
     if ambient is None or ncoords is None:
         raise PathError("ambient of a constant path cannot be inferred")
-    if not moving:
-        return Path((), ambient, ncoords)
-    if total != 1:
+    path = _canonical(moves, ambient, ncoords)
+    if total != 1 and not path.is_constant:
         raise PathError("durations must sum to one")
-    # removing pauses stretches the remaining time; slow the directions
-    # down by the same factor so every displacement is preserved
-    scale = sum(t for _, t in moving)
+    return path
+
+
+def _canonical(moves, ambient: str, ncoords: int) -> Path:
+    """Canonical path through ``(displacement, duration)`` segments.
+
+    Pauses are dropped and the remaining durations rescaled to sum to
+    one; collinear neighbours are merged.
+    """
+    moves = [(v, t) for v, t in moves if not v.is_zero]
+    if not moves:
+        return Path((), ambient, ncoords)
+    scale = sum(t for _, t in moves)
     merged: list[tuple[Weight, Fraction]] = []
-    for d, t in moving:
-        d = d * scale
-        t = t / scale
+    for v, t in moves:
+        if scale != 1:
+            t = t / scale
         if merged:
-            joined = _collinear_merge(merged[-1][0], merged[-1][1], d, t)
+            joined = _collinear_merge(merged[-1][0], merged[-1][1], v, t)
             if joined is not None:
                 merged[-1] = joined
                 continue
-        merged.append((d, t))
+        merged.append((v, t))
     path = Path(tuple(merged), ambient, ncoords)
     if not path.weight().is_integral:
         raise PathError("path endpoint is not a lattice weight")
@@ -212,47 +222,17 @@ def height_values(cartan: AffineCartan, path: Path, i: int):
     """Times and values of the height function at the breakpoints."""
     times = path.breakpoints()
     values = [Fraction(0)]
-    for d, t in path.segments:
-        values.append(values[-1] - t * cartan.pairing(i, d))
+    for v, _ in path.segments:
+        values.append(values[-1] - cartan.pairing(i, v))
     while len(values) < len(times):
         values.append(values[-1])
     return times, values
 
 
-def _cross_backward(times, values, upto, level):
-    """Largest time <= upto where the height equals level."""
-    best = None
-    for j in range(len(times) - 1):
-        t0, t1 = times[j], times[j + 1]
-        h0, h1 = values[j], values[j + 1]
-        lo = min(t1, upto)
-        if t0 > upto:
-            break
-        for cand in _segment_hits(t0, t1, h0, h1, level):
-            if cand <= lo and (best is None or cand > best):
-                best = cand
-    return best
-
-
-def _cross_forward(times, values, start, level):
-    """Smallest time >= start where the height equals level."""
-    for j in range(len(times) - 1):
-        t0, t1 = times[j], times[j + 1]
-        if t1 < start:
-            continue
-        h0, h1 = values[j], values[j + 1]
-        hits = [c for c in _segment_hits(t0, t1, h0, h1, level) if c >= start]
-        if hits:
-            return min(hits)
-    return None
-
-
-def _segment_hits(t0, t1, h0, h1, level):
-    if h0 == h1:
-        return [t0, t1] if h0 == level else []
-    if not (min(h0, h1) <= level <= max(h0, h1)):
-        return []
-    return [t0 + (level - h0) * (t1 - t0) / (h1 - h0)]
+def _crossing(times, values, j, level):
+    """Time in [t_j, t_{j+1}] where the height passes level."""
+    t0, h0 = times[j], values[j]
+    return t0 + (level - h0) * (times[j + 1] - t0) / (values[j + 1] - h0)
 
 
 def h_extrema(cartan: AffineCartan, path: Path, i: int) -> HeightExtrema:
@@ -260,7 +240,11 @@ def h_extrema(cartan: AffineCartan, path: Path, i: int) -> HeightExtrema:
 
     The maximum of a piecewise linear function sits at a breakpoint; it
     must be an integer here, which is the integrality property of paths
-    generated from linear seeds.
+    generated from linear seeds.  The height starts at 0 and ends at an
+    integer (the endpoint is a lattice weight), so the level max - 1 is
+    reached before the first maximum when max >= 1, and after the last
+    one when that is not at time 1.  Each crossing lies in the one
+    segment found by scanning the breakpoints away from the maximum.
     """
     times, values = height_values(cartan, path, i)
     hmax = max(values)
@@ -269,11 +253,21 @@ def h_extrema(cartan: AffineCartan, path: Path, i: int) -> HeightExtrema:
             "height maximum %s for index %d is not an integer" % (hmax, i)
         )
     eps = int(hmax)
-    e_plus = next(t for t, v in zip(times, values) if v == hmax)
-    f_plus = next(t for t, v in reversed(list(zip(times, values))) if v == hmax)
-    e_minus = _cross_backward(times, values, e_plus, hmax - 1) if eps > 0 else None
-    f_minus = _cross_forward(times, values, f_plus, hmax - 1) if f_plus != 1 else None
-    return HeightExtrema(hmax, eps, e_minus, e_plus, f_plus, f_minus)
+    level = hmax - 1
+    first = values.index(hmax)
+    last = len(values) - 1 - values[::-1].index(hmax)
+    e_minus = f_minus = None
+    if eps > 0:
+        j = first - 1
+        while values[j] > level:
+            j -= 1
+        e_minus = _crossing(times, values, j, level)
+    if last < len(values) - 1:
+        j = last + 1
+        while values[j] > level:
+            j += 1
+        f_minus = _crossing(times, values, j - 1, level)
+    return HeightExtrema(hmax, eps, e_minus, times[first], times[last], f_minus)
 
 
 def epsilon(cartan: AffineCartan, path: Path, i: int) -> int:
@@ -290,18 +284,20 @@ def phi(cartan: AffineCartan, path: Path, i: int) -> int:
 
 
 def _split_reflect(cartan, path, i, a, b):
-    """Reflect the directions of the stretch [a, b] by the i-th reflection."""
+    """Reflect the stretch [a, b] of the path by the i-th reflection."""
     out = []
     t = Fraction(0)
-    for d, dur in path.segments:
+    for v, dur in path.segments:
         lo, hi = t, t + dur
         for x0, x1 in ((lo, min(hi, a)), (max(lo, a), min(hi, b)), (max(lo, b), hi)):
             if x1 <= x0:
                 continue
-            dd = cartan.reflect(i, d) if a <= x0 and x1 <= b else d
-            out.append((dd, x1 - x0))
+            piece = v if x1 - x0 == dur else v * ((x1 - x0) / dur)
+            if a <= x0 and x1 <= b:
+                piece = cartan.reflect(i, piece)
+            out.append((piece, x1 - x0))
         t = hi
-    return make_path(out, ambient=path.ambient, ncoords=path.ncoords)
+    return _canonical(out, path.ambient, path.ncoords)
 
 
 def raising_op(cartan: AffineCartan, path: Path, i: int) -> Path | None:
@@ -309,8 +305,6 @@ def raising_op(cartan: AffineCartan, path: Path, i: int) -> Path | None:
     ext = h_extrema(cartan, path, i)
     if ext.eps == 0:
         return None
-    if ext.e_minus is None:
-        raise PathError("height never sits one below its maximum before the climb")
     return _split_reflect(cartan, path, i, ext.e_minus, ext.e_plus)
 
 
@@ -319,8 +313,6 @@ def lowering_op(cartan: AffineCartan, path: Path, i: int) -> Path | None:
     ext = h_extrema(cartan, path, i)
     if ext.f_plus == 1:
         return None
-    if ext.f_minus is None:
-        raise PathError("height never descends one below its maximum after the peak")
     return _split_reflect(cartan, path, i, ext.f_plus, ext.f_minus)
 
 
@@ -354,30 +346,23 @@ def concat(paths) -> Path:
     k = len(movers)
     if k == 0:
         return Path((), ambient, ncoords)
-    segs = []
-    for p in movers:
-        for d, t in p.segments:
-            segs.append((d * k, t / k))
-    return make_path(segs, ambient=ambient, ncoords=ncoords)
+    segs = [(v, t / k) for p in movers for v, t in p.segments]
+    return _canonical(segs, ambient, ncoords)
 
 
 def stretch(path: Path, n: int) -> Path:
     """Dilate the path by a positive integer factor."""
     if n < 1:
         raise PathError("stretch factor must be a positive integer")
-    return make_path(
-        [(d * n, t) for d, t in path.segments], ambient=path.ambient, ncoords=path.ncoords
-    )
+    return _canonical([(v * n, t) for v, t in path.segments], path.ambient, path.ncoords)
 
 
 def project(path: Path) -> Path:
     """Kill the null-root component of every direction."""
     if path.ambient != "affine":
         raise AmbientError("path is already classical")
-    return make_path(
-        [(d.classical(), t) for d, t in path.segments],
-        ambient="classical",
-        ncoords=path.ncoords,
+    return _canonical(
+        [(v.classical(), t) for v, t in path.segments], "classical", path.ncoords
     )
 
 
@@ -393,7 +378,7 @@ def segment_uniform(path: Path, n: int) -> list[Weight]:
         return [_zero_weight(path.ambient, path.ncoords)] * n
     out = []
     t = Fraction(0)
-    for d, dur in path.segments:
+    for d, (_, dur) in zip(path.directions(), path.segments):
         cells = dur * n
         if cells.denominator != 1:
             raise PathError(

@@ -112,7 +112,13 @@ def test_affinized_node_cap_exit_code(tmp_path):
     (None, ["--affinize", "--power", "2", "--window", "-1"]),
     (None, ["--power", "0"]),
     (None, ["--affinize", "--power", "0", "--window", "2"]),
-], ids=["cap-env-not-int", "affine-window", "affinize-window", "power", "affinize-power"])
+    (None, ["--ls", "--weight", "w1w1", "--window", "1"]),
+    (None, ["--ls", "--weight", "2w1d", "--window", "1"]),
+    (None, ["--ls", "--weight", "", "--window", "1"]),
+    (None, ["--ls", "--weight", "  ", "--window", "1"]),
+], ids=["cap-env-not-int", "affine-window", "affinize-window", "power", "affinize-power",
+        "weight-unsigned-terms", "weight-unsigned-null-root", "weight-empty",
+        "weight-blank"])
 def test_bad_gen_input_exits_2(tmp_path, monkeypatch, env, argv):
     if env is not None:
         monkeypatch.setenv("LOOM_NODE_CAP", env)
@@ -120,6 +126,19 @@ def test_bad_gen_input_exits_2(tmp_path, monkeypatch, env, argv):
         main(["gen", "--type", "A", "--rank", "1"] + argv
              + ["--out", str(tmp_path / "x.json")])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "sl2", "--t1", "-1"],
+    ["--suite", "sl2", "--t2", "-1"],
+    ["--suite", "xi", "--window", "0"],
+    ["--suite", "energy", "--seeds", "0"],
+], ids=["sl2-t1", "sl2-t2", "xi-window", "energy-seeds"])
+def test_vacuous_verify_exits_2(tmp_path, argv):
+    with pytest.raises(SystemExit) as err:
+        main(["verify"] + argv + ["--out", str(tmp_path / "r.txt")])
+    assert err.value.code == 2
+    assert not (tmp_path / "r.txt").exists()
 
 
 def test_deterministic_artifacts(tmp_path):

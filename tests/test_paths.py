@@ -6,14 +6,17 @@ from loom import (
     AmbientError,
     IntegralityError,
     PathError,
+    build_cartan,
     concat,
     constant_path,
     epsilon,
+    fundamental_crystal,
     grid_size,
     h_extrema,
     linear_path,
     lowering_op,
     make_path,
+    path_crystal_window,
     phi,
     project,
     raising_op,
@@ -22,6 +25,7 @@ from loom import (
     weyl_act,
 )
 from loom import Weight
+from loom.paths import height_values
 
 
 def fund(cartan, i=1, classical=True):
@@ -52,6 +56,73 @@ def test_height_extrema(a1):
     ext1 = h_extrema(a1, pp, 1)
     assert ext1.max_value == 0 and ext1.e_plus == 0
     assert h_extrema(a1, constant_path(a1), 0).max_value == 0
+
+
+# Reference split times: a crossing search over every segment of the
+# height function, independent of the one-segment scans in h_extrema.
+
+
+def _ref_segment_hits(t0, t1, h0, h1, level):
+    if h0 == h1:
+        return [t0, t1] if h0 == level else []
+    if not (min(h0, h1) <= level <= max(h0, h1)):
+        return []
+    return [t0 + (level - h0) * (t1 - t0) / (h1 - h0)]
+
+
+def _ref_cross_backward(times, values, upto, level):
+    """Largest time <= upto where the height equals level."""
+    best = None
+    for j in range(len(times) - 1):
+        t0, t1 = times[j], times[j + 1]
+        if t0 > upto:
+            break
+        for cand in _ref_segment_hits(t0, t1, values[j], values[j + 1], level):
+            if cand <= min(t1, upto) and (best is None or cand > best):
+                best = cand
+    return best
+
+
+def _ref_cross_forward(times, values, start, level):
+    """Smallest time >= start where the height equals level."""
+    for j in range(len(times) - 1):
+        t0, t1 = times[j], times[j + 1]
+        if t1 < start:
+            continue
+        hits = [c for c in _ref_segment_hits(t0, t1, values[j], values[j + 1], level)
+                if c >= start]
+        if hits:
+            return min(hits)
+    return None
+
+
+def _ref_split_times(cartan, path, i):
+    times, values = height_values(cartan, path, i)
+    hmax = max(values)
+    e_plus = next(t for t, v in zip(times, values) if v == hmax)
+    f_plus = next(t for t, v in reversed(list(zip(times, values))) if v == hmax)
+    e_minus = _ref_cross_backward(times, values, e_plus, hmax - 1) if hmax > 0 else None
+    f_minus = _ref_cross_forward(times, values, f_plus, hmax - 1) if f_plus != 1 else None
+    return e_minus, e_plus, f_plus, f_minus
+
+
+def test_split_times_match_reference():
+    crystals = []
+    for t, r, i in (("A", 2, 1), ("B", 3, 1), ("C", 2, 2), ("G2", 2, 1), ("D", 4, 2)):
+        cartan = build_cartan(t, r)
+        crystals.append((cartan, fundamental_crystal(cartan, i)))
+    a1 = build_cartan("A", 1)
+    crystals.append((a1, path_crystal_window(a1, fund(a1, classical=False), 2)))
+    grids = set()
+    for cartan, graph in crystals:
+        for key in graph.sorted_keys():
+            path = graph.nodes[key].element
+            grids.add(grid_size(path))
+            for i in cartan.indices:
+                ext = h_extrema(cartan, path, i)
+                got = (ext.e_minus, ext.e_plus, ext.f_plus, ext.f_minus)
+                assert got == _ref_split_times(cartan, path, i), (path, i)
+    assert 2 in grids
 
 
 def test_nonintegral_height_maximum_rejected(a1):
