@@ -13,7 +13,6 @@ from .cartan import AffineCartan, AmbientError, CartanError, Weight, build_carta
 from .crystals import (
     AffineOps,
     CrystalGraph,
-    GraphOps,
     NodeCapError,
     TensorOps,
     generate,

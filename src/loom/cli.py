@@ -16,7 +16,7 @@ import sys
 import tempfile
 
 from .cartan import CartanError, Weight, build_cartan
-from .crystals import GenerationError, GraphOps, NodeCapError, TensorOps, generate
+from .crystals import GenerationError, NodeCapError, TensorOps, generate
 from .embedding import affinized_tensor_crystal, fundamental_crystal, path_crystal_window
 from .paths import PathError
 from .verify import SUITE_ALIASES, SUITES, run_suite
@@ -25,12 +25,15 @@ from .verify import SUITE_ALIASES, SUITES, run_suite
 def _node_cap(args, parser):
     """--node-cap, else LOOM_NODE_CAP, else None for the default cap."""
     env = os.environ.get("LOOM_NODE_CAP")
-    if args.node_cap is not None or not env:
-        return args.node_cap
-    try:
-        return int(env)
-    except ValueError:
-        parser.error("LOOM_NODE_CAP must be an integer, got %r" % env)
+    cap = args.node_cap
+    if cap is None and env:
+        try:
+            cap = int(env)
+        except ValueError:
+            parser.error("LOOM_NODE_CAP must be an integer, got %r" % env)
+    if cap is not None and cap < 1:
+        parser.error("the node cap must be positive, got %d" % cap)
+    return cap
 
 
 def parse_weight_label(cartan, text: str) -> Weight:
@@ -90,6 +93,15 @@ def cmd_gen(args, parser) -> int:
         parser.error(str(err))
     if args.power < 1:
         parser.error("--power must be positive")
+    # every flag must reach the construction it is given to
+    if args.ls and (args.affinize or args.ambient == "affine" or args.power != 1):
+        parser.error("--ls takes no --affinize, --ambient affine or --power")
+    if args.ambient == "affine" and (args.affinize or args.power != 1):
+        parser.error("--ambient affine takes no --affinize or --power")
+    if args.weight is not None and not args.ls:
+        parser.error("--weight needs --ls")
+    if args.window is not None and not (args.ls or args.ambient == "affine" or args.affinize):
+        parser.error("--window needs --ls, --ambient affine or --affinize")
     cap = _node_cap(args, parser)
     try:
         if args.ls:
@@ -118,7 +130,7 @@ def cmd_gen(args, parser) -> int:
                     cartan, base, args.power, args.window, node_cap=cap
                 )
             elif args.power > 1:
-                ops = TensorOps([GraphOps(base, cartan.pairing)] * args.power)
+                ops = TensorOps([base] * args.power)
                 graph = generate(
                     ops, (base.seed,) * args.power, node_cap=cap,
                     label="%s:power%d" % (base.label, args.power),

@@ -1,12 +1,13 @@
 """Generic crystal machinery over any element kind with raise/lower maps.
 
 An element kind ("ops" object) exposes ``indices``, ``key``, ``wt``,
-``eps``, ``phi``, ``e``, ``f`` and ``pairing``; infinite kinds also
-expose ``level`` and are generated inside an explicit window on the
-absolute level.  Closure generation, the tensor product rule, the
-affinisation, audits and labelled-graph isomorphism all work against
-that surface, so paths, graph-backed tensors and ad hoc test crystals
-plug into the same engine.
+``eps``, ``phi``, ``e`` and ``f``; infinite kinds also expose ``level``
+and are generated inside an explicit window on the absolute level.
+Closure generation, the tensor product rule, the affinisation, audits
+and labelled-graph isomorphism all work against that surface, so paths,
+generated graphs and ad hoc test crystals plug into the same engine.
+The tensor rule reads the coroot pairing of a factor's weight as
+``phi - eps``, so no kind needs Cartan data of its own.
 """
 
 from __future__ import annotations
@@ -23,14 +24,6 @@ class NodeCapError(RuntimeError):
     """Closure generation exceeded the configured node budget."""
 
 
-def _exact_int(x) -> int:
-    if isinstance(x, Fraction):
-        if x.denominator != 1:
-            raise GenerationError("expected an integer, got %s" % x)
-        return x.numerator
-    return int(x)
-
-
 class GenerationError(ValueError):
     """Invalid generation request."""
 
@@ -45,12 +38,12 @@ class Node:
 
 @dataclass(eq=False)
 class CrystalGraph:
-    """Finite labelled digraph of canonical elements.
+    """Finite labelled digraph of canonical elements, itself a crystal kind.
 
-    Edges point in the lowering direction: ``(x, i) -> y`` means the
-    i-th lowering operator maps x to y.  For untruncated graphs the node
-    set is closed under all operators; truncated graphs keep only edges
-    between in-window nodes.
+    Its elements are the node keys.  Edges point in the lowering
+    direction: ``(x, i) -> y`` means the i-th lowering operator maps x to
+    y.  For untruncated graphs the node set is closed under all
+    operators; truncated graphs keep only edges between in-window nodes.
     """
 
     label: str
@@ -63,6 +56,7 @@ class CrystalGraph:
     e_edges: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self._pos = {i: p for p, i in enumerate(self.indices)}
         if not self.e_edges:
             for (src, i), dst in self.f_edges.items():
                 self.e_edges[(dst, i)] = src
@@ -78,6 +72,18 @@ class CrystalGraph:
 
     def e(self, key, i):
         return self.e_edges.get((key, i))
+
+    def key(self, key):
+        return key
+
+    def wt(self, key):
+        return self.nodes[key].wt
+
+    def eps(self, key, i):
+        return self.nodes[key].eps[self._pos[i]]
+
+    def phi(self, key, i):
+        return self.nodes[key].phi[self._pos[i]]
 
     def edge_count(self) -> int:
         return len(self.f_edges)
@@ -350,38 +356,6 @@ def generate(ops, seed, *, window=None, node_cap=None, label="") -> CrystalGraph
     )
 
 
-class GraphOps:
-    """Crystal operations read off a generated finite graph."""
-
-    def __init__(self, graph: CrystalGraph, pairing):
-        self.graph = graph
-        self.indices = graph.indices
-        self._pairing = pairing
-        self.infinite = False
-        self._pos = {i: p for p, i in enumerate(graph.indices)}
-
-    def key(self, x):
-        return x
-
-    def wt(self, x):
-        return self.graph.nodes[x].wt
-
-    def eps(self, x, i):
-        return self.graph.nodes[x].eps[self._pos[i]]
-
-    def phi(self, x, i):
-        return self.graph.nodes[x].phi[self._pos[i]]
-
-    def e(self, x, i):
-        return self.graph.e(x, i)
-
-    def f(self, x, i):
-        return self.graph.f(x, i)
-
-    def pairing(self, i, w):
-        return self._pairing(i, w)
-
-
 class TensorOps:
     """Kashiwara tensor product rule over a list of component kinds.
 
@@ -410,22 +384,22 @@ class TensorOps:
             total = w if total is None else total + w
         return total
 
-    def pairing(self, i, w):
-        return self.components[0].pairing(i, w)
-
     def _string_funcs(self, b, i):
+        # <h_i, wt(x)> of a factor is phi(x, i) - eps(x, i)
         vals = []
         shift = 0
         for c, x in zip(self.components, b):
-            vals.append(_exact_int(c.eps(x, i) - shift))
-            shift += self.pairing(i, c.wt(x))
+            eps = c.eps(x, i)
+            vals.append(eps - shift)
+            shift += c.phi(x, i) - eps
         return vals
 
     def eps(self, b, i):
         return max(self._string_funcs(b, i))
 
     def phi(self, b, i):
-        return self.eps(b, i) + _exact_int(self.pairing(i, self.wt(b)))
+        return self.eps(b, i) + sum(c.phi(x, i) - c.eps(x, i)
+                                    for c, x in zip(self.components, b))
 
     def e_position(self, b, i) -> int:
         vals = self._string_funcs(b, i)
@@ -497,6 +471,3 @@ class AffineOps:
         if moved is None:
             return None
         return (moved, n - (1 if i == 0 else 0))
-
-    def pairing(self, i, w):
-        return self.base.pairing(i, w)

@@ -21,7 +21,6 @@ from .crystals import (
     AffineOps,
     CrystalGraph,
     GenerationError,
-    GraphOps,
     Node,
     NodeCapError,
     TensorOps,
@@ -143,7 +142,7 @@ def tensor_power_crystal(cartan, base: CrystalGraph, m: int,
     from one element reaches every tuple; this is asserted rather than
     assumed.  Elements are m-tuples of base keys even for m equal to one.
     """
-    ops = TensorOps([GraphOps(base, cartan.pairing)] * m)
+    ops = TensorOps([base] * m)
     graph = generate(ops, (base.seed,) * m, node_cap=node_cap,
                      label="%s:power%d" % (base.label, m))
     if len(graph) != len(base) ** m:
@@ -171,7 +170,7 @@ def affinized_tensor_crystal(cartan, base: CrystalGraph, m: int, window: int,
     cap = DEFAULT_NODE_CAP if node_cap is None else node_cap
     if len(tensor) * (2 * window + 1) > cap:
         raise NodeCapError("affinised window exceeds the node cap of %d" % cap)
-    ops = AffineOps(TensorOps([GraphOps(base, cartan.pairing)] * m))
+    ops = AffineOps(TensorOps([base] * m))
     nodes = {}
     f_edges = {}
     for bkey in tensor.sorted_keys():
@@ -233,6 +232,9 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
         raise EmbeddingError("window must be at least 2")
     if m < 1:
         raise EmbeddingError("tensor power must be positive")
+    if m > window:
+        # the periodicity check shifts each piece by m, out of the window
+        raise EmbeddingError("tensor power %d exceeds the window %d" % (m, window))
 
     checks = []
 
@@ -240,7 +242,7 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
         checks.append({"name": name, "pass": bool(ok), "detail": detail})
 
     base = fundamental_crystal(cartan, i, node_cap=node_cap)
-    table = energy_table(base, cartan.pairing)
+    table = energy_table(base)
     aff = affinized_tensor_crystal(cartan, base, m, window, node_cap=node_cap)
 
     images = {}
@@ -315,7 +317,7 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
     check("classes_match_pieces", class_ok)
 
     morphism_ok = True
-    ops = AffineOps(TensorOps([GraphOps(base, cartan.pairing)] * m))
+    ops = AffineOps(TensorOps([base] * m))
     for key in aff.sorted_keys():
         if not inner_level(key):
             continue

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from math import lcm
 
-from .crystals import CrystalGraph, GraphOps, TensorOps
+from .crystals import CrystalGraph, TensorOps
 from .paths import Path, grid_size, linear_path, segment_uniform
 
 
@@ -69,7 +69,7 @@ def _zero_shift(i: int, kind: str, position: int) -> int:
     return -1 if position == 0 else 1
 
 
-def energy_table(graph: CrystalGraph, pairing, *, rng: random.Random | None = None) -> EnergyTable:
+def energy_table(graph: CrystalGraph, *, rng: random.Random | None = None) -> EnergyTable:
     """Build the energy table of a finite connected fundamental crystal.
 
     The sweep starts at the diagonal seed pair with value zero.  The
@@ -78,7 +78,7 @@ def energy_table(graph: CrystalGraph, pairing, *, rng: random.Random | None = No
     """
     if graph.truncated:
         raise EnergyError("energy needs an untruncated crystal")
-    ops2 = TensorOps([GraphOps(graph, pairing)] * 2)
+    ops2 = TensorOps([graph] * 2)
     seed = (graph.seed, graph.seed)
     chi = {seed: 0}
     frontier = [seed]
@@ -155,9 +155,9 @@ def refined_major_index(table: EnergyTable, graph: CrystalGraph, factors) -> int
     return major_index(table, refine(graph, factors, table.grid))
 
 
-def energy_edge_check(graph: CrystalGraph, pairing, table: EnergyTable) -> list[str]:
+def energy_edge_check(graph: CrystalGraph, table: EnergyTable) -> list[str]:
     """Recheck the shift rule on every labelled edge of the tensor square."""
-    ops2 = TensorOps([GraphOps(graph, pairing)] * 2)
+    ops2 = TensorOps([graph] * 2)
     problems = []
     for a in graph.sorted_keys():
         for b in graph.sorted_keys():

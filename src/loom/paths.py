@@ -427,9 +427,6 @@ class PathOps:
     def f(self, x: Path, i: int):
         return lowering_op(self.cartan, x, i)
 
-    def pairing(self, i: int, w: Weight) -> Fraction:
-        return self.cartan.pairing(i, w)
-
     def level(self, x: Path) -> Fraction:
         if self.ambient != "affine":
             raise AmbientError("classical paths have no null-root level")

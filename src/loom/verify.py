@@ -12,7 +12,7 @@ import itertools
 import random
 
 from .cartan import AffineCartan, build_cartan
-from .crystals import GraphOps, TensorOps, generate
+from .crystals import TensorOps, generate
 from .embedding import (
     affinized_tensor_crystal,
     fundamental_crystal,
@@ -54,10 +54,10 @@ class Report:
         return self.obj
 
 
-def _tensor_graph(cartan, base, power, *, node_cap=None):
+def _tensor_graph(base, power, *, node_cap=None):
     if power == 1:
         return base
-    ops = TensorOps([GraphOps(base, cartan.pairing)] * power)
+    ops = TensorOps([base] * power)
     return generate(ops, (base.seed,) * power, node_cap=node_cap,
                     label="%s:power%d" % (base.label, power))
 
@@ -65,7 +65,7 @@ def _tensor_graph(cartan, base, power, *, node_cap=None):
 def suite_normality(cartan: AffineCartan, i: int, power: int = 1, **kw) -> dict:
     rep = Report("normality", type=cartan.name, i=i, power=power)
     base = fundamental_crystal(cartan, i, **kw)
-    graph = _tensor_graph(cartan, base, power, **kw)
+    graph = _tensor_graph(base, power, **kw)
     problems = graph.normality_audit()
     rep.check("string_lengths_and_quasi_inverse", not problems,
               "; ".join(problems[:3]))
@@ -127,7 +127,7 @@ def suite_stretch(cartan: AffineCartan, i: int, factors=(2, 3), **kw) -> dict:
 def suite_concat(cartan: AffineCartan, i: int, **kw) -> dict:
     rep = Report("concat", type=cartan.name, i=i)
     base = fundamental_crystal(cartan, i, **kw)
-    ops2 = TensorOps([GraphOps(base, cartan.pairing)] * 2)
+    ops2 = TensorOps([base] * 2)
     rule_ok = True
     for a, b in itertools.product(base.sorted_keys(), repeat=2):
         joined = concat([base.nodes[a].element, base.nodes[b].element])
@@ -199,14 +199,14 @@ def suite_energy(cartan: AffineCartan, i: int, seeds: int = 20, **kw) -> dict:
         raise ValueError("energy needs seeds >= 1, got %d" % seeds)
     rep = Report("energy", type=cartan.name, i=i, seeds=seeds)
     base = fundamental_crystal(cartan, i, **kw)
-    table = energy_table(base, cartan.pairing)
+    table = energy_table(base)
     rep.check("total", len(table.chi) == len(base) ** 2,
               "%d pairs" % len(table.chi))
-    problems = energy_edge_check(base, cartan.pairing, table)
+    problems = energy_edge_check(base, table)
     rep.check("shift_rule_on_every_edge", not problems, "; ".join(problems[:3]))
     deterministic = True
     for seed in range(seeds):
-        shuffled = energy_table(base, cartan.pairing, rng=random.Random(seed))
+        shuffled = energy_table(base, rng=random.Random(seed))
         if shuffled.chi != table.chi:
             deterministic = False
     rep.check("order_independent", deterministic)
@@ -221,8 +221,8 @@ def suite_energy(cartan: AffineCartan, i: int, seeds: int = 20, **kw) -> dict:
 def suite_maj(cartan: AffineCartan, i: int, power: int = 2, **kw) -> dict:
     rep = Report("maj", type=cartan.name, i=i, power=power)
     base = fundamental_crystal(cartan, i, **kw)
-    table = energy_table(base, cartan.pairing)
-    ops = TensorOps([GraphOps(base, cartan.pairing)] * power)
+    table = energy_table(base)
+    ops = TensorOps([base] * power)
     shift_ok = True
     refined_ok = True
     for b in itertools.product(base.sorted_keys(), repeat=power):
@@ -248,7 +248,7 @@ def suite_maj(cartan: AffineCartan, i: int, power: int = 2, **kw) -> dict:
 def suite_psi(cartan: AffineCartan, i: int, power: int = 2, window: int = 3, **kw) -> dict:
     rep = Report("psi", type=cartan.name, i=i, power=power, window=window)
     base = fundamental_crystal(cartan, i, **kw)
-    table = energy_table(base, cartan.pairing)
+    table = energy_table(base)
     grid = table.grid
     end_ok = True
     for b in itertools.product(base.sorted_keys(), repeat=power):

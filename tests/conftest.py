@@ -40,9 +40,9 @@ def c2_base(c2):
 
 @pytest.fixture(scope="session")
 def a1_energy(a1, a1_base):
-    return energy_table(a1_base, a1.pairing)
+    return energy_table(a1_base)
 
 
 @pytest.fixture(scope="session")
 def a2_energy(a2, a2_base):
-    return energy_table(a2_base, a2.pairing)
+    return energy_table(a2_base)

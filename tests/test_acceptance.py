@@ -10,7 +10,6 @@ import random
 import time
 
 from loom import (
-    GraphOps,
     PathOps,
     TensorOps,
     build_cartan,
@@ -133,7 +132,7 @@ def test_criterion_3_operator_identity_suites():
                 )
 
         # concatenation follows the tensor rule
-        ops2 = TensorOps([GraphOps(base, cartan.pairing)] * 2)
+        ops2 = TensorOps([base] * 2)
         for a, b in itertools.product(base.sorted_keys(), repeat=2):
             joined = concat([base.nodes[a].element, base.nodes[b].element])
             for i in cartan.indices:
@@ -168,7 +167,7 @@ def test_criterion_4_energy():
     ok = True
     a1 = build_cartan("A", 1)
     base1 = fundamental_crystal(a1, 1)
-    table1 = energy_table(base1, a1.pairing)
+    table1 = energy_table(base1)
     w = a1.classical_fundamental(1)
     kp, km = linear_path(w).key(), linear_path(-w).key()
     ok &= table1.value(kp, kp) == 0 and table1.value(kp, km) == 1
@@ -177,12 +176,12 @@ def test_criterion_4_energy():
     for label, rank in (("A", 1), ("A", 2), ("C", 2)):
         cartan = build_cartan(label, rank)
         base = fundamental_crystal(cartan, 1)
-        table = energy_table(base, cartan.pairing)
-        ok &= energy_edge_check(base, cartan.pairing, table) == []
+        table = energy_table(base)
+        ok &= energy_edge_check(base, table) == []
         if label == "A":
             ok &= compatible_total_order(base, table) is not None
         for seed in range(20):
-            again = energy_table(base, cartan.pairing, rng=random.Random(seed))
+            again = energy_table(base, rng=random.Random(seed))
             ok &= again.chi == table.chi
     report(4, ok, "energy fixture, edge recursion, type A order, 20-seed determinism")
 
@@ -192,9 +191,9 @@ def test_criterion_5_major_index_and_kappa():
     for label, rank in (("A", 1), ("A", 2)):
         cartan = build_cartan(label, rank)
         base = fundamental_crystal(cartan, 1)
-        table = energy_table(base, cartan.pairing)
+        table = energy_table(base)
         for m in (2, 3):
-            ops = TensorOps([GraphOps(base, cartan.pairing)] * m)
+            ops = TensorOps([base] * m)
             for b in itertools.product(base.sorted_keys(), repeat=m):
                 value = refined_major_index(table, base, b)
                 for i in cartan.indices:

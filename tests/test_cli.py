@@ -116,9 +116,26 @@ def test_affinized_node_cap_exit_code(tmp_path):
     (None, ["--ls", "--weight", "2w1d", "--window", "1"]),
     (None, ["--ls", "--weight", "", "--window", "1"]),
     (None, ["--ls", "--weight", "  ", "--window", "1"]),
+    (None, ["--node-cap", "0"]),
+    (None, ["--node-cap", "-5"]),
+    ("0", []),
+    ("-5", []),
+    (None, ["--ls", "--weight", "w1", "--window", "2", "--affinize"]),
+    (None, ["--ls", "--weight", "w1", "--window", "2", "--ambient", "affine"]),
+    (None, ["--ls", "--weight", "w1", "--window", "2", "--power", "3"]),
+    (None, ["--ls", "--weight", "w1", "--window", "2", "--affinize", "--power", "3"]),
+    (None, ["--ambient", "affine", "--window", "2", "--affinize"]),
+    (None, ["--ambient", "affine", "--window", "2", "--power", "2"]),
+    (None, ["--weight", "w1"]),
+    (None, ["--weight", "w1", "--ambient", "affine", "--window", "2"]),
+    (None, ["--window", "2"]),
+    (None, ["--power", "2", "--window", "2"]),
 ], ids=["cap-env-not-int", "affine-window", "affinize-window", "power", "affinize-power",
         "weight-unsigned-terms", "weight-unsigned-null-root", "weight-empty",
-        "weight-blank"])
+        "weight-blank", "cap-zero", "cap-negative", "cap-env-zero", "cap-env-negative",
+        "ls-affinize", "ls-affine", "ls-power", "ls-affinize-power", "affine-affinize",
+        "affine-power", "weight-alone", "weight-affine", "window-classical",
+        "window-power"])
 def test_bad_gen_input_exits_2(tmp_path, monkeypatch, env, argv):
     if env is not None:
         monkeypatch.setenv("LOOM_NODE_CAP", env)
@@ -133,7 +150,10 @@ def test_bad_gen_input_exits_2(tmp_path, monkeypatch, env, argv):
     ["--suite", "sl2", "--t2", "-1"],
     ["--suite", "xi", "--window", "0"],
     ["--suite", "energy", "--seeds", "0"],
-], ids=["sl2-t1", "sl2-t2", "xi-window", "energy-seeds"])
+    ["--suite", "decompose", "--m", "4", "--window", "3"],
+    ["--suite", "energy", "--node-cap", "0"],
+], ids=["sl2-t1", "sl2-t2", "xi-window", "energy-seeds", "decompose-power-above-window",
+        "cap-zero"])
 def test_vacuous_verify_exits_2(tmp_path, argv):
     with pytest.raises(SystemExit) as err:
         main(["verify"] + argv + ["--out", str(tmp_path / "r.txt")])

@@ -5,11 +5,12 @@ import pytest
 from loom import (
     AffineOps,
     CrystalGraph,
-    GraphOps,
     NodeCapError,
     PathOps,
     TensorOps,
+    build_cartan,
     constant_path,
+    fundamental_crystal,
     generate,
     linear_path,
 )
@@ -46,7 +47,7 @@ def test_constant_seed(a1):
 
 
 def test_tensor_rule_positions(a1, a1_base):
-    ops = TensorOps([GraphOps(a1_base, a1.pairing)] * 2)
+    ops = TensorOps([a1_base] * 2)
     w = a1.classical_fundamental(1)
     kp, km = keys_of(a1, w, -w)
     assert ops.f((kp, kp), 1) == (km, kp)
@@ -56,7 +57,7 @@ def test_tensor_rule_positions(a1, a1_base):
 
 
 def test_affinized_operators(a1, a1_base):
-    ops = AffineOps(TensorOps([GraphOps(a1_base, a1.pairing)] * 2))
+    ops = AffineOps(TensorOps([a1_base] * 2))
     w = a1.classical_fundamental(1)
     kp, km = keys_of(a1, w, -w)
     assert ops.e(((kp, km), 0), 0) == ((km, km), 1)
@@ -84,7 +85,7 @@ def test_indecomposable(a1_base):
 
 
 def test_tensor_square_connected(a1, a1_base):
-    ops = TensorOps([GraphOps(a1_base, a1.pairing)] * 2)
+    ops = TensorOps([a1_base] * 2)
     graph = generate(ops, (a1_base.seed, a1_base.seed))
     assert len(graph) == 4
     assert graph.is_indecomposable()
@@ -138,7 +139,7 @@ def test_isomorphism(a1, a1_base, a2_base):
 
 def test_tensor_associativity(a1, a1_base, a2, a2_base):
     for cartan, base in ((a1, a1_base), (a2, a2_base)):
-        g = GraphOps(base, cartan.pairing)
+        g = base
         flat = TensorOps([g, g, g])
         left = TensorOps([TensorOps([g, g]), g])
         right = TensorOps([g, TensorOps([g, g])])
@@ -153,6 +154,68 @@ def test_tensor_associativity(a1, a1_base, a2, a2_base):
                 assert want == flat_left == flat_right
                 assert flat.eps(triple, i) == left.eps(((a, b), c), i)
                 assert flat.eps(triple, i) == right.eps((a, (b, c)), i)
+
+
+class PairingTensor:
+    """Reference tensor rule that shifts the string functions by <h_i, wt>.
+
+    The rule under test reads that pairing as phi - eps of each factor;
+    this one reads it off the Cartan data, as the tensor rule is usually
+    stated.
+    """
+
+    def __init__(self, cartan, components):
+        self.cartan = cartan
+        self.components = components
+
+    def string_funcs(self, b, i):
+        vals = []
+        shift = 0
+        for c, x in zip(self.components, b):
+            vals.append(c.eps(x, i) - shift)
+            shift += self.cartan.pairing(i, c.wt(x))
+        return vals
+
+    def eps(self, b, i):
+        return max(self.string_funcs(b, i))
+
+    def phi(self, b, i):
+        total = sum((c.wt(x) for c, x in zip(self.components[1:], b[1:])),
+                    self.components[0].wt(b[0]))
+        return self.eps(b, i) + self.cartan.pairing(i, total)
+
+    def e_position(self, b, i):
+        vals = self.string_funcs(b, i)
+        return vals.index(max(vals))
+
+    def f_position(self, b, i):
+        vals = self.string_funcs(b, i)
+        return len(vals) - 1 - vals[::-1].index(max(vals))
+
+    def move(self, b, i, kind):
+        k = self.e_position(b, i) if kind == "e" else self.f_position(b, i)
+        c = self.components[k]
+        moved = c.e(b[k], i) if kind == "e" else c.f(b[k], i)
+        return None if moved is None else b[:k] + (moved,) + b[k + 1:]
+
+
+@pytest.mark.parametrize("label,rank,i,power", [
+    ("A", 2, 1, 2), ("C", 2, 2, 2), ("G2", 2, 1, 2), ("D", 4, 2, 2), ("A", 1, 1, 3),
+])
+def test_tensor_rule_matches_pairing_reference(label, rank, i, power):
+    cartan = build_cartan(label, rank)
+    base = fundamental_crystal(cartan, i)
+    ops = TensorOps([base] * power)
+    ref = PairingTensor(cartan, [base] * power)
+    for b in itertools.product(base.sorted_keys(), repeat=power):
+        for j in cartan.indices:
+            eps, phi = ops.eps(b, j), ops.phi(b, j)
+            assert type(eps) is int and type(phi) is int
+            assert (eps, phi) == (ref.eps(b, j), ref.phi(b, j))
+            assert ops.e_position(b, j) == ref.e_position(b, j)
+            assert ops.f_position(b, j) == ref.f_position(b, j)
+            assert ops.e(b, j) == ref.move(b, j, "e")
+            assert ops.f(b, j) == ref.move(b, j, "f")
 
 
 def test_generation_independence(a2, a2_base):

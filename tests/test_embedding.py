@@ -6,7 +6,6 @@ import pytest
 from loom import (
     AffineOps,
     CrystalGraph,
-    GraphOps,
     TensorOps,
     affinized_tensor_crystal,
     c_class,
@@ -82,7 +81,7 @@ def test_c_class(a1, a1_base, a1_energy):
         for r in range(-3, 4):
             assert c_class(a1_energy, a1_base, ((kp,) * m, r), m) == r % m
     assert c_class(a1_energy, a1_base, ((kp, km), 0), 2) == 1
-    ops = AffineOps(TensorOps([GraphOps(a1_base, a1.pairing)] * 2))
+    ops = AffineOps(TensorOps([a1_base] * 2))
     for b in itertools.product(a1_base.sorted_keys(), repeat=2):
         for n in (-1, 0, 1):
             x = (b, n)
@@ -164,6 +163,9 @@ def test_decomposition_reports(a1, a2):
                 "psi_injective", "degree_shift_periodicity"} <= names
     with pytest.raises(EmbeddingError):
         verify_decomposition(a1, 1, 2, 1)
+    # no piece shifted by m fits, so degree_shift_periodicity would check nothing
+    with pytest.raises(EmbeddingError):
+        verify_decomposition(a1, 1, 4, 3)
 
 
 def test_m1_image_matches_piece(a1, a1_base, a1_energy):

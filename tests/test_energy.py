@@ -37,7 +37,7 @@ def test_a1_energy_fixture(a1, a1_energy):
 
 def test_energy_total_and_consistent(a1, a1_base, a1_energy, a2, a2_base, a2_energy,
                                      c2, c2_base):
-    c2_energy = energy_table(c2_base, c2.pairing)
+    c2_energy = energy_table(c2_base)
     for cartan, base, table in (
         (a1, a1_base, a1_energy),
         (a2, a2_base, a2_energy),
@@ -45,7 +45,7 @@ def test_energy_total_and_consistent(a1, a1_base, a1_energy, a2, a2_base, a2_ene
     ):
         assert len(table.chi) == len(base) ** 2
         assert table.value(base.seed, base.seed) == 0
-        assert energy_edge_check(base, cartan.pairing, table) == []
+        assert energy_edge_check(base, table) == []
 
 
 def test_a2_energy_values_and_order(a2_base, a2_energy):
@@ -76,7 +76,7 @@ def brute_force_order(graph, table):
 def test_total_order_matches_brute_force(label, rank, i, exists):
     cartan = build_cartan(label, rank)
     base = fundamental_crystal(cartan, i)
-    table = energy_table(base, cartan.pairing)
+    table = energy_table(base)
     order = compatible_total_order(base, table)
     assert order == brute_force_order(base, table)
     assert (order is not None) == exists
@@ -101,7 +101,7 @@ def test_total_order_rejects_synthetic_tables(a1_base, zeros):
 
 def test_energy_randomized_bfs_deterministic(a2, a2_base, a2_energy):
     for seed in range(20):
-        again = energy_table(a2_base, a2.pairing, rng=random.Random(seed))
+        again = energy_table(a2_base, rng=random.Random(seed))
         assert again.chi == a2_energy.chi
 
 
@@ -159,4 +159,4 @@ def test_disconnected_tensor_square_detected(a1, a1_base):
         f_edges={}, seed=a1_base.seed,
     )
     with pytest.raises(DisconnectedTensorSquareError):
-        energy_table(island, a1.pairing)
+        energy_table(island)

@@ -9,7 +9,6 @@ import itertools
 from fractions import Fraction
 
 from loom import (
-    GraphOps,
     TensorOps,
     build_cartan,
     c_class,
@@ -41,15 +40,15 @@ def test_bent_fundamental_crystal(c2):
 
 def test_energy_on_grid_two(c2):
     base = fundamental_crystal(c2, 2)
-    table = energy_table(base, c2.pairing)
+    table = energy_table(base)
     assert len(table.chi) == 25
-    assert energy_edge_check(base, c2.pairing, table) == []
+    assert energy_edge_check(base, table) == []
     assert sorted(set(table.chi.values())) == [0, 1, 2]
 
 
 def test_refined_word_lands_in_crystal(c2):
     base = fundamental_crystal(c2, 2)
-    table = energy_table(base, c2.pairing)
+    table = energy_table(base)
     for b in itertools.product(base.sorted_keys(), repeat=2):
         word = refine(base, b, table.grid)
         assert len(word) == 4
@@ -58,8 +57,8 @@ def test_refined_word_lands_in_crystal(c2):
 
 def test_major_index_shift_with_unrefined_factors(c2):
     base = fundamental_crystal(c2, 2)
-    table = energy_table(base, c2.pairing)
-    ops = TensorOps([GraphOps(base, c2.pairing)] * 2)
+    table = energy_table(base)
+    ops = TensorOps([base] * 2)
     for b in itertools.product(base.sorted_keys(), repeat=2):
         value = major_index(table, b)
         for i in c2.indices:
@@ -74,7 +73,7 @@ def test_major_index_shift_with_unrefined_factors(c2):
 
 def test_kappa_endpoints_on_grid_two(c2):
     base = fundamental_crystal(c2, 2)
-    table = energy_table(base, c2.pairing)
+    table = energy_table(base)
     for b in itertools.product(base.sorted_keys(), repeat=2):
         for n in (-1, 0, 1):
             assert kappa(table, base, b, n, 0) == 0
@@ -85,10 +84,10 @@ def test_kappa_endpoints_on_grid_two(c2):
 
 def test_class_grading_is_operator_invariant(c2):
     base = fundamental_crystal(c2, 2)
-    table = energy_table(base, c2.pairing)
+    table = energy_table(base)
     from loom import AffineOps
 
-    ops = AffineOps(TensorOps([GraphOps(base, c2.pairing)] * 2))
+    ops = AffineOps(TensorOps([base] * 2))
     for b in itertools.product(base.sorted_keys(), repeat=2):
         for n in (-1, 0, 1):
             x = (b, n)
