@@ -126,9 +126,7 @@ def cmd_gen(args, parser) -> int:
             if args.affinize:
                 if args.window is None:
                     parser.error("--affinize needs --window")
-                graph = affinized_tensor_crystal(
-                    cartan, base, args.power, args.window, node_cap=cap
-                )
+                graph = affinized_tensor_crystal(base, args.power, args.window, node_cap=cap)
             elif args.power > 1:
                 ops = TensorOps([base] * args.power)
                 graph = generate(
@@ -216,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--threads", type=int, default=1,
                      help="accepted and ignored; kept so existing command lines run unchanged")
     gen.add_argument("--node-cap", type=int, dest="node_cap")
-    gen.set_defaults(func=cmd_gen)
+    gen.set_defaults(func=cmd_gen, parser=gen)
 
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("--suite", required=True,
@@ -235,14 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--threads", type=int, default=1,
                      help="accepted and ignored; kept so existing command lines run unchanged")
     ver.add_argument("--node-cap", type=int, dest="node_cap")
-    ver.set_defaults(func=cmd_verify)
+    ver.set_defaults(func=cmd_verify, parser=ver)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args, parser)
+    args = build_parser().parse_args(argv)
+    # errors print the usage of the subcommand that was given
+    return args.func(args, args.parser)
 
 
 if __name__ == "__main__":

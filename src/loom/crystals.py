@@ -284,6 +284,16 @@ def key_str(key) -> str:
     return str(key)
 
 
+def moves(ops, x):
+    """Every operator move from x as ``(i, kind, target)``, "e" then "f" per index.
+
+    ``target`` is None where the operator does not act.
+    """
+    for i in ops.indices:
+        yield i, "e", ops.e(x, i)
+        yield i, "f", ops.f(x, i)
+
+
 def generate(ops, seed, *, window=None, node_cap=None, label="") -> CrystalGraph:
     """Breadth-first closure of a seed under all raising and lowering maps.
 
@@ -303,14 +313,6 @@ def generate(ops, seed, *, window=None, node_cap=None, label="") -> CrystalGraph
         raise GenerationError("seed lies outside the window")
 
     idx = ops.indices
-
-    def expand(x):
-        moves = []
-        for i in idx:
-            moves.append((i, "e", ops.e(x, i)))
-            moves.append((i, "f", ops.f(x, i)))
-        return moves
-
     seed_key = ops.key(seed)
     nodes = {
         seed_key: Node(seed, ops.wt(seed),
@@ -324,7 +326,7 @@ def generate(ops, seed, *, window=None, node_cap=None, label="") -> CrystalGraph
         frontier.sort(key=lambda kv: kv[0])
         fresh: dict = {}
         for key, x in frontier:
-            for i, kind, y in expand(x):
+            for i, kind, y in moves(ops, x):
                 if y is None:
                     continue
                 if not in_window(y):
@@ -385,40 +387,33 @@ class TensorOps:
         return total
 
     def _string_funcs(self, b, i):
-        # <h_i, wt(x)> of a factor is phi(x, i) - eps(x, i)
+        # <h_i, wt(x)> of a factor is phi(x, i) - eps(x, i); shift ends as their sum
         vals = []
         shift = 0
         for c, x in zip(self.components, b):
             eps = c.eps(x, i)
             vals.append(eps - shift)
             shift += c.phi(x, i) - eps
-        return vals
+        return vals, shift
 
     def eps(self, b, i):
-        return max(self._string_funcs(b, i))
+        return max(self._string_funcs(b, i)[0])
 
     def phi(self, b, i):
-        return self.eps(b, i) + sum(c.phi(x, i) - c.eps(x, i)
-                                    for c, x in zip(self.components, b))
-
-    def e_position(self, b, i) -> int:
-        vals = self._string_funcs(b, i)
-        return vals.index(max(vals))
-
-    def f_position(self, b, i) -> int:
-        vals = self._string_funcs(b, i)
-        top = max(vals)
-        return len(vals) - 1 - vals[::-1].index(top)
+        vals, shift = self._string_funcs(b, i)
+        return max(vals) + shift
 
     def e(self, b, i):
-        k = self.e_position(b, i)
+        vals = self._string_funcs(b, i)[0]
+        k = vals.index(max(vals))
         moved = self.components[k].e(b[k], i)
         if moved is None:
             return None
         return tuple(moved if j == k else x for j, x in enumerate(b))
 
     def f(self, b, i):
-        k = self.f_position(b, i)
+        vals = self._string_funcs(b, i)[0]
+        k = len(vals) - 1 - vals[::-1].index(max(vals))
         moved = self.components[k].f(b[k], i)
         if moved is None:
             return None

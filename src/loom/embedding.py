@@ -25,6 +25,7 @@ from .crystals import (
     NodeCapError,
     TensorOps,
     generate,
+    moves,
 )
 from .energy import EnergyTable, energy_table, major_index, refine
 from .paths import Path, PathOps, linear_path, lowering_op, make_path, raising_op
@@ -134,8 +135,7 @@ def fundamental_crystal(cartan: AffineCartan, i: int, *, node_cap=None) -> Cryst
     )
 
 
-def tensor_power_crystal(cartan, base: CrystalGraph, m: int,
-                         *, node_cap=None) -> CrystalGraph:
+def tensor_power_crystal(base: CrystalGraph, m: int, *, node_cap=None) -> CrystalGraph:
     """Closure of the diagonal seed tuple; covers the whole power set.
 
     Tensor powers of a fundamental crystal are indecomposable, so closure
@@ -153,7 +153,7 @@ def tensor_power_crystal(cartan, base: CrystalGraph, m: int,
     return graph
 
 
-def affinized_tensor_crystal(cartan, base: CrystalGraph, m: int, window: int,
+def affinized_tensor_crystal(base: CrystalGraph, m: int, window: int,
                              *, node_cap=None) -> CrystalGraph:
     """Window of the affinised tensor power, built as the full product.
 
@@ -166,7 +166,7 @@ def affinized_tensor_crystal(cartan, base: CrystalGraph, m: int, window: int,
     """
     if window < 0:
         raise GenerationError("window must be non-negative")
-    tensor = tensor_power_crystal(cartan, base, m, node_cap=node_cap)
+    tensor = tensor_power_crystal(base, m, node_cap=node_cap)
     cap = DEFAULT_NODE_CAP if node_cap is None else node_cap
     if len(tensor) * (2 * window + 1) > cap:
         raise NodeCapError("affinised window exceeds the node cap of %d" % cap)
@@ -190,7 +190,7 @@ def affinized_tensor_crystal(cartan, base: CrystalGraph, m: int, window: int,
                 f_edges[((bkey, n), i)] = (btarget, n - shift)
     graph = CrystalGraph(
         label="%s^:power%d:W%d" % (base.label, m, window),
-        indices=tuple(cartan.indices),
+        indices=base.indices,
         nodes=nodes,
         f_edges=f_edges,
         seed=((base.seed,) * m, 0),
@@ -198,7 +198,7 @@ def affinized_tensor_crystal(cartan, base: CrystalGraph, m: int, window: int,
         window=window,
     )
     for key in graph.nodes:
-        for i in cartan.indices:
+        for i in base.indices:
             want = ops.f(key, i)
             have = graph.f(key, i)
             if want is None:
@@ -243,7 +243,7 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
 
     base = fundamental_crystal(cartan, i, node_cap=node_cap)
     table = energy_table(base)
-    aff = affinized_tensor_crystal(cartan, base, m, window, node_cap=node_cap)
+    aff = affinized_tensor_crystal(base, m, window, node_cap=node_cap)
 
     images = {}
     for key in aff.sorted_keys():
@@ -321,23 +321,18 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
     for key in aff.sorted_keys():
         if not inner_level(key):
             continue
-        for idx in cartan.indices:
-            for kind in ("e", "f"):
-                target = ops.e(key, idx) if kind == "e" else ops.f(key, idx)
-                img_move = (
-                    raising_op(cartan, images[key].path, idx)
-                    if kind == "e"
-                    else lowering_op(cartan, images[key].path, idx)
-                )
-                if target is None:
-                    if img_move is not None:
-                        morphism_ok = False
-                    continue
-                tkey = ops.key(target)
-                if not inner_level(tkey):
-                    continue
-                if img_move is None or images[tkey].path != img_move:
+        for idx, kind, target in moves(ops, key):
+            root_op = raising_op if kind == "e" else lowering_op
+            img_move = root_op(cartan, images[key].path, idx)
+            if target is None:
+                if img_move is not None:
                     morphism_ok = False
+                continue
+            tkey = ops.key(target)
+            if not inner_level(tkey):
+                continue
+            if img_move is None or images[tkey].path != img_move:
+                morphism_ok = False
     check("psi_preserves_operators", morphism_ok)
 
     period_checked = []

@@ -11,11 +11,12 @@ wrong table.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from math import lcm
 
-from .crystals import CrystalGraph, TensorOps
+from .crystals import CrystalGraph, TensorOps, moves
 from .paths import Path, grid_size, linear_path, segment_uniform
 
 
@@ -55,18 +56,22 @@ class EnergyTable:
         }
 
 
-def _zero_shift(i: int, kind: str, position: int) -> int:
-    """Energy shift along one operator move of the tensor square.
+def _shifted_moves(ops2, pair):
+    """Operator moves of the tensor square from pair, with their energy shift.
 
+    Yields ``(i, kind, target, shift)`` for every move that acts.
     Lowering in the left factor adds one on label 0 and lowering in the
     right factor subtracts one; raising does the opposite.  Labels other
-    than 0 never shift.
+    than 0 never shift.  A move changes exactly one factor, so the left
+    factor acted iff the left entry changed.
     """
-    if i != 0:
-        return 0
-    if kind == "f":
-        return 1 if position == 0 else -1
-    return -1 if position == 0 else 1
+    for i, kind, target in moves(ops2, pair):
+        if target is None:
+            continue
+        shift = 0
+        if i == 0:
+            shift = 1 if (target[0] != pair[0]) == (kind == "f") else -1
+        yield i, kind, target, shift
 
 
 def energy_table(graph: CrystalGraph, *, rng: random.Random | None = None) -> EnergyTable:
@@ -89,21 +94,16 @@ def energy_table(graph: CrystalGraph, *, rng: random.Random | None = None) -> En
         fresh = []
         for pair in frontier:
             value = chi[pair]
-            for i in ops2.indices:
-                for kind in ("e", "f"):
-                    pos = ops2.e_position(pair, i) if kind == "e" else ops2.f_position(pair, i)
-                    target = ops2.e(pair, i) if kind == "e" else ops2.f(pair, i)
-                    if target is None:
-                        continue
-                    moved = value + _zero_shift(i, kind, pos)
-                    if target in chi:
-                        if chi[target] != moved:
-                            raise InconsistentEnergyError(
-                                "pair %r gets %d and %d" % (target, chi[target], moved)
-                            )
-                    else:
-                        chi[target] = moved
-                        fresh.append(target)
+            for _i, _kind, target, shift in _shifted_moves(ops2, pair):
+                moved = value + shift
+                if target in chi:
+                    if chi[target] != moved:
+                        raise InconsistentEnergyError(
+                            "pair %r gets %d and %d" % (target, chi[target], moved)
+                        )
+                else:
+                    chi[target] = moved
+                    fresh.append(target)
         frontier = fresh
     if len(chi) != len(graph) ** 2:
         raise DisconnectedTensorSquareError(
@@ -159,21 +159,14 @@ def energy_edge_check(graph: CrystalGraph, table: EnergyTable) -> list[str]:
     """Recheck the shift rule on every labelled edge of the tensor square."""
     ops2 = TensorOps([graph] * 2)
     problems = []
-    for a in graph.sorted_keys():
-        for b in graph.sorted_keys():
-            pair = (a, b)
-            for i in ops2.indices:
-                for kind in ("e", "f"):
-                    pos = ops2.e_position(pair, i) if kind == "e" else ops2.f_position(pair, i)
-                    target = ops2.e(pair, i) if kind == "e" else ops2.f(pair, i)
-                    if target is None:
-                        continue
-                    want = table.value(*pair) + _zero_shift(i, kind, pos)
-                    if table.value(*target) != want:
-                        problems.append(
-                            "%s_%d at %r: table %d, rule %d"
-                            % (kind, i, pair, table.value(*target), want)
-                        )
+    for pair in itertools.product(graph.sorted_keys(), repeat=2):
+        for i, kind, target, shift in _shifted_moves(ops2, pair):
+            want = table.value(*pair) + shift
+            if table.value(*target) != want:
+                problems.append(
+                    "%s_%d at %r: table %d, rule %d"
+                    % (kind, i, pair, table.value(*target), want)
+                )
     return problems
 
 

@@ -216,6 +216,7 @@ class HeightExtrema:
     e_plus: Fraction
     f_plus: Fraction
     f_minus: Fraction | None
+    end: Fraction  # height at time 1, which is -<h_i, wt(path)>
 
 
 def height_values(cartan: AffineCartan, path: Path, i: int):
@@ -267,7 +268,7 @@ def h_extrema(cartan: AffineCartan, path: Path, i: int) -> HeightExtrema:
         while values[j] > level:
             j += 1
         f_minus = _crossing(times, values, j - 1, level)
-    return HeightExtrema(hmax, eps, e_minus, times[first], times[last], f_minus)
+    return HeightExtrema(hmax, eps, e_minus, times[first], times[last], f_minus, values[-1])
 
 
 def epsilon(cartan: AffineCartan, path: Path, i: int) -> int:
@@ -276,8 +277,7 @@ def epsilon(cartan: AffineCartan, path: Path, i: int) -> int:
 
 def phi(cartan: AffineCartan, path: Path, i: int) -> int:
     ext = h_extrema(cartan, path, i)
-    end = -cartan.pairing(i, path.weight())
-    return int(ext.max_value - end)
+    return int(ext.max_value - ext.end)
 
 
 # -- root operators ----------------------------------------------------

@@ -12,11 +12,12 @@ import itertools
 import random
 
 from .cartan import AffineCartan, build_cartan
-from .crystals import TensorOps, generate
+from .crystals import DEFAULT_NODE_CAP, NodeCapError, TensorOps, generate, moves
 from .embedding import (
     affinized_tensor_crystal,
     fundamental_crystal,
     kappa,
+    path_crystal_window,
     psi,
     verify_decomposition,
 )
@@ -52,6 +53,15 @@ class Report:
     def done(self) -> dict:
         self.obj["pass"] = all(c["pass"] for c in self.obj["checks"])
         return self.obj
+
+
+def _power_keys(base, power, *, node_cap=None):
+    """Every power-tuple of base keys in sorted order, within the node cap."""
+    cap = DEFAULT_NODE_CAP if node_cap is None else node_cap
+    if len(base) ** power > cap:
+        raise NodeCapError("%d-fold tensor power of %d nodes exceeds the node cap of %d"
+                           % (power, len(base), cap))
+    return itertools.product(base.sorted_keys(), repeat=power)
 
 
 def _tensor_graph(base, power, *, node_cap=None):
@@ -131,21 +141,16 @@ def suite_concat(cartan: AffineCartan, i: int, **kw) -> dict:
     rule_ok = True
     for a, b in itertools.product(base.sorted_keys(), repeat=2):
         joined = concat([base.nodes[a].element, base.nodes[b].element])
-        for j in cartan.indices:
-            for kind in ("e", "f"):
-                moved = ops2.e((a, b), j) if kind == "e" else ops2.f((a, b), j)
-                path_moved = (
-                    raising_op(cartan, joined, j)
-                    if kind == "e"
-                    else lowering_op(cartan, joined, j)
-                )
-                if moved is None:
-                    if path_moved is not None:
-                        rule_ok = False
-                    continue
-                want = concat([base.nodes[k].element for k in moved])
-                if path_moved != want:
+        for j, kind, moved in moves(ops2, (a, b)):
+            root_op = raising_op if kind == "e" else lowering_op
+            path_moved = root_op(cartan, joined, j)
+            if moved is None:
+                if path_moved is not None:
                     rule_ok = False
+                continue
+            want = concat([base.nodes[k].element for k in moved])
+            if path_moved != want:
+                rule_ok = False
     rep.check("concat_matches_tensor_rule", rule_ok)
     unit_ok = True
     merge_ok = True
@@ -162,15 +167,12 @@ def suite_concat(cartan: AffineCartan, i: int, **kw) -> dict:
 
 
 def suite_xi(cartan: AffineCartan, i: int, window: int = 2, **kw) -> dict:
-    from .paths import PathOps
-
     if window < 1:
         # every node with |delta| > window - 1 is skipped, so nothing is checked
         raise ValueError("xi needs window >= 1, got %d" % window)
     rep = Report("xi", type=cartan.name, i=i, window=window)
-    seed = linear_path(cartan.classical_fundamental(i, classical=False))
-    graph = generate(PathOps(cartan, "affine"), seed, window=window,
-                     label="%s:hatB(w%d)" % (cartan.name, i), **kw)
+    graph = path_crystal_window(cartan, cartan.classical_fundamental(i, classical=False),
+                                window, **kw)
     morphism_ok = True
     eps_ok = True
     for key in graph.sorted_keys():
@@ -225,21 +227,20 @@ def suite_maj(cartan: AffineCartan, i: int, power: int = 2, **kw) -> dict:
     ops = TensorOps([base] * power)
     shift_ok = True
     refined_ok = True
-    for b in itertools.product(base.sorted_keys(), repeat=power):
+    for b in _power_keys(base, power, **kw):
         value = major_index(table, b)
         refined = refined_major_index(table, base, b)
-        for j in cartan.indices:
+        for j, kind, moved in moves(ops, b):
+            if moved is None:
+                continue
             delta = 1 if j == 0 else 0
-            for kind, moved in (("f", ops.f(b, j)), ("e", ops.e(b, j))):
-                if moved is None:
-                    continue
-                sign = delta if kind == "f" else -delta
-                if (major_index(table, moved) - value - sign) % power != 0:
-                    shift_ok = False
-                # the refined index moves by the grid size per 0-move
-                got = refined_major_index(table, base, moved)
-                if (got - refined - sign * table.grid) % (table.grid * power) != 0:
-                    refined_ok = False
+            sign = delta if kind == "f" else -delta
+            if (major_index(table, moved) - value - sign) % power != 0:
+                shift_ok = False
+            # the refined index moves by the grid size per 0-move
+            got = refined_major_index(table, base, moved)
+            if (got - refined - sign * table.grid) % (table.grid * power) != 0:
+                refined_ok = False
     rep.check("major_index_shift_mod_power", shift_ok)
     rep.check("refined_index_shifts_by_grid", refined_ok)
     return rep.done()
@@ -251,7 +252,7 @@ def suite_psi(cartan: AffineCartan, i: int, power: int = 2, window: int = 3, **k
     table = energy_table(base)
     grid = table.grid
     end_ok = True
-    for b in itertools.product(base.sorted_keys(), repeat=power):
+    for b in _power_keys(base, power, **kw):
         for n in range(-2, 3):
             total = grid * power
             if kappa(table, base, b, n, total) != n:
@@ -259,7 +260,7 @@ def suite_psi(cartan: AffineCartan, i: int, power: int = 2, window: int = 3, **k
             if kappa(table, base, b, n, 0) != 0:
                 end_ok = False
     rep.check("kappa_endpoints", end_ok)
-    aff = affinized_tensor_crystal(cartan, base, power, window, **kw)
+    aff = affinized_tensor_crystal(base, power, window, **kw)
     images = {key: psi(table, base, key) for key in aff.sorted_keys()}
     rep.check("injective", len({im.path.key() for im in images.values()}) == len(images))
     fw = cartan.classical_fundamental(i, classical=False)

@@ -102,7 +102,7 @@ def test_criterion_3_operator_identity_suites():
         base_grid = choose_grid(base)
 
         for power in powers:
-            graph = base if power == 1 else tensor_power_crystal(cartan, base, power)
+            graph = base if power == 1 else tensor_power_crystal(base, power)
             ok &= _operator_identity_checks(cartan, graph)
 
         for path in paths:

@@ -106,6 +106,31 @@ def test_affinized_node_cap_exit_code(tmp_path):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("suite", ["maj", "psi"])
+def test_power_over_node_cap_exit_code(tmp_path, monkeypatch, suite):
+    # the cap is checked before any loop over the 2**3 tuples
+    def untouched(*args):
+        raise AssertionError("product loop ran over the node cap")
+
+    monkeypatch.setattr("loom.verify.major_index", untouched)
+    monkeypatch.setattr("loom.verify.kappa", untouched)
+    code = main(["verify", "--suite", suite, "--type", "A", "--rank", "1", "--power", "3",
+                 "--node-cap", "4", "--out", str(tmp_path / "r.txt")])
+    assert code == 3
+    assert not (tmp_path / "r.txt").exists()
+
+
+def test_errors_print_subcommand_usage(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["gen", "--type", "A", "--rank", "2", "--node-cap", "-5",
+              "--out", str(tmp_path / "x.json")])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: loom gen")
+    with pytest.raises(SystemExit):
+        main(["verify", "--suite", "energy", "--seeds", "0"])
+    assert capsys.readouterr().err.startswith("usage: loom verify")
+
+
 @pytest.mark.parametrize("env,argv", [
     ("abc", []),
     (None, ["--ambient", "affine", "--window", "-1"]),

@@ -212,8 +212,6 @@ def test_tensor_rule_matches_pairing_reference(label, rank, i, power):
             eps, phi = ops.eps(b, j), ops.phi(b, j)
             assert type(eps) is int and type(phi) is int
             assert (eps, phi) == (ref.eps(b, j), ref.phi(b, j))
-            assert ops.e_position(b, j) == ref.e_position(b, j)
-            assert ops.f_position(b, j) == ref.f_position(b, j)
             assert ops.e(b, j) == ref.move(b, j, "e")
             assert ops.f(b, j) == ref.move(b, j, "f")
 

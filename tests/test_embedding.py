@@ -112,7 +112,7 @@ def test_image_isomorphic_to_straight_piece(a1, a1_base, a1_energy):
     from loom import PathOps
 
     window, m = 3, 2
-    aff = affinized_tensor_crystal(a1, a1_base, m, window)
+    aff = affinized_tensor_crystal(a1_base, m, window)
     images = {k: psi(a1_energy, a1_base, k) for k in aff.sorted_keys()}
 
     inner_class0 = {
@@ -149,7 +149,7 @@ def test_image_isomorphic_to_straight_piece(a1, a1_base, a1_energy):
 
 
 def test_tensor_power_closure_is_full(a1, a1_base):
-    graph = tensor_power_crystal(a1, a1_base, 3)
+    graph = tensor_power_crystal(a1_base, 3)
     assert len(graph) == len(a1_base) ** 3
 
 
@@ -170,7 +170,7 @@ def test_decomposition_reports(a1, a2):
 
 def test_m1_image_matches_piece(a1, a1_base, a1_energy):
     window = 3
-    aff = affinized_tensor_crystal(a1, a1_base, 1, window)
+    aff = affinized_tensor_crystal(a1_base, 1, window)
     fw = a1.classical_fundamental(1, classical=False)
     piece = path_crystal_window(a1, fw, window)
     inner_piece = {

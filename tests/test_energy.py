@@ -19,6 +19,7 @@ from loom import (
 )
 from loom.crystals import Node
 from loom.energy import DisconnectedTensorSquareError, EnergyError, EnergyTable
+from test_crystals import PairingTensor
 
 
 def a1_keys(a1):
@@ -56,6 +57,48 @@ def test_a2_energy_values_and_order(a2_base, a2_energy):
     rank = {k: r for r, k in enumerate(order)}
     for (a, b), v in a2_energy.chi.items():
         assert v == (0 if rank[a] <= rank[b] else 1)
+
+
+def zero_shift(i, kind, position):
+    """Reference shift rule, read off the position of the acting factor."""
+    if i != 0:
+        return 0
+    if kind == "f":
+        return 1 if position == 0 else -1
+    return -1 if position == 0 else 1
+
+
+def position_energy(cartan, base):
+    """Reference sweep whose acting factor comes from the pairing-based positions."""
+    ref = PairingTensor(cartan, [base] * 2)
+    seed = (base.seed, base.seed)
+    chi = {seed: 0}
+    frontier = [seed]
+    while frontier:
+        fresh = []
+        for pair in frontier:
+            for i in cartan.indices:
+                for kind in ("e", "f"):
+                    target = ref.move(pair, i, kind)
+                    if target is None:
+                        continue
+                    pos = ref.e_position(pair, i) if kind == "e" else ref.f_position(pair, i)
+                    value = chi[pair] + zero_shift(i, kind, pos)
+                    if target not in chi:
+                        chi[target] = value
+                        fresh.append(target)
+                    assert chi[target] == value
+        frontier = fresh
+    return chi
+
+
+@pytest.mark.parametrize("label,rank,i", [("A", 2, 1), ("C", 2, 2), ("G2", 2, 1), ("D", 4, 2)])
+def test_energy_matches_position_reference(label, rank, i):
+    cartan = build_cartan(label, rank)
+    base = fundamental_crystal(cartan, i)
+    chi = position_energy(cartan, base)
+    assert len(chi) == len(base) ** 2
+    assert energy_table(base).chi == chi
 
 
 def brute_force_order(graph, table):
