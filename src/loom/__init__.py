@@ -11,7 +11,6 @@ the independent module-level oracle for the combinatorial tensor rule.
 
 from .cartan import AffineCartan, AmbientError, CartanError, Weight, build_cartan
 from .crystals import (
-    AffineOps,
     CrystalGraph,
     NodeCapError,
     TensorOps,

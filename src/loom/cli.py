@@ -240,6 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # errors print the usage of the subcommand that was given
+    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        args.parser.error("the directory of --out does not exist: %s" % args.out)
     return args.func(args, args.parser)
 
 

@@ -1,10 +1,11 @@
 """Generic crystal machinery over any element kind with raise/lower maps.
 
 An element kind ("ops" object) exposes ``indices``, ``key``, ``wt``,
-``eps``, ``phi``, ``e`` and ``f``; infinite kinds also expose ``level``
-and are generated inside an explicit window on the absolute level.
-Closure generation, the tensor product rule, the affinisation, audits
-and labelled-graph isomorphism all work against that surface, so paths,
+``strings``, ``e`` and ``f``; ``strings(x, i)`` returns the string
+lengths ``(eps, phi)`` of x for index i in one call.  Infinite kinds also
+expose ``level`` and are generated inside an explicit window on the
+absolute level.  Closure generation, the tensor product rule, audits and
+labelled-graph isomorphism all work against that surface, so paths,
 generated graphs and ad hoc test crystals plug into the same engine.
 The tensor rule reads the coroot pairing of a factor's weight as
 ``phi - eps``, so no kind needs Cartan data of its own.
@@ -22,6 +23,13 @@ DEFAULT_NODE_CAP = 10**6
 
 class NodeCapError(RuntimeError):
     """Closure generation exceeded the configured node budget."""
+
+
+def check_node_cap(count: int, node_cap, what: str):
+    """Raise NodeCapError when count nodes exceed the cap (None: the default)."""
+    cap = DEFAULT_NODE_CAP if node_cap is None else node_cap
+    if count > cap:
+        raise NodeCapError("%s exceeds the node cap of %d" % (what, cap))
 
 
 class GenerationError(ValueError):
@@ -79,11 +87,9 @@ class CrystalGraph:
     def wt(self, key):
         return self.nodes[key].wt
 
-    def eps(self, key, i):
-        return self.nodes[key].eps[self._pos[i]]
-
-    def phi(self, key, i):
-        return self.nodes[key].phi[self._pos[i]]
+    def strings(self, key, i):
+        node, pos = self.nodes[key], self._pos[i]
+        return node.eps[pos], node.phi[pos]
 
     def edge_count(self) -> int:
         return len(self.f_edges)
@@ -299,8 +305,6 @@ def generate(ops, seed, *, window=None, node_cap=None, label="") -> CrystalGraph
 
     Deterministic: frontiers are processed in sorted key order.
     """
-    if node_cap is None:
-        node_cap = DEFAULT_NODE_CAP
     if getattr(ops, "infinite", False) and window is None:
         raise GenerationError("an infinite kind needs an explicit window")
     if window is not None and window < 0:
@@ -313,12 +317,13 @@ def generate(ops, seed, *, window=None, node_cap=None, label="") -> CrystalGraph
         raise GenerationError("seed lies outside the window")
 
     idx = ops.indices
+
+    def node(x):
+        eps, phi = zip(*(ops.strings(x, i) for i in idx))
+        return Node(x, ops.wt(x), eps, phi)
+
     seed_key = ops.key(seed)
-    nodes = {
-        seed_key: Node(seed, ops.wt(seed),
-                       tuple(ops.eps(seed, i) for i in idx),
-                       tuple(ops.phi(seed, i) for i in idx))
-    }
+    nodes = {seed_key: node(seed)}
     f_edges: dict = {}
     truncated = False
     frontier = [(seed_key, seed)]
@@ -344,14 +349,9 @@ def generate(ops, seed, *, window=None, node_cap=None, label="") -> CrystalGraph
         frontier = []
         for ykey in sorted(fresh):
             y = fresh[ykey]
-            nodes[ykey] = Node(y, ops.wt(y),
-                               tuple(ops.eps(y, i) for i in idx),
-                               tuple(ops.phi(y, i) for i in idx))
+            nodes[ykey] = node(y)
             frontier.append((ykey, y))
-            if len(nodes) > node_cap:
-                raise NodeCapError(
-                    "closure exceeded the node cap of %d" % node_cap
-                )
+            check_node_cap(len(nodes), node_cap, "closure")
     return CrystalGraph(
         label=label, indices=tuple(idx), nodes=nodes, f_edges=f_edges,
         seed=seed_key, truncated=truncated, window=window,
@@ -391,17 +391,15 @@ class TensorOps:
         vals = []
         shift = 0
         for c, x in zip(self.components, b):
-            eps = c.eps(x, i)
+            eps, phi = c.strings(x, i)
             vals.append(eps - shift)
-            shift += c.phi(x, i) - eps
+            shift += phi - eps
         return vals, shift
 
-    def eps(self, b, i):
-        return max(self._string_funcs(b, i)[0])
-
-    def phi(self, b, i):
+    def strings(self, b, i):
         vals, shift = self._string_funcs(b, i)
-        return max(vals) + shift
+        top = max(vals)
+        return top, top + shift
 
     def e(self, b, i):
         vals = self._string_funcs(b, i)[0]
@@ -419,50 +417,3 @@ class TensorOps:
             return None
         return tuple(moved if j == k else x for j, x in enumerate(b))
 
-
-class AffineOps:
-    """Affinisation of a kind with classical weights.
-
-    Elements are pairs (x, n); the 0-labelled operators shift the integer
-    degree, every other label leaves it alone, and the weight picks up n
-    times the null root.
-    """
-
-    def __init__(self, base):
-        self.base = base
-        self.indices = base.indices
-        self.infinite = True
-
-    def key(self, xn):
-        x, n = xn
-        return (self.base.key(x), n)
-
-    def wt(self, xn) -> Weight:
-        x, n = xn
-        w = self.base.wt(x)
-        if not w.is_classical:
-            raise GenerationError("affinisation needs classical base weights")
-        return Weight(w.coords, Fraction(n))
-
-    def level(self, xn) -> int:
-        return xn[1]
-
-    def eps(self, xn, i):
-        return self.base.eps(xn[0], i)
-
-    def phi(self, xn, i):
-        return self.base.phi(xn[0], i)
-
-    def e(self, xn, i):
-        x, n = xn
-        moved = self.base.e(x, i)
-        if moved is None:
-            return None
-        return (moved, n + (1 if i == 0 else 0))
-
-    def f(self, xn, i):
-        x, n = xn
-        moved = self.base.f(x, i)
-        if moved is None:
-            return None
-        return (moved, n - (1 if i == 0 else 0))

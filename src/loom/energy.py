@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from math import lcm
 
-from .crystals import CrystalGraph, TensorOps, moves
+from .crystals import CrystalGraph, TensorOps, check_node_cap, moves
 from .paths import Path, grid_size, linear_path, segment_uniform
 
 
@@ -74,15 +74,18 @@ def _shifted_moves(ops2, pair):
         yield i, kind, target, shift
 
 
-def energy_table(graph: CrystalGraph, *, rng: random.Random | None = None) -> EnergyTable:
+def energy_table(graph: CrystalGraph, *, rng: random.Random | None = None,
+                 node_cap=None) -> EnergyTable:
     """Build the energy table of a finite connected fundamental crystal.
 
     The sweep starts at the diagonal seed pair with value zero.  The
     traversal order may be shuffled; the resulting table may not depend
-    on it, and a conflict raises instead of being resolved.
+    on it, and a conflict raises instead of being resolved.  The
+    ``len(graph) ** 2`` pairs count against the node cap before the sweep.
     """
     if graph.truncated:
         raise EnergyError("energy needs an untruncated crystal")
+    check_node_cap(len(graph) ** 2, node_cap, "tensor square of %d nodes" % len(graph))
     ops2 = TensorOps([graph] * 2)
     seed = (graph.seed, graph.seed)
     chi = {seed: 0}

@@ -415,11 +415,9 @@ class PathOps:
     def wt(self, x: Path) -> Weight:
         return x.weight()
 
-    def eps(self, x: Path, i: int) -> int:
-        return epsilon(self.cartan, x, i)
-
-    def phi(self, x: Path, i: int) -> int:
-        return phi(self.cartan, x, i)
+    def strings(self, x: Path, i: int) -> tuple[int, int]:
+        ext = h_extrema(self.cartan, x, i)
+        return ext.eps, int(ext.max_value - ext.end)
 
     def e(self, x: Path, i: int):
         return raising_op(self.cartan, x, i)

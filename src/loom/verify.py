@@ -12,7 +12,7 @@ import itertools
 import random
 
 from .cartan import AffineCartan, build_cartan
-from .crystals import DEFAULT_NODE_CAP, NodeCapError, TensorOps, generate, moves
+from .crystals import TensorOps, check_node_cap, generate, moves
 from .embedding import (
     affinized_tensor_crystal,
     fundamental_crystal,
@@ -57,10 +57,8 @@ class Report:
 
 def _power_keys(base, power, *, node_cap=None):
     """Every power-tuple of base keys in sorted order, within the node cap."""
-    cap = DEFAULT_NODE_CAP if node_cap is None else node_cap
-    if len(base) ** power > cap:
-        raise NodeCapError("%d-fold tensor power of %d nodes exceeds the node cap of %d"
-                           % (power, len(base), cap))
+    check_node_cap(len(base) ** power, node_cap,
+                   "%d-fold tensor power of %d nodes" % (power, len(base)))
     return itertools.product(base.sorted_keys(), repeat=power)
 
 
@@ -139,7 +137,7 @@ def suite_concat(cartan: AffineCartan, i: int, **kw) -> dict:
     base = fundamental_crystal(cartan, i, **kw)
     ops2 = TensorOps([base] * 2)
     rule_ok = True
-    for a, b in itertools.product(base.sorted_keys(), repeat=2):
+    for a, b in _power_keys(base, 2, **kw):
         joined = concat([base.nodes[a].element, base.nodes[b].element])
         for j, kind, moved in moves(ops2, (a, b)):
             root_op = raising_op if kind == "e" else lowering_op
@@ -201,14 +199,14 @@ def suite_energy(cartan: AffineCartan, i: int, seeds: int = 20, **kw) -> dict:
         raise ValueError("energy needs seeds >= 1, got %d" % seeds)
     rep = Report("energy", type=cartan.name, i=i, seeds=seeds)
     base = fundamental_crystal(cartan, i, **kw)
-    table = energy_table(base)
+    table = energy_table(base, **kw)
     rep.check("total", len(table.chi) == len(base) ** 2,
               "%d pairs" % len(table.chi))
     problems = energy_edge_check(base, table)
     rep.check("shift_rule_on_every_edge", not problems, "; ".join(problems[:3]))
     deterministic = True
     for seed in range(seeds):
-        shuffled = energy_table(base, rng=random.Random(seed))
+        shuffled = energy_table(base, rng=random.Random(seed), **kw)
         if shuffled.chi != table.chi:
             deterministic = False
     rep.check("order_independent", deterministic)
@@ -223,7 +221,7 @@ def suite_energy(cartan: AffineCartan, i: int, seeds: int = 20, **kw) -> dict:
 def suite_maj(cartan: AffineCartan, i: int, power: int = 2, **kw) -> dict:
     rep = Report("maj", type=cartan.name, i=i, power=power)
     base = fundamental_crystal(cartan, i, **kw)
-    table = energy_table(base)
+    table = energy_table(base, **kw)
     ops = TensorOps([base] * power)
     shift_ok = True
     refined_ok = True
@@ -249,7 +247,7 @@ def suite_maj(cartan: AffineCartan, i: int, power: int = 2, **kw) -> dict:
 def suite_psi(cartan: AffineCartan, i: int, power: int = 2, window: int = 3, **kw) -> dict:
     rep = Report("psi", type=cartan.name, i=i, power=power, window=window)
     base = fundamental_crystal(cartan, i, **kw)
-    table = energy_table(base)
+    table = energy_table(base, **kw)
     grid = table.grid
     end_ok = True
     for b in _power_keys(base, power, **kw):

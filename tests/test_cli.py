@@ -106,18 +106,41 @@ def test_affinized_node_cap_exit_code(tmp_path):
     assert not (tmp_path / "x.json").exists()
 
 
-@pytest.mark.parametrize("suite", ["maj", "psi"])
-def test_power_over_node_cap_exit_code(tmp_path, monkeypatch, suite):
-    # the cap is checked before any loop over the 2**3 tuples
+@pytest.mark.parametrize("argv", [
+    ["--suite", "maj", "--rank", "1", "--power", "3"],
+    ["--suite", "psi", "--rank", "1", "--power", "3"],
+    ["--suite", "energy", "--rank", "2", "--seeds", "1"],
+    ["--suite", "concat", "--rank", "2"],
+    ["--suite", "maj", "--rank", "2", "--power", "1"],
+], ids=["maj", "psi", "energy-square", "concat-square", "maj-square"])
+def test_power_over_node_cap_exit_code(tmp_path, monkeypatch, argv):
+    # the cap is checked before any loop over the 2**3 tuples or the 3**2 pairs
     def untouched(*args):
         raise AssertionError("product loop ran over the node cap")
 
     monkeypatch.setattr("loom.verify.major_index", untouched)
     monkeypatch.setattr("loom.verify.kappa", untouched)
-    code = main(["verify", "--suite", suite, "--type", "A", "--rank", "1", "--power", "3",
-                 "--node-cap", "4", "--out", str(tmp_path / "r.txt")])
+    monkeypatch.setattr("loom.verify.concat", untouched)
+    code = main(["verify", "--type", "A"] + argv
+                + ["--node-cap", "4", "--out", str(tmp_path / "r.txt")])
     assert code == 3
     assert not (tmp_path / "r.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--type", "A", "--rank", "1"],
+    ["verify", "--suite", "weyl"],
+], ids=["gen", "verify"])
+def test_out_into_missing_directory_exits_2(tmp_path, monkeypatch, capsys, argv):
+    def untouched(*args, **kw):
+        raise AssertionError("computed before checking --out")
+
+    monkeypatch.setattr("loom.cli.build_cartan", untouched)
+    monkeypatch.setattr("loom.cli.run_suite", untouched)
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--out", str(tmp_path / "missing" / "x.out")])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: loom " + argv[0])
 
 
 def test_errors_print_subcommand_usage(tmp_path, capsys):

@@ -3,16 +3,19 @@ import itertools
 import pytest
 
 from loom import (
-    AffineOps,
     CrystalGraph,
     NodeCapError,
     PathOps,
     TensorOps,
+    affinized_tensor_crystal,
     build_cartan,
     constant_path,
+    epsilon,
     fundamental_crystal,
     generate,
     linear_path,
+    path_crystal_window,
+    phi,
 )
 from loom.crystals import GenerationError, Node
 
@@ -53,19 +56,19 @@ def test_tensor_rule_positions(a1, a1_base):
     assert ops.f((kp, kp), 1) == (km, kp)
     assert ops.e((kp, kp), 0) == (kp, km)
     assert ops.e((kp, km), 1) is None
-    assert ops.eps((kp, km), 1) == 0
+    assert ops.strings((kp, km), 1) == (0, 0)
 
 
 def test_affinized_operators(a1, a1_base):
-    ops = AffineOps(TensorOps([a1_base] * 2))
+    aff = affinized_tensor_crystal(a1_base, 2, 5)
     w = a1.classical_fundamental(1)
     kp, km = keys_of(a1, w, -w)
-    assert ops.e(((kp, km), 0), 0) == ((km, km), 1)
-    moved = ops.f(((kp, kp), 5), 1)
+    assert aff.e(((kp, km), 0), 0) == ((km, km), 1)
+    moved = aff.f(((kp, kp), 5), 1)
     assert moved == ((km, kp), 5)
-    up = ops.e(((kp, kp), 0), 0)
-    assert up is not None and ops.f(up, 0) == ((kp, kp), 0)
-    assert ops.wt(((kp, km), 3)).delta == 3
+    up = aff.e(((kp, kp), 0), 0)
+    assert up is not None and aff.f(up, 0) == ((kp, kp), 0)
+    assert aff.wt(((kp, km), 3)).delta == 3
 
 
 def test_indecomposable(a1_base):
@@ -152,8 +155,8 @@ def test_tensor_associativity(a1, a1_base, a2, a2_base):
                 flat_left = None if got_left is None else got_left[0] + (got_left[1],)
                 flat_right = None if got_right is None else (got_right[0],) + got_right[1]
                 assert want == flat_left == flat_right
-                assert flat.eps(triple, i) == left.eps(((a, b), c), i)
-                assert flat.eps(triple, i) == right.eps((a, (b, c)), i)
+                assert flat.strings(triple, i) == left.strings(((a, b), c), i)
+                assert flat.strings(triple, i) == right.strings((a, (b, c)), i)
 
 
 class PairingTensor:
@@ -172,17 +175,15 @@ class PairingTensor:
         vals = []
         shift = 0
         for c, x in zip(self.components, b):
-            vals.append(c.eps(x, i) - shift)
+            vals.append(c.strings(x, i)[0] - shift)
             shift += self.cartan.pairing(i, c.wt(x))
         return vals
 
-    def eps(self, b, i):
-        return max(self.string_funcs(b, i))
-
-    def phi(self, b, i):
+    def strings(self, b, i):
         total = sum((c.wt(x) for c, x in zip(self.components[1:], b[1:])),
                     self.components[0].wt(b[0]))
-        return self.eps(b, i) + self.cartan.pairing(i, total)
+        eps = max(self.string_funcs(b, i))
+        return eps, eps + self.cartan.pairing(i, total)
 
     def e_position(self, b, i):
         vals = self.string_funcs(b, i)
@@ -209,11 +210,28 @@ def test_tensor_rule_matches_pairing_reference(label, rank, i, power):
     ref = PairingTensor(cartan, [base] * power)
     for b in itertools.product(base.sorted_keys(), repeat=power):
         for j in cartan.indices:
-            eps, phi = ops.eps(b, j), ops.phi(b, j)
+            eps, phi = ops.strings(b, j)
             assert type(eps) is int and type(phi) is int
-            assert (eps, phi) == (ref.eps(b, j), ref.phi(b, j))
+            assert (eps, phi) == ref.strings(b, j)
             assert ops.e(b, j) == ref.move(b, j, "e")
             assert ops.f(b, j) == ref.move(b, j, "f")
+
+
+@pytest.mark.parametrize("label,rank,i,window", [
+    ("A", 2, 1, None), ("C", 2, 2, None), ("G2", 2, 1, None), ("A", 1, 1, 2),
+])
+def test_strings_match_path_reference(label, rank, i, window):
+    cartan = build_cartan(label, rank)
+    if window is None:
+        ops, graph = PathOps(cartan, "classical"), fundamental_crystal(cartan, i)
+    else:
+        seed = cartan.classical_fundamental(i, classical=False)
+        ops, graph = PathOps(cartan, "affine"), path_crystal_window(cartan, seed, window)
+    for key, node in graph.nodes.items():
+        for pos, j in enumerate(graph.indices):
+            want = (epsilon(cartan, node.element, j), phi(cartan, node.element, j))
+            assert ops.strings(node.element, j) == want
+            assert graph.strings(key, j) == (node.eps[pos], node.phi[pos]) == want
 
 
 def test_generation_independence(a2, a2_base):

@@ -4,9 +4,7 @@ from fractions import Fraction
 import pytest
 
 from loom import (
-    AffineOps,
     CrystalGraph,
-    TensorOps,
     affinized_tensor_crystal,
     c_class,
     concat,
@@ -18,6 +16,7 @@ from loom import (
     raising_op,
     verify_decomposition,
 )
+from loom.crystals import moves
 from loom.embedding import EmbeddingError, tensor_power_crystal
 
 
@@ -81,16 +80,13 @@ def test_c_class(a1, a1_base, a1_energy):
         for r in range(-3, 4):
             assert c_class(a1_energy, a1_base, ((kp,) * m, r), m) == r % m
     assert c_class(a1_energy, a1_base, ((kp, km), 0), 2) == 1
-    ops = AffineOps(TensorOps([a1_base] * 2))
+    # degrees -1..1 keep every neighbour inside the window 2
+    aff = affinized_tensor_crystal(a1_base, 2, 2)
     for b in itertools.product(a1_base.sorted_keys(), repeat=2):
         for n in (-1, 0, 1):
             x = (b, n)
             before = c_class(a1_energy, a1_base, x, 2)
-            for i in a1.indices:
-                moved = ops.f(x, i)
-                if moved is not None:
-                    assert c_class(a1_energy, a1_base, moved, 2) == before
-                moved = ops.e(x, i)
+            for _i, _kind, moved in moves(aff, x):
                 if moved is not None:
                     assert c_class(a1_energy, a1_base, moved, 2) == before
 
@@ -124,11 +120,8 @@ def test_image_isomorphic_to_straight_piece(a1, a1_base, a1_energy):
     image_edges = {}
     for k in inner_class0:
         path = images[k].path
-        image_nodes[path.key()] = Node(
-            path, path.weight(),
-            tuple(ops.eps(path, i) for i in a1.indices),
-            tuple(ops.phi(path, i) for i in a1.indices),
-        )
+        eps, phi = zip(*(ops.strings(path, i) for i in a1.indices))
+        image_nodes[path.key()] = Node(path, path.weight(), eps, phi)
     for (src, i), dst in aff.f_edges.items():
         if src in inner_class0 and dst in inner_class0:
             image_edges[(images[src].path.key(), i)] = images[dst].path.key()

@@ -17,7 +17,7 @@ from loom import (
     refine,
     refined_major_index,
 )
-from loom.crystals import Node
+from loom.crystals import Node, NodeCapError
 from loom.energy import DisconnectedTensorSquareError, EnergyError, EnergyTable
 from test_crystals import PairingTensor
 
@@ -203,3 +203,12 @@ def test_disconnected_tensor_square_detected(a1, a1_base):
     )
     with pytest.raises(DisconnectedTensorSquareError):
         energy_table(island)
+
+
+def test_energy_node_cap_before_sweep(a2_base, monkeypatch):
+    def untouched(*args):
+        raise AssertionError("the sweep ran over the node cap")
+
+    monkeypatch.setattr("loom.energy._shifted_moves", untouched)
+    with pytest.raises(NodeCapError):
+        energy_table(a2_base, node_cap=len(a2_base) ** 2 - 1)

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from loom import (
     TensorOps,
+    affinized_tensor_crystal,
     build_cartan,
     c_class,
     choose_grid,
@@ -22,6 +23,7 @@ from loom import (
     refine,
     verify_decomposition,
 )
+from loom.crystals import moves
 
 
 def test_bent_fundamental_crystal(c2):
@@ -85,17 +87,15 @@ def test_kappa_endpoints_on_grid_two(c2):
 def test_class_grading_is_operator_invariant(c2):
     base = fundamental_crystal(c2, 2)
     table = energy_table(base)
-    from loom import AffineOps
-
-    ops = AffineOps(TensorOps([base] * 2))
+    # degrees -1..1 keep every neighbour inside the window 2
+    aff = affinized_tensor_crystal(base, 2, 2)
     for b in itertools.product(base.sorted_keys(), repeat=2):
         for n in (-1, 0, 1):
             x = (b, n)
             cls = c_class(table, base, x, 2)
-            for i in c2.indices:
-                for moved in (ops.e(x, i), ops.f(x, i)):
-                    if moved is not None:
-                        assert c_class(table, base, moved, 2) == cls
+            for _i, _kind, moved in moves(aff, x):
+                if moved is not None:
+                    assert c_class(table, base, moved, 2) == cls
 
 
 def test_decomposition_grid_two(c2):
