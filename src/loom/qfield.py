@@ -1,12 +1,17 @@
 """Exact arithmetic in the field of rational functions of one variable.
 
-Elements are quotients of polynomials kept canonically as a rational
-scale factor times a quotient of coprime primitive integer polynomials
-with positive leading coefficients.  Integer coefficients keep the inner
-loops on machine arithmetic; the scale factor absorbs all rational
-content.  The only analytic operation the rest of the library needs is
-behaviour at the origin: the valuation, and exact evaluation when the
-valuation is non-negative.
+A nonzero element is ``scale * q**power * num / den``: a rational scale,
+an integer power, and coprime primitive integer polynomials with positive
+leading coefficients and nonzero constant terms (zero is scale 0, num ()).
+Powers of q and rational content never reach a gcd, and a Laurent
+polynomial has ``den == (1,)``.  Since both operands are reduced, a gcd is
+taken only where a common factor can appear (Henrici's rule, JACM 3,
+1956): a product or quotient cancels the two cross gcds, each numerator
+against the other denominator; a sum cancels its numerator against the
+gcd of the denominators, and not at all when they are coprime.  A gcd
+with a one-term operand is 1 and is not computed.  The only analytic
+operation the library needs is behaviour at the origin: the valuation,
+and exact evaluation when it is non-negative.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .cartan import frac
 
@@ -38,6 +43,10 @@ def _iadd(a, b):
 def _imul(a, b):
     if not a or not b:
         return ()
+    if a == (1,):
+        return b
+    if b == (1,):
+        return a
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -50,20 +59,22 @@ def _iscale(a, c: int):
     return _trim(x * c for x in a)
 
 
-def _content(a) -> int:
-    g = 0
-    for x in a:
-        g = gcd(g, abs(x))
-    return g or 1
+def _unit_split(a):
+    """(c, p) with a == c * p, p primitive with positive leading coefficient."""
+    c = gcd(*a) if a[-1] > 0 else -gcd(*a)
+    return c, (a if c == 1 else tuple(x // c for x in a))
 
 
 def _primitive(a):
-    if not a:
-        return ()
-    g = _content(a)
-    if a[-1] < 0:
-        g = -g
-    return tuple(x // g for x in a)
+    return _unit_split(a)[1] if a else ()
+
+
+def _strip(a):
+    """(k, b) with a == q**k * b and b[0] != 0; a must be nonzero."""
+    k = 0
+    while a[k] == 0:
+        k += 1
+    return k, a[k:]
 
 
 def _pseudo_rem(a, b):
@@ -112,11 +123,16 @@ def _idivexact(a, b):
     return _trim(out)
 
 
-def _iorder(a) -> int:
-    for k, c in enumerate(a):
-        if c:
-            return k
-    raise ZeroDivisionError("zero polynomial has no finite order")
+def _cancel(a, b):
+    """(g, a / g, b / g), g = gcd(a, b); a, b primitive, constant terms nonzero."""
+    if len(a) == 1 or len(b) == 1:
+        return (1,), a, b
+    if a == b:
+        return a, (1,), (1,)
+    g = _igcd_poly(a, b)
+    if len(g) == 1:
+        return g, a, b
+    return g, _idivexact(a, g), _idivexact(b, g)
 
 
 @dataclass(frozen=True)
@@ -124,47 +140,32 @@ class QScalar:
     """Rational function in q over the rationals, in canonical form."""
 
     scale: Fraction
+    power: int
     num: tuple[int, ...]
     den: tuple[int, ...]
 
     @staticmethod
     def _make(scale: Fraction, num, den) -> "QScalar":
-        num = _trim(num)
-        den = _trim(den)
+        """Reduce scale * num / den for integer polynomials of any shape."""
+        num, den = _trim(num), _trim(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
         if scale == 0 or not num:
-            return QScalar(Fraction(0), (), (1,))
-        shift = min(_iorder(num), _iorder(den))
-        if shift:
-            num = num[shift:]
-            den = den[shift:]
-        cn, cd = _content(num), _content(den)
-        sign = (-1 if num[-1] < 0 else 1) * (-1 if den[-1] < 0 else 1)
-        scale = scale * Fraction(sign * cn, cd)
-        num = _primitive(num)
-        den = _primitive(den)
-        if len(den) > 1 and len(num) > 1:
-            g = _igcd_poly(num, den)
-            if len(g) > 1:
-                num = _idivexact(num, g)
-                den = _idivexact(den, g)
-        return QScalar(scale, num, den)
+            return Q_ZERO
+        (kn, num), (kd, den) = _strip(num), _strip(den)
+        (cn, num), (cd, den) = _unit_split(num), _unit_split(den)
+        _, num, den = _cancel(num, den)
+        return QScalar(scale * Fraction(cn, cd), kn - kd, num, den)
 
     @staticmethod
     def of(num, den=(1,)) -> "QScalar":
         """Build from rational coefficient sequences, lowest degree first."""
         num = [frac(c) for c in num]
         den = [frac(c) for c in den]
-        from math import lcm
-
         mn = lcm(*[c.denominator for c in num]) if num else 1
         md = lcm(*[c.denominator for c in den]) if den else 1
-        return QScalar._make(
-            Fraction(md, mn),
-            [int(c * mn) for c in num],
-            [int(c * md) for c in den],
-        )
+        return QScalar._make(Fraction(md, mn), [int(c * mn) for c in num],
+                             [int(c * md) for c in den])
 
     @staticmethod
     def const(x) -> "QScalar":
@@ -173,9 +174,7 @@ class QScalar:
     @staticmethod
     @lru_cache(maxsize=None)
     def q_power(k: int) -> "QScalar":
-        if k >= 0:
-            return QScalar(Fraction(1), (0,) * k + (1,), (1,))
-        return QScalar(Fraction(1), (1,), (0,) * (-k) + (1,))
+        return QScalar(Fraction(1), k, (1,), (1,))
 
     @property
     def is_zero(self) -> bool:
@@ -189,94 +188,86 @@ class QScalar:
             return other
         if other.is_zero:
             return self
-        if self.den == other.den:
-            p, q = self.scale, other.scale
-            d = Fraction(gcd(p.numerator * q.denominator, q.numerator * p.denominator),
-                         p.denominator * q.denominator)
-            num = _iadd(
-                _iscale(self.num, (self.scale / d).numerator),
-                _iscale(other.num, (other.scale / d).numerator),
-            )
-            return QScalar._make(d, num, self.den)
-        common = Fraction(1, self.scale.denominator * other.scale.denominator)
-        a = _iscale(_imul(self.num, other.den),
-                    (self.scale / common).numerator)
-        b = _iscale(_imul(other.num, self.den),
-                    (other.scale / common).numerator)
-        return QScalar._make(common, _iadd(a, b), _imul(self.den, other.den))
+        # the lcm of the denominators is g * d1 * d2
+        g, d1, d2 = _cancel(self.den, other.den)
+        power = min(self.power, other.power)
+        p, r = self.scale, other.scale
+        num = _iadd(
+            _iscale((0,) * (self.power - power) + _imul(self.num, d2),
+                    p.numerator * r.denominator),
+            _iscale((0,) * (other.power - power) + _imul(other.num, d1),
+                    r.numerator * p.denominator),
+        )
+        if not num:
+            return Q_ZERO
+        k, num = _strip(num)
+        c, num = _unit_split(num)
+        # a common factor of num and d1 * d2 would divide an operand's
+        # numerator and denominator, so only g can share one with num
+        _, num, g = _cancel(num, g)
+        return QScalar(Fraction(c, p.denominator * r.denominator), power + k,
+                       num, _imul(_imul(d1, d2), g))
 
     def __sub__(self, other: "QScalar") -> "QScalar":
         return self + (-other)
 
     def __neg__(self) -> "QScalar":
-        return QScalar(-self.scale, self.num, self.den)
+        return QScalar(-self.scale, self.power, self.num, self.den)
+
+    def _times(self, scale: Fraction, power: int, num, den) -> "QScalar":
+        """self * scale * q**power * num / den, the factor in canonical form."""
+        _, n1, d2 = _cancel(self.num, den)
+        _, n2, d1 = _cancel(num, self.den)
+        return QScalar(self.scale * scale, self.power + power,
+                       _imul(n1, n2), _imul(d1, d2))
 
     def __mul__(self, other: "QScalar") -> "QScalar":
         if self.is_zero or other.is_zero:
             return Q_ZERO
-        return QScalar._make(
-            self.scale * other.scale,
-            _imul(self.num, other.num),
-            _imul(self.den, other.den),
-        )
+        return self._times(other.scale, other.power, other.num, other.den)
 
     def __truediv__(self, other: "QScalar") -> "QScalar":
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
         if self.is_zero:
             return Q_ZERO
-        return QScalar._make(
-            self.scale / other.scale,
-            _imul(self.num, other.den),
-            _imul(self.den, other.num),
-        )
+        return self._times(1 / other.scale, -other.power, other.den, other.num)
 
     def valuation(self) -> int | None:
         """Order at the origin; None for the zero function."""
-        if self.is_zero:
-            return None
-        return _iorder(self.num) - _iorder(self.den)
+        return None if self.is_zero else self.power
 
     @property
     def regular_at_zero(self) -> bool:
-        v = self.valuation()
-        return v is None or v >= 0
+        return self.is_zero or self.power >= 0
 
     def at_zero(self) -> Fraction:
         """Exact value at the origin; defined when the valuation allows it."""
-        v = self.valuation()
-        if v is None:
+        if self.is_zero or self.power > 0:
             return Fraction(0)
-        if v < 0:
+        if self.power < 0:
             raise ZeroDivisionError("pole at the origin")
-        if v > 0:
-            return Fraction(0)
-        return self.scale * Fraction(self.num[_iorder(self.num)],
-                                     self.den[_iorder(self.den)])
+        return self.scale * Fraction(self.num[0], self.den[0])
 
     def bar(self) -> "QScalar":
-        """Substitute the inverse variable and clear denominators."""
+        """Substitute the inverse variable."""
         if self.is_zero:
             return self
-        n, d = len(self.num), len(self.den)
-        num = tuple(reversed(self.num))
-        den = tuple(reversed(self.den))
-        if n >= d:
-            den = (0,) * (n - d) + den
-        else:
-            num = (0,) * (d - n) + num
-        return QScalar._make(self.scale, num, den)
+        # reversing keeps both parts primitive and coprime; only signs move
+        cn, num = _unit_split(self.num[::-1])
+        cd, den = _unit_split(self.den[::-1])
+        return QScalar(self.scale * (cn * cd),
+                       len(self.den) - len(self.num) - self.power, num, den)
 
     def is_laurent(self) -> bool:
         """True when the denominator is a single power of the variable."""
-        return sum(1 for c in self.den if c != 0) == 1
+        return self.den == (1,)
 
     def coeffs(self):
         """Rational coefficient tuples (num, den) for display and tests."""
-        return (
-            tuple(self.scale * c for c in self.num),
-            tuple(Fraction(c) for c in self.den),
-        )
+        num = (0,) * max(self.power, 0) + self.num
+        den = (0,) * max(-self.power, 0) + self.den
+        return tuple(self.scale * c for c in num), tuple(Fraction(c) for c in den)
 
     def __repr__(self):
         if self.is_zero:
@@ -295,14 +286,14 @@ class QScalar:
                     terms.append("%s*q^%d" % (c, k) if c != 1 else "q^%d" % k)
             return " + ".join(terms) or "0"
 
-        scaled = [self.scale * c for c in self.num]
-        if self.den == (1,):
+        scaled, den = self.coeffs()
+        if den == (1,):
             return "QScalar(%s)" % poly(scaled)
-        return "QScalar((%s)/(%s))" % (poly(scaled), poly(self.den))
+        return "QScalar((%s)/(%s))" % (poly(scaled), poly(den))
 
 
-Q_ZERO = QScalar(Fraction(0), (), (1,))
-Q_ONE = QScalar(Fraction(1), (1,), (1,))
+Q_ZERO = QScalar(Fraction(0), 0, (), (1,))
+Q_ONE = QScalar(Fraction(1), 0, (1,), (1,))
 
 
 @lru_cache(maxsize=None)
@@ -324,6 +315,7 @@ def qfact(m: int) -> QScalar:
     return qfact(m - 1) * qint(m)
 
 
+@lru_cache(maxsize=None)
 def qbinom(m: int, n: int) -> QScalar:
     if not m >= n >= 0:
         raise ValueError("binomial needs m >= n >= 0")

@@ -9,14 +9,19 @@ every coordinate is regular at the origin, and evaluates there.
 The singular vectors are built from their hypergeometric-style closed
 form and re-derived independently by solving for the kernel of the
 raising action, so the two routes police each other.
+
+The lowering divided power ``act_F_div`` is closed form, with Laurent
+coefficients from the coproduct (G. Lusztig, Introduction to Quantum
+Groups, 1993); the raising ``act_E_div`` applies ``act_E`` r times.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .qfield import Q_ONE, Q_ZERO, QScalar, qfact, qint
+from .qfield import Q_ONE, Q_ZERO, QScalar, qbinom, qfact, qint
 
 
 class NotInLatticeError(ArithmeticError):
@@ -142,10 +147,25 @@ def act_K(v: TensorVector, power: int = 1) -> TensorVector:
 
 
 def act_F_div(v: TensorVector, r: int) -> TensorVector:
-    out = v
-    for _ in range(r):
-        out = act_F(out)
-    return out.scale(Q_ONE / qfact(r)) if r else out
+    """F^r / [r]!: iterating the coproduct, factor j takes a_j of r, lifts b_s
+    to [s + a_j choose a_j] b_{s + a_j}, and the spread carries
+    q^(sum over j < k of a_k (t_j - 2 s_j - a_j)); nothing is divided.
+    """
+    if r < 0:
+        raise ValueError("divided power needs r >= 0")
+    out: dict = {}
+    for idx, c in v.coords:
+        room = [range(min(r, t - s) + 1) for t, s in zip(v.shape, idx)]
+        for spread in (p for p in itertools.product(*room) if sum(p) == r):
+            coeff, tail, exponent = c, r, 0
+            for t, s, a in zip(v.shape, idx, spread):
+                tail -= a
+                exponent += tail * (t - 2 * s - a)
+                if a:
+                    coeff = coeff * qbinom(s + a, a)
+            nidx = tuple(s + a for s, a in zip(idx, spread))
+            out[nidx] = out.get(nidx, Q_ZERO) + coeff * QScalar.q_power(exponent)
+    return TensorVector.make(v.shape, out)
 
 
 def act_E_div(v: TensorVector, r: int) -> TensorVector:

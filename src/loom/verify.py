@@ -282,9 +282,11 @@ def suite_decompose(cartan: AffineCartan, i: int, power: int = 2, window: int = 
     return out
 
 
-def suite_sl2(t1: int, t2: int, **_kw) -> dict:
+def suite_sl2(t1: int, t2: int, *, node_cap=None) -> dict:
     if t1 < 0 or t2 < 0:
         raise ValueError("sl2 shape (%d, %d) needs t1, t2 >= 0" % (t1, t2))
+    check_node_cap((t1 + 1) * (t2 + 1), node_cap,
+                   "the %d x %d tags of the sl2 tensor" % (t1 + 1, t2 + 1))
     rep = Report("sl2", t1=t1, t2=t2)
     shape = (t1, t2)
 
@@ -362,7 +364,7 @@ def run_suite(name: str, *, type_label="A", rank=1, i=1, power=2, window=3,
 
     def run(suite):
         if suite == "sl2":
-            return SUITES[suite](t1, t2)
+            return SUITES[suite](t1, t2, node_cap=node_cap)
         return SUITES[suite](cartan, i, *extra.get(suite, ()), node_cap=node_cap)
 
     if name != "all":

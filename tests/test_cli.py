@@ -112,15 +112,19 @@ def test_affinized_node_cap_exit_code(tmp_path):
     ["--suite", "energy", "--rank", "2", "--seeds", "1"],
     ["--suite", "concat", "--rank", "2"],
     ["--suite", "maj", "--rank", "2", "--power", "1"],
-], ids=["maj", "psi", "energy-square", "concat-square", "maj-square"])
+    ["--suite", "sl2", "--t1", "4", "--t2", "4"],
+], ids=["maj", "psi", "energy-square", "concat-square", "maj-square", "sl2"])
 def test_power_over_node_cap_exit_code(tmp_path, monkeypatch, argv):
-    # the cap is checked before any loop over the 2**3 tuples or the 3**2 pairs
+    # the cap is checked before any loop over the 2**3 tuples or the 3**2
+    # pairs, and before any vector of the 5 x 5 sl2 tags is built
     def untouched(*args):
         raise AssertionError("product loop ran over the node cap")
 
     monkeypatch.setattr("loom.verify.major_index", untouched)
     monkeypatch.setattr("loom.verify.kappa", untouched)
     monkeypatch.setattr("loom.verify.concat", untouched)
+    monkeypatch.setattr("loom.sl2.StringLattice", untouched)
+    monkeypatch.setattr("loom.sl2.TensorVector.basis", untouched)
     code = main(["verify", "--type", "A"] + argv
                 + ["--node-cap", "4", "--out", str(tmp_path / "r.txt")])
     assert code == 3

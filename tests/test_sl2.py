@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from loom.qfield import Q_ONE, Q_ZERO, QScalar, qint
+from loom.qfield import Q_ONE, Q_ZERO, QScalar, qfact, qint
 from loom.sl2 import (
     HomogeneityError,
     NotInLatticeError,
@@ -63,6 +63,26 @@ def test_coproduct_bracketings_agree():
                 for cut in (1, 2):
                     assert act_F_div_split(v, r, cut) == ff
                     assert act_E_div_split(v, r, cut) == ee
+
+
+def _F_div_reference(v, r):
+    """F^r / [r]! as r applications of F and one division."""
+    out = v
+    for _ in range(r):
+        out = act_F(out)
+    return out.scale(Q_ONE / qfact(r))
+
+
+@pytest.mark.parametrize("shape", [(3,), (1, 1), (2, 3), (4, 4), (1, 2, 1), (2, 1, 3)])
+def test_closed_form_divided_power_matches_iterated_action(shape):
+    # act_F_div_split is built from act_F_div, so the coproduct test above
+    # does not police the closed form; the iterated action does
+    for idx in itertools.product(*[range(t + 1) for t in shape]):
+        v = basis(shape, idx)
+        for r in range(sum(shape) + 2):
+            assert act_F_div(v, r) == _F_div_reference(v, r)
+    with pytest.raises(ValueError):
+        act_F_div(basis(shape, (0,) * len(shape)), -1)
 
 
 def test_string_decompose():
