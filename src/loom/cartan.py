@@ -15,8 +15,9 @@ survive construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class CartanError(ValueError):
@@ -51,23 +52,30 @@ def parse_frac(s: str) -> Fraction:
     return Fraction(int(s))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Weight:
     """Exact weight vector; ``coords[i]`` pairs with the i-th simple coroot.
 
     ``delta`` is the null-root coefficient, or ``None`` for a weight of the
     classical quotient.  Weights sort lexicographically on their exact
     coordinates; the order has no meaning beyond giving closure
-    generation a deterministic sweep.
+    generation a deterministic sweep.  The hash is computed once: weights
+    are the entries of every crystal node key.
     """
 
     coords: tuple[Fraction, ...]
     delta: Fraction | None = None
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(frac(c) for c in self.coords))
         if self.delta is not None:
             object.__setattr__(self, "delta", frac(self.delta))
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.coords, self.delta)))
+        return self._hash
 
     def _order_key(self):
         return (self.coords, self.delta is not None, self.delta or Fraction(0))
@@ -93,7 +101,7 @@ class Weight:
         """Image under the projection that kills the null root."""
         if self.delta is None:
             raise AmbientError("weight is already classical")
-        return Weight(self.coords, None)
+        return _weight(self.coords, None)
 
     def _check_compatible(self, other: "Weight"):
         if len(self.coords) != len(other.coords):
@@ -104,19 +112,19 @@ class Weight:
     def __add__(self, other: "Weight") -> "Weight":
         self._check_compatible(other)
         d = None if self.delta is None else self.delta + other.delta
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)), d)
+        return _weight(tuple(a + b for a, b in zip(self.coords, other.coords)), d)
 
     def __sub__(self, other: "Weight") -> "Weight":
         self._check_compatible(other)
         d = None if self.delta is None else self.delta - other.delta
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)), d)
+        return _weight(tuple(a - b for a, b in zip(self.coords, other.coords)), d)
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple(-c for c in self.coords), None if self.delta is None else -self.delta)
+        return _weight(tuple(-c for c in self.coords), None if self.delta is None else -self.delta)
 
     def scale(self, c) -> "Weight":
         c = frac(c)
-        return Weight(
+        return _weight(
             tuple(c * x for x in self.coords),
             None if self.delta is None else c * self.delta,
         )
@@ -142,6 +150,14 @@ class Weight:
         if self.delta is None:
             return "Weight(%s)" % body
         return "Weight(%s | %sd)" % (body, self.delta)
+
+
+def _weight(coords: tuple, delta) -> Weight:
+    """A weight from coordinates that are already Fractions, skipping the checks."""
+    w = object.__new__(Weight)
+    for name, value in (("coords", coords), ("delta", delta), ("_hash", None)):
+        object.__setattr__(w, name, value)
+    return w
 
 
 def _finite_matrix(label: str, rank: int) -> list[list[int]]:
@@ -219,8 +235,6 @@ def _symmetrizers(mat: list[list[int]]) -> list[int]:
                     raise CartanError("matrix is not symmetrizable")
     if any(x is None for x in d):
         raise CartanError("Dynkin diagram is not connected")
-    from math import gcd, lcm
-
     denom = lcm(*[x.denominator for x in d])
     ints = [int(x * denom) for x in d]
     g = gcd(*ints)
@@ -289,8 +303,6 @@ def _primitive_null_vector(mat: list[list[Fraction]]) -> list[int]:
     vec[fc] = Fraction(1)
     for row, c in zip(range(r), piv_cols):
         vec[c] = -a[row][fc]
-    from math import gcd, lcm
-
     denom = lcm(*[v.denominator for v in vec])
     ints = [int(v * denom) for v in vec]
     g = gcd(*ints)
@@ -312,6 +324,14 @@ class AffineCartan:
     marks: tuple[int, ...]
     comarks: tuple[int, ...]
     sym: tuple[int, ...]
+    # (affine, classical) simple root per index, built once
+    _roots: tuple = field(init=False, repr=False, compare=False)
+    # weights shared by the paths of this cartan, keyed by their grid form
+    _interned: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        roots = [Weight(tuple(row[j] for row in self.matrix), int(j == 0)) for j in self.indices]
+        object.__setattr__(self, "_roots", tuple((r, r.classical()) for r in roots))
 
     @property
     def indices(self) -> range:
@@ -353,10 +373,7 @@ class AffineCartan:
     def simple_root(self, j: int) -> Weight:
         """alpha_j in the fundamental-weight basis, with its null-root part."""
         self._check_index(j)
-        return Weight(
-            tuple(Fraction(self.matrix[i][j]) for i in self.indices),
-            Fraction(1 if j == 0 else 0),
-        )
+        return self._roots[j][0]
 
     def highest_finite_root(self) -> Weight:
         """theta as a classical weight; the node-0 root projects to -theta."""
@@ -377,10 +394,10 @@ class AffineCartan:
         return sum((self.comarks[i] * w.coords[i] for i in self.indices), Fraction(0))
 
     def reflect(self, i: int, w: Weight) -> Weight:
-        root = self.simple_root(i)
-        if w.is_classical:
-            root = root.classical()
-        return w - w.coords[i] * root
+        self._check_index(i)
+        if w.coords[i] == 0:
+            return w
+        return w - w.coords[i] * self._roots[i][1 if w.is_classical else 0]
 
     # -- serialization --------------------------------------------------
 

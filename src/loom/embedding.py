@@ -56,13 +56,8 @@ def kappa(table: EnergyTable, graph: CrystalGraph, factors, degree: int, j: int)
     total = grid * len(factors)
     if not 0 <= j <= total:
         raise EmbeddingError("turning point index out of range")
-    return _kappa_from_word(table, word, grid, degree, j)
-
-
-def _kappa_from_word(table, word, grid, degree, j) -> Fraction:
     if j == 0:
         return Fraction(0)
-    total = len(word)
     maj = major_index(table, word)
     chis = [table.value(word[s - 1], word[s]) for s in range(1, total)]
     head = Fraction(j, total) * (Fraction(maj, grid) + degree)
@@ -76,30 +71,32 @@ def psi(table: EnergyTable, graph: CrystalGraph, element) -> PsiImage:
 
     ``element`` is a pair (factor keys, degree).  The classical turning
     points come from the uniform refinement; each is lifted by its exact
-    null-root height.
+    null-root height ``kappa``, read off two running sums of the adjacent
+    energies in one pass.
     """
     factors, degree = element
     grid = table.grid
     word = refine(graph, factors, grid)
     total = len(word)
-    directions = [graph.nodes[k].element.weight() for k in word]
-
-    lam = Weight((Fraction(0),) * len(directions[0].coords), Fraction(0))
+    chis = [table.value(a, b) for a, b in zip(word, word[1:])]
+    # total grid kappa_j = j (maj + grid degree)
+    #                      - total (sum_{s<j} s chi_s + j sum_{s>=j} chi_s)
+    head = sum(s * chi for s, chi in enumerate(chis, 1)) + grid * degree
+    early, late = 0, sum(chis)
     heights = [Fraction(0)]
-    turning = [lam]
-    partial = lam
-    for j in range(1, total + 1):
-        h = _kappa_from_word(table, word, grid, degree, j)
-        heights.append(h)
-        lift = Weight(directions[j - 1].coords, Fraction(0))
-        partial = partial + lift * Fraction(1, grid)
-        turning.append(Weight(partial.coords, h))
+    for j, chi in enumerate(chis + [0], 1):
+        heights.append(Fraction(j * head - total * (early + j * late), total * grid))
+        early += j * chi
+        late -= chi
 
+    directions = [graph.nodes[k].wt.coords for k in word]
+    turning = [Weight((Fraction(0),) * len(directions[0]), Fraction(0))]
     segs = []
-    for j in range(1, total + 1):
-        step = turning[j] - turning[j - 1]
-        segs.append((step * total, Fraction(1, total)))
-    path = make_path(segs, ambient="affine", ncoords=len(directions[0].coords))
+    for d, h0, h1 in zip(directions, heights, heights[1:]):
+        turning.append(Weight(tuple(a + b / grid for a, b in zip(turning[-1].coords, d)), h1))
+        segs.append((Weight(tuple(c * len(factors) for c in d), (h1 - h0) * total),
+                     Fraction(1, total)))
+    path = make_path(segs, ambient="affine", ncoords=len(directions[0]))
     return PsiImage(
         source=tuple(factors),
         degree=degree,

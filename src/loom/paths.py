@@ -1,21 +1,22 @@
 """Piecewise linear paths in the weight lattice and the root operators.
 
-A path starts at the origin and is stored as the sequence of its maximal
-straight stretches, each a ``(displacement, duration)`` pair; durations
-sum to one.  Paths that differ only by a piecewise linear
-reparametrisation are equal: the displacements are exactly the data a
-reparametrisation cannot touch, so the stored tuple of displacements is
-the key for equality and hashing.  A stretch's direction, the derivative
-of the path there, is derived as displacement / duration only where it is
-needed (serialisation and the uniform grid).
+A path starts at the origin and is stored in grid form: a common
+denominator ``m``, a time grid ``n``, and per maximal straight stretch an
+integer direction ``d`` (null-root entry last when affine) and a cell
+count ``c``: the stretch runs along d / m for the time c / n.  Paths that
+differ only by a piecewise linear reparametrisation are equal: the
+displacements d c / (m n) are exactly the data a reparametrisation cannot
+touch, so they are the key for equality and hashing.
 
 The raising operator acts on the height function ``h(tau)``, the negated
 coroot pairing along the path.  It leaves the path alone until the last
 time ``h`` sits one below its maximum, reflects the stretch where ``h``
 climbs to the maximum, and translates the rest; the lowering operator is
-the mirror image.  Both reduce to pure surgery on the displacements:
-the translated tail keeps its displacements, only the climbing stretch
-gets reflected.
+the mirror image.  Heights at the breakpoints are integer prefix sums in
+units of 1 / (m n); an operator refines the grid until its split time is
+on it, cuts that stretch and reflects the integer directions of the
+block.  The canonical form drops pauses, merges collinear neighbours and
+divides out common factors, so ``n`` is the least grid of the path.
 
 The height maximum is required to be an integer.  Paths produced by
 closure from linear seeds satisfy this; anything else is outside the
@@ -25,11 +26,13 @@ at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from itertools import accumulate
+from math import gcd, lcm
+from typing import NamedTuple
 
-from .cartan import AffineCartan, AmbientError, Weight, frac
+from .cartan import AffineCartan, AmbientError, Weight, _weight, frac
 
 
 class PathError(ValueError):
@@ -40,76 +43,80 @@ class IntegralityError(PathError):
     """The height function has a non-integral maximum."""
 
 
-def _collinear_merge(u: Weight, du: Fraction, v: Weight, dv: Fraction):
-    """Merge two consecutive segments if v is a positive multiple of u."""
-    uc = u.coords + ((u.delta,) if u.delta is not None else ())
-    vc = v.coords + ((v.delta,) if v.delta is not None else ())
-    # u is not zero; v = r*u with r > 0 iff every 2x2 minor against a
-    # pivot of u vanishes and the pivot coordinates agree in sign
-    j = next(k for k, a in enumerate(uc) if a != 0)
-    if uc[j] * vc[j] <= 0 or any(a * vc[j] != b * uc[j] for a, b in zip(uc, vc)):
-        return None
-    return (u + v, du + dv)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False)
 class Path:
-    """Canonical piecewise linear path from the origin.
+    """Canonical path: stretch k runs along ``dirs[k] / m`` for ``cells[k] / n``.
 
-    ``segments`` holds ``(displacement, duration)`` pairs of the maximal
-    straight stretches; the direction of a stretch is its displacement
-    divided by its duration.
+    Paths from the root operators of one cartan share their key weights
+    through ``interned``.
     """
 
-    segments: tuple[tuple[Weight, Fraction], ...]
+    m: int
+    n: int
+    dirs: tuple[tuple[int, ...], ...]
+    cells: tuple[int, ...]
     ambient: str
     ncoords: int
+    interned: dict | None = field(default=None, repr=False)
+    _key: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def is_constant(self) -> bool:
-        return not self.segments
+        return not self.cells
+
+    def _as_weight(self, nums, den: int) -> Weight:
+        """The weight nums / den, shared through ``interned`` if there is one."""
+        g = gcd(den, *nums)
+        key = (tuple(x // g for x in nums), den // g)
+        table = {} if self.interned is None else self.interned
+        w = table.get(key)
+        if w is None:
+            c = tuple(Fraction(x, key[1]) for x in key[0])
+            w = table[key] = _weight(c[: self.ncoords], c[-1] if self.ambient == "affine" else None)
+        return w
 
     def weight(self) -> Weight:
         """Endpoint of the path."""
-        w = _zero_weight(self.ambient, self.ncoords)
-        for v, _ in self.segments:
-            w = w + v
-        return w
+        width = self.ncoords + (self.ambient == "affine")
+        ends = [sum(d[k] * c for d, c in zip(self.dirs, self.cells)) for k in range(width)]
+        return self._as_weight(ends, self.m * self.n)
 
     def key(self):
         """Reparametrisation-invariant identity: the stretch displacements."""
-        return tuple(v for v, _ in self.segments)
+        if self._key is None:
+            mn = self.m * self.n
+            key = tuple(self._as_weight([x * c for x in d], mn)
+                        for d, c in zip(self.dirs, self.cells))
+            object.__setattr__(self, "_key", key)
+        return self._key
+
+    @property
+    def segments(self) -> tuple[tuple[Weight, Fraction], ...]:
+        """``(displacement, duration)`` of each maximal straight stretch."""
+        return tuple(zip(self.key(), (Fraction(c, self.n) for c in self.cells)))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Path)
-            and self.ambient == other.ambient
-            and self.ncoords == other.ncoords
-            and self.key() == other.key()
-        )
+        return (isinstance(other, Path) and self.ambient == other.ambient
+                and self.ncoords == other.ncoords and self.key() == other.key())
 
     def __hash__(self):
         return hash((self.ambient, self.key()))
 
     def directions(self) -> list[Weight]:
         """Derivative of the path on each stretch."""
-        return [v * (1 / t) for v, t in self.segments]
+        return [self._as_weight(d, self.m) for d in self.dirs]
 
     def breakpoints(self) -> list[Fraction]:
         """Cumulative times 0 = t_0 < ... < t_k = 1."""
-        out = [Fraction(0)]
-        for _, t in self.segments:
-            out.append(out[-1] + t)
-        if out[-1] != 1:
-            # the constant path still parametrises the full interval
-            out.append(Fraction(1))
-        return out
+        times = [Fraction(t, self.n) for t in accumulate(self.cells, initial=0)]
+        # the constant path still parametrises the full interval
+        return times + [Fraction(1)] if self.is_constant else times
 
     def to_json(self):
         segments = []
         for d, (_, t) in zip(self.directions(), self.segments):
             entry = {
-                "dir": ["%d/%d" % (c.numerator, c.denominator) for c in d.coords],
+                "dir": ["%d/%d" % (x.numerator, x.denominator) for x in d.coords],
                 "len": "%d/%d" % (t.numerator, t.denominator),
             }
             if d.delta is not None:
@@ -121,13 +128,55 @@ class Path:
         if self.is_constant:
             return "Path(constant)"
         return "Path(%s)" % "; ".join(
-            "%r x %s" % (d, t) for d, (_, t) in zip(self.directions(), self.segments)
+            "%r x %s" % (d, Fraction(c, self.n)) for d, c in zip(self.directions(), self.cells)
         )
 
 
-def _zero_weight(ambient: str, ncoords: int) -> Weight:
-    delta = None if ambient == "classical" else Fraction(0)
-    return Weight((Fraction(0),) * ncoords, delta)
+def _on_ray(u, v) -> bool:
+    """Whether v is a positive multiple of the nonzero vector u."""
+    # every 2x2 minor against a pivot of u vanishes and the pivots agree in sign
+    j = next(k for k, a in enumerate(u) if a != 0)
+    return u[j] * v[j] > 0 and all(a * v[j] == b * u[j] for a, b in zip(u, v))
+
+
+def _grid_path(m, n, dirs, cells, ambient, ncoords, interned=None) -> Path:
+    """Canonical path through stretches along ``d / m`` lasting ``c / n``.
+
+    Pauses go and the rest fills [0, 1]; collinear neighbours merge.
+    """
+    moves = [(d, c) for d, c in zip(dirs, cells) if any(d)]
+    if not moves:
+        return Path(1, 1, (), (), ambient, ncoords, interned)
+    total = sum(c for _, c in moves)
+    # stretching total / n of the time to fill [0, 1] scales each direction by that
+    scale, m = (1, m) if total == n else (total, m * n)
+    out_d, out_c = [], []
+    for d, c in moves:
+        if scale != 1:
+            d = tuple(x * scale for x in d)
+        if out_d and (d == out_d[-1] or _on_ray(out_d[-1], d)):
+            u, cu = out_d[-1], out_c[-1]
+            s = cu + c
+            if d != u:
+                # the merged direction (u cu + d c) / s needs the denominator m s
+                out_d = [tuple(x * s for x in v) for v in out_d]
+                out_d[-1] = tuple(a * cu + b * c for a, b in zip(u, d))
+                m *= s
+                scale *= s
+            out_c[-1] = s
+        else:
+            out_d.append(d)
+            out_c.append(c)
+    g = gcd(*out_c)
+    out_c = [c // g for c in out_c]
+    g = gcd(m, *(x for d in out_d for x in d))
+    if g > 1:
+        m //= g
+        out_d = [tuple(x // g for x in d) for d in out_d]
+    mn = m * sum(out_c)
+    if any(sum(d[k] * c for d, c in zip(out_d, out_c)) % mn for k in range(len(out_d[0]))):
+        raise PathError("path endpoint is not a lattice weight")
+    return Path(m, sum(out_c), tuple(out_d), tuple(out_c), ambient, ncoords, interned)
 
 
 def make_path(segments, ambient: str | None = None, ncoords: int | None = None) -> Path:
@@ -138,8 +187,7 @@ def make_path(segments, ambient: str | None = None, ncoords: int | None = None) 
     Consecutive segments pointing along the same ray are merged.  The
     endpoint must be a lattice weight.
     """
-    moves = []
-    total = Fraction(0)
+    dirs, times = [], []
     for d, t in segments:
         t = frac(t)
         if t < 0:
@@ -155,39 +203,16 @@ def make_path(segments, ambient: str | None = None, ncoords: int | None = None) 
             ncoords = len(d.coords)
         elif ncoords != len(d.coords):
             raise PathError("path mixes weights of different ranks")
-        total += t
-        moves.append((d * t, t))
+        dirs.append(d.coords if d.delta is None else d.coords + (d.delta,))
+        times.append(t)
     if ambient is None or ncoords is None:
         raise PathError("ambient of a constant path cannot be inferred")
-    path = _canonical(moves, ambient, ncoords)
-    if total != 1 and not path.is_constant:
+    m, n = lcm(*(x.denominator for d in dirs for x in d)), lcm(*(t.denominator for t in times))
+    dirs = [tuple(x.numerator * (m // x.denominator) for x in d) for d in dirs]
+    cells = [t.numerator * (n // t.denominator) for t in times]
+    path = _grid_path(m, n, dirs, cells, ambient, ncoords)
+    if sum(times) != 1 and not path.is_constant:
         raise PathError("durations must sum to one")
-    return path
-
-
-def _canonical(moves, ambient: str, ncoords: int) -> Path:
-    """Canonical path through ``(displacement, duration)`` segments.
-
-    Pauses are dropped and the remaining durations rescaled to sum to
-    one; collinear neighbours are merged.
-    """
-    moves = [(v, t) for v, t in moves if not v.is_zero]
-    if not moves:
-        return Path((), ambient, ncoords)
-    scale = sum(t for _, t in moves)
-    merged: list[tuple[Weight, Fraction]] = []
-    for v, t in moves:
-        if scale != 1:
-            t = t / scale
-        if merged:
-            joined = _collinear_merge(merged[-1][0], merged[-1][1], v, t)
-            if joined is not None:
-                merged[-1] = joined
-                continue
-        merged.append((v, t))
-    path = Path(tuple(merged), ambient, ncoords)
-    if not path.weight().is_integral:
-        raise PathError("path endpoint is not a lattice weight")
     return path
 
 
@@ -206,34 +231,27 @@ def constant_path(cartan: AffineCartan, classical: bool = True) -> Path:
 # -- height data -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HeightExtrema:
-    """Exact extremum data of the height function for one index."""
+class HeightExtrema(NamedTuple):
+    """Extremum data of the height function for one index, on the path's grid ``n``.
 
-    max_value: Fraction
+    ``cuts``: e_minus, e_plus, f_plus, f_minus as pairs (a, b) meaning a / b cells, or None.
+    """
+
     eps: int
-    e_minus: Fraction | None
-    e_plus: Fraction
-    f_plus: Fraction
-    f_minus: Fraction | None
-    end: Fraction  # height at time 1, which is -<h_i, wt(path)>
+    phi: int
+    n: int
+    cuts: tuple
 
+    def _time(self, k: int) -> Fraction | None:
+        t = self.cuts[k]
+        return None if t is None else Fraction(t[0], t[1] * self.n)
 
-def height_values(cartan: AffineCartan, path: Path, i: int):
-    """Times and values of the height function at the breakpoints."""
-    times = path.breakpoints()
-    values = [Fraction(0)]
-    for v, _ in path.segments:
-        values.append(values[-1] - cartan.pairing(i, v))
-    while len(values) < len(times):
-        values.append(values[-1])
-    return times, values
-
-
-def _crossing(times, values, j, level):
-    """Time in [t_j, t_{j+1}] where the height passes level."""
-    t0, h0 = times[j], values[j]
-    return t0 + (level - h0) * (times[j + 1] - t0) / (values[j + 1] - h0)
+    max_value = property(lambda self: Fraction(self.eps))
+    end = property(lambda self: Fraction(self.eps - self.phi))
+    e_minus = property(lambda self: self._time(0))
+    e_plus = property(lambda self: self._time(1))
+    f_plus = property(lambda self: self._time(2))
+    f_minus = property(lambda self: self._time(3))
 
 
 def h_extrema(cartan: AffineCartan, path: Path, i: int) -> HeightExtrema:
@@ -245,30 +263,37 @@ def h_extrema(cartan: AffineCartan, path: Path, i: int) -> HeightExtrema:
     integer (the endpoint is a lattice weight), so the level max - 1 is
     reached before the first maximum when max >= 1, and after the last
     one when that is not at time 1.  Each crossing lies in the one
-    segment found by scanning the breakpoints away from the maximum.
+    stretch found by scanning the breakpoints away from the maximum.
     """
-    times, values = height_values(cartan, path, i)
-    hmax = max(values)
-    if hmax.denominator != 1:
+    cartan._check_index(i)
+    mn = path.m * path.n
+    times = list(accumulate(path.cells, initial=0))
+    heights = list(accumulate((-d[i] * c for d, c in zip(path.dirs, path.cells)), initial=0))
+    if path.is_constant:
+        times, heights = [0, 1], [0, 0]
+    hmax = max(heights)
+    if hmax % mn:
         raise IntegralityError(
-            "height maximum %s for index %d is not an integer" % (hmax, i)
+            "height maximum %s for index %d is not an integer" % (Fraction(hmax, mn), i)
         )
-    eps = int(hmax)
-    level = hmax - 1
-    first = values.index(hmax)
-    last = len(values) - 1 - values[::-1].index(hmax)
+    level = hmax - mn
+    first = heights.index(hmax)
+    last = len(heights) - 1 - heights[::-1].index(hmax)
     e_minus = f_minus = None
-    if eps > 0:
+    if hmax > 0:
         j = first - 1
-        while values[j] > level:
+        while heights[j] > level:
             j -= 1
-        e_minus = _crossing(times, values, j, level)
-    if last < len(values) - 1:
-        j = last + 1
-        while values[j] > level:
+        p = -path.dirs[j][i]
+        e_minus = (times[j] * p + level - heights[j], p)
+    if last < len(heights) - 1:
+        j = last
+        while heights[j + 1] > level:
             j += 1
-        f_minus = _crossing(times, values, j - 1, level)
-    return HeightExtrema(hmax, eps, e_minus, times[first], times[last], f_minus, values[-1])
+        p = path.dirs[j][i]
+        f_minus = (times[j] * p + heights[j] - level, p)
+    cuts = (e_minus, (times[first], 1), (times[last], 1), f_minus)
+    return HeightExtrema(hmax // mn, (hmax - heights[-1]) // mn, path.n, cuts)
 
 
 def epsilon(cartan: AffineCartan, path: Path, i: int) -> int:
@@ -276,28 +301,29 @@ def epsilon(cartan: AffineCartan, path: Path, i: int) -> int:
 
 
 def phi(cartan: AffineCartan, path: Path, i: int) -> int:
-    ext = h_extrema(cartan, path, i)
-    return int(ext.max_value - ext.end)
+    return h_extrema(cartan, path, i).phi
 
 
 # -- root operators ----------------------------------------------------
 
 
 def _split_reflect(cartan, path, i, a, b):
-    """Reflect the stretch [a, b] of the path by the i-th reflection."""
-    out = []
-    t = Fraction(0)
-    for v, dur in path.segments:
-        lo, hi = t, t + dur
-        for x0, x1 in ((lo, min(hi, a)), (max(lo, a), min(hi, b)), (max(lo, b), hi)):
-            if x1 <= x0:
-                continue
-            piece = v if x1 - x0 == dur else v * ((x1 - x0) / dur)
-            if a <= x0 and x1 <= b:
-                piece = cartan.reflect(i, piece)
-            out.append((piece, x1 - x0))
-        t = hi
-    return _canonical(out, path.ambient, path.ncoords)
+    """Reflect the stretch between the cell times a and b by the i-th reflection."""
+    q = lcm(a[1], b[1])
+    lo, hi = a[0] * (q // a[1]), b[0] * (q // b[1])
+    # alpha_i; a classical direction zips away the null-root entry
+    root = [row[i] for row in cartan.matrix] + [int(i == 0)]
+    dirs, cells = [], []
+    t = 0
+    for d, c in zip(path.dirs, path.cells):
+        c *= q
+        for x0, x1 in ((t, min(t + c, lo)), (max(t, lo), min(t + c, hi)), (max(t, hi), t + c)):
+            if x1 > x0:
+                k = d[i] if lo <= x0 and x1 <= hi else 0
+                dirs.append(tuple(x - k * r for x, r in zip(d, root)) if k else d)
+                cells.append(x1 - x0)
+        t += c
+    return _grid_path(path.m, path.n * q, dirs, cells, path.ambient, path.ncoords, cartan._interned)
 
 
 def raising_op(cartan: AffineCartan, path: Path, i: int) -> Path | None:
@@ -305,15 +331,15 @@ def raising_op(cartan: AffineCartan, path: Path, i: int) -> Path | None:
     ext = h_extrema(cartan, path, i)
     if ext.eps == 0:
         return None
-    return _split_reflect(cartan, path, i, ext.e_minus, ext.e_plus)
+    return _split_reflect(cartan, path, i, ext.cuts[0], ext.cuts[1])
 
 
 def lowering_op(cartan: AffineCartan, path: Path, i: int) -> Path | None:
     """The lowering root operator; None when the maximum is last attained at 1."""
     ext = h_extrema(cartan, path, i)
-    if ext.f_plus == 1:
+    if ext.cuts[3] is None:
         return None
-    return _split_reflect(cartan, path, i, ext.f_plus, ext.f_minus)
+    return _split_reflect(cartan, path, i, ext.cuts[2], ext.cuts[3])
 
 
 def weyl_act(cartan: AffineCartan, path: Path, i: int) -> Path:
@@ -344,26 +370,27 @@ def concat(paths) -> Path:
             raise PathError("concatenation mixes ranks")
     movers = [p for p in paths if not p.is_constant]
     k = len(movers)
-    if k == 0:
-        return Path((), ambient, ncoords)
-    segs = [(v, t / k) for p in movers for v, t in p.segments]
-    return _canonical(segs, ambient, ncoords)
+    # each operand runs k times as fast on a common grid
+    m, n = lcm(*(p.m for p in movers)), lcm(*(p.n for p in movers))
+    dirs = [tuple(x * k * (m // p.m) for x in d) for p in movers for d in p.dirs]
+    cells = [c * (n // p.n) for p in movers for c in p.cells]
+    return _grid_path(m, k * n, dirs, cells, ambient, ncoords)
 
 
 def stretch(path: Path, n: int) -> Path:
     """Dilate the path by a positive integer factor."""
     if n < 1:
         raise PathError("stretch factor must be a positive integer")
-    return _canonical([(v * n, t) for v, t in path.segments], path.ambient, path.ncoords)
+    dirs = [tuple(x * n for x in d) for d in path.dirs]
+    return _grid_path(path.m, path.n, dirs, path.cells, path.ambient, path.ncoords)
 
 
 def project(path: Path) -> Path:
     """Kill the null-root component of every direction."""
     if path.ambient != "affine":
         raise AmbientError("path is already classical")
-    return _canonical(
-        [(v.classical(), t) for v, t in path.segments], "classical", path.ncoords
-    )
+    dirs = [d[:-1] for d in path.dirs]
+    return _grid_path(path.m, path.n, dirs, path.cells, "classical", path.ncoords)
 
 
 def segment_uniform(path: Path, n: int) -> list[Weight]:
@@ -375,23 +402,20 @@ def segment_uniform(path: Path, n: int) -> list[Weight]:
     if n < 1:
         raise PathError("grid size must be a positive integer")
     if path.is_constant:
-        return [_zero_weight(path.ambient, path.ncoords)] * n
+        return [path.weight()] * n
     out = []
-    t = Fraction(0)
-    for d, (_, dur) in zip(path.directions(), path.segments):
-        cells = dur * n
-        if cells.denominator != 1:
-            raise PathError(
-                "breakpoint %s is not a multiple of 1/%d" % (t + dur, n)
-            )
-        out.extend([d] * int(cells))
-        t += dur
+    t = 0
+    for d, c in zip(path.directions(), path.cells):
+        t += c
+        if c * n % path.n:
+            raise PathError("breakpoint %s is not a multiple of 1/%d" % (Fraction(t, path.n), n))
+        out.extend([d] * (c * n // path.n))
     return out
 
 
 def grid_size(path: Path) -> int:
     """Least n putting every breakpoint of the path on the 1/n grid."""
-    return lcm(*[t.denominator for t in path.breakpoints()])
+    return path.n
 
 
 class PathOps:
@@ -417,7 +441,7 @@ class PathOps:
 
     def strings(self, x: Path, i: int) -> tuple[int, int]:
         ext = h_extrema(self.cartan, x, i)
-        return ext.eps, int(ext.max_value - ext.end)
+        return ext.eps, ext.phi
 
     def e(self, x: Path, i: int):
         return raising_op(self.cartan, x, i)

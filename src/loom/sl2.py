@@ -241,6 +241,8 @@ def string_decompose(v: TensorVector) -> list[tuple[int, TensorVector]]:
         while not chain[-1].is_zero:
             chain.append(act_E(chain[-1]))
         smax = len(chain) - 2
+        if parts and smax >= parts[-1][0]:
+            raise ArithmeticError("string peeling did not shorten the longest string")
         top = chain[smax]
         mu = nu + 2 * smax
         denom = Q_ONE

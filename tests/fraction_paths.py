@@ -1,0 +1,116 @@
+"""Rational reference for the path kernel, used only by the tests.
+
+It works on the ``(displacement, duration)`` segments of a path with
+``Fraction`` times and the ``Weight`` arithmetic: heights at the
+breakpoints, crossing times by linear interpolation, a three-way split
+of every segment against the reflected interval, and a canonical form
+that drops pauses, rescales the durations and merges collinear
+neighbours.  The integer grid kernel in ``loom.paths`` must agree with
+it on every field.
+"""
+
+from collections import namedtuple
+from fractions import Fraction
+
+Extrema = namedtuple("Extrema", "max_value eps e_minus e_plus f_plus f_minus end")
+
+
+def height_values(cartan, path, i):
+    """Times and values of the height function at the breakpoints."""
+    times, values = [Fraction(0)], [Fraction(0)]
+    for v, t in path.segments:
+        times.append(times[-1] + t)
+        values.append(values[-1] - cartan.pairing(i, v))
+    if path.is_constant:
+        times.append(Fraction(1))
+        values.append(Fraction(0))
+    return times, values
+
+
+def _crossing(times, values, j, level):
+    t0, h0 = times[j], values[j]
+    return t0 + (level - h0) * (times[j + 1] - t0) / (values[j + 1] - h0)
+
+
+def h_extrema(cartan, path, i):
+    times, values = height_values(cartan, path, i)
+    hmax = max(values)
+    if hmax.denominator != 1:
+        raise ArithmeticError("non-integral height maximum")
+    level = hmax - 1
+    first = values.index(hmax)
+    last = len(values) - 1 - values[::-1].index(hmax)
+    e_minus = f_minus = None
+    if hmax > 0:
+        j = first - 1
+        while values[j] > level:
+            j -= 1
+        e_minus = _crossing(times, values, j, level)
+    if last < len(values) - 1:
+        j = last + 1
+        while values[j] > level:
+            j += 1
+        f_minus = _crossing(times, values, j - 1, level)
+    return Extrema(hmax, int(hmax), e_minus, times[first], times[last], f_minus, values[-1])
+
+
+def _flat(w):
+    return w.coords + ((w.delta,) if w.delta is not None else ())
+
+
+def _collinear(u, v):
+    uc, vc = _flat(u), _flat(v)
+    j = next(k for k, a in enumerate(uc) if a != 0)
+    return uc[j] * vc[j] > 0 and all(a * vc[j] == b * uc[j] for a, b in zip(uc, vc))
+
+
+def canonical(moves):
+    """Canonical ``(displacement, duration)`` segments through the moves."""
+    moves = [(v, t) for v, t in moves if not v.is_zero]
+    scale = sum(t for _, t in moves)
+    merged = []
+    for v, t in moves:
+        t = t / scale
+        if merged and _collinear(merged[-1][0], v):
+            merged[-1] = (merged[-1][0] + v, merged[-1][1] + t)
+        else:
+            merged.append((v, t))
+    return tuple(merged)
+
+
+def _reflect(cartan, i, v):
+    root = cartan.simple_root(i)
+    if v.is_classical:
+        root = root.classical()
+    return v - v.coords[i] * root
+
+
+def split_reflect(cartan, path, i, a, b):
+    """Segments of the path with the interval [a, b] reflected by s_i."""
+    out = []
+    t = Fraction(0)
+    for v, dur in path.segments:
+        lo, hi = t, t + dur
+        for x0, x1 in ((lo, min(hi, a)), (max(lo, a), min(hi, b)), (max(lo, b), hi)):
+            if x1 <= x0:
+                continue
+            piece = v * ((x1 - x0) / dur)
+            if a <= x0 and x1 <= b:
+                piece = _reflect(cartan, i, piece)
+            out.append((piece, x1 - x0))
+        t = hi
+    return canonical(out)
+
+
+def raising(cartan, path, i):
+    ext = h_extrema(cartan, path, i)
+    if ext.eps == 0:
+        return None
+    return split_reflect(cartan, path, i, ext.e_minus, ext.e_plus)
+
+
+def lowering(cartan, path, i):
+    ext = h_extrema(cartan, path, i)
+    if ext.f_plus == 1:
+        return None
+    return split_reflect(cartan, path, i, ext.f_plus, ext.f_minus)

@@ -86,6 +86,10 @@ def test_reflections(a1):
             assert a1.pairing(i, r) == -a1.pairing(i, w)
             if i != 0:
                 assert r.delta == w.delta
+            if w.coords[i] == 0:
+                assert r is w
+    # the simple roots are built once per cartan
+    assert a1.simple_root(0) is a1.simple_root(0)
 
 
 def test_node_zero_reflection_is_highest_root_reflection(a2, c2, b3):

@@ -6,8 +6,11 @@ import pytest
 from loom import (
     CrystalGraph,
     affinized_tensor_crystal,
+    build_cartan,
     c_class,
     concat,
+    energy_table,
+    fundamental_crystal,
     kappa,
     linear_path,
     path_crystal_window,
@@ -174,3 +177,19 @@ def test_m1_image_matches_piece(a1, a1_base, a1_energy):
         for k in aff.nodes if abs(k[1]) <= window - 1
     }
     assert inner_images == inner_piece
+
+
+@pytest.mark.parametrize("label,rank,m,window", [("A", 2, 4, 4), ("B", 3, 2, 2)])
+def test_psi_heights_match_single_point_kappa(label, rank, m, window):
+    # psi reads every height off two running sums; kappa is the
+    # single-point formula, recomputed on its own for each j
+    cartan = build_cartan(label, rank)
+    base = fundamental_crystal(cartan, 1)
+    table = energy_table(base)
+    assert table.grid == (2 if label == "B" else 1)
+    aff = affinized_tensor_crystal(base, m, window)
+    for factors, degree in aff.sorted_keys():
+        heights = psi(table, base, (factors, degree)).heights
+        assert len(heights) == table.grid * m + 1
+        for j, h in enumerate(heights):
+            assert h == kappa(table, base, factors, degree, j)

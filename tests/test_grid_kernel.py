@@ -1,0 +1,148 @@
+"""The integer grid kernel of loom.paths against the rational reference.
+
+``fraction_paths`` recomputes heights, split times and the reflected
+segments with ``Fraction`` arithmetic from a path's public segments; the
+kernel must agree with it field by field on every node and index of the
+fundamental crystals, their affine windows, and hand-built paths with
+non-integral directions, pauses and collinear neighbours.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+
+import fraction_paths as ref
+import loom.paths
+from loom import (
+    IntegralityError,
+    PathOps,
+    Weight,
+    build_cartan,
+    concat,
+    constant_path,
+    fundamental_crystal,
+    h_extrema,
+    linear_path,
+    lowering_op,
+    make_path,
+    path_crystal_window,
+    raising_op,
+    stretch,
+)
+
+FUNDAMENTALS = (("A", 2, 1), ("B", 3, 1), ("C", 2, 2), ("G2", 2, 1), ("D", 4, 2))
+
+
+def _assert_matches_reference(cartan, path, indices=None):
+    assert path.key() == tuple(v for v, _ in path.segments)
+    for i in cartan.indices if indices is None else indices:
+        ext, want = h_extrema(cartan, path, i), ref.h_extrema(cartan, path, i)
+        for name in want._fields:
+            assert getattr(ext, name) == getattr(want, name), (path, i, name)
+        assert ext.phi == want.max_value - want.end
+        for op, ref_op in ((raising_op, ref.raising), (lowering_op, ref.lowering)):
+            got, segs = op(cartan, path, i), ref_op(cartan, path, i)
+            if segs is None:
+                assert got is None, (path, i, op.__name__)
+            else:
+                assert got is not None and got.segments == segs, (path, i, op.__name__)
+                assert got.key() == tuple(v for v, _ in segs)
+
+
+@pytest.mark.parametrize("label,rank,i", FUNDAMENTALS)
+def test_classical_crystal_matches_reference(label, rank, i):
+    cartan = build_cartan(label, rank)
+    graph = fundamental_crystal(cartan, i)
+    for key in graph.sorted_keys():
+        _assert_matches_reference(cartan, graph.nodes[key].element)
+
+
+@pytest.mark.parametrize("label,rank,i", FUNDAMENTALS)
+def test_affine_window_matches_reference(label, rank, i):
+    cartan = build_cartan(label, rank)
+    graph = path_crystal_window(cartan, cartan.classical_fundamental(i, classical=False), 2)
+    for key in graph.sorted_keys():
+        _assert_matches_reference(cartan, graph.nodes[key].element)
+
+
+def test_collinear_neighbours_after_reflection_match_reference():
+    # a stretched path followed by another puts unequal collinear
+    # directions next to each other once a block is reflected
+    for label, rank, i in (("A", 2, 1), ("C", 2, 1), ("G2", 2, 1)):
+        cartan = build_cartan(label, rank)
+        base = fundamental_crystal(cartan, i)
+        paths = [base.nodes[k].element for k in base.sorted_keys()]
+        for a, b in itertools.product(paths, repeat=2):
+            _assert_matches_reference(cartan, concat([stretch(a, 2), b]))
+
+
+def test_hand_built_paths_match_reference():
+    a2 = build_cartan("A", 2)
+    w1, w2 = a2.classical_fundamental(1), a2.classical_fundamental(2)
+    zero = a2.zero_weight()
+    # directions 3/2 (w1 - w2) and 3/4 (w1 + w2) are not lattice weights
+    odd = [((w1 - w2) * Fraction(3, 2), Fraction(1, 3)),
+           ((w1 + w2) * Fraction(3, 4), Fraction(2, 3))]
+    paused = [(w1 * 4, Fraction(1, 4)), (zero, Fraction(1, 4)), (-w2 * 2, Fraction(1, 2))]
+    unequal = [(w1 * 2, Fraction(1, 2)), (w1 * 6, Fraction(1, 2)), (-w2, Fraction(0))]
+    for segs in (odd, paused, unequal):
+        path = make_path(segs)
+        moves = [(d * t, t) for d, t in segs if t]
+        assert path.segments == ref.canonical(moves)
+        integral = []
+        for i in a2.indices:
+            try:
+                ref.h_extrema(a2, path, i)
+            except ArithmeticError:
+                with pytest.raises(IntegralityError):
+                    h_extrema(a2, path, i)
+            else:
+                integral.append(i)
+        assert integral
+        _assert_matches_reference(a2, path, integral)
+    assert make_path(unequal).key() == (w1 * 4,)
+    assert make_path(odd).directions() == [(w1 - w2) * Fraction(3, 2), (w1 + w2) * Fraction(3, 4)]
+
+
+def test_constant_path_extrema():
+    for label, rank in (("A", 2), ("G2", 2)):
+        cartan = build_cartan(label, rank)
+        for classical in (True, False):
+            zero = constant_path(cartan, classical=classical)
+            for i in cartan.indices:
+                ext = h_extrema(cartan, zero, i)
+                assert ext.f_plus == 1 and ext.e_plus == 0 and ext.end == 0
+                assert ext.e_minus is None and ext.f_minus is None
+                assert raising_op(cartan, zero, i) is None
+                assert lowering_op(cartan, zero, i) is None
+            _assert_matches_reference(cartan, zero)
+
+
+def test_root_operators_reach_h_extrema(monkeypatch):
+    # perfbench counts calls at the loom.paths:h_extrema binding; an
+    # operator that bypassed it would leave that site without a call
+    a2 = build_cartan("A", 2)
+    path = linear_path(a2.classical_fundamental(1))
+    calls = []
+    original = loom.paths.h_extrema
+
+    def counting(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(loom.paths, "h_extrema", counting)
+    for run in (lambda: raising_op(a2, path, 0), lambda: lowering_op(a2, path, 1),
+                lambda: PathOps(a2).strings(path, 2)):
+        before = len(calls)
+        run()
+        assert len(calls) > before
+
+
+def test_weights_and_paths_have_no_instance_dict():
+    a2 = build_cartan("A", 2)
+    w = a2.classical_fundamental(1)
+    path = lowering_op(a2, linear_path(w), 1)
+    for obj in (w, w + w, -w, w * 2, Weight((1, 2, 3)), path, linear_path(w),
+                path.weight(), *path.key()):
+        assert not hasattr(obj, "__dict__"), type(obj)

@@ -25,7 +25,7 @@ from loom import (
     weyl_act,
 )
 from loom import Weight
-from loom.paths import height_values
+from fraction_paths import height_values
 
 
 def fund(cartan, i=1, classical=True):

@@ -1,7 +1,9 @@
 import itertools
+import time
 
 import pytest
 
+from loom import sl2
 from loom.qfield import Q_ONE, Q_ZERO, QScalar, qfact, qint
 from loom.sl2 import (
     HomogeneityError,
@@ -229,3 +231,15 @@ def test_not_in_lattice_detected():
     bad = basis((1, 1), (0, 0)).scale(Q_ONE / QScalar.q_power(1))
     with pytest.raises(NotInLatticeError):
         lattice.reduce_at_zero(bad)
+
+
+def test_string_decompose_fails_when_a_peel_does_not_shorten(monkeypatch):
+    # a divided power off by a factor q leaves the longest string as long
+    # as before; the peel must stop with an error instead of looping
+    right = sl2.act_F_div
+    monkeypatch.setattr(sl2, "act_F_div",
+                        lambda u, s: right(u, s).scale(QScalar.q_power(1)))
+    start = time.perf_counter()
+    with pytest.raises(ArithmeticError, match="did not shorten"):
+        string_decompose(basis((1, 1), (0, 1)))
+    assert time.perf_counter() - start < 30
