@@ -35,17 +35,15 @@ class EmbeddingError(ValueError):
 
 @dataclass(frozen=True)
 class PsiImage:
-    """Image of one affinised tensor element, with its turning points.
+    """Image of one affinised tensor element.
 
-    ``turning`` keeps the raw uniform turning points before the path is
-    put in canonical form, so the null-root heights stay auditable after
-    collinear stretches merge.
+    ``heights`` keeps the null-root heights of the raw uniform turning
+    points, so they stay auditable after collinear stretches merge.
     """
 
     source: tuple
     degree: int
     path: Path
-    turning: tuple[Weight, ...]
     heights: tuple[Fraction, ...]
 
 
@@ -90,18 +88,13 @@ def psi(table: EnergyTable, graph: CrystalGraph, element) -> PsiImage:
         late -= chi
 
     directions = [graph.nodes[k].wt.coords for k in word]
-    turning = [Weight((Fraction(0),) * len(directions[0]), Fraction(0))]
-    segs = []
-    for d, h0, h1 in zip(directions, heights, heights[1:]):
-        turning.append(Weight(tuple(a + b / grid for a, b in zip(turning[-1].coords, d)), h1))
-        segs.append((Weight(tuple(c * len(factors) for c in d), (h1 - h0) * total),
-                     Fraction(1, total)))
+    segs = [(Weight(tuple(c * len(factors) for c in d), (h1 - h0) * total), Fraction(1, total))
+            for d, h0, h1 in zip(directions, heights, heights[1:])]
     path = make_path(segs, ambient="affine", ncoords=len(directions[0]))
     return PsiImage(
         source=tuple(factors),
         degree=degree,
         path=path,
-        turning=tuple(turning),
         heights=tuple(heights),
     )
 
@@ -208,9 +201,27 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
                          *, node_cap=None) -> dict:
     """Windowed check that the embedding splits into the straight-seed pieces.
 
-    Generates the affinised tensor crystal and the path crystals of the
-    straight seeds inside the same window, then compares them on the
-    shrunken window, where every node still has all its neighbours.
+    Generates the affinised tensor crystal and, inside the same window,
+    the path crystals of the straight seeds m fw + r delta, and compares
+    them on the shrunken window |degree| <= window - 1, where every node
+    still has all its neighbours.  Piece r is the inner part of the seed
+    m fw + r delta; the first m pieces are the decomposition.  The checks:
+
+    - ``psi_injective``: distinct nodes have distinct image paths;
+    - ``psi_of_straight_seeds``: the seed tuple at degree n goes to the
+      straight path to m fw + n delta;
+    - ``psi_endpoint_law``: every image ends at its node's weight;
+    - ``pieces_pairwise_disjoint``: the union of the m pieces is as large
+      as their sizes summed;
+    - ``image_equals_union``: the inner image is that union;
+    - ``classes_match_pieces``: the inner image of class r is piece r;
+    - ``psi_preserves_operators``: every root operator on an inner image
+      gives the image of the graph's move, or None where the move does
+      not act; moves leaving the inner window are skipped;
+    - ``degree_shift_periodicity``: piece r + m equals piece r, for each
+      shifted seed inside the window;
+    - ``no_edge_crosses_classes``: every edge joins two nodes of one class.
+
     Returns a structured report; every check must pass for the verdict.
     """
     if window < 2:
@@ -221,144 +232,74 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
         # the periodicity check shifts each piece by m, out of the window
         raise EmbeddingError("tensor power %d exceeds the window %d" % (m, window))
 
-    checks = []
-
-    def check(name, ok, detail=""):
-        checks.append({"name": name, "pass": bool(ok), "detail": detail})
-
     base = fundamental_crystal(cartan, i, node_cap=node_cap)
     table = energy_table(base, node_cap=node_cap)
     aff = affinized_tensor_crystal(base, m, window, node_cap=node_cap)
-
-    images = {}
-    for key in aff.sorted_keys():
-        factors, degree = key
-        images[key] = psi(table, base, (factors, degree))
-
-    check(
-        "psi_injective",
-        len({img.path.key() for img in images.values()}) == len(images),
-        "%d nodes" % len(images),
-    )
-
     fw = cartan.classical_fundamental(i, classical=False)
     delta = cartan.null_root()
-    seed_ok = True
-    for n in range(-window, window + 1):
-        key = ((base.seed,) * m, n)
-        if key in images:
-            straight = linear_path(m * fw + n * delta)
-            seed_ok = seed_ok and images[key].path == straight
-    check("psi_of_straight_seeds", seed_ok)
-
-    end_ok = all(
-        img.path.weight() == Weight(aff.nodes[key].wt.coords, Fraction(key[1]))
-        for key, img in images.items()
-    )
-    check("psi_endpoint_law", end_ok)
-
     inner = window - 1
 
-    def inner_level(key):
-        return abs(key[1]) <= inner
+    keys = aff.sorted_keys()
+    images = {key: psi(table, base, key) for key in keys}
+    classes = {key: c_class(table, base, key, m) for key in keys}
+    inner_keys = [key for key in keys if abs(key[1]) <= inner]
 
-    pieces = {}
-    for n in range(m):
-        pieces[n] = path_crystal_window(
-            cartan, m * fw + n * delta, window, node_cap=node_cap
-        )
+    pieces = []
+    for r in range(min(2 * m, window + 1)):
+        piece = path_crystal_window(cartan, m * fw + r * delta, window, node_cap=node_cap)
+        pieces.append({k for k, node in piece.nodes.items() if abs(node.wt.delta) <= inner})
+    shifts = [(r - m, r) for r in range(m, len(pieces))]
 
-    image_keys = {
-        images[key].path.key() for key in images if inner_level(key)
-    }
-    piece_keys = {}
-    for n, piece in pieces.items():
-        piece_keys[n] = {
-            k for k in piece.nodes if abs(piece.nodes[k].wt.delta) <= inner
-        }
-
-    union = set()
-    disjoint = True
-    for n in range(m):
-        if union & piece_keys[n]:
-            disjoint = False
-        union |= piece_keys[n]
-    check("pieces_pairwise_disjoint", disjoint)
-    check(
-        "image_equals_union",
-        image_keys == union,
-        "image %d, union %d" % (len(image_keys), len(union)),
-    )
-
-    class_ok = True
-    for n in range(m):
-        sent = {
-            images[key].path.key()
-            for key in images
-            if inner_level(key) and c_class(table, base, key, m) == n
-        }
-        if sent != piece_keys[n]:
-            class_ok = False
-    check("classes_match_pieces", class_ok)
+    class_sets = [set() for _ in range(m)]
+    for key in inner_keys:
+        class_sets[classes[key]].add(images[key].path.key())
+    image = set().union(*class_sets)
+    union = set().union(*pieces[:m])
 
     morphism_ok = True
     # an inner key has every neighbour inside the window, so the graph's
     # edges are all the operator moves from it
-    for key in aff.sorted_keys():
-        if not inner_level(key):
-            continue
+    for key in inner_keys:
         for idx, kind, target in moves(aff, key):
+            if target is not None and abs(target[1]) > inner:
+                continue
             root_op = raising_op if kind == "e" else lowering_op
-            img_move = root_op(cartan, images[key].path, idx)
-            if target is None:
-                if img_move is not None:
-                    morphism_ok = False
-                continue
-            if not inner_level(target):
-                continue
-            if img_move is None or images[target].path != img_move:
+            want = None if target is None else images[target].path
+            if root_op(cartan, images[key].path, idx) != want:
                 morphism_ok = False
-    check("psi_preserves_operators", morphism_ok)
 
-    period_checked = []
-    period_ok = True
-    for n in range(m):
-        r = n + m
-        if r > window:
-            continue
-        shifted = path_crystal_window(
-            cartan, m * fw + r * delta, window, node_cap=node_cap
-        )
-        shifted_keys = {
-            k for k in shifted.nodes if abs(shifted.nodes[k].wt.delta) <= inner
-        }
-        if shifted_keys != piece_keys[n]:
-            period_ok = False
-        period_checked.append((n, r))
-    check(
-        "degree_shift_periodicity",
-        period_ok,
-        "checked %s" % (period_checked,),
-    )
-
-    class_edges_ok = all(
-        c_class(table, base, src, m) == c_class(table, base, dst, m)
-        for (src, _i), dst in aff.f_edges.items()
-    )
-    check("no_edge_crosses_classes", class_edges_ok)
-
+    checks = [
+        ("psi_injective",
+         len({img.path.key() for img in images.values()}) == len(images),
+         "%d nodes" % len(images)),
+        ("psi_of_straight_seeds",
+         all(images[((base.seed,) * m, n)].path == linear_path(m * fw + n * delta)
+             for n in range(-window, window + 1)), ""),
+        ("psi_endpoint_law",
+         all(img.path.weight() == aff.nodes[key].wt for key, img in images.items()), ""),
+        ("pieces_pairwise_disjoint", len(union) == sum(len(p) for p in pieces[:m]), ""),
+        ("image_equals_union", image == union,
+         "image %d, union %d" % (len(image), len(union))),
+        ("classes_match_pieces", class_sets == pieces[:m], ""),
+        ("psi_preserves_operators", morphism_ok, ""),
+        ("degree_shift_periodicity", all(pieces[r] == pieces[n] for n, r in shifts),
+         "checked %s" % (shifts,)),
+        ("no_edge_crosses_classes",
+         all(classes[src] == classes[dst] for (src, _i), dst in aff.f_edges.items()), ""),
+    ]
     return {
         "cartan": cartan.name,
         "i": i,
         "m": m,
         "window": window,
         "grid": table.grid,
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
+        "checks": [{"name": name, "pass": bool(ok), "detail": detail}
+                   for name, ok, detail in checks],
+        "pass": all(ok for _name, ok, _detail in checks),
         "counts": {
             "base": len(base),
             "affinized": len(aff),
-            "image_inner": len(image_keys),
-            "pieces_inner": {str(n): len(piece_keys[n]) for n in range(m)},
+            "image_inner": len(image),
+            "pieces_inner": {str(n): len(pieces[n]) for n in range(m)},
         },
     }

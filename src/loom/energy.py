@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .crystals import CrystalGraph, TensorOps, check_node_cap, moves
-from .paths import Path, grid_size, linear_path, segment_uniform
+from .paths import Path, grid_size, segment_uniform
 
 
 class EnergyError(ValueError):
@@ -131,20 +131,18 @@ def choose_grid(graph: CrystalGraph) -> int:
 def refine(graph: CrystalGraph, factors, grid: int) -> list:
     """Cut each tensor factor on the uniform grid into linear-path nodes.
 
-    Returns the keys, in order, of the grid * m linear paths; every
-    direction must already be a node of the underlying crystal.
+    Returns the keys ``(direction,)``, in order, of the grid * m linear
+    paths; every direction must already be a node of the underlying crystal.
     """
     keys = []
     for fkey in factors:
         element = graph.nodes[fkey].element
         for direction in segment_uniform(element, grid):
-            piece = linear_path(direction)
-            pkey = piece.key()
-            if pkey not in graph.nodes:
+            if (direction,) not in graph.nodes:
                 raise EnergyError(
                     "refined direction %r is not a crystal element" % (direction,)
                 )
-            keys.append(pkey)
+            keys.append((direction,))
     return keys
 
 

@@ -104,7 +104,7 @@ def suite_weyl(cartan: AffineCartan, i: int, **kw) -> dict:
             twice = weyl_act(cartan, weyl_act(cartan, path, j), j)
             if twice != path:
                 involution_ok = False
-            if len(path.segments) == 1 and path.segments[0][1] == 1:
+            if len(path.cells) == 1:
                 lam = path.weight()
                 if weyl_act(cartan, path, j) != linear_path(cartan.reflect(j, lam)):
                     linear_ok = False
@@ -156,7 +156,7 @@ def suite_concat(cartan: AffineCartan, i: int, **kw) -> dict:
         path = base.nodes[key].element
         if concat([path, constant_path(cartan)]) != path:
             unit_ok = False
-        if len(path.segments) == 1:
+        if len(path.cells) == 1:
             if concat([path, path]) != stretch(path, 2):
                 merge_ok = False
     rep.check("constant_is_identity", unit_ok)

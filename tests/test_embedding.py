@@ -58,7 +58,7 @@ def test_psi_fixtures(a1, a1_base, a1_energy):
     img = psi(a1_energy, a1_base, ((kp, kp), 0))
     assert img.path == linear_path(2 * fw)
     bent = psi(a1_energy, a1_base, ((kp, km), 0))
-    assert bent.turning[1] == fw - Fraction(1, 2) * delta
+    assert bent.path.key()[0] == fw - Fraction(1, 2) * delta
     assert bent.path.weight().is_zero
     assert bent.heights == (0, Fraction(-1, 2), 0)
 
@@ -193,3 +193,90 @@ def test_psi_heights_match_single_point_kappa(label, rank, m, window):
         assert len(heights) == table.grid * m + 1
         for j, h in enumerate(heights):
             assert h == kappa(table, base, factors, degree, j)
+
+
+
+CHECK_NAMES = [
+    "psi_injective", "psi_of_straight_seeds", "psi_endpoint_law", "pieces_pairwise_disjoint",
+    "image_equals_union", "classes_match_pieces", "psi_preserves_operators",
+    "degree_shift_periodicity", "no_edge_crosses_classes",
+]
+
+
+def _passing_checks(**details):
+    return [{"name": n, "pass": True, "detail": details.get(n, "")} for n in CHECK_NAMES]
+
+
+# full reports of the check-by-check implementation; C2 w2 runs on grid 2
+GOLDEN_REPORTS = [
+    (("A", 1, 1, 2, 3), {
+        "cartan": "A1", "i": 1, "m": 2, "window": 3, "grid": 1,
+        "checks": _passing_checks(psi_injective="28 nodes",
+                                  image_equals_union="image 20, union 20",
+                                  degree_shift_periodicity="checked [(0, 2), (1, 3)]"),
+        "pass": True,
+        "counts": {"base": 2, "affinized": 28, "image_inner": 20,
+                   "pieces_inner": {"0": 11, "1": 9}},
+    }),
+    (("C", 2, 2, 2, 2), {
+        "cartan": "C2", "i": 2, "m": 2, "window": 2, "grid": 2,
+        "checks": _passing_checks(psi_injective="125 nodes",
+                                  image_equals_union="image 75, union 75",
+                                  degree_shift_periodicity="checked [(0, 2)]"),
+        "pass": True,
+        "counts": {"base": 5, "affinized": 125, "image_inner": 75,
+                   "pieces_inner": {"0": 35, "1": 40}},
+    }),
+]
+
+
+@pytest.mark.parametrize("args,golden", GOLDEN_REPORTS)
+def test_decomposition_report_is_golden(args, golden):
+    label, rank, i, m, window = args
+    report = verify_decomposition(build_cartan(label, rank), i, m, window)
+    assert report == golden
+
+
+def _failing(report):
+    assert not report["pass"]
+    return {c["name"] for c in report["checks"] if not c["pass"]}
+
+
+def test_every_decomposition_check_can_fail(a1, monkeypatch):
+    import loom.embedding as emb
+
+    m, window = 2, 3
+    real_class, real_psi, real_window = emb.c_class, emb.psi, emb.path_crystal_window
+
+    def wrong_class(table, graph, element, m):
+        factors, degree = element
+        moved = degree == 0 and factors == (graph.seed,) * m
+        return (real_class(table, graph, element, m) + moved) % m
+
+    with monkeypatch.context() as mp:
+        mp.setattr(emb, "c_class", wrong_class)
+        failed = _failing(verify_decomposition(a1, 1, m, window))
+    assert {"classes_match_pieces", "no_edge_crosses_classes"} <= failed
+
+    def wrong_psi(table, graph, element):
+        # one non-seed key at degree 0 is sent to its image at degree 1
+        other = next(k for k in graph.sorted_keys() if k != graph.seed)
+        if element == ((graph.seed, other), 0):
+            element = ((graph.seed, other), 1)
+        return real_psi(table, graph, element)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(emb, "psi", wrong_psi)
+        failed = _failing(verify_decomposition(a1, 1, m, window))
+    assert {"psi_injective", "psi_preserves_operators"} <= failed
+
+    def wrong_shift(cartan, seed_weight, window, **kw):
+        # a piece shifted by m comes back shifted by m - 1, another class
+        if seed_weight.delta >= m:
+            seed_weight = seed_weight - a1.null_root()
+        return real_window(cartan, seed_weight, window, **kw)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(emb, "path_crystal_window", wrong_shift)
+        failed = _failing(verify_decomposition(a1, 1, m, window))
+    assert "degree_shift_periodicity" in failed
