@@ -12,6 +12,15 @@ gcd of the denominators, and not at all when they are coprime.  A gcd
 with a one-term operand is 1 and is not computed.  The only analytic
 operation the library needs is behaviour at the origin: the valuation,
 and exact evaluation when it is non-negative.
+
+A gcd is found by the heuristic GCDHEU (B. Char, K. Geddes, G. Gonnet,
+J. Symbolic Comput. 7, 1989): evaluate both polynomials at an integer
+xi >= 2 min(|a|, |b|) + 2, take the integer gcd of the two values and read
+a candidate off its balanced base-xi digits.  A candidate whose primitive
+part divides both operands exactly is their gcd, and the two divisions
+give the cofactors; a constant candidate proves them coprime.  After a
+few rejected rounds with growing xi the primitive pseudo-remainder
+sequence decides, so every gcd is exact and deterministic.
 """
 
 from __future__ import annotations
@@ -78,18 +87,22 @@ def _strip(a):
 
 
 def _pseudo_rem(a, b):
-    """Pseudo remainder of a by b over the integers."""
+    """A remainder of a by b over the integers, up to a nonzero factor."""
     a = list(a)
-    lead = b[-1]
-    while len(a) >= len(b) and _trim(a):
-        # scaling by the leading coefficient keeps the elimination integral
-        a = [lead * x for x in a]
-        factor = a[-1] // lead
-        shift = len(a) - len(b)
-        for k in range(len(b)):
-            a[shift + k] -= factor * b[k]
-        a = list(_trim(a))
-    return _trim(a)
+    lead, m = b[-1], len(b) - 1
+    for top in range(len(a) - 1, m - 1, -1):
+        c = a[top]
+        if not c:
+            continue
+        if c % lead:
+            # scaling by the leading coefficient keeps the elimination integral
+            a[:top] = [lead * x for x in a[:top]]
+            c *= lead
+        c //= lead
+        shift = top - m
+        for k in range(m):
+            a[shift + k] -= c * b[k]
+    return _trim(a[:m])
 
 
 def _igcd_poly(a, b):
@@ -104,23 +117,54 @@ def _igcd_poly(a, b):
 
 
 def _idivexact(a, b):
-    """Exact division of integer polynomials; b must divide a."""
+    """a / b for integer polynomials, or None when b does not divide a."""
     if not a:
         return ()
-    out = [0] * (len(a) - len(b) + 1)
+    n, m, lead = len(a) - len(b), len(b) - 1, b[-1]
+    if n < 0:
+        return None
+    out = [0] * (n + 1)
     rem = list(a)
-    for shift in range(len(a) - len(b), -1, -1):
-        coeff = rem[shift + len(b) - 1]
-        if coeff % b[-1] != 0:
-            raise ArithmeticError("division is not exact")
-        c = coeff // b[-1]
-        out[shift] = c
+    for shift in range(n, -1, -1):
+        c, r = divmod(rem[shift + m], lead)
+        if r:
+            return None
         if c:
-            for k in range(len(b)):
+            out[shift] = c
+            for k in range(m):
                 rem[shift + k] -= c * b[k]
-    if _trim(rem):
-        raise ArithmeticError("division is not exact")
-    return _trim(out)
+    return None if any(rem[:m]) else tuple(out)
+
+
+def _ieval(a, xi: int) -> int:
+    v = 0
+    for c in reversed(a):
+        v = v * xi + c
+    return v
+
+
+def _balanced_digits(h: int, xi: int):
+    """The polynomial whose value at xi is h, digits in (-xi/2, xi/2]."""
+    out = []
+    while h:
+        d = h % xi
+        if d > xi // 2:
+            d -= xi
+        out.append(d)
+        h = (h - d) // xi
+    return tuple(out)
+
+
+def _divides(g, a, b):
+    """(g, a / g, b / g) when g divides both a and b, else None."""
+    if g == (1,):
+        return g, a, b
+    qa = _idivexact(a, g)
+    qb = None if qa is None else _idivexact(b, g)
+    return None if qb is None else (g, qa, qb)
+
+
+_HEU_ROUNDS = 6
 
 
 def _cancel(a, b):
@@ -129,10 +173,19 @@ def _cancel(a, b):
         return (1,), a, b
     if a == b:
         return a, (1,), (1,)
-    g = _igcd_poly(a, b)
-    if len(g) == 1:
-        return g, a, b
-    return g, _idivexact(a, g), _idivexact(b, g)
+    # heuristic gcd: for xi >= 2 min(|a|, |b|) + 2, a candidate read off
+    # gcd(a(xi), b(xi)) that divides both a and b is their gcd
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(_HEU_ROUNDS):
+        h = gcd(_ieval(a, xi), _ieval(b, xi))
+        out = _divides(_primitive(_balanced_digits(h, xi)), a, b)
+        if out:
+            return out
+        xi = xi * 73794 // 27011
+    out = _divides(_igcd_poly(a, b), a, b)
+    if out is None:
+        raise ArithmeticError("polynomial gcd does not divide its operands")
+    return out
 
 
 @dataclass(frozen=True)

@@ -309,7 +309,13 @@ def singular_vector(t1: int, t2: int, r: int) -> TensorVector:
     return u
 
 
+def check_shape(t1: int, t2: int) -> None:
+    if t1 < 0 or t2 < 0:
+        raise ValueError("sl2 shape (%d, %d) needs t1, t2 >= 0" % (t1, t2))
+
+
 def singular_vectors(t1: int, t2: int) -> list[TensorVector]:
+    check_shape(t1, t2)
     return [singular_vector(t1, t2, r) for r in range(min(t1, t2) + 1)]
 
 
@@ -340,6 +346,7 @@ class StringLattice:
     """
 
     def __init__(self, t1: int, t2: int):
+        check_shape(t1, t2)
         self.shape = (t1, t2)
         self.singular = {r: singular_vector(t1, t2, r) for r in range(min(t1, t2) + 1)}
         self.strings: dict = {}
@@ -382,6 +389,9 @@ class StringLattice:
 
     def coords(self, v: TensorVector) -> dict:
         """Coordinates of v in the string basis, exact."""
+        if v.shape != self.shape:
+            raise ValueError("vector of shape %r in the string lattice of shape %r"
+                             % (v.shape, self.shape))
         out: dict = {}
         by_level: dict = {}
         for idx, c in v.coords:
@@ -446,6 +456,7 @@ def crystal_limit_table(t1: int, t2: int) -> dict:
 
 def origin_case_table(t1: int, t2: int) -> dict:
     """Four-case split of the origin action, decided by t1 against s1+s2."""
+    check_shape(t1, t2)
     table = {}
     for s1 in range(t1 + 1):
         for s2 in range(t2 + 1):
@@ -464,6 +475,7 @@ def origin_case_table(t1: int, t2: int) -> dict:
 
 def tensor_rule_table(t1: int, t2: int) -> dict:
     """Two-factor tensor rule on string tags, via the phi/eps comparison."""
+    check_shape(t1, t2)
     table = {}
     for s1 in range(t1 + 1):
         for s2 in range(t2 + 1):

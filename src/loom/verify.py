@@ -283,8 +283,7 @@ def suite_decompose(cartan: AffineCartan, i: int, power: int = 2, window: int = 
 
 
 def suite_sl2(t1: int, t2: int, *, node_cap=None) -> dict:
-    if t1 < 0 or t2 < 0:
-        raise ValueError("sl2 shape (%d, %d) needs t1, t2 >= 0" % (t1, t2))
+    sl2lab.check_shape(t1, t2)
     check_node_cap((t1 + 1) * (t2 + 1), node_cap,
                    "the %d x %d tags of the sl2 tensor" % (t1 + 1, t2 + 1))
     rep = Report("sl2", t1=t1, t2=t2)

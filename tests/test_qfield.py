@@ -183,3 +183,121 @@ def test_results_stay_canonical(monkeypatch):
         _assert_canonical(a)
         _assert_canonical(a - a)
     assert reduced["add"] > 0 and reduced["mul"] > 0
+
+
+def _prs_cancel(a, b, igcd=qfield._igcd_poly):
+    """The pseudo-remainder route: gcd by PRS, cofactors by exact division."""
+    g = igcd(a, b)
+    return g, qfield._idivexact(a, g), qfield._idivexact(b, g)
+
+
+def _canonical_poly(p):
+    """p as _cancel takes it: trimmed, primitive, positive leading coefficient."""
+    return qfield._primitive(qfield._trim(p))
+
+
+def _counting_prs(monkeypatch):
+    calls = []
+    prs = qfield._igcd_poly
+    monkeypatch.setattr(qfield, "_igcd_poly",
+                        lambda a, b: calls.append((a, b)) or prs(a, b))
+    return calls
+
+
+def test_heuristic_gcd_matches_prs_on_shared_factors(monkeypatch):
+    factors = [f for f in _FACTORS if f[0]]
+    rng = random.Random(7)
+    pairs = []
+    for _ in range(300):
+        shared, a, b = [1], [1], [1]
+        for _ in range(rng.randint(0, 3)):
+            shared = _pmul(shared, rng.choice(factors))
+        for _ in range(rng.randint(0, 3)):
+            a = _pmul(a, rng.choice(factors))
+        for _ in range(rng.randint(0, 3)):
+            b = _pmul(b, rng.choice(factors))
+        pairs.append((_canonical_poly(_pmul(shared, a)), _canonical_poly(_pmul(shared, b))))
+    expected = [_prs_cancel(a, b) for a, b in pairs]
+    fallbacks = _counting_prs(monkeypatch)
+    assert [qfield._cancel(a, b) for a, b in pairs] == expected
+    # every gcd here is proved by the division check alone
+    assert fallbacks == []
+    assert sum(len(g) > 1 for g, _, _ in expected) > 100
+
+
+def _dense(rng, degree, bound):
+    """Dense integer polynomial with nonzero constant and leading terms."""
+    p = [rng.randint(-bound, bound) for _ in range(degree + 1)]
+    p[0], p[-1] = p[0] or 1, p[-1] or 1
+    return p
+
+
+def test_heuristic_gcd_matches_prs_on_dense_polynomials():
+    rng = random.Random(19)
+    coprime = planted_found = 0
+    for n in range(200):
+        planted = _canonical_poly(_dense(rng, rng.randint(1, 4), 1000))
+        a = _canonical_poly(_pmul(planted, _dense(rng, rng.randint(0, 4), 1000)))
+        if n % 4:
+            b = _canonical_poly(_pmul(planted, _dense(rng, rng.randint(0, 4), 1000)))
+        else:
+            b = _canonical_poly(_dense(rng, rng.randint(1, 8), 10 ** 6))
+        g, qa, qb = qfield._cancel(a, b)
+        assert (g, qa, qb) == _prs_cancel(a, b)
+        assert _pmul(g, qa) == list(a) and _pmul(g, qb) == list(b)
+        coprime += g == (1,)
+        planted_found += qfield._idivexact(g, planted) is not None
+    assert coprime > 30 and planted_found >= 150
+
+
+def test_rejected_candidates_fall_back_to_prs(monkeypatch):
+    a = _canonical_poly(_pmul([1, 1], [1, 0, 1]))
+    b = _canonical_poly(_pmul([1, 1], [1, -1]))
+    expected = _prs_cancel(a, b)
+    assert expected == ((1, 1), (1, 0, 1), (-1, 1))
+    points = []
+    # a candidate of degree 7 divides neither operand, so every round rejects
+    monkeypatch.setattr(qfield, "_balanced_digits",
+                        lambda h, xi: points.append(xi) or (1,) * 8)
+    fallbacks = _counting_prs(monkeypatch)
+    assert qfield._cancel(a, b) == expected
+    assert len(points) == qfield._HEU_ROUNDS and points == sorted(set(points))
+    assert fallbacks == [(a, b)]
+    # a fallback gcd that does not divide is an error, not a silent result
+    monkeypatch.setattr(qfield, "_igcd_poly", lambda a, b: (1, 2))
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        qfield._cancel(a, b)
+
+
+def test_exact_division_rejects_non_divisors():
+    assert qfield._idivexact((1, 0, -1), (-1, 1)) == (-1, -1)
+    assert qfield._idivexact((), (1, 1)) == ()
+    assert qfield._idivexact((1, 0, 1), (1, 1)) is None
+    assert qfield._idivexact((1, 1), (1, 0, 1)) is None
+    assert qfield._idivexact((1, 2), (2,)) is None
+
+
+def _fraction_rem(a, b):
+    """Remainder of a by b over the rationals, by long division."""
+    rem = [Fraction(c) for c in a]
+    while len(rem) >= len(b) and any(rem):
+        c = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        for k, x in enumerate(b):
+            rem[shift + k] -= c * x
+        rem.pop()
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
+
+
+def test_pseudo_remainder_is_a_multiple_of_the_remainder():
+    rng = random.Random(23)
+    for _ in range(200):
+        a = qfield._trim(_dense(rng, rng.randint(0, 7), 50))
+        b = qfield._trim(_dense(rng, rng.randint(0, 4), 50))
+        r, ref = qfield._pseudo_rem(a, b), _fraction_rem(a, b)
+        assert len(r) == len(ref)
+        if r:
+            assert len({Fraction(x) / y for x, y in zip(r, ref) if x or y}) == 1
+            assert all((x == 0) == (y == 0) for x, y in zip(r, ref))

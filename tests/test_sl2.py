@@ -243,3 +243,28 @@ def test_string_decompose_fails_when_a_peel_does_not_shorten(monkeypatch):
     with pytest.raises(ArithmeticError, match="did not shorten"):
         string_decompose(basis((1, 1), (0, 1)))
     assert time.perf_counter() - start < 30
+
+
+@pytest.mark.parametrize("build", [
+    lambda: StringLattice(-1, 2),
+    lambda: crystal_limit_table(-1, 0),
+    lambda: crystal_limit_table(0, -2),
+    lambda: singular_vectors(-1, 3),
+    lambda: origin_case_table(2, -1),
+    lambda: tensor_rule_table(-3, 1),
+])
+def test_negative_shapes_rejected(build):
+    with pytest.raises(ValueError, match="needs t1, t2 >= 0"):
+        build()
+
+
+def test_lattice_rejects_vectors_of_another_shape():
+    lattice = StringLattice(1, 1)
+    # (1, 0) is a valid tag of both shapes, so only the shape tells them apart
+    with pytest.raises(ValueError, match="shape"):
+        lattice.origin_class(basis((1, 3), (1, 0)))
+    with pytest.raises(ValueError, match="shape"):
+        lattice.reduce_at_zero(basis((1, 3), (1, 0)))
+    # level 4 does not exist in the (1, 1) lattice
+    with pytest.raises(ValueError, match="shape"):
+        lattice.coords(basis((1, 3), (1, 3)))
