@@ -185,9 +185,9 @@ def test_results_stay_canonical(monkeypatch):
     assert reduced["add"] > 0 and reduced["mul"] > 0
 
 
-def _prs_cancel(a, b, igcd=qfield._igcd_poly):
+def _prs_cancel(a, b):
     """The pseudo-remainder route: gcd by PRS, cofactors by exact division."""
-    g = igcd(a, b)
+    g = qfield._igcd_poly(a, b)
     return g, qfield._idivexact(a, g), qfield._idivexact(b, g)
 
 
@@ -207,16 +207,18 @@ def _counting_prs(monkeypatch):
 def test_heuristic_gcd_matches_prs_on_shared_factors(monkeypatch):
     factors = [f for f in _FACTORS if f[0]]
     rng = random.Random(7)
+
+    def product():
+        p = [1]
+        for _ in range(rng.randint(0, 3)):
+            p = _pmul(p, rng.choice(factors))
+        return p
+
     pairs = []
     for _ in range(300):
-        shared, a, b = [1], [1], [1]
-        for _ in range(rng.randint(0, 3)):
-            shared = _pmul(shared, rng.choice(factors))
-        for _ in range(rng.randint(0, 3)):
-            a = _pmul(a, rng.choice(factors))
-        for _ in range(rng.randint(0, 3)):
-            b = _pmul(b, rng.choice(factors))
-        pairs.append((_canonical_poly(_pmul(shared, a)), _canonical_poly(_pmul(shared, b))))
+        shared = product()
+        pairs.append((_canonical_poly(_pmul(shared, product())),
+                      _canonical_poly(_pmul(shared, product()))))
     expected = [_prs_cancel(a, b) for a, b in pairs]
     fallbacks = _counting_prs(monkeypatch)
     assert [qfield._cancel(a, b) for a, b in pairs] == expected
