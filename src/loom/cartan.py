@@ -58,9 +58,9 @@ class Weight:
 
     ``delta`` is the null-root coefficient, or ``None`` for a weight of the
     classical quotient.  Weights sort lexicographically on their exact
-    coordinates; the order has no meaning beyond giving closure
-    generation a deterministic sweep.  The hash is computed once: weights
-    are the entries of every crystal node key.
+    coordinates; the order has no meaning beyond fixing the emission
+    order of crystal nodes.  The hash is computed once: weights are the
+    endpoints and directions of every path.
     """
 
     coords: tuple[Fraction, ...]

@@ -14,9 +14,10 @@ The tensor rule reads the coroot pairing of a factor's weight as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import gcd
 
 from .cartan import Weight
+from .paths import Stretch
 
 DEFAULT_NODE_CAP = 10**6
 
@@ -70,7 +71,12 @@ class CrystalGraph:
                 self.e_edges[(dst, i)] = src
 
     def sorted_keys(self) -> list:
-        return sorted(self.nodes)
+        """Node keys in the exact order of their stretches' weights, ranked once."""
+        found = set()
+        for k in self.nodes:
+            _map_stretches(k, found.add)
+        rank = {s: r for r, s in enumerate(sorted(found, key=Stretch.weight))}
+        return sorted(self.nodes, key=lambda k: _map_stretches(k, rank.__getitem__))
 
     def __len__(self):
         return len(self.nodes)
@@ -269,24 +275,31 @@ class CrystalGraph:
         lines = ["digraph crystal {"]
         for k in keys:
             lines.append('  "%s";' % ids[k])
-        for (s, i), d in sorted(self.f_edges.items(), key=lambda kv: (key_str(kv[0][0]), kv[0][1])):
+        for (s, i), d in sorted(self.f_edges.items(), key=lambda kv: (ids[kv[0][0]], kv[0][1])):
             color = palette[i % len(palette)]
             lines.append('  "%s" -> "%s" [label="%d", color="%s"];' % (ids[s], ids[d], i, color))
         lines.append("}")
         return "\n".join(lines) + "\n"
 
 
+def _map_stretches(key, fn):
+    """The nested tuples of key as lists, with fn applied to every stretch."""
+    if isinstance(key, Stretch):
+        return fn(key)
+    if isinstance(key, tuple):
+        # lists sort like tuples; freed tuples would linger on free lists and raise peak memory
+        return [_map_stretches(k, fn) for k in key]
+    return key
+
+
 def key_str(key) -> str:
-    """Deterministic compact rendering of a canonical key."""
+    """Deterministic compact rendering of a canonical key; a stretch as its weight."""
+    if isinstance(key, Stretch):
+        parts = ["%d/%d" % (x // g, key.den // g) for x in key.nums for g in (gcd(x, key.den),)]
+        body = ",".join(parts[:-1]) + "|" + parts[-1] if key.affine else ",".join(parts)
+        return "w[" + body + "]"
     if isinstance(key, tuple):
         return "(" + ",".join(key_str(k) for k in key) + ")"
-    if isinstance(key, Weight):
-        body = ",".join("%d/%d" % (c.numerator, c.denominator) for c in key.coords)
-        if key.delta is not None:
-            body += "|%d/%d" % (key.delta.numerator, key.delta.denominator)
-        return "w[" + body + "]"
-    if isinstance(key, Fraction):
-        return "%d/%d" % (key.numerator, key.denominator)
     return str(key)
 
 
@@ -303,7 +316,8 @@ def moves(ops, x):
 def generate(ops, seed, *, window=None, node_cap=None, label="") -> CrystalGraph:
     """Breadth-first closure of a seed under all raising and lowering maps.
 
-    Deterministic: frontiers are processed in sorted key order.
+    Deterministic: frontiers are processed in native key order, on which
+    neither the node set nor the edges depend.
     """
     if getattr(ops, "infinite", False) and window is None:
         raise GenerationError("an infinite kind needs an explicit window")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .crystals import CrystalGraph, TensorOps, check_node_cap, moves
-from .paths import Path, grid_size, segment_uniform
+from .paths import Path, grid_size, segment_uniform, stretch_key
 
 
 class EnergyError(ValueError):
@@ -131,18 +131,19 @@ def choose_grid(graph: CrystalGraph) -> int:
 def refine(graph: CrystalGraph, factors, grid: int) -> list:
     """Cut each tensor factor on the uniform grid into linear-path nodes.
 
-    Returns the keys ``(direction,)``, in order, of the grid * m linear
-    paths; every direction must already be a node of the underlying crystal.
+    Returns the keys, in order, of the grid * m linear paths along the
+    directions; each must already be a node of the underlying crystal.
     """
     keys = []
     for fkey in factors:
         element = graph.nodes[fkey].element
         for direction in segment_uniform(element, grid):
-            if (direction,) not in graph.nodes:
+            key = (stretch_key(direction),)
+            if key not in graph.nodes:
                 raise EnergyError(
                     "refined direction %r is not a crystal element" % (direction,)
                 )
-            keys.append((direction,))
+            keys.append(key)
     return keys
 
 

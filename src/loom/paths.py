@@ -6,7 +6,8 @@ integer direction ``d`` (null-root entry last when affine) and a cell
 count ``c``: the stretch runs along d / m for the time c / n.  Paths that
 differ only by a piecewise linear reparametrisation are equal: the
 displacements d c / (m n) are exactly the data a reparametrisation cannot
-touch, so they are the key for equality and hashing.
+touch.  Held as reduced integer :class:`Stretch` records, they are the
+key for equality and hashing, which runs on plain tuples of ints.
 
 The raising operator acts on the height function ``h(tau)``, the negated
 coroot pairing along the path.  It leaves the path alone until the last
@@ -43,12 +44,36 @@ class IntegralityError(PathError):
     """The height function has a non-integral maximum."""
 
 
+class Stretch(NamedTuple):
+    """Displacement ``nums / den`` in lowest terms; null-root entry last when affine."""
+
+    nums: tuple[int, ...]
+    den: int
+    affine: bool
+
+    def weight(self) -> Weight:
+        c = tuple(Fraction(x, self.den) for x in self.nums)
+        return _weight(c[:-1], c[-1]) if self.affine else _weight(c, None)
+
+
+def _stretch(nums, den: int, affine: bool) -> Stretch:
+    g = gcd(den, *nums)
+    return Stretch(tuple(x // g for x in nums), den // g, affine)
+
+
+def stretch_key(w: Weight) -> Stretch:
+    """The key entry of a straight stretch with displacement w."""
+    c = w.coords if w.delta is None else w.coords + (w.delta,)
+    den = lcm(*(x.denominator for x in c))
+    return Stretch(tuple(x.numerator * den // x.denominator for x in c), den, w.delta is not None)
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class Path:
     """Canonical path: stretch k runs along ``dirs[k] / m`` for ``cells[k] / n``.
 
-    Paths from the root operators of one cartan share their key weights
-    through ``interned``.
+    The key is one :class:`Stretch` per stretch.  Paths from the root
+    operators of one cartan share their accessors' weights through ``interned``.
     """
 
     m: int
@@ -64,28 +89,25 @@ class Path:
     def is_constant(self) -> bool:
         return not self.cells
 
-    def _as_weight(self, nums, den: int) -> Weight:
-        """The weight nums / den, shared through ``interned`` if there is one."""
-        g = gcd(den, *nums)
-        key = (tuple(x // g for x in nums), den // g)
+    def _as_weight(self, s: Stretch) -> Weight:
+        """The weight s stands for, shared through ``interned`` if there is one."""
         table = {} if self.interned is None else self.interned
-        w = table.get(key)
+        w = table.get(s)
         if w is None:
-            c = tuple(Fraction(x, key[1]) for x in key[0])
-            w = table[key] = _weight(c[: self.ncoords], c[-1] if self.ambient == "affine" else None)
+            w = table[s] = s.weight()
         return w
 
     def weight(self) -> Weight:
         """Endpoint of the path."""
         width = self.ncoords + (self.ambient == "affine")
         ends = [sum(d[k] * c for d, c in zip(self.dirs, self.cells)) for k in range(width)]
-        return self._as_weight(ends, self.m * self.n)
+        return self._as_weight(_stretch(ends, self.m * self.n, self.ambient == "affine"))
 
-    def key(self):
+    def key(self) -> tuple[Stretch, ...]:
         """Reparametrisation-invariant identity: the stretch displacements."""
         if self._key is None:
-            mn = self.m * self.n
-            key = tuple(self._as_weight([x * c for x in d], mn)
+            mn, affine = self.m * self.n, self.ambient == "affine"
+            key = tuple(_stretch([x * c for x in d], mn, affine)
                         for d, c in zip(self.dirs, self.cells))
             object.__setattr__(self, "_key", key)
         return self._key
@@ -93,7 +115,8 @@ class Path:
     @property
     def segments(self) -> tuple[tuple[Weight, Fraction], ...]:
         """``(displacement, duration)`` of each maximal straight stretch."""
-        return tuple(zip(self.key(), (Fraction(c, self.n) for c in self.cells)))
+        return tuple((self._as_weight(s), Fraction(c, self.n))
+                     for s, c in zip(self.key(), self.cells))
 
     def __eq__(self, other):
         return (isinstance(other, Path) and self.ambient == other.ambient
@@ -104,7 +127,7 @@ class Path:
 
     def directions(self) -> list[Weight]:
         """Derivative of the path on each stretch."""
-        return [self._as_weight(d, self.m) for d in self.dirs]
+        return [self._as_weight(_stretch(d, self.m, self.ambient == "affine")) for d in self.dirs]
 
     def breakpoints(self) -> list[Fraction]:
         """Cumulative times 0 = t_0 < ... < t_k = 1."""
@@ -449,7 +472,8 @@ class PathOps:
     def f(self, x: Path, i: int):
         return lowering_op(self.cartan, x, i)
 
-    def level(self, x: Path) -> Fraction:
+    def level(self, x: Path) -> int:
+        """Null-root entry of the endpoint, an integer since that is a lattice weight."""
         if self.ambient != "affine":
             raise AmbientError("classical paths have no null-root level")
-        return x.weight().delta
+        return sum(d[-1] * c for d, c in zip(x.dirs, x.cells)) // (x.m * x.n)

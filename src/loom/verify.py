@@ -266,7 +266,7 @@ def suite_psi(cartan: AffineCartan, i: int, power: int = 2, window: int = 3, **k
     straight_ok = True
     for n in range(-window, window + 1):
         key = ((base.seed,) * power, n)
-        if key in images and images[key].path != linear_path(power * fw + n * delta):
+        if key not in images or images[key].path != linear_path(power * fw + n * delta):
             straight_ok = False
     rep.check("straight_seeds", straight_ok)
     return rep.done()

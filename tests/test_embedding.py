@@ -21,6 +21,7 @@ from loom import (
 )
 from loom.crystals import moves
 from loom.embedding import EmbeddingError, tensor_power_crystal
+from loom.paths import stretch_key
 
 
 def a1_keys(a1):
@@ -58,7 +59,7 @@ def test_psi_fixtures(a1, a1_base, a1_energy):
     img = psi(a1_energy, a1_base, ((kp, kp), 0))
     assert img.path == linear_path(2 * fw)
     bent = psi(a1_energy, a1_base, ((kp, km), 0))
-    assert bent.path.key()[0] == fw - Fraction(1, 2) * delta
+    assert bent.path.key()[0] == stretch_key(fw - Fraction(1, 2) * delta)
     assert bent.path.weight().is_zero
     assert bent.heights == (0, Fraction(-1, 2), 0)
 

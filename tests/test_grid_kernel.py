@@ -30,12 +30,13 @@ from loom import (
     raising_op,
     stretch,
 )
+from loom.paths import stretch_key
 
 FUNDAMENTALS = (("A", 2, 1), ("B", 3, 1), ("C", 2, 2), ("G2", 2, 1), ("D", 4, 2))
 
 
 def _assert_matches_reference(cartan, path, indices=None):
-    assert path.key() == tuple(v for v, _ in path.segments)
+    assert path.key() == tuple(stretch_key(v) for v, _ in path.segments)
     for i in cartan.indices if indices is None else indices:
         ext, want = h_extrema(cartan, path, i), ref.h_extrema(cartan, path, i)
         for name in want._fields:
@@ -47,7 +48,7 @@ def _assert_matches_reference(cartan, path, indices=None):
                 assert got is None, (path, i, op.__name__)
             else:
                 assert got is not None and got.segments == segs, (path, i, op.__name__)
-                assert got.key() == tuple(v for v, _ in segs)
+                assert got.key() == tuple(stretch_key(v) for v, _ in segs)
 
 
 @pytest.mark.parametrize("label,rank,i", FUNDAMENTALS)
@@ -101,7 +102,7 @@ def test_hand_built_paths_match_reference():
                 integral.append(i)
         assert integral
         _assert_matches_reference(a2, path, integral)
-    assert make_path(unequal).key() == (w1 * 4,)
+    assert make_path(unequal).key() == (stretch_key(w1 * 4),)
     assert make_path(odd).directions() == [(w1 - w2) * Fraction(3, 2), (w1 + w2) * Fraction(3, 4)]
 
 

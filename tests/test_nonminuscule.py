@@ -139,3 +139,11 @@ def test_grid_divides_coroot_coefficient_bound(a1, a2, c2):
         bound = lcm(*[c[i - 1] for c in coroots if c[i - 1]])
         observed = choose_grid(fundamental_crystal(cartan, i))
         assert bound % observed == 0, (cartan.name, i, observed, bound)
+
+
+def test_decomposition_f4_fourth_node():
+    # counts measured on the Weight-keyed kernel before keys became integer
+    report = verify_decomposition(build_cartan("F4", 4), 4, 2, 2)
+    assert report["pass"], report
+    assert report["counts"] == {"base": 26, "affinized": 3380, "image_inner": 2028,
+                                "pieces_inner": {"0": 1001, "1": 1027}}

@@ -25,6 +25,7 @@ from loom import (
     weyl_act,
 )
 from loom import Weight
+from loom.paths import stretch_key
 from fraction_paths import height_values
 
 
@@ -299,7 +300,7 @@ def test_equality_up_to_reparametrization(a1):
     other = make_path([(3 * w, Fraction(1, 3)), (Fraction(3, 2) * u, Fraction(2, 3))])
     assert one == other
     assert hash(one) == hash(other)
-    assert one.key() == (w, u)
+    assert one.key() == (stretch_key(w), stretch_key(u))
 
 
 def test_pause_segments_are_dropped(a1):

@@ -1,5 +1,6 @@
 import pytest
 
+import loom.verify
 from loom.verify import SUITES, run_suite
 
 
@@ -39,6 +40,20 @@ def test_all_runs_everything():
         # xi runs on a window of at most two
         window = 2 if sub["suite"] == "xi" else 3
         assert sub["params"] == expected_params(sub["suite"], 3, window, 4, 1, 2)
+
+
+def test_psi_fails_on_a_missing_straight_seed(monkeypatch):
+    build = loom.verify.affinized_tensor_crystal
+
+    def without_seed(*args, **kw):
+        aff = build(*args, **kw)
+        del aff.nodes[aff.seed]
+        return aff
+
+    monkeypatch.setattr(loom.verify, "affinized_tensor_crystal", without_seed)
+    report = run_suite("psi", type_label="A", rank=1, i=1, power=2, window=2)
+    verdicts = {c["name"]: c["pass"] for c in report["checks"]}
+    assert verdicts == {"kappa_endpoints": True, "injective": True, "straight_seeds": False}
 
 
 def test_unknown_suite_rejected():
