@@ -158,13 +158,16 @@ def cmd_verify(args, parser) -> int:
     name = SUITE_ALIASES.get(args.suite, args.suite)
     if name != "all" and name not in SUITES:
         parser.error("unknown suite %r" % args.suite)
+    if None not in (args.m, args.power) and args.m != args.power:
+        parser.error("--m %d and --power %d disagree" % (args.m, args.power))
+    power = args.power if args.m is None else args.m
     try:
         report = run_suite(
             name,
             type_label=args.type,
             rank=args.rank,
             i=args.i,
-            power=args.m if args.m is not None else args.power,
+            power=2 if power is None else power,
             window=args.window if args.window is not None else 3,
             t1=args.t1,
             t2=args.t2,
@@ -222,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--type", default="A")
     ver.add_argument("--rank", type=int, default=1)
     ver.add_argument("--i", type=int, default=1)
-    ver.add_argument("--power", type=int, default=2)
+    ver.add_argument("--power", type=int, help="tensor power (default 2)")
     ver.add_argument("--m", type=int, help="alias for --power")
     ver.add_argument("--window", type=int)
     ver.add_argument("--t1", type=int, default=1)

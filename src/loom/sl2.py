@@ -266,17 +266,21 @@ def string_decompose(v: TensorVector) -> list[tuple[int, TensorVector]]:
     return parts
 
 
-def kashiwara_e(v: TensorVector) -> TensorVector:
+def kashiwara_e(v: TensorVector, *, parts=None) -> TensorVector:
+    """Send F^(s) u to F^(s-1) u on each part of the string decomposition of v
+    (s = 0 parts vanish).  ``parts`` must be ``string_decompose(v)``, passed by
+    a caller that already has it; with None, v is decomposed here."""
     out = TensorVector.zero(v.shape)
-    for s, u in string_decompose(v):
+    for s, u in string_decompose(v) if parts is None else parts:
         if s >= 1:
             out = out + act_F_div(u, s - 1)
     return out
 
 
-def kashiwara_f(v: TensorVector) -> TensorVector:
+def kashiwara_f(v: TensorVector, *, parts=None) -> TensorVector:
+    """Send F^(s) u to F^(s+1) u on each part; ``parts`` as for ``kashiwara_e``."""
     out = TensorVector.zero(v.shape)
-    for s, u in string_decompose(v):
+    for s, u in string_decompose(v) if parts is None else parts:
         out = out + act_F_div(u, s + 1)
     return out
 
@@ -320,7 +324,7 @@ def singular_vectors(t1: int, t2: int) -> list[TensorVector]:
 
 
 def _solve_square(matrix, rhs):
-    """Exact Gaussian elimination; matrix rows of QScalar, one solution."""
+    """Exact Gaussian elimination on copies of the QScalar rows; one solution."""
     n = len(matrix)
     a = [row[:] + [b] for row, b in zip(matrix, rhs)]
     for col in range(n):
@@ -375,6 +379,12 @@ class StringLattice:
         for level, tags in by_level.items():
             if len(tags) != len(self._dp_keys[level]):
                 raise ArithmeticError("string basis does not fill the level")
+        columns = {tag: vec.as_dict() for tag, vec in self.strings.items()}
+        self._matrices = {
+            level: [[columns[tag].get(key, Q_ZERO) for tag in tags]
+                    for key in self._dp_keys[level]]
+            for level, tags in by_level.items()
+        }
         self.class_of_string = {}
         self.string_of_class = {}
         for tag, vec in sorted(self.strings.items()):
@@ -397,15 +407,9 @@ class StringLattice:
         for idx, c in v.coords:
             by_level.setdefault(idx[0] + idx[1], {})[idx] = c
         for level, comp in by_level.items():
-            tags = self._levels[level]
-            keys = self._dp_keys[level]
-            matrix = [
-                [self.strings[tag].as_dict().get(key, Q_ZERO) for tag in tags]
-                for key in keys
-            ]
-            rhs = [comp.get(key, Q_ZERO) for key in keys]
-            sol = _solve_square(matrix, rhs)
-            for tag, c in zip(tags, sol):
+            rhs = [comp.get(key, Q_ZERO) for key in self._dp_keys[level]]
+            sol = _solve_square(self._matrices[level], rhs)
+            for tag, c in zip(self._levels[level], sol):
                 if not c.is_zero:
                     out[tag] = c
         return out
@@ -440,17 +444,19 @@ class StringLattice:
 def crystal_limit_table(t1: int, t2: int) -> dict:
     """Exact origin behaviour of both Kashiwara operators on every tag.
 
-    Maps ('e'|'f', s1, s2) to the resulting tag or None.  The arithmetic
-    is the ground truth; the four-case split and the two-factor tensor
-    rule are checked against it by the callers.
+    Maps ('e'|'f', s1, s2) to the resulting tag or None.  Each tag is
+    string-decomposed once and both operators read that decomposition.
+    The arithmetic is the ground truth; the four-case split and the
+    two-factor tensor rule are checked against it by the callers.
     """
     lattice = StringLattice(t1, t2)
     table = {}
     for s1 in range(t1 + 1):
         for s2 in range(t2 + 1):
             vec = TensorVector.basis((t1, t2), (s1, s2))
-            table[("e", s1, s2)] = lattice.origin_class(kashiwara_e(vec))
-            table[("f", s1, s2)] = lattice.origin_class(kashiwara_f(vec))
+            parts = string_decompose(vec)
+            table[("e", s1, s2)] = lattice.origin_class(kashiwara_e(vec, parts=parts))
+            table[("f", s1, s2)] = lattice.origin_class(kashiwara_f(vec, parts=parts))
     return table
 
 

@@ -303,9 +303,8 @@ def suite_sl2(t1: int, t2: int, *, node_cap=None) -> dict:
             relations_ok = False
     rep.check("defining_relations", relations_ok)
 
-    lattice = sl2lab.StringLattice(t1, t2)
     sing_ok = True
-    for r, u in lattice.singular.items():
+    for r, u in enumerate(sl2lab.singular_vectors(t1, t2)):
         if not sl2lab.act_E(u).is_zero:
             sing_ok = False
         if u.weight() != t1 + t2 - 2 * r:

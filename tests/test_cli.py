@@ -204,13 +204,23 @@ def test_bad_gen_input_exits_2(tmp_path, monkeypatch, env, argv):
     ["--suite", "energy", "--seeds", "0"],
     ["--suite", "decompose", "--m", "4", "--window", "3"],
     ["--suite", "energy", "--node-cap", "0"],
+    ["--suite", "normality", "--type", "A", "--rank", "2", "--power", "3", "--m", "2"],
 ], ids=["sl2-t1", "sl2-t2", "xi-window", "energy-seeds", "decompose-power-above-window",
-        "cap-zero"])
+        "cap-zero", "m-and-power-disagree"])
 def test_vacuous_verify_exits_2(tmp_path, argv):
     with pytest.raises(SystemExit) as err:
         main(["verify"] + argv + ["--out", str(tmp_path / "r.txt")])
     assert err.value.code == 2
     assert not (tmp_path / "r.txt").exists()
+
+
+def test_verify_power_and_its_alias(tmp_path):
+    argv = ["verify", "--suite", "normality", "--type", "A", "--rank", "2", "--json"]
+    power2 = {run(tmp_path, *argv, *extra) for extra in ([], ["--power", "2"], ["--m", "2"])}
+    power3 = {run(tmp_path, *argv, *extra)
+              for extra in (["--power", "3"], ["--m", "3"], ["--power", "3", "--m", "3"])}
+    assert len(power2) == len(power3) == 1 and power2 != power3
+    assert next(iter(power3))[0] == 0
 
 
 def test_deterministic_artifacts(tmp_path):

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from loom import sl2
+from loom import sl2, verify
 from loom.qfield import Q_ONE, Q_ZERO, QScalar, qfact, qint
 from loom.sl2 import (
     HomogeneityError,
@@ -224,6 +224,47 @@ def test_crystal_limit_matches_both_tables(t1, t2):
     table = crystal_limit_table(t1, t2)
     assert table == origin_case_table(t1, t2)
     assert table == tensor_rule_table(t1, t2)
+
+
+@pytest.mark.parametrize("shape", list(itertools.product(range(4), repeat=2))
+                         + [(1, 1, 1), (2, 1, 2)])
+def test_kashiwara_operators_accept_a_given_decomposition(shape):
+    for idx in itertools.product(*(range(t + 1) for t in shape)):
+        v = basis(shape, idx)
+        parts = string_decompose(v)
+        assert kashiwara_e(v, parts=parts) == kashiwara_e(v)
+        assert kashiwara_f(v, parts=parts) == kashiwara_f(v)
+
+
+def _count_calls(monkeypatch):
+    counts = {"string_decompose": 0, "kashiwara_e": 0, "kashiwara_f": 0, "lattice": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("string_decompose", "kashiwara_e", "kashiwara_f"):
+        monkeypatch.setattr(sl2, name, counted(name, getattr(sl2, name)))
+    monkeypatch.setattr(StringLattice, "__init__",
+                        counted("lattice", StringLattice.__init__))
+    return counts
+
+
+@pytest.mark.parametrize("t1,t2", [(2, 3), (4, 4)])
+def test_crystal_limit_decomposes_each_tag_once(monkeypatch, t1, t2):
+    counts = _count_calls(monkeypatch)
+    crystal_limit_table(t1, t2)
+    tags = (t1 + 1) * (t2 + 1)
+    assert counts == {"string_decompose": tags, "kashiwara_e": tags,
+                      "kashiwara_f": tags, "lattice": 1}
+
+
+def test_sl2_suite_builds_one_lattice(monkeypatch):
+    counts = _count_calls(monkeypatch)
+    assert verify.suite_sl2(2, 3)["pass"]
+    assert counts["lattice"] == 1
 
 
 def test_not_in_lattice_detected():
