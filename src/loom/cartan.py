@@ -59,23 +59,16 @@ class Weight:
     ``delta`` is the null-root coefficient, or ``None`` for a weight of the
     classical quotient.  Weights sort lexicographically on their exact
     coordinates; the order has no meaning beyond fixing the emission
-    order of crystal nodes.  The hash is computed once: weights are the
-    endpoints and directions of every path.
+    order of crystal nodes.
     """
 
     coords: tuple[Fraction, ...]
     delta: Fraction | None = None
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(frac(c) for c in self.coords))
         if self.delta is not None:
             object.__setattr__(self, "delta", frac(self.delta))
-
-    def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.coords, self.delta)))
-        return self._hash
 
     def _order_key(self):
         return (self.coords, self.delta is not None, self.delta or Fraction(0))
@@ -155,7 +148,7 @@ class Weight:
 def _weight(coords: tuple, delta) -> Weight:
     """A weight from coordinates that are already Fractions, skipping the checks."""
     w = object.__new__(Weight)
-    for name, value in (("coords", coords), ("delta", delta), ("_hash", None)):
+    for name, value in (("coords", coords), ("delta", delta)):
         object.__setattr__(w, name, value)
     return w
 

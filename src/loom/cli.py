@@ -94,8 +94,8 @@ def cmd_gen(args, parser) -> int:
     if args.power < 1:
         parser.error("--power must be positive")
     # every flag must reach the construction it is given to
-    if args.ls and (args.affinize or args.ambient == "affine" or args.power != 1):
-        parser.error("--ls takes no --affinize, --ambient affine or --power")
+    if args.ls and (args.affinize or args.ambient == "affine" or args.power != 1 or args.i != 1):
+        parser.error("--ls takes no --affinize, --ambient affine, --power or --i")
     if args.ambient == "affine" and (args.affinize or args.power != 1):
         parser.error("--ambient affine takes no --affinize or --power")
     if args.weight is not None and not args.ls:

@@ -62,13 +62,11 @@ class CrystalGraph:
     seed: object
     truncated: bool = False
     window: int | None = None
-    e_edges: dict = field(default_factory=dict)
+    e_edges: dict = field(init=False)
 
     def __post_init__(self):
         self._pos = {i: p for p, i in enumerate(self.indices)}
-        if not self.e_edges:
-            for (src, i), dst in self.f_edges.items():
-                self.e_edges[(dst, i)] = src
+        self.e_edges = {(dst, i): src for (src, i), dst in self.f_edges.items()}
 
     def sorted_keys(self) -> list:
         """Node keys in the exact order of their stretches' weights, ranked once."""

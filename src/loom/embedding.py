@@ -41,8 +41,6 @@ class PsiImage:
     points, so they stay auditable after collinear stretches merge.
     """
 
-    source: tuple
-    degree: int
     path: Path
     heights: tuple[Fraction, ...]
 
@@ -91,12 +89,7 @@ def psi(table: EnergyTable, graph: CrystalGraph, element) -> PsiImage:
     segs = [(Weight(tuple(c * len(factors) for c in d), (h1 - h0) * total), Fraction(1, total))
             for d, h0, h1 in zip(directions, heights, heights[1:])]
     path = make_path(segs, ambient="affine", ncoords=len(directions[0]))
-    return PsiImage(
-        source=tuple(factors),
-        degree=degree,
-        path=path,
-        heights=tuple(heights),
-    )
+    return PsiImage(path=path, heights=tuple(heights))
 
 
 def c_class(table: EnergyTable, graph: CrystalGraph, element, m: int) -> int:

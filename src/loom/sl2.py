@@ -13,6 +13,10 @@ raising action, so the two routes police each other.
 The lowering divided power ``act_F_div`` is closed form, with Laurent
 coefficients from the coproduct (G. Lusztig, Introduction to Quantum
 Groups, 1993); the raising ``act_E_div`` applies ``act_E`` r times.
+
+The combinatorial tensor rule that the crystal limit is checked against
+is not restated here: ``tensor_rule_table`` reads ``crystals.TensorOps``
+over the string crystals B(t1) and B(t2).
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .crystals import CrystalGraph, Node, TensorOps, moves
 from .qfield import Q_ONE, Q_ZERO, QScalar, qbinom, qfact, qint
 
 
@@ -446,8 +451,9 @@ def crystal_limit_table(t1: int, t2: int) -> dict:
 
     Maps ('e'|'f', s1, s2) to the resulting tag or None.  Each tag is
     string-decomposed once and both operators read that decomposition.
-    The arithmetic is the ground truth; the four-case split and the
-    two-factor tensor rule are checked against it by the callers.
+    The arithmetic is the ground truth; the callers check against it the
+    four-case split and the production tensor rule, ``crystals.TensorOps``
+    as read by ``tensor_rule_table``.
     """
     lattice = StringLattice(t1, t2)
     table = {}
@@ -479,21 +485,20 @@ def origin_case_table(t1: int, t2: int) -> dict:
     return table
 
 
+def _string_chain(t: int) -> CrystalGraph:
+    """B(t) on tags 0..t: tag s has eps s, phi t - s and weight t - 2s."""
+    nodes = {s: Node(s, t - 2 * s, (s,), (t - s,)) for s in range(t + 1)}
+    f_edges = {(s, 1): s + 1 for s in range(t)}
+    return CrystalGraph("B(%d)" % t, (1,), nodes, f_edges, 0)
+
+
 def tensor_rule_table(t1: int, t2: int) -> dict:
-    """Two-factor tensor rule on string tags, via the phi/eps comparison."""
+    """Two-factor tensor rule on string tags, read from ``crystals.TensorOps``."""
     check_shape(t1, t2)
-    table = {}
-    for s1 in range(t1 + 1):
-        for s2 in range(t2 + 1):
-            phi1, eps2 = t1 - s1, s2
-            if phi1 >= eps2:
-                e = (s1 - 1, s2) if s1 >= 1 else None
-            else:
-                e = (s1, s2 - 1) if s2 >= 1 else None
-            if phi1 > eps2:
-                f = (s1 + 1, s2) if s1 + 1 <= t1 else None
-            else:
-                f = (s1, s2 + 1) if s2 + 1 <= t2 else None
-            table[("e", s1, s2)] = e
-            table[("f", s1, s2)] = f
-    return table
+    ops = TensorOps([_string_chain(t1), _string_chain(t2)])
+    return {
+        (kind, s1, s2): target
+        for s1 in range(t1 + 1)
+        for s2 in range(t2 + 1)
+        for _, kind, target in moves(ops, (s1, s2))
+    }

@@ -42,6 +42,9 @@ from .paths import (
 )
 from . import sl2 as sl2lab
 
+# stretch factors n for which suite_stretch checks e_j^n(stretch(b, n)) = stretch(e_j b, n)
+STRETCH_FACTORS = (2, 3)
+
 
 class Report:
     def __init__(self, suite: str, **params):
@@ -113,14 +116,14 @@ def suite_weyl(cartan: AffineCartan, i: int, **kw) -> dict:
     return rep.done()
 
 
-def suite_stretch(cartan: AffineCartan, i: int, factors=(2, 3), **kw) -> dict:
-    rep = Report("stretch", type=cartan.name, i=i, factors=list(factors))
+def suite_stretch(cartan: AffineCartan, i: int, **kw) -> dict:
+    rep = Report("stretch", type=cartan.name, i=i, factors=list(STRETCH_FACTORS))
     base = fundamental_crystal(cartan, i, **kw)
     ok = True
     for key in base.sorted_keys():
         path = base.nodes[key].element
         for j in cartan.indices:
-            for n in factors:
+            for n in STRETCH_FACTORS:
                 lifted = raising_op(cartan, path, j)
                 big = stretch(path, n)
                 for _ in range(n):

@@ -176,6 +176,7 @@ def test_errors_print_subcommand_usage(tmp_path, capsys):
     (None, ["--ls", "--weight", "w1", "--window", "2", "--ambient", "affine"]),
     (None, ["--ls", "--weight", "w1", "--window", "2", "--power", "3"]),
     (None, ["--ls", "--weight", "w1", "--window", "2", "--affinize", "--power", "3"]),
+    (None, ["--ls", "--weight", "w1", "--window", "1", "--i", "7"]),
     (None, ["--ambient", "affine", "--window", "2", "--affinize"]),
     (None, ["--ambient", "affine", "--window", "2", "--power", "2"]),
     (None, ["--weight", "w1"]),
@@ -185,7 +186,7 @@ def test_errors_print_subcommand_usage(tmp_path, capsys):
 ], ids=["cap-env-not-int", "affine-window", "affinize-window", "power", "affinize-power",
         "weight-unsigned-terms", "weight-unsigned-null-root", "weight-empty",
         "weight-blank", "cap-zero", "cap-negative", "cap-env-zero", "cap-env-negative",
-        "ls-affinize", "ls-affine", "ls-power", "ls-affinize-power", "affine-affinize",
+        "ls-affinize", "ls-affine", "ls-power", "ls-affinize-power", "ls-i", "affine-affinize",
         "affine-power", "weight-alone", "weight-affine", "window-classical",
         "window-power"])
 def test_bad_gen_input_exits_2(tmp_path, monkeypatch, env, argv):

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from loom import sl2, verify
+from loom.crystals import TensorOps
 from loom.qfield import Q_ONE, Q_ZERO, QScalar, qfact, qint
 from loom.sl2 import (
     HomogeneityError,
@@ -234,6 +235,41 @@ def test_kashiwara_operators_accept_a_given_decomposition(shape):
         parts = string_decompose(v)
         assert kashiwara_e(v, parts=parts) == kashiwara_e(v)
         assert kashiwara_f(v, parts=parts) == kashiwara_f(v)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 1, 2), (2, 2, 2), (1, 1, 1, 1)])
+def test_kashiwara_operators_follow_the_tensor_rule_at_the_origin(shape):
+    # the tensor basis spans the crystal lattice of a tensor of simple modules,
+    # so each image reduces at q = 0 to the tensor rule's move, or to zero
+    ops = TensorOps([sl2._string_chain(t) for t in shape])
+    for idx in itertools.product(*(range(t + 1) for t in shape)):
+        v = basis(shape, idx)
+        parts = string_decompose(v)
+        for image, move in ((kashiwara_e(v, parts=parts), ops.e(idx, 1)),
+                            (kashiwara_f(v, parts=parts), ops.f(idx, 1))):
+            assert all(c.regular_at_zero for _, c in image.coords)
+            limit = {tag: c.at_zero() for tag, c in image.coords if c.at_zero() != 0}
+            assert set(limit.values()) <= {1} and len(limit) <= 1
+            assert next(iter(limit), None) == move
+
+
+def test_string_chain_is_a_normal_crystal():
+    chain = sl2._string_chain(3)
+    assert chain.normality_audit() == []
+    assert [chain.wt(s) for s in chain.nodes] == [3, 1, -1, -3]
+
+
+def test_sl2_suite_reads_the_production_tensor_rule(monkeypatch):
+    def rightmost_e(self, b, i):
+        vals = self._string_funcs(b, i)[0]
+        k = len(vals) - 1 - vals[::-1].index(max(vals))
+        moved = self.components[k].e(b[k], i)
+        return None if moved is None else b[:k] + (moved,) + b[k + 1:]
+
+    monkeypatch.setattr(TensorOps, "e", rightmost_e)
+    checks = {c["name"]: c["pass"] for c in verify.suite_sl2(2, 3)["checks"]}
+    assert checks["matches_case_split"]
+    assert not checks["matches_tensor_rule"]
 
 
 def _count_calls(monkeypatch):
