@@ -9,6 +9,7 @@ configuration, 3 node cap exceeded.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import re
@@ -154,26 +155,31 @@ def cmd_gen(args, parser) -> int:
     return 0
 
 
+# the suite parameter that reads each verify flag; --type and --rank make the cartan
+FLAG_PARAMS = {"type": "cartan", "rank": "cartan", "i": "i", "power": "power", "m": "power",
+               "window": "window", "t1": "t1", "t2": "t2", "seeds": "seeds"}
+
+
 def cmd_verify(args, parser) -> int:
     name = SUITE_ALIASES.get(args.suite, args.suite)
-    if name != "all" and name not in SUITES:
-        parser.error("unknown suite %r" % args.suite)
+    if name != "all":
+        if name not in SUITES:
+            parser.error("unknown suite %r" % args.suite)
+        # every flag must reach the suite it is given to, as on gen
+        reads = inspect.signature(SUITES[name]).parameters
+        stray = ["--" + flag for flag, param in FLAG_PARAMS.items()
+                 if getattr(args, flag) is not None and param not in reads]
+        if stray:
+            parser.error("--suite %s reads no %s" % (args.suite, ", ".join(stray)))
     if None not in (args.m, args.power) and args.m != args.power:
         parser.error("--m %d and --power %d disagree" % (args.m, args.power))
-    power = args.power if args.m is None else args.m
+    params = {"type_label": args.type, "rank": args.rank, "i": args.i,
+              "power": args.power if args.m is None else args.m, "window": args.window,
+              "t1": args.t1, "t2": args.t2, "seeds": args.seeds}
     try:
-        report = run_suite(
-            name,
-            type_label=args.type,
-            rank=args.rank,
-            i=args.i,
-            power=2 if power is None else power,
-            window=args.window if args.window is not None else 3,
-            t1=args.t1,
-            t2=args.t2,
-            seeds=args.seeds,
-            node_cap=_node_cap(args, parser),
-        )
+        # a flag not given takes run_suite's default
+        report = run_suite(name, **{k: v for k, v in params.items() if v is not None},
+                           node_cap=_node_cap(args, parser))
     except NodeCapError as err:
         sys.stderr.write("error: %s\n" % err)
         return 3
@@ -222,15 +228,16 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("--suite", required=True,
                      help="one of %s, an alias, or 'all'" % ", ".join(sorted(SUITES)))
-    ver.add_argument("--type", default="A")
-    ver.add_argument("--rank", type=int, default=1)
-    ver.add_argument("--i", type=int, default=1)
+    # no defaults here: cmd_verify must see which flags were given
+    ver.add_argument("--type", help="default A")
+    ver.add_argument("--rank", type=int, help="default 1")
+    ver.add_argument("--i", type=int, help="default 1")
     ver.add_argument("--power", type=int, help="tensor power (default 2)")
     ver.add_argument("--m", type=int, help="alias for --power")
-    ver.add_argument("--window", type=int)
-    ver.add_argument("--t1", type=int, default=1)
-    ver.add_argument("--t2", type=int, default=1)
-    ver.add_argument("--seeds", type=int, default=20)
+    ver.add_argument("--window", type=int, help="default 3")
+    ver.add_argument("--t1", type=int, help="default 1")
+    ver.add_argument("--t2", type=int, help="default 1")
+    ver.add_argument("--seeds", type=int, help="default 20")
     ver.add_argument("--json", action="store_true")
     ver.add_argument("--out")
     ver.add_argument("--threads", type=int, default=1,

@@ -2,7 +2,10 @@
 
 An element kind ("ops" object) exposes ``indices``, ``key``, ``wt``,
 ``strings``, ``e`` and ``f``; ``strings(x, i)`` returns the string
-lengths ``(eps, phi)`` of x for index i in one call.  Infinite kinds also
+lengths ``(eps, phi)`` of x for index i in one call.  ``strings``, ``e``
+and ``f`` on the same (x, i), asked back to back, cost one scan: a kind
+keeps its last scan, matched by the identity of x, and
+:func:`generate` asks all three per (node, index).  Infinite kinds also
 expose ``level`` and are generated inside an explicit window on the
 absolute level.  Closure generation, the tensor product rule, audits and
 labelled-graph isomorphism all work against that surface, so paths,
@@ -315,7 +318,9 @@ def generate(ops, seed, *, window=None, node_cap=None, label="") -> CrystalGraph
     """Breadth-first closure of a seed under all raising and lowering maps.
 
     Deterministic: frontiers are processed in native key order, on which
-    neither the node set nor the edges depend.
+    neither the node set nor the edges depend.  A node's strings are read
+    when it is processed, next to its moves, so each (node, index) costs
+    the kind one scan.
     """
     if getattr(ops, "infinite", False) and window is None:
         raise GenerationError("an infinite kind needs an explicit window")
@@ -329,41 +334,39 @@ def generate(ops, seed, *, window=None, node_cap=None, label="") -> CrystalGraph
         raise GenerationError("seed lies outside the window")
 
     idx = ops.indices
-
-    def node(x):
-        eps, phi = zip(*(ops.strings(x, i) for i in idx))
-        return Node(x, ops.wt(x), eps, phi)
-
     seed_key = ops.key(seed)
-    nodes = {seed_key: node(seed)}
+    # the only key set: an element when found, its Node once processed
+    nodes = {seed_key: seed}
     f_edges: dict = {}
     truncated = False
-    frontier = [(seed_key, seed)]
+    frontier = [seed_key]
     while frontier:
-        frontier.sort(key=lambda kv: kv[0])
-        fresh: dict = {}
-        for key, x in frontier:
-            for i, kind, y in moves(ops, x):
-                if y is None:
-                    continue
-                if not in_window(y):
-                    truncated = True
-                    continue
-                ykey = ops.key(y)
-                if ykey not in nodes and ykey not in fresh:
-                    fresh[ykey] = y
-                edge = (key, i) if kind == "f" else (ykey, i)
-                dst = ykey if kind == "f" else key
-                if f_edges.setdefault(edge, dst) != dst:
-                    raise GenerationError(
-                        "conflicting lowering edges at %r, i=%d" % (edge[0], i)
-                    )
-        frontier = []
-        for ykey in sorted(fresh):
-            y = fresh[ykey]
-            nodes[ykey] = node(y)
-            frontier.append((ykey, y))
-            check_node_cap(len(nodes), node_cap, "closure")
+        fresh = []
+        for key in sorted(frontier):
+            x = nodes[key]
+            strings = []
+            for i in idx:
+                strings.append(ops.strings(x, i))
+                for kind, y in (("e", ops.e(x, i)), ("f", ops.f(x, i))):
+                    if y is None:
+                        continue
+                    if not in_window(y):
+                        truncated = True
+                        continue
+                    ykey = ops.key(y)
+                    if ykey not in nodes:
+                        nodes[ykey] = y
+                        fresh.append(ykey)
+                        check_node_cap(len(nodes), node_cap, "closure")
+                    edge = (key, i) if kind == "f" else (ykey, i)
+                    dst = ykey if kind == "f" else key
+                    if f_edges.setdefault(edge, dst) != dst:
+                        raise GenerationError(
+                            "conflicting lowering edges at %r, i=%d" % (edge[0], i)
+                        )
+            eps, phi = zip(*strings)
+            nodes[key] = Node(x, ops.wt(x), eps, phi)
+        frontier = fresh
     return CrystalGraph(
         label=label, indices=tuple(idx), nodes=nodes, f_edges=f_edges,
         seed=seed_key, truncated=truncated, window=window,
@@ -387,6 +390,7 @@ class TensorOps:
             if tuple(c.indices) != tuple(self.indices):
                 raise GenerationError("tensor factors have different index sets")
         self.infinite = any(getattr(c, "infinite", False) for c in self.components)
+        self._last = (None, None, None, None)
 
     def key(self, b):
         return tuple(c.key(x) for c, x in zip(self.components, b))
@@ -400,12 +404,16 @@ class TensorOps:
 
     def _string_funcs(self, b, i):
         # <h_i, wt(x)> of a factor is phi(x, i) - eps(x, i); shift ends as their sum
+        last = self._last
+        if last[0] is b and last[1] == i:
+            return last[2], last[3]
         vals = []
         shift = 0
         for c, x in zip(self.components, b):
             eps, phi = c.strings(x, i)
             vals.append(eps - shift)
             shift += phi - eps
+        self._last = (b, i, vals, shift)
         return vals, shift
 
     def strings(self, b, i):

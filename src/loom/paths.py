@@ -349,17 +349,19 @@ def _split_reflect(cartan, path, i, a, b):
     return _grid_path(path.m, path.n * q, dirs, cells, path.ambient, path.ncoords, cartan._interned)
 
 
-def raising_op(cartan: AffineCartan, path: Path, i: int) -> Path | None:
+def raising_op(cartan: AffineCartan, path: Path, i: int,
+               ext: HeightExtrema | None = None) -> Path | None:
     """The raising root operator; None when the height maximum is zero."""
-    ext = h_extrema(cartan, path, i)
+    ext = ext or h_extrema(cartan, path, i)
     if ext.eps == 0:
         return None
     return _split_reflect(cartan, path, i, ext.cuts[0], ext.cuts[1])
 
 
-def lowering_op(cartan: AffineCartan, path: Path, i: int) -> Path | None:
+def lowering_op(cartan: AffineCartan, path: Path, i: int,
+                ext: HeightExtrema | None = None) -> Path | None:
     """The lowering root operator; None when the maximum is last attained at 1."""
-    ext = h_extrema(cartan, path, i)
+    ext = ext or h_extrema(cartan, path, i)
     if ext.cuts[3] is None:
         return None
     return _split_reflect(cartan, path, i, ext.cuts[2], ext.cuts[3])
@@ -451,6 +453,7 @@ class PathOps:
         self.ambient = ambient
         self.indices = tuple(cartan.indices)
         self.infinite = ambient == "affine"
+        self._last = (None, None, None)
 
     def key(self, x: Path):
         # the ambient decides whether closure needs a window, so a stray
@@ -462,15 +465,22 @@ class PathOps:
     def wt(self, x: Path) -> Weight:
         return x.weight()
 
+    def _extrema(self, x: Path, i: int) -> HeightExtrema:
+        """The h_extrema of (x, i) the root operators take, kept for the next call on it."""
+        last = self._last
+        if last[0] is not x or last[1] != i:
+            last = self._last = (x, i, h_extrema(self.cartan, x, i))
+        return last[2]
+
     def strings(self, x: Path, i: int) -> tuple[int, int]:
-        ext = h_extrema(self.cartan, x, i)
+        ext = self._extrema(x, i)
         return ext.eps, ext.phi
 
     def e(self, x: Path, i: int):
-        return raising_op(self.cartan, x, i)
+        return raising_op(self.cartan, x, i, self._extrema(x, i))
 
     def f(self, x: Path, i: int):
-        return lowering_op(self.cartan, x, i)
+        return lowering_op(self.cartan, x, i, self._extrema(x, i))
 
     def level(self, x: Path) -> int:
         """Null-root entry of the endpoint, an integer since that is a lattice weight."""

@@ -125,8 +125,7 @@ def test_power_over_node_cap_exit_code(tmp_path, monkeypatch, argv):
     monkeypatch.setattr("loom.verify.concat", untouched)
     monkeypatch.setattr("loom.sl2.StringLattice", untouched)
     monkeypatch.setattr("loom.sl2.TensorVector.basis", untouched)
-    code = main(["verify", "--type", "A"] + argv
-                + ["--node-cap", "4", "--out", str(tmp_path / "r.txt")])
+    code = main(["verify"] + argv + ["--node-cap", "4", "--out", str(tmp_path / "r.txt")])
     assert code == 3
     assert not (tmp_path / "r.txt").exists()
 
@@ -213,6 +212,50 @@ def test_vacuous_verify_exits_2(tmp_path, argv):
         main(["verify"] + argv + ["--out", str(tmp_path / "r.txt")])
     assert err.value.code == 2
     assert not (tmp_path / "r.txt").exists()
+
+
+@pytest.mark.parametrize("argv,stray", [
+    (["--suite", "sl2", "--type", "E6", "--rank", "6"], "--type, --rank"),
+    (["--suite", "sl2", "--power", "3"], "--power"),
+    (["--suite", "sl2-lemma", "--m", "3", "--i", "2"], "--i, --m"),
+    (["--suite", "normality", "--t1", "3"], "--t1"),
+    (["--suite", "weyl", "--window", "5"], "--window"),
+    (["--suite", "energy", "--power", "2"], "--power"),
+    (["--suite", "decompose", "--seeds", "2"], "--seeds"),
+    (["--suite", "psi-decomposition", "--t2", "2"], "--t2"),
+], ids=["sl2-type-rank", "sl2-power", "sl2-alias-m-i", "normality-t1", "weyl-window",
+        "energy-power", "decompose-seeds", "decompose-alias-t2"])
+def test_verify_flag_the_suite_ignores_exits_2(tmp_path, monkeypatch, capsys, argv, stray):
+    def untouched(*args, **kw):
+        raise AssertionError("ran a suite with a flag it ignores")
+
+    monkeypatch.setattr("loom.cli.run_suite", untouched)
+    with pytest.raises(SystemExit) as err:
+        main(["verify"] + argv + ["--out", str(tmp_path / "r.txt")])
+    assert err.value.code == 2
+    assert "reads no %s\n" % stray in capsys.readouterr().err
+    assert not (tmp_path / "r.txt").exists()
+
+
+def test_verify_passes_only_the_given_flags(tmp_path, monkeypatch):
+    calls = []
+
+    def recorded(name, **kw):
+        calls.append((name, kw))
+        return {"suite": name, "checks": [], "pass": True}
+
+    monkeypatch.setattr("loom.cli.run_suite", recorded)
+    every = ["--type", "B", "--rank", "3", "--i", "2", "--power", "3", "--m", "3",
+             "--window", "4", "--t1", "2", "--t2", "3", "--seeds", "5"]
+    assert run(tmp_path, "verify", "--suite", "all", *every, "--threads", "2")[0] == 0
+    assert run(tmp_path, "verify", "--suite", "sl2", "--t2", "3", "--node-cap", "9")[0] == 0
+    assert run(tmp_path, "verify", "--suite", "maj", "--m", "3")[0] == 0
+    assert calls == [
+        ("all", {"type_label": "B", "rank": 3, "i": 2, "power": 3, "window": 4,
+                 "t1": 2, "t2": 3, "seeds": 5, "node_cap": None}),
+        ("sl2", {"t2": 3, "node_cap": 9}),
+        ("maj", {"power": 3, "node_cap": None}),
+    ]
 
 
 def test_verify_power_and_its_alias(tmp_path):

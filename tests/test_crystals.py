@@ -1,7 +1,11 @@
+import dataclasses
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
+import loom.paths
 from loom import (
     CrystalGraph,
     NodeCapError,
@@ -10,12 +14,16 @@ from loom import (
     affinized_tensor_crystal,
     build_cartan,
     constant_path,
+    energy_edge_check,
+    energy_table,
     epsilon,
     fundamental_crystal,
     generate,
     linear_path,
+    lowering_op,
     path_crystal_window,
     phi,
+    raising_op,
 )
 from loom.crystals import GenerationError, Node
 
@@ -254,3 +262,129 @@ def test_graph_json_and_dot(a1_base):
     assert all(set(n) >= {"id", "wt", "eps", "phi"} for n in obj["nodes"])
     dot = a1_base.to_dot()
     assert dot.startswith("digraph") and 'label="1"' in dot
+
+
+class ScanFreePaths:
+    """Path kind that asks the module functions afresh on every call."""
+
+    def __init__(self, cartan):
+        self.cartan = cartan
+        self.indices = tuple(cartan.indices)
+
+    def wt(self, x):
+        return x.weight()
+
+    def strings(self, x, i):
+        return epsilon(self.cartan, x, i), phi(self.cartan, x, i)
+
+    def e(self, x, i):
+        return raising_op(self.cartan, x, i)
+
+    def f(self, x, i):
+        return lowering_op(self.cartan, x, i)
+
+    def move(self, x, i, kind):
+        return self.e(x, i) if kind == "e" else self.f(x, i)
+
+
+def _twin(x):
+    """An equal element that is a different object."""
+    return tuple(x) if isinstance(x, tuple) else dataclasses.replace(x)
+
+
+@pytest.mark.parametrize("label,rank,i", [("A", 2, 1), ("C", 2, 2), ("G2", 2, 1)])
+def test_interleaved_queries_never_read_a_stale_scan(label, rank, i):
+    cartan = build_cartan(label, rank)
+    base = fundamental_crystal(cartan, i)
+    paths = [base.nodes[k].element for k in base.sorted_keys()]
+    path_ops = PathOps(cartan, "classical")
+    kinds = [
+        (path_ops, ScanFreePaths(cartan), paths),
+        (TensorOps([base] * 2), PairingTensor(cartan, [base] * 2),
+         list(itertools.product(base.sorted_keys(), repeat=2))),
+        (TensorOps([path_ops] * 2), PairingTensor(cartan, [ScanFreePaths(cartan)] * 2),
+         list(itertools.product(paths, repeat=2))),
+    ]
+    rng = random.Random(1991)
+    for ops, ref, elements in kinds:
+        x, j = elements[0], cartan.indices[0]
+        for _ in range(1500):
+            # keep the element or the index about half the time, so hits and misses mix
+            if rng.random() < 0.5:
+                x = rng.choice(elements)
+            if rng.random() < 0.5:
+                j = rng.choice(cartan.indices)
+            if rng.random() < 0.2:
+                x = _twin(x)
+            query = rng.choice(["strings", "e", "f"])
+            got = getattr(ops, query)(x, j)
+            want = ref.strings(x, j) if query == "strings" else ref.move(x, j, query)
+            assert got == want, (query, x, j)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records its arguments."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("label,rank,i,window", [
+    ("C", 2, 2, None), ("G2", 2, 1, None), ("A", 2, 1, 2), ("C", 2, 1, 2),
+])
+def test_generate_scans_heights_once_per_node_and_index(monkeypatch, label, rank, i, window):
+    cartan = build_cartan(label, rank)
+    calls = _count_calls(monkeypatch, loom.paths, "h_extrema")
+    if window is None:
+        graph = fundamental_crystal(cartan, i)
+    else:
+        graph = path_crystal_window(cartan, cartan.classical_fundamental(i, classical=False),
+                                    window)
+    scanned = Counter((path.key(), j) for _cartan, path, j in calls)
+    assert scanned == Counter(itertools.product(graph.nodes, graph.indices))
+
+
+@pytest.mark.parametrize("label,rank,i,power", [("C", 2, 2, 2), ("A", 2, 1, 3)])
+def test_generate_scans_tensor_factors_once_per_node_and_index(monkeypatch, label, rank, i,
+                                                               power):
+    base = fundamental_crystal(build_cartan(label, rank), i)
+    calls = _count_calls(monkeypatch, base, "strings")
+    graph = generate(TensorOps([base] * power), (base.seed,) * power)
+    # one scan asks every factor once
+    assert len(calls) == power * len(graph) * len(graph.indices)
+
+
+def test_energy_sweep_and_recheck_scan_once_per_pair_and_index(monkeypatch):
+    base = fundamental_crystal(build_cartan("C", 2), 2)
+    calls = _count_calls(monkeypatch, base, "strings")
+    table = energy_table(base)
+    per_sweep = 2 * len(base) ** 2 * len(base.indices)
+    assert len(calls) == per_sweep
+    assert energy_edge_check(base, table) == []
+    assert len(calls) == 2 * per_sweep
+
+
+@pytest.mark.parametrize("construction", ["classical", "affine window", "tensor square"])
+def test_node_cap_boundary(construction):
+    cartan = build_cartan("C", 2)
+
+    def build(cap):
+        if construction == "classical":
+            return fundamental_crystal(cartan, 2, node_cap=cap)
+        if construction == "affine window":
+            seed = cartan.classical_fundamental(2, classical=False)
+            return path_crystal_window(cartan, seed, 2, node_cap=cap)
+        base = fundamental_crystal(cartan, 1)
+        return generate(TensorOps([base] * 2), (base.seed,) * 2, node_cap=cap)
+
+    size = len(build(None))
+    assert size > 4
+    assert len(build(size)) == size
+    with pytest.raises(NodeCapError):
+        build(size - 1)
