@@ -228,16 +228,16 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("--suite", required=True,
                      help="one of %s, an alias, or 'all'" % ", ".join(sorted(SUITES)))
-    # no defaults here: cmd_verify must see which flags were given
-    ver.add_argument("--type", help="default A")
-    ver.add_argument("--rank", type=int, help="default 1")
-    ver.add_argument("--i", type=int, help="default 1")
+    # no defaults here, so cmd_verify sees which flags were given; run_suite holds them
+    ver.add_argument("--type")
+    ver.add_argument("--rank", type=int)
+    ver.add_argument("--i", type=int)
     ver.add_argument("--power", type=int, help="tensor power (default 2)")
     ver.add_argument("--m", type=int, help="alias for --power")
-    ver.add_argument("--window", type=int, help="default 3")
-    ver.add_argument("--t1", type=int, help="default 1")
-    ver.add_argument("--t2", type=int, help="default 1")
-    ver.add_argument("--seeds", type=int, help="default 20")
+    ver.add_argument("--window", type=int)
+    ver.add_argument("--t1", type=int)
+    ver.add_argument("--t2", type=int)
+    ver.add_argument("--seeds", type=int)
     ver.add_argument("--json", action="store_true")
     ver.add_argument("--out")
     ver.add_argument("--threads", type=int, default=1,

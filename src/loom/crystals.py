@@ -318,9 +318,7 @@ def generate(ops, seed, *, window=None, node_cap=None, label="") -> CrystalGraph
     """Breadth-first closure of a seed under all raising and lowering maps.
 
     Deterministic: frontiers are processed in native key order, on which
-    neither the node set nor the edges depend.  A node's strings are read
-    when it is processed, next to its moves, so each (node, index) costs
-    the kind one scan.
+    neither the node set nor the edges depend.
     """
     if getattr(ops, "infinite", False) and window is None:
         raise GenerationError("an infinite kind needs an explicit window")
