@@ -103,30 +103,27 @@ def cmd_gen(args, parser) -> int:
         parser.error("--weight needs --ls")
     if args.window is not None and not (args.ls or args.ambient == "affine" or args.affinize):
         parser.error("--window needs --ls, --ambient affine or --affinize")
+    if args.ls and (args.weight is None or args.window is None):
+        parser.error("--ls needs --weight and --window")
+    if args.window is None and (args.affinize or args.ambient == "affine"):
+        parser.error("%s needs --window" % ("--affinize" if args.affinize else "--ambient affine"))
+    # --ls takes only --i 1, which every rank has
+    if not 1 <= args.i <= args.rank:
+        parser.error("--i must be between 1 and the rank")
     cap = _node_cap(args, parser)
     try:
         if args.ls:
-            if args.weight is None or args.window is None:
-                parser.error("--ls needs --weight and --window")
             try:
                 seed = parse_weight_label(cartan, args.weight)
             except (ValueError, CartanError) as err:
                 parser.error(str(err))
             graph = path_crystal_window(cartan, seed, args.window, node_cap=cap)
         elif args.ambient == "affine":
-            if args.window is None:
-                parser.error("--ambient affine needs --window")
-            if not 1 <= args.i <= args.rank:
-                parser.error("--i must be between 1 and the rank")
             seed = cartan.classical_fundamental(args.i, classical=False)
             graph = path_crystal_window(cartan, seed, args.window, node_cap=cap)
         else:
-            if not 1 <= args.i <= args.rank:
-                parser.error("--i must be between 1 and the rank")
             base = fundamental_crystal(cartan, args.i, node_cap=cap)
             if args.affinize:
-                if args.window is None:
-                    parser.error("--affinize needs --window")
                 graph = affinized_tensor_crystal(base, args.power, args.window, node_cap=cap)
             elif args.power > 1:
                 ops = TensorOps([base] * args.power)

@@ -16,6 +16,7 @@ The tensor rule reads the coroot pairing of a factor's weight as
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -72,12 +73,8 @@ class CrystalGraph:
         self.e_edges = {(dst, i): src for (src, i), dst in self.f_edges.items()}
 
     def sorted_keys(self) -> list:
-        """Node keys in the exact order of their stretches' weights, ranked once."""
-        found = set()
-        for k in self.nodes:
-            _map_stretches(k, found.add)
-        rank = {s: r for r, s in enumerate(sorted(found, key=Stretch.weight))}
-        return sorted(self.nodes, key=lambda k: _map_stretches(k, rank.__getitem__))
+        """Node keys in the exact order of their stretches' weights."""
+        return sorted(self.nodes)
 
     def __len__(self):
         return len(self.nodes)
@@ -190,20 +187,19 @@ class CrystalGraph:
             return None
         sig1 = {k: (n.wt, n.eps, n.phi) for k, n in self.nodes.items()}
         sig2 = {k: (n.wt, n.eps, n.phi) for k, n in other.nodes.items()}
-        if sorted(map(repr, sig1.values())) != sorted(map(repr, sig2.values())):
+        if Counter(sig1.values()) != Counter(sig2.values()):
             return None
 
+        # the candidates for a node of self: the nodes of other with its signature
         cls2: dict = {}
-        for k, s in sig2.items():
-            cls2.setdefault(repr(s), []).append(k)
-        order = sorted(self.nodes, key=lambda k: (len(cls2.get(repr(sig1[k]), [])), repr(k)))
+        for k in other.sorted_keys():
+            cls2.setdefault(sig2[k], []).append(k)
+        order = sorted(self.nodes, key=lambda k: (len(cls2[sig1[k]]), k))
 
         mapping: dict = {}
         used: set = set()
 
         def compatible(a, b):
-            if repr(sig1[a]) != repr(sig2[b]):
-                return False
             for i in self.indices:
                 fa = self.f_edges.get((a, i))
                 fb = other.f_edges.get((b, i))
@@ -223,7 +219,7 @@ class CrystalGraph:
             if idx == len(order):
                 return True
             a = order[idx]
-            for b in sorted(cls2.get(repr(sig1[a]), []), key=repr):
+            for b in cls2[sig1[a]]:
                 if b in used or not compatible(a, b):
                     continue
                 mapping[a] = b
@@ -283,16 +279,6 @@ class CrystalGraph:
         return "\n".join(lines) + "\n"
 
 
-def _map_stretches(key, fn):
-    """The nested tuples of key as lists, with fn applied to every stretch."""
-    if isinstance(key, Stretch):
-        return fn(key)
-    if isinstance(key, tuple):
-        # lists sort like tuples; freed tuples would linger on free lists and raise peak memory
-        return [_map_stretches(k, fn) for k in key]
-    return key
-
-
 def key_str(key) -> str:
     """Deterministic compact rendering of a canonical key; a stretch as its weight."""
     if isinstance(key, Stretch):
@@ -317,8 +303,8 @@ def moves(ops, x):
 def generate(ops, seed, *, window=None, node_cap=None, label="") -> CrystalGraph:
     """Breadth-first closure of a seed under all raising and lowering maps.
 
-    Deterministic: frontiers are processed in native key order, on which
-    neither the node set nor the edges depend.
+    Deterministic: each frontier is processed in discovery order, and
+    neither the node set nor the edges depend on that order.
     """
     if getattr(ops, "infinite", False) and window is None:
         raise GenerationError("an infinite kind needs an explicit window")
@@ -340,7 +326,7 @@ def generate(ops, seed, *, window=None, node_cap=None, label="") -> CrystalGraph
     frontier = [seed_key]
     while frontier:
         fresh = []
-        for key in sorted(frontier):
+        for key in frontier:
             x = nodes[key]
             strings = []
             for i in idx:

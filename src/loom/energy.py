@@ -91,7 +91,6 @@ def energy_table(graph: CrystalGraph, *, rng: random.Random | None = None,
     chi = {seed: 0}
     frontier = [seed]
     while frontier:
-        frontier.sort()
         if rng is not None:
             rng.shuffle(frontier)
         fresh = []

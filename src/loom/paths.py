@@ -7,7 +7,8 @@ count ``c``: the stretch runs along d / m for the time c / n.  Paths that
 differ only by a piecewise linear reparametrisation are equal: the
 displacements d c / (m n) are exactly the data a reparametrisation cannot
 touch.  Held as reduced integer :class:`Stretch` records, they are the
-key for equality and hashing, which runs on plain tuples of ints.
+key for equality and hashing, which runs on plain tuples of ints, and
+they order themselves as the weights they stand for.
 
 The raising operator acts on the height function ``h(tau)``, the negated
 coroot pairing along the path.  It leaves the path alone until the last
@@ -54,6 +55,24 @@ class Stretch(NamedTuple):
     def weight(self) -> Weight:
         c = tuple(Fraction(x, self.den) for x in self.nums)
         return _weight(c[:-1], c[-1]) if self.affine else _weight(c, None)
+
+    def __lt__(self, other: Stretch) -> bool:
+        """Weight order by cross-multiplication; classical first on equal coordinates."""
+        for a, b in zip(self.nums, other.nums):
+            a, b = a * other.den, b * self.den
+            if a != b:
+                return a < b
+        return len(self.nums) < len(other.nums)
+
+    # the other comparisons follow __lt__, not the inherited tuple order
+    def __gt__(self, other: Stretch) -> bool:
+        return other < self
+
+    def __le__(self, other: Stretch) -> bool:
+        return not other < self
+
+    def __ge__(self, other: Stretch) -> bool:
+        return not self < other
 
 
 def _stretch(nums, den: int, affine: bool) -> Stretch:

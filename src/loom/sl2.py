@@ -70,9 +70,6 @@ class TensorVector:
     def zero(shape) -> "TensorVector":
         return TensorVector.make(shape, {})
 
-    def items(self):
-        return self.coords
-
     def as_dict(self) -> dict:
         return dict(self.coords)
 

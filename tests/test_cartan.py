@@ -29,6 +29,21 @@ def test_c2_marks_and_delta_expansion(c2):
     assert total == c2.null_root()
 
 
+# Kac, Infinite dimensional Lie algebras, Table Aff 1, in the node numbering of
+# the finite matrices built here; the affine node 0 comes first
+@pytest.mark.parametrize("label,rank,marks,comarks", [
+    ("E6", 6, (1, 1, 2, 2, 3, 2, 1), (1, 1, 2, 2, 3, 2, 1)),
+    ("E7", 7, (1, 2, 2, 3, 4, 3, 2, 1), (1, 2, 2, 3, 4, 3, 2, 1)),
+    ("E8", 8, (1, 2, 3, 4, 6, 5, 4, 3, 2), (1, 2, 3, 4, 6, 5, 4, 3, 2)),
+    ("F4", 4, (1, 2, 3, 4, 2), (1, 2, 3, 2, 1)),
+    ("G2", 2, (1, 2, 3), (1, 2, 1)),
+])
+def test_exceptional_marks_and_comarks(label, rank, marks, comarks):
+    cartan = build_cartan(label, rank)
+    assert cartan.marks == marks
+    assert cartan.comarks == comarks
+
+
 @pytest.mark.parametrize("label,rank", [("A", 0), ("B", 1), ("C", 1), ("D", 3),
                                         ("E6", 5), ("F4", 3), ("G2", 3), ("X", 2)])
 def test_invalid_types_rejected(label, rank):

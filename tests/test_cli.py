@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import loom
 from loom import build_cartan
 from loom.cli import main, parse_weight_label
 from loom.verify import SUITES
@@ -182,12 +186,18 @@ def test_errors_print_subcommand_usage(tmp_path, capsys):
     (None, ["--weight", "w1", "--ambient", "affine", "--window", "2"]),
     (None, ["--window", "2"]),
     (None, ["--power", "2", "--window", "2"]),
+    (None, ["--ls", "--weight", "w1"]),
+    (None, ["--ls", "--window", "1"]),
+    (None, ["--i", "2"]),
+    (None, ["--ambient", "affine", "--window", "1", "--i", "2"]),
+    (None, ["--affinize", "--node-cap", "1"]),
 ], ids=["cap-env-not-int", "affine-window", "affinize-window", "power", "affinize-power",
         "weight-unsigned-terms", "weight-unsigned-null-root", "weight-empty",
         "weight-blank", "cap-zero", "cap-negative", "cap-env-zero", "cap-env-negative",
         "ls-affinize", "ls-affine", "ls-power", "ls-affinize-power", "ls-i", "affine-affinize",
         "affine-power", "weight-alone", "weight-affine", "window-classical",
-        "window-power"])
+        "window-power", "ls-no-window", "ls-no-weight", "i-above-rank", "affine-i-above-rank",
+        "affinize-no-window"])
 def test_bad_gen_input_exits_2(tmp_path, monkeypatch, env, argv):
     if env is not None:
         monkeypatch.setenv("LOOM_NODE_CAP", env)
@@ -263,8 +273,10 @@ def test_verify_power_and_its_alias(tmp_path):
     power2 = {run(tmp_path, *argv, *extra) for extra in ([], ["--power", "2"], ["--m", "2"])}
     power3 = {run(tmp_path, *argv, *extra)
               for extra in (["--power", "3"], ["--m", "3"], ["--power", "3", "--m", "3"])}
-    assert len(power2) == len(power3) == 1 and power2 != power3
-    assert next(iter(power3))[0] == 0
+    power1 = {run(tmp_path, *argv, *extra) for extra in (["--power", "1"], ["--m", "1"])}
+    assert len(power1) == len(power2) == len(power3) == 1
+    assert len(power1 | power2 | power3) == 3
+    assert next(iter(power1))[0] == next(iter(power3))[0] == 0
 
 
 def test_deterministic_artifacts(tmp_path):
@@ -278,6 +290,24 @@ def test_deterministic_artifacts(tmp_path):
             assert code == 0
             texts.append(out.read_text())
     assert len(set(texts)) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--type", "C", "--rank", "2", "--i", "2", "--affinize", "--power", "2", "--window", "2"],
+    ["--type", "A", "--rank", "2", "--i", "1", "--power", "3", "--format", "dot"],
+], ids=["c2-affinized-json", "a2-cube-dot"])
+def test_artifacts_identical_across_interpreters(argv):
+    # the emitted order rests on the keys alone, not on hashing or discovery order
+    src = str(Path(loom.__file__).resolve().parents[1])
+    outputs = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "loom.cli", "gen"] + argv,
+                              env=env, capture_output=True, check=True, timeout=120)
+        assert done.stdout
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
 
 
 def test_weight_grammar():

@@ -4,7 +4,10 @@ A path key holds one reduced integer ``Stretch`` per straight stretch.
 The reference rebuilds every key as the tuple of its ``Weight``
 displacements, read from ``path.segments``: the graph must emit its
 nodes in the order of those weights and render each key as they render.
+Every comparison of two stretches must agree with that of their weights.
 """
+
+import itertools
 
 import pytest
 
@@ -16,6 +19,7 @@ from loom import (
 )
 from loom.crystals import key_str
 from loom.embedding import tensor_power_crystal
+from loom.paths import Stretch
 
 # C2 w2 and G2 w1 put breakpoints on the grids 2 and 6
 FUNDAMENTALS = (("A", 2, 1), ("B", 3, 1), ("C", 2, 2), ("G2", 2, 1), ("D", 4, 2))
@@ -69,3 +73,40 @@ def test_tensor_square_and_affinised_window_keys(label, rank, i):
     paths = _paths(base)
     _assert_keys_match_weights(tensor_power_crystal(base, 2), paths)
     _assert_keys_match_weights(affinized_tensor_crystal(base, 2, 2), paths)
+
+
+def _stretches(key, out):
+    if isinstance(key, Stretch):
+        out.add(key)
+    elif isinstance(key, tuple):
+        for k in key:
+            _stretches(k, out)
+
+
+def _assert_order_matches_weights(stretches):
+    weights = {s: s.weight() for s in stretches}
+    for a, b in itertools.permutations(stretches, 2):
+        wa, wb = weights[a], weights[b]
+        assert (a < b, a > b, a <= b, a >= b) == (wa < wb, wb < wa, not wb < wa, not wa < wb), (a, b)
+
+
+@pytest.mark.parametrize("label,rank,i", FUNDAMENTALS)
+def test_stretch_order_is_weight_order(label, rank, i):
+    cartan = build_cartan(label, rank)
+    base = fundamental_crystal(cartan, i)
+    window = path_crystal_window(cartan, cartan.classical_fundamental(i, classical=False), 2)
+    square = tensor_power_crystal(base, 2)
+    found = set()
+    for graph in (base, window, square):
+        for k in graph.nodes:
+            _stretches(k, found)
+    assert any(s.affine for s in found) and not all(s.affine for s in found)
+    _assert_order_matches_weights(found)
+
+
+def test_classical_stretch_precedes_affine_with_equal_coordinates():
+    # coordinates (-1/3, 2/3); the null-root entry -1/6 doubles the denominator
+    classical = Stretch((-1, 2), 3, False)
+    lower, higher = Stretch((-2, 4, -1), 6, True), Stretch((-1, 2, 1), 3, True)
+    _assert_order_matches_weights({classical, lower, higher})
+    assert sorted([higher, lower, classical]) == [classical, lower, higher]
