@@ -3,7 +3,8 @@
 Artifacts are deterministic: node and edge lists are emitted in sorted
 order, rationals are written exactly, and files are written atomically.
 Exit codes: 0 success, 1 a verification check failed, 2 invalid
-configuration, 3 node cap exceeded.
+configuration, 3 node cap exceeded.  Every input error the library
+raises is a ``ValueError``, and :func:`main` alone maps each to exit 2.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ import re
 import sys
 import tempfile
 
-from .cartan import CartanError, Weight, build_cartan
-from .crystals import GenerationError, NodeCapError, TensorOps, generate
+from .cartan import Weight, build_cartan
+from .crystals import NodeCapError, TensorOps, generate
 from .embedding import affinized_tensor_crystal, fundamental_crystal, path_crystal_window
-from .paths import PathError
 from .verify import SUITE_ALIASES, SUITES, run_suite
 
 
@@ -88,10 +88,7 @@ def _dump_json(obj) -> str:
 
 
 def cmd_gen(args, parser) -> int:
-    try:
-        cartan = build_cartan(args.type, args.rank)
-    except CartanError as err:
-        parser.error(str(err))
+    cartan = build_cartan(args.type, args.rank)
     if args.power < 1:
         parser.error("--power must be positive")
     # every flag must reach the construction it is given to
@@ -111,33 +108,22 @@ def cmd_gen(args, parser) -> int:
     if not 1 <= args.i <= args.rank:
         parser.error("--i must be between 1 and the rank")
     cap = _node_cap(args, parser)
-    try:
-        if args.ls:
-            try:
-                seed = parse_weight_label(cartan, args.weight)
-            except (ValueError, CartanError) as err:
-                parser.error(str(err))
-            graph = path_crystal_window(cartan, seed, args.window, node_cap=cap)
-        elif args.ambient == "affine":
-            seed = cartan.classical_fundamental(args.i, classical=False)
-            graph = path_crystal_window(cartan, seed, args.window, node_cap=cap)
+    if args.ls or args.ambient == "affine":
+        seed = (parse_weight_label(cartan, args.weight) if args.ls
+                else cartan.classical_fundamental(args.i, classical=False))
+        graph = path_crystal_window(cartan, seed, args.window, node_cap=cap)
+    else:
+        base = fundamental_crystal(cartan, args.i, node_cap=cap)
+        if args.affinize:
+            graph = affinized_tensor_crystal(base, args.power, args.window, node_cap=cap)
+        elif args.power > 1:
+            ops = TensorOps([base] * args.power)
+            graph = generate(
+                ops, (base.seed,) * args.power, node_cap=cap,
+                label="%s:power%d" % (base.label, args.power),
+            )
         else:
-            base = fundamental_crystal(cartan, args.i, node_cap=cap)
-            if args.affinize:
-                graph = affinized_tensor_crystal(base, args.power, args.window, node_cap=cap)
-            elif args.power > 1:
-                ops = TensorOps([base] * args.power)
-                graph = generate(
-                    ops, (base.seed,) * args.power, node_cap=cap,
-                    label="%s:power%d" % (base.label, args.power),
-                )
-            else:
-                graph = base
-    except NodeCapError as err:
-        sys.stderr.write("error: %s\n" % err)
-        return 3
-    except (GenerationError, PathError) as err:
-        parser.error(str(err))
+            graph = base
 
     if args.format == "dot":
         _emit(args, graph.to_dot())
@@ -173,15 +159,9 @@ def cmd_verify(args, parser) -> int:
     params = {"type_label": args.type, "rank": args.rank, "i": args.i,
               "power": args.power if args.m is None else args.m, "window": args.window,
               "t1": args.t1, "t2": args.t2, "seeds": args.seeds}
-    try:
-        # a flag not given takes run_suite's default
-        report = run_suite(name, **{k: v for k, v in params.items() if v is not None},
-                           node_cap=_node_cap(args, parser))
-    except NodeCapError as err:
-        sys.stderr.write("error: %s\n" % err)
-        return 3
-    except (CartanError, PathError, ValueError) as err:
-        parser.error(str(err))
+    # a flag not given takes run_suite's default
+    report = run_suite(name, **{k: v for k, v in params.items() if v is not None},
+                       node_cap=_node_cap(args, parser))
     if args.json:
         _emit(args, _dump_json(report))
     else:
@@ -202,8 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact path-model computations for level-zero affine crystals",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out")
+    common.add_argument("--threads", type=int, default=1,
+                        help="accepted and ignored; kept so existing command lines run unchanged")
+    common.add_argument("--node-cap", type=int, dest="node_cap")
 
-    gen = sub.add_parser("gen", help="generate a crystal graph artifact")
+    gen = sub.add_parser("gen", parents=[common], help="generate a crystal graph artifact")
     gen.add_argument("--type", required=True, help="A, B, C, D, E6, E7, E8, F4 or G2")
     gen.add_argument("--rank", required=True, type=int)
     gen.add_argument("--i", type=int, default=1, help="fundamental index")
@@ -216,13 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--weight", help='seed for --ls, e.g. "2w1+1d"')
     gen.add_argument("--window", type=int)
     gen.add_argument("--format", choices=["json", "dot", "summary"], default="json")
-    gen.add_argument("--out")
-    gen.add_argument("--threads", type=int, default=1,
-                     help="accepted and ignored; kept so existing command lines run unchanged")
-    gen.add_argument("--node-cap", type=int, dest="node_cap")
     gen.set_defaults(func=cmd_gen, parser=gen)
 
-    ver = sub.add_parser("verify", help="run a verification suite")
+    ver = sub.add_parser("verify", parents=[common], help="run a verification suite")
     ver.add_argument("--suite", required=True,
                      help="one of %s, an alias, or 'all'" % ", ".join(sorted(SUITES)))
     # no defaults here, so cmd_verify sees which flags were given; run_suite holds them
@@ -236,10 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--t2", type=int)
     ver.add_argument("--seeds", type=int)
     ver.add_argument("--json", action="store_true")
-    ver.add_argument("--out")
-    ver.add_argument("--threads", type=int, default=1,
-                     help="accepted and ignored; kept so existing command lines run unchanged")
-    ver.add_argument("--node-cap", type=int, dest="node_cap")
     ver.set_defaults(func=cmd_verify, parser=ver)
     return parser
 
@@ -249,7 +226,15 @@ def main(argv=None) -> int:
     # errors print the usage of the subcommand that was given
     if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
         args.parser.error("the directory of --out does not exist: %s" % args.out)
-    return args.func(args, args.parser)
+    if args.out and os.path.isdir(args.out):
+        args.parser.error("--out names a directory: %s" % args.out)
+    try:
+        return args.func(args, args.parser)
+    except NodeCapError as err:
+        sys.stderr.write("error: %s\n" % err)
+        return 3
+    except ValueError as err:
+        args.parser.error(str(err))
 
 
 if __name__ == "__main__":

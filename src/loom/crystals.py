@@ -386,6 +386,9 @@ class TensorOps:
             total = w if total is None else total + w
         return total
 
+    def level(self, b):
+        return sum(c.level(x) for c, x in zip(self.components, b))
+
     def _string_funcs(self, b, i):
         # <h_i, wt(x)> of a factor is phi(x, i) - eps(x, i); shift ends as their sum
         last = self._last

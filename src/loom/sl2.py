@@ -7,8 +7,9 @@ a vector in the string basis through the singular vectors, checks that
 every coordinate is regular at the origin, and evaluates there.
 
 The singular vectors are built from their hypergeometric-style closed
-form and re-derived independently by solving for the kernel of the
-raising action, so the two routes police each other.
+form; ``tests/test_sl2.py::test_singular_vectors_match_kernel_solve``
+re-derives them by solving for the kernel of the raising action, so the
+two routes police each other.
 
 The lowering divided power ``act_F_div`` is closed form, with Laurent
 coefficients from the coproduct (G. Lusztig, Introduction to Quantum

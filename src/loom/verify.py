@@ -73,7 +73,7 @@ def _tensor_graph(base, power, *, node_cap=None):
                     label="%s:power%d" % (base.label, power))
 
 
-def suite_normality(cartan: AffineCartan, i: int, power: int = 1, **kw) -> dict:
+def suite_normality(cartan: AffineCartan, i: int, power: int, **kw) -> dict:
     rep = Report("normality", type=cartan.name, i=i, power=power)
     base = fundamental_crystal(cartan, i, **kw)
     graph = _tensor_graph(base, power, **kw)
@@ -167,7 +167,7 @@ def suite_concat(cartan: AffineCartan, i: int, **kw) -> dict:
     return rep.done()
 
 
-def suite_xi(cartan: AffineCartan, i: int, window: int = 2, **kw) -> dict:
+def suite_xi(cartan: AffineCartan, i: int, window: int, **kw) -> dict:
     if window < 1:
         # every node with |delta| > window - 1 is skipped, so nothing is checked
         raise ValueError("xi needs window >= 1, got %d" % window)
@@ -197,7 +197,7 @@ def suite_xi(cartan: AffineCartan, i: int, window: int = 2, **kw) -> dict:
     return rep.done()
 
 
-def suite_energy(cartan: AffineCartan, i: int, seeds: int = 20, **kw) -> dict:
+def suite_energy(cartan: AffineCartan, i: int, seeds: int, **kw) -> dict:
     if seeds < 1:
         raise ValueError("energy needs seeds >= 1, got %d" % seeds)
     rep = Report("energy", type=cartan.name, i=i, seeds=seeds)
@@ -221,7 +221,7 @@ def suite_energy(cartan: AffineCartan, i: int, seeds: int = 20, **kw) -> dict:
     return rep.done()
 
 
-def suite_maj(cartan: AffineCartan, i: int, power: int = 2, **kw) -> dict:
+def suite_maj(cartan: AffineCartan, i: int, power: int, **kw) -> dict:
     rep = Report("maj", type=cartan.name, i=i, power=power)
     base = fundamental_crystal(cartan, i, **kw)
     table = energy_table(base, **kw)
@@ -247,7 +247,7 @@ def suite_maj(cartan: AffineCartan, i: int, power: int = 2, **kw) -> dict:
     return rep.done()
 
 
-def suite_psi(cartan: AffineCartan, i: int, power: int = 2, window: int = 3, **kw) -> dict:
+def suite_psi(cartan: AffineCartan, i: int, power: int, window: int, **kw) -> dict:
     rep = Report("psi", type=cartan.name, i=i, power=power, window=window)
     base = fundamental_crystal(cartan, i, **kw)
     table = energy_table(base, **kw)
@@ -275,7 +275,7 @@ def suite_psi(cartan: AffineCartan, i: int, power: int = 2, window: int = 3, **k
     return rep.done()
 
 
-def suite_decompose(cartan: AffineCartan, i: int, power: int = 2, window: int = 3, **kw) -> dict:
+def suite_decompose(cartan: AffineCartan, i: int, power: int, window: int, **kw) -> dict:
     report = verify_decomposition(cartan, i, power, window, **kw)
     rep = Report("decompose", type=cartan.name, i=i, power=power, window=window)
     for c in report["checks"]:

@@ -9,6 +9,7 @@ import pytest
 import loom
 from loom import build_cartan
 from loom.cli import main, parse_weight_label
+from loom.embedding import EmbeddingError
 from loom.verify import SUITES
 
 
@@ -148,6 +149,36 @@ def test_out_into_missing_directory_exits_2(tmp_path, monkeypatch, capsys, argv)
         main(argv + ["--out", str(tmp_path / "missing" / "x.out")])
     assert err.value.code == 2
     assert capsys.readouterr().err.startswith("usage: loom " + argv[0])
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--type", "A", "--rank", "1"],
+    ["verify", "--suite", "weyl"],
+], ids=["gen", "verify"])
+def test_out_naming_a_directory_exits_2(tmp_path, monkeypatch, capsys, argv):
+    def untouched(*args, **kw):
+        raise AssertionError("computed before checking --out")
+
+    monkeypatch.setattr("loom.cli.build_cartan", untouched)
+    monkeypatch.setattr("loom.cli.run_suite", untouched)
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--out", str(tmp_path)])
+    assert err.value.code == 2
+    assert "--out names a directory" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_library_errors_exit_2_with_their_message(tmp_path, monkeypatch, capsys):
+    # main maps every ValueError the library raises to exit 2
+    def broken(*args, **kw):
+        raise EmbeddingError("no fundamental crystal here")
+
+    monkeypatch.setattr("loom.cli.fundamental_crystal", broken)
+    with pytest.raises(SystemExit) as err:
+        main(["gen", "--type", "A", "--rank", "1", "--out", str(tmp_path / "x.json")])
+    assert err.value.code == 2
+    assert "loom gen: error: no fundamental crystal here" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_errors_print_subcommand_usage(tmp_path, capsys):

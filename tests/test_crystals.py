@@ -120,6 +120,14 @@ def test_window_required_for_affine(a1):
         generate(PathOps(a1, "affine"), linear_path(fw))
 
 
+def test_tensor_of_affine_kinds_stays_in_the_window(a1):
+    # the level of a tensor is the sum of its factors' levels, read here from the weight
+    seed = linear_path(a1.classical_fundamental(1, classical=False))
+    graph = generate(TensorOps([PathOps(a1, "affine")] * 2), (seed, seed), window=1)
+    assert graph.truncated
+    assert {node.wt.delta for node in graph.nodes.values()} == {-1, 0, 1}
+
+
 def test_normality_negative_control(a1_base):
     key = a1_base.sorted_keys()[0]
     node = a1_base.nodes[key]

@@ -9,16 +9,19 @@ from loom import (
     build_cartan,
     choose_grid,
     compatible_total_order,
+    constant_path,
     energy_edge_check,
     energy_table,
     fundamental_crystal,
     linear_path,
     major_index,
+    make_path,
     refine,
     refined_major_index,
 )
 from loom.crystals import Node, NodeCapError
 from loom.energy import DisconnectedTensorSquareError, EnergyError, EnergyTable
+from loom.paths import PathError
 from test_crystals import PairingTensor
 
 
@@ -173,6 +176,28 @@ def test_refine(a1, a1_base, a1_energy):
     assert refine(a1_base, (kp,), 2) == [kp, kp]
     for key in refine(a1_base, (kp, km, km), 1):
         assert key in a1_base.nodes
+
+
+def test_refine_bent_paths_and_its_errors(a1):
+    w = a1.classical_fundamental(1)
+    half = make_path([(2 * w, Fraction(1, 2)), (-2 * w, Fraction(1, 2))])
+    third = make_path([(3 * w, Fraction(1, 3)), (-3 * w, Fraction(2, 3))])
+    flat = constant_path(a1)
+    up, down = linear_path(2 * w), linear_path(-2 * w)
+    graph = CrystalGraph(
+        label="refine", indices=(0, 1),
+        nodes={p.key(): Node(p, p.weight(), (0, 0), (0, 0))
+               for p in (half, third, flat, up, down)},
+        f_edges={}, seed=half.key(),
+    )
+    assert refine(graph, (half.key(), up.key()), 4) == [up.key()] * 2 + [down.key()] * 2 + [up.key()] * 4
+    with pytest.raises(PathError, match="breakpoint 1/3 is not a multiple of 1/2"):
+        refine(graph, (half.key(), third.key()), 2)
+    # the directions of third, 3w and -3w, are not nodes
+    with pytest.raises(EnergyError, match="is not a crystal element"):
+        refine(graph, (third.key(),), 3)
+    with pytest.raises(EnergyError):
+        refine(graph, (flat.key(),), 1)
 
 
 def test_major_index(a1, a1_energy, a1_base):
