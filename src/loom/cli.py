@@ -226,7 +226,7 @@ def main(argv=None) -> int:
     # errors print the usage of the subcommand that was given
     if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
         args.parser.error("the directory of --out does not exist: %s" % args.out)
-    if args.out and os.path.isdir(args.out):
+    if args.out and (os.path.isdir(args.out) or args.out.endswith(os.sep)):
         args.parser.error("--out names a directory: %s" % args.out)
     try:
         return args.func(args, args.parser)

@@ -14,11 +14,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .crystals import CrystalGraph, TensorOps, check_node_cap, moves
-from .paths import Path, PathError, _stretch, grid_size
+from .paths import Path, grid_size, segment_uniform, stretch_key
 
 
 class EnergyError(ValueError):
@@ -134,24 +133,16 @@ def refine(graph: CrystalGraph, factors, grid: int) -> list:
     Returns the keys, in order, of the grid * m linear paths along the
     directions; each must already be a node of the underlying crystal.
     """
-    if grid < 1:
-        raise PathError("grid size must be a positive integer")
     keys = []
     for fkey in factors:
-        path = graph.nodes[fkey].element
-        if path.is_constant:
-            raise EnergyError("a constant path refines to no crystal element")
-        for d, c, t in zip(path.dirs, path.cells, itertools.accumulate(path.cells)):
-            if c * grid % path.n:
-                raise PathError("breakpoint %s is not a multiple of 1/%d"
-                                % (Fraction(t, path.n), grid))
-            # the key of the linear path along d / m, as Path.key builds it
-            key = (_stretch(d, path.m, path.ambient == "affine"),)
+        element = graph.nodes[fkey].element
+        for direction in segment_uniform(element, grid):
+            key = (stretch_key(direction),)
             if key not in graph.nodes:
                 raise EnergyError(
-                    "refined direction %r is not a crystal element" % (key[0].weight(),)
+                    "refined direction %r is not a crystal element" % (direction,)
                 )
-            keys.extend([key] * (c * grid // path.n))
+            keys.append(key)
     return keys
 
 

@@ -155,14 +155,15 @@ def test_out_into_missing_directory_exits_2(tmp_path, monkeypatch, capsys, argv)
     ["gen", "--type", "A", "--rank", "1"],
     ["verify", "--suite", "weyl"],
 ], ids=["gen", "verify"])
-def test_out_naming_a_directory_exits_2(tmp_path, monkeypatch, capsys, argv):
+@pytest.mark.parametrize("out", ["", "nonexist" + os.sep], ids=["existing", "missing"])
+def test_out_naming_a_directory_exits_2(tmp_path, monkeypatch, capsys, argv, out):
     def untouched(*args, **kw):
         raise AssertionError("computed before checking --out")
 
     monkeypatch.setattr("loom.cli.build_cartan", untouched)
     monkeypatch.setattr("loom.cli.run_suite", untouched)
     with pytest.raises(SystemExit) as err:
-        main(argv + ["--out", str(tmp_path)])
+        main(argv + ["--out", str(tmp_path) + os.sep + out])
     assert err.value.code == 2
     assert "--out names a directory" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
