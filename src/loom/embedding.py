@@ -181,11 +181,11 @@ def affinized_tensor_crystal(base: CrystalGraph, m: int, window: int,
 
 
 def path_crystal_window(cartan, seed_weight: Weight, window: int,
-                        *, node_cap=None) -> CrystalGraph:
-    """Windowed closure of a straight affine seed path."""
+                        *, node_cap=None, ops: PathOps | None = None) -> CrystalGraph:
+    """Windowed closure of a straight affine seed path, on ``ops`` if given."""
     seed = linear_path(seed_weight)
     return generate(
-        PathOps(cartan, "affine"), seed, window=window, node_cap=node_cap,
+        ops or PathOps(cartan, "affine"), seed, window=window, node_cap=node_cap,
         label="%s:LS(%r):W%d" % (cartan.name, seed_weight, window),
     )
 
@@ -198,7 +198,8 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
     the path crystals of the straight seeds m fw + r delta, and compares
     them on the shrunken window |degree| <= window - 1, where every node
     still has all its neighbours.  Piece r is the inner part of the seed
-    m fw + r delta; the first m pieces are the decomposition.  The checks:
+    m fw + r delta; the first m pieces are the decomposition.  Pieces r and
+    r + m share one :class:`PathOps` table, and no piece graph is kept.  The checks:
 
     - ``psi_injective``: distinct nodes have distinct image paths;
     - ``psi_of_straight_seeds``: the seed tuple at degree n goes to the
@@ -233,19 +234,22 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
     inner = window - 1
 
     keys = aff.sorted_keys()
-    images = {key: psi(table, base, key) for key in keys}
+    images = {key: psi(table, base, key).path for key in keys}
     classes = {key: c_class(table, base, key, m) for key in keys}
     inner_keys = [key for key in keys if abs(key[1]) <= inner]
 
-    pieces = []
-    for r in range(min(2 * m, window + 1)):
-        piece = path_crystal_window(cartan, m * fw + r * delta, window, node_cap=node_cap)
-        pieces.append({k for k, node in piece.nodes.items() if abs(node.wt.delta) <= inner})
+    pieces = [None] * min(2 * m, window + 1)
+    for r in range(m):
+        ops = PathOps(cartan, "affine")
+        for s in range(r, len(pieces), m):
+            pieces[s] = {k for k, node in path_crystal_window(
+                cartan, m * fw + s * delta, window, node_cap=node_cap, ops=ops).nodes.items()
+                if abs(node.wt.delta) <= inner}
     shifts = [(r - m, r) for r in range(m, len(pieces))]
 
     class_sets = [set() for _ in range(m)]
     for key in inner_keys:
-        class_sets[classes[key]].add(images[key].path.key())
+        class_sets[classes[key]].add(images[key].key())
     image = set().union(*class_sets)
     union = set().union(*pieces[:m])
 
@@ -257,19 +261,19 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
             if target is not None and abs(target[1]) > inner:
                 continue
             root_op = raising_op if kind == "e" else lowering_op
-            want = None if target is None else images[target].path
-            if root_op(cartan, images[key].path, idx) != want:
+            want = None if target is None else images[target]
+            if root_op(cartan, images[key], idx) != want:
                 morphism_ok = False
 
     checks = [
         ("psi_injective",
-         len({img.path.key() for img in images.values()}) == len(images),
+         len({img.key() for img in images.values()}) == len(images),
          "%d nodes" % len(images)),
         ("psi_of_straight_seeds",
-         all(images[((base.seed,) * m, n)].path == linear_path(m * fw + n * delta)
+         all(images[((base.seed,) * m, n)] == linear_path(m * fw + n * delta)
              for n in range(-window, window + 1)), ""),
         ("psi_endpoint_law",
-         all(img.path.weight() == aff.nodes[key].wt for key, img in images.items()), ""),
+         all(img.weight() == aff.nodes[key].wt for key, img in images.items()), ""),
         ("pieces_pairwise_disjoint", len(union) == sum(len(p) for p in pieces[:m]), ""),
         ("image_equals_union", image == union,
          "image %d, union %d" % (len(image), len(union))),

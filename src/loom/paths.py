@@ -463,7 +463,11 @@ def grid_size(path: Path) -> int:
 
 
 class PathOps:
-    """Crystal operations on paths of a fixed ambient, for the generator."""
+    """Crystal operations on paths of a fixed ambient, for the generator.
+
+    One table row per path key, from one :func:`h_extrema` scan per index, holds
+    eps, phi, e and f; a key names one grid form, and the table keeps one path per key.
+    """
 
     def __init__(self, cartan: AffineCartan, ambient: str = "classical"):
         if ambient not in ("classical", "affine"):
@@ -472,7 +476,8 @@ class PathOps:
         self.ambient = ambient
         self.indices = tuple(cartan.indices)
         self.infinite = ambient == "affine"
-        self._last = (None, None, None)
+        self._rows, self._paths = {}, {}
+        self._last = (None, None)
 
     def key(self, x: Path):
         # the ambient decides whether closure needs a window, so a stray
@@ -484,22 +489,28 @@ class PathOps:
     def wt(self, x: Path) -> Weight:
         return x.weight()
 
-    def _extrema(self, x: Path, i: int) -> HeightExtrema:
-        """The h_extrema of (x, i) the root operators take, kept for the next call on it."""
-        last = self._last
-        if last[0] is not x or last[1] != i:
-            last = self._last = (x, i, h_extrema(self.cartan, x, i))
-        return last[2]
+    def _entry(self, x: Path, i: int) -> tuple:
+        """``((eps, phi), e, f)`` of x at index i; x's row is built on first touch."""
+        if self._last[0] is not x:  # the identity check spares hashing x's key
+            row = self._rows.get(x.key())
+            if row is None:
+                c, keep, row = self.cartan, self._paths.setdefault, {}
+                for j in self.indices:
+                    ext = h_extrema(c, x, j)
+                    moved = (raising_op(c, x, j, ext), lowering_op(c, x, j, ext))
+                    row[j] = ((ext.eps, ext.phi), *(y and keep(y.key(), y) for y in moved))
+                self._rows[x.key()] = row
+            self._last = (x, row)
+        return self._last[1][i]
 
     def strings(self, x: Path, i: int) -> tuple[int, int]:
-        ext = self._extrema(x, i)
-        return ext.eps, ext.phi
+        return self._entry(x, i)[0]
 
     def e(self, x: Path, i: int):
-        return raising_op(self.cartan, x, i, self._extrema(x, i))
+        return self._entry(x, i)[1]
 
     def f(self, x: Path, i: int):
-        return lowering_op(self.cartan, x, i, self._extrema(x, i))
+        return self._entry(x, i)[2]
 
     def level(self, x: Path) -> int:
         """Null-root entry of the endpoint, an integer since that is a lattice weight."""

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import loom.paths
 from loom import (
     CrystalGraph,
+    PathOps,
     affinized_tensor_crystal,
     build_cartan,
     c_class,
@@ -281,3 +283,34 @@ def test_every_decomposition_check_can_fail(a1, monkeypatch):
         mp.setattr(emb, "path_crystal_window", wrong_shift)
         failed = _failing(verify_decomposition(a1, 1, m, window))
     assert "degree_shift_periodicity" in failed
+
+
+def _grid_form(path):
+    return path.m, path.n, path.dirs, path.cells
+
+
+@pytest.mark.parametrize("label,rank,i,m,window", [
+    ("A", 2, 1, 2, 3), ("C", 2, 2, 2, 2), ("G2", 2, 1, 2, 2),
+])
+def test_shifted_piece_on_its_partners_table_matches_a_fresh_one(monkeypatch, label, rank, i,
+                                                                 m, window):
+    # verify_decomposition generates piece r + m on piece r's PathOps
+    cartan = build_cartan(label, rank)
+    fw, delta = cartan.classical_fundamental(i, classical=False), cartan.null_root()
+    for r in range(min(m, window + 1 - m)):
+        ops = PathOps(cartan, "affine")
+        path_crystal_window(cartan, m * fw + r * delta, window, ops=ops)
+        fresh = path_crystal_window(cartan, m * fw + (r + m) * delta, window)
+        scans = []
+        with monkeypatch.context() as mp:
+            original = loom.paths.h_extrema
+            mp.setattr(loom.paths, "h_extrema", lambda *args: scans.append(args) or original(*args))
+            shared = path_crystal_window(cartan, m * fw + (r + m) * delta, window, ops=ops)
+        assert scans == []
+        assert list(shared.nodes) == list(fresh.nodes)
+        for key, node in shared.nodes.items():
+            want = fresh.nodes[key]
+            assert _grid_form(node.element) == _grid_form(want.element)
+            assert (node.eps, node.phi) == (want.eps, want.phi)
+        assert shared.f_edges == fresh.f_edges
+        assert shared.truncated == fresh.truncated

@@ -7,6 +7,7 @@ fundamental crystals, their affine windows, and hand-built paths with
 non-integral directions, pauses and collinear neighbours.
 """
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from loom import (
     concat,
     constant_path,
     fundamental_crystal,
+    generate,
     h_extrema,
     linear_path,
     lowering_op,
@@ -65,6 +67,29 @@ def test_affine_window_matches_reference(label, rank, i):
     graph = path_crystal_window(cartan, cartan.classical_fundamental(i, classical=False), 2)
     for key in graph.sorted_keys():
         _assert_matches_reference(cartan, graph.nodes[key].element)
+
+
+def _grid_form(path):
+    return None if path is None else (path.m, path.n, path.dirs, path.cells, path.ambient)
+
+
+@pytest.mark.parametrize("ambient", ["classical", "affine"])
+@pytest.mark.parametrize("label,rank,i", FUNDAMENTALS)
+def test_table_rows_match_fresh_root_operators(label, rank, i, ambient):
+    # PathOps answers by key, so every path met with a key must share
+    # the grid form of the path its row was built from
+    cartan = build_cartan(label, rank)
+    ops = PathOps(cartan, ambient)
+    seed = linear_path(cartan.classical_fundamental(i, classical=ambient == "classical"))
+    graph = generate(ops, seed, window=2 if ambient == "affine" else None)
+    for node in graph.nodes.values():
+        x = node.element
+        met = [x, dataclasses.replace(x)]
+        met += [y for j in graph.indices for y in (ops.e(x, j), ops.f(x, j))
+                if y is not None and y.key() in graph.nodes]
+        for y, j in itertools.product(met, graph.indices):
+            assert _grid_form(ops.e(y, j)) == _grid_form(raising_op(cartan, y, j)), (y, j)
+            assert _grid_form(ops.f(y, j)) == _grid_form(lowering_op(cartan, y, j)), (y, j)
 
 
 def test_collinear_neighbours_after_reflection_match_reference():
