@@ -87,6 +87,8 @@ def test_table_rows_match_fresh_root_operators(label, rank, i, ambient):
         met = [x, dataclasses.replace(x)]
         met += [y for j in graph.indices for y in (ops.e(x, j), ops.f(x, j))
                 if y is not None and y.key() in graph.nodes]
+        # the table keeps one path per key: the one generate stored
+        assert all(y is graph.nodes[y.key()].element for y in met[2:] if y.key() != graph.seed)
         for y, j in itertools.product(met, graph.indices):
             assert _grid_form(ops.e(y, j)) == _grid_form(raising_op(cartan, y, j)), (y, j)
             assert _grid_form(ops.f(y, j)) == _grid_form(lowering_op(cartan, y, j)), (y, j)
