@@ -58,8 +58,9 @@ class Weight:
 
     ``delta`` is the null-root coefficient, or ``None`` for a weight of the
     classical quotient.  Weights sort lexicographically on their exact
-    coordinates; the order has no meaning beyond fixing the emission
-    order of crystal nodes.
+    coordinates; crystal nodes are emitted in the order of their
+    :class:`~loom.paths.Stretch` keys, which ``tests/test_keys.py`` checks
+    against this order.
     """
 
     coords: tuple[Fraction, ...]
@@ -319,8 +320,6 @@ class AffineCartan:
     sym: tuple[int, ...]
     # (affine, classical) simple root per index, built once
     _roots: tuple = field(init=False, repr=False, compare=False)
-    # weights shared by the paths of this cartan, keyed by their grid form
-    _interned: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         roots = [Weight(tuple(row[j] for row in self.matrix), int(j == 0)) for j in self.indices]

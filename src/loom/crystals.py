@@ -2,16 +2,17 @@
 
 An element kind ("ops" object) exposes ``indices``, ``key``, ``wt``,
 ``strings``, ``e`` and ``f``; ``strings(x, i)`` returns the string
-lengths ``(eps, phi)`` of x for index i in one call.  ``strings``, ``e``
-and ``f`` on the same (x, i), asked back to back, cost one scan: a kind
-keeps its last scan, matched by the identity of x, and
-:func:`generate` asks all three per (node, index).  Infinite kinds also
-expose ``level`` and are generated inside an explicit window on the
-absolute level.  Closure generation, the tensor product rule, audits and
-labelled-graph isomorphism all work against that surface, so paths,
-generated graphs and ad hoc test crystals plug into the same engine.
-The tensor rule reads the coroot pairing of a factor's weight as
-``phi - eps``, so no kind needs Cartan data of its own.
+lengths ``(eps, phi)`` of x for index i in one call.  :func:`generate`
+asks ``strings``, ``e`` and ``f`` per (node, index) back to back, for
+one scan: ``TensorOps`` keeps its last scan, matched by the identity of
+x and by i, and ``PathOps`` keeps one row per path key, over all
+indices.  Infinite kinds also expose ``level`` and are generated inside
+an explicit window on the absolute level.  Closure generation, the
+tensor product rule, audits and labelled-graph isomorphism all work
+against that surface, so paths, generated graphs and ad hoc test
+crystals plug into the same engine.  The tensor rule reads the coroot
+pairing of a factor's weight as ``phi - eps``, so no kind needs Cartan
+data of its own.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .crystals import CrystalGraph, TensorOps, check_node_cap, moves
-from .paths import Path, grid_size, segment_uniform, stretch_key
+from .paths import Path, grid_size, uniform_stretches
 
 
 class EnergyError(ValueError):
@@ -112,7 +112,7 @@ def energy_table(graph: CrystalGraph, *, rng: random.Random | None = None,
             "reached %d of %d pairs" % (len(chi), len(graph) ** 2)
         )
     return EnergyTable(
-        crystal_label=graph.label, seed=graph.seed, grid=choose_grid(graph), chi=dict(chi)
+        crystal_label=graph.label, seed=graph.seed, grid=choose_grid(graph), chi=chi
     )
 
 
@@ -135,12 +135,11 @@ def refine(graph: CrystalGraph, factors, grid: int) -> list:
     """
     keys = []
     for fkey in factors:
-        element = graph.nodes[fkey].element
-        for direction in segment_uniform(element, grid):
-            key = (stretch_key(direction),)
+        for entry in uniform_stretches(graph.nodes[fkey].element, grid):
+            key = (entry,)
             if key not in graph.nodes:
                 raise EnergyError(
-                    "refined direction %r is not a crystal element" % (direction,)
+                    "refined direction %r is not a crystal element" % (entry.weight(),)
                 )
             keys.append(key)
     return keys

@@ -91,8 +91,8 @@ def stretch_key(w: Weight) -> Stretch:
 class Path:
     """Canonical path: stretch k runs along ``dirs[k] / m`` for ``cells[k] / n``.
 
-    The key is one :class:`Stretch` per stretch.  Paths from the root
-    operators of one cartan share their accessors' weights through ``interned``.
+    The key is one :class:`Stretch` per stretch; the weights the accessors
+    return are built from stretches on demand.
     """
 
     m: int
@@ -101,26 +101,17 @@ class Path:
     cells: tuple[int, ...]
     ambient: str
     ncoords: int
-    interned: dict | None = field(default=None, repr=False)
     _key: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def is_constant(self) -> bool:
         return not self.cells
 
-    def _as_weight(self, s: Stretch) -> Weight:
-        """The weight s stands for, shared through ``interned`` if there is one."""
-        table = {} if self.interned is None else self.interned
-        w = table.get(s)
-        if w is None:
-            w = table[s] = s.weight()
-        return w
-
     def weight(self) -> Weight:
         """Endpoint of the path."""
         width = self.ncoords + (self.ambient == "affine")
         ends = [sum(d[k] * c for d, c in zip(self.dirs, self.cells)) for k in range(width)]
-        return self._as_weight(_stretch(ends, self.m * self.n, self.ambient == "affine"))
+        return _stretch(ends, self.m * self.n, self.ambient == "affine").weight()
 
     def key(self) -> tuple[Stretch, ...]:
         """Reparametrisation-invariant identity: the stretch displacements."""
@@ -134,8 +125,7 @@ class Path:
     @property
     def segments(self) -> tuple[tuple[Weight, Fraction], ...]:
         """``(displacement, duration)`` of each maximal straight stretch."""
-        return tuple((self._as_weight(s), Fraction(c, self.n))
-                     for s, c in zip(self.key(), self.cells))
+        return tuple((s.weight(), Fraction(c, self.n)) for s, c in zip(self.key(), self.cells))
 
     def __eq__(self, other):
         return (isinstance(other, Path) and self.ambient == other.ambient
@@ -146,7 +136,7 @@ class Path:
 
     def directions(self) -> list[Weight]:
         """Derivative of the path on each stretch."""
-        return [self._as_weight(_stretch(d, self.m, self.ambient == "affine")) for d in self.dirs]
+        return [_stretch(d, self.m, self.ambient == "affine").weight() for d in self.dirs]
 
     def breakpoints(self) -> list[Fraction]:
         """Cumulative times 0 = t_0 < ... < t_k = 1."""
@@ -181,14 +171,14 @@ def _on_ray(u, v) -> bool:
     return u[j] * v[j] > 0 and all(a * v[j] == b * u[j] for a, b in zip(u, v))
 
 
-def _grid_path(m, n, dirs, cells, ambient, ncoords, interned=None) -> Path:
+def _grid_path(m, n, dirs, cells, ambient, ncoords) -> Path:
     """Canonical path through stretches along ``d / m`` lasting ``c / n``.
 
     Pauses go and the rest fills [0, 1]; collinear neighbours merge.
     """
     moves = [(d, c) for d, c in zip(dirs, cells) if any(d)]
     if not moves:
-        return Path(1, 1, (), (), ambient, ncoords, interned)
+        return Path(1, 1, (), (), ambient, ncoords)
     total = sum(c for _, c in moves)
     # stretching total / n of the time to fill [0, 1] scales each direction by that
     scale, m = (1, m) if total == n else (total, m * n)
@@ -218,7 +208,7 @@ def _grid_path(m, n, dirs, cells, ambient, ncoords, interned=None) -> Path:
     mn = m * sum(out_c)
     if any(sum(d[k] * c for d, c in zip(out_d, out_c)) % mn for k in range(len(out_d[0]))):
         raise PathError("path endpoint is not a lattice weight")
-    return Path(m, sum(out_c), tuple(out_d), tuple(out_c), ambient, ncoords, interned)
+    return Path(m, sum(out_c), tuple(out_d), tuple(out_c), ambient, ncoords)
 
 
 def make_path(segments, ambient: str | None = None, ncoords: int | None = None) -> Path:
@@ -365,7 +355,7 @@ def _split_reflect(cartan, path, i, a, b):
                 dirs.append(tuple(x - k * r for x, r in zip(d, root)) if k else d)
                 cells.append(x1 - x0)
         t += c
-    return _grid_path(path.m, path.n * q, dirs, cells, path.ambient, path.ncoords, cartan._interned)
+    return _grid_path(path.m, path.n * q, dirs, cells, path.ambient, path.ncoords)
 
 
 def raising_op(cartan: AffineCartan, path: Path, i: int,
@@ -437,24 +427,30 @@ def project(path: Path) -> Path:
     return _grid_path(path.m, path.n, dirs, path.cells, "classical", path.ncoords)
 
 
-def segment_uniform(path: Path, n: int) -> list[Weight]:
-    """Directions of the path on the uniform grid of step 1/n.
+def uniform_stretches(path: Path, n: int) -> list[Stretch]:
+    """Key entries of the path's cells on the uniform grid of step 1/n.
 
-    Every breakpoint must lie on the grid; the j-th entry is the constant
-    derivative of the path on ((j-1)/n, j/n).
+    Every breakpoint must lie on the grid; the j-th entry is the
+    :class:`Stretch` of the constant derivative of the path on ((j-1)/n, j/n).
     """
     if n < 1:
         raise PathError("grid size must be a positive integer")
+    affine = path.ambient == "affine"
     if path.is_constant:
-        return [path.weight()] * n
+        return [Stretch((0,) * (path.ncoords + affine), 1, affine)] * n
     out = []
     t = 0
-    for d, c in zip(path.directions(), path.cells):
+    for d, c in zip(path.dirs, path.cells):
         t += c
         if c * n % path.n:
             raise PathError("breakpoint %s is not a multiple of 1/%d" % (Fraction(t, path.n), n))
-        out.extend([d] * (c * n // path.n))
+        out.extend([_stretch(d, path.m, affine)] * (c * n // path.n))
     return out
+
+
+def segment_uniform(path: Path, n: int) -> list[Weight]:
+    """Directions of the path on the uniform grid of step 1/n, as weights."""
+    return [s.weight() for s in uniform_stretches(path, n)]
 
 
 def grid_size(path: Path) -> int:

@@ -1,10 +1,21 @@
+import copy
+import dataclasses
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from loom import AmbientError, CartanError, Weight, build_cartan
+from loom import (
+    AffineCartan,
+    AmbientError,
+    CartanError,
+    Weight,
+    build_cartan,
+    fundamental_crystal,
+    path_crystal_window,
+    verify_decomposition,
+)
 from loom.cartan import frac_str, parse_frac
 
 
@@ -166,3 +177,21 @@ def test_weight_json_roundtrip():
     assert w.to_json() == {"lam": ["1/2", "-3/1"], "delta": "2/7"}
     assert Weight.from_json(w.to_json()) == w
     assert parse_frac(frac_str(Fraction(-5, 3))) == Fraction(-5, 3)
+
+
+def test_cartan_is_a_value():
+    # reading path weights, generating and verifying leave the cartan as built
+    cartan = build_cartan("C", 2)
+    snapshot = {name: copy.copy(value) for name, value in vars(cartan).items()}
+    graphs = (fundamental_crystal(cartan, 2),
+              path_crystal_window(cartan, cartan.classical_fundamental(2, classical=False), 2))
+    for graph in graphs:
+        for node in graph.nodes.values():
+            path = node.element
+            assert path.weight() == node.wt
+            assert path.directions() == [v * (1 / t) for v, t in path.segments]
+    assert verify_decomposition(cartan, 2, 2, 2)["pass"]
+    assert vars(cartan) == snapshot
+    containers = [f.name for f in dataclasses.fields(AffineCartan)
+                  if isinstance(getattr(cartan, f.name), (dict, list, set))]
+    assert containers == []

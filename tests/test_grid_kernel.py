@@ -17,11 +17,13 @@ import fraction_paths as ref
 import loom.paths
 from loom import (
     IntegralityError,
+    PathError,
     PathOps,
     Weight,
     build_cartan,
     concat,
     constant_path,
+    energy_table,
     fundamental_crystal,
     generate,
     h_extrema,
@@ -30,9 +32,10 @@ from loom import (
     make_path,
     path_crystal_window,
     raising_op,
+    segment_uniform,
     stretch,
 )
-from loom.paths import stretch_key
+from loom.paths import stretch_key, uniform_stretches
 
 FUNDAMENTALS = (("A", 2, 1), ("B", 3, 1), ("C", 2, 2), ("G2", 2, 1), ("D", 4, 2))
 
@@ -92,6 +95,41 @@ def test_table_rows_match_fresh_root_operators(label, rank, i, ambient):
         for y, j in itertools.product(met, graph.indices):
             assert _grid_form(ops.e(y, j)) == _grid_form(raising_op(cartan, y, j)), (y, j)
             assert _grid_form(ops.f(y, j)) == _grid_form(lowering_op(cartan, y, j)), (y, j)
+
+
+@pytest.mark.parametrize("label,rank,i", FUNDAMENTALS)
+def test_uniform_stretches_walk_the_grid(label, rank, i):
+    # refine keys cells by uniform_stretches; segment_uniform is its weight view
+    cartan = build_cartan(label, rank)
+    base = fundamental_crystal(cartan, i)
+    window = path_crystal_window(cartan, cartan.classical_fundamental(i, classical=False), 2)
+    grid = energy_table(base).grid
+    for graph in (base, window):
+        for node in graph.nodes.values():
+            p = node.element
+            for n in (p.n, 2 * p.n, grid):
+                got = uniform_stretches(p, n)
+                assert got == [stretch_key(d) for d, c in zip(p.directions(), p.cells)
+                               for _ in range(c * n // p.n)], (p, n)
+                assert segment_uniform(p, n) == [s.weight() for s in got]
+
+
+def test_uniform_stretches_of_hand_built_paths():
+    a2 = build_cartan("A", 2)
+    for classical in (True, False):
+        zero = stretch_key(a2.zero_weight(classical=classical))
+        assert uniform_stretches(constant_path(a2, classical=classical), 3) == [zero] * 3
+    w, w2 = a2.classical_fundamental(1), a2.classical_fundamental(2)
+    # on the common denominator 4, the first direction 6 (w - w2) / 4 is not in lowest terms
+    u, v = (w - w2) * Fraction(3, 2), (w + w2) * Fraction(3, 4)
+    odd = make_path([(u, Fraction(1, 3)), (v, Fraction(2, 3))])
+    assert uniform_stretches(odd, 3) == [stretch_key(u)] + [stretch_key(v)] * 2
+    bent = make_path([(2 * w, Fraction(1, 2)), (-2 * w, Fraction(1, 2))])
+    for walk in (uniform_stretches, segment_uniform):
+        with pytest.raises(PathError, match=r"^breakpoint 1/2 is not a multiple of 1/3$"):
+            walk(bent, 3)
+        with pytest.raises(PathError, match=r"^grid size must be a positive integer$"):
+            walk(bent, 0)
 
 
 def test_collinear_neighbours_after_reflection_match_reference():
