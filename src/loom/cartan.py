@@ -270,39 +270,41 @@ def _highest_root(mat: list[list[int]]) -> tuple[int, ...]:
     return best
 
 
-def _primitive_null_vector(mat: list[list[Fraction]]) -> list[int]:
-    """The positive primitive integer kernel vector of a corank-one matrix."""
-    n = len(mat)
-    a = [[frac(x) for x in row] for row in mat]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        piv = next((k for k in range(r, n) if a[k][c] != 0), None)
+def solve_square(matrix, rhs) -> list:
+    """The one solution of a square system by exact Gauss–Jordan on row copies.
+
+    Any field with a falsy zero and ``/`` works: ``Fraction``, ``QScalar``.
+    A singular matrix raises ArithmeticError.
+    """
+    n = len(matrix)
+    a = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        piv = next((k for k in range(col, n) if a[k][col]), None)
         if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+            raise ArithmeticError("singular linear system")
+        a[col], a[piv] = a[piv], a[col]
+        pivot = a[col][col]
+        a[col] = [x / pivot for x in a[col]]
         for k in range(n):
-            if k != r and a[k][c] != 0:
-                f = a[k][c]
-                a[k] = [x - f * y for x, y in zip(a[k], a[r])]
-        piv_cols.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in piv_cols]
-    if len(free) != 1:
-        raise CartanError("kernel is not one dimensional")
-    fc = free[0]
-    vec = [Fraction(0)] * n
-    vec[fc] = Fraction(1)
-    for row, c in zip(range(r), piv_cols):
-        vec[c] = -a[row][fc]
+            if k != col and a[k][col]:
+                f = a[k][col]
+                a[k] = [x - f * y for x, y in zip(a[k], a[col])]
+    return [a[k][n] for k in range(n)]
+
+
+def _primitive_null_vector(mat) -> list[int]:
+    """The positive primitive integer kernel vector of an affine integer matrix.
+
+    Node 0 gets one and the nonsingular finite block gives the rest; the
+    caller checks row 0.
+    """
+    vec = [Fraction(1)] + solve_square(
+        [[Fraction(x) for x in row[1:]] for row in mat[1:]], [Fraction(-row[0]) for row in mat[1:]]
+    )
     denom = lcm(*[v.denominator for v in vec])
     ints = [int(v * denom) for v in vec]
     g = gcd(*ints)
     ints = [v // g for v in ints]
-    if ints[0] < 0:
-        ints = [-v for v in ints]
     if any(v <= 0 for v in ints):
         raise CartanError("kernel vector is not positive")
     return ints
@@ -415,9 +417,10 @@ def build_cartan(label: str, rank: int) -> AffineCartan:
     """Construct the affine Cartan data for an untwisted type.
 
     The affine matrix is assembled from the finite matrix and the highest
-    finite root; marks and comarks are then recomputed as the primitive
-    positive kernel vectors of the matrix and its transpose, so both null
-    identities hold by construction or fail loudly.
+    finite root.  Marks and comarks are the primitive positive kernel
+    vectors of the matrix and its transpose: node 0 gets one and
+    :func:`solve_square` solves the finite block for the rest.  Every row of
+    both null identities and both node-0 entries are then checked.
     """
     if not isinstance(rank, int):
         raise CartanError("rank must be an integer")
@@ -444,10 +447,8 @@ def build_cartan(label: str, rank: int) -> AffineCartan:
         aff[0][j + 1] = -sum(int(theta_covec[i]) * fin[i][j] for i in range(rank))
         aff[j + 1][0] = -sum(theta[i] * fin[j][i] for i in range(rank))
 
-    marks = _primitive_null_vector([[Fraction(x) for x in row] for row in aff])
-    comarks = _primitive_null_vector(
-        [[Fraction(aff[j][i]) for j in range(n)] for i in range(n)]
-    )
+    marks = _primitive_null_vector(aff)
+    comarks = _primitive_null_vector(list(zip(*aff)))
     sym = _symmetrizers(aff)
 
     if marks[0] != 1 or comarks[0] != 1:

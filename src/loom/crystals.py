@@ -143,32 +143,20 @@ class CrystalGraph:
         for key in self.sorted_keys():
             node = self.nodes[key]
             for pos, i in enumerate(self.indices):
-                up = 0
-                k = key
-                while (k, i) in self.e_edges:
-                    k = self.e_edges[(k, i)]
-                    up += 1
-                    if up > len(self.nodes):
-                        problems.append("cycle in raising chain at %r, i=%d" % (key, i))
-                        break
-                if up != node.eps[pos]:
-                    problems.append(
-                        "eps mismatch at %r, i=%d: table %d, chain %d"
-                        % (key, i, node.eps[pos], up)
-                    )
-                down = 0
-                k = key
-                while (k, i) in self.f_edges:
-                    k = self.f_edges[(k, i)]
-                    down += 1
-                    if down > len(self.nodes):
-                        problems.append("cycle in lowering chain at %r, i=%d" % (key, i))
-                        break
-                if down != node.phi[pos]:
-                    problems.append(
-                        "phi mismatch at %r, i=%d: table %d, chain %d"
-                        % (key, i, node.phi[pos], down)
-                    )
+                for edges, table, walk, name in ((self.e_edges, node.eps, "raising", "eps"),
+                                                 (self.f_edges, node.phi, "lowering", "phi")):
+                    steps, k = 0, key
+                    while (k, i) in edges:
+                        k = edges[(k, i)]
+                        steps += 1
+                        if steps > len(self.nodes):
+                            problems.append("cycle in %s chain at %r, i=%d" % (walk, key, i))
+                            break
+                    if steps != table[pos]:
+                        problems.append(
+                            "%s mismatch at %r, i=%d: table %d, chain %d"
+                            % (name, key, i, table[pos], steps)
+                        )
         for (src, i), dst in self.f_edges.items():
             if self.e_edges.get((dst, i)) != src:
                 problems.append("edge (%r, %d) is not quasi-inverse" % (src, i))
@@ -197,41 +185,34 @@ class CrystalGraph:
             cls2.setdefault(sig2[k], []).append(k)
         order = sorted(self.nodes, key=lambda k: (len(cls2[sig1[k]]), k))
 
+        pairs = ((self.f_edges, other.f_edges), (self.e_edges, other.e_edges))
         mapping: dict = {}
         used: set = set()
 
         def compatible(a, b):
             for i in self.indices:
-                fa = self.f_edges.get((a, i))
-                fb = other.f_edges.get((b, i))
-                if (fa is None) != (fb is None):
-                    return False
-                if fa is not None and fa in mapping and mapping[fa] != fb:
-                    return False
-                ea = self.e_edges.get((a, i))
-                eb = other.e_edges.get((b, i))
-                if (ea is None) != (eb is None):
-                    return False
-                if ea is not None and ea in mapping and mapping[ea] != eb:
-                    return False
+                for mine, theirs in pairs:
+                    xa, xb = mine.get((a, i)), theirs.get((b, i))
+                    if (xa is None) != (xb is None) or (xa in mapping and mapping[xa] != xb):
+                        return False
             return True
 
-        def place(idx):
-            if idx == len(order):
-                return True
-            a = order[idx]
-            for b in cls2[sig1[a]]:
-                if b in used or not compatible(a, b):
-                    continue
+        # stack[d] yields the candidates left for order[d]; mapping places order[:d]
+        stack = []
+        while len(mapping) < len(order):
+            a = order[len(mapping)]
+            if len(stack) == len(mapping):
+                stack.append(iter(cls2[sig1[a]]))
+            b = next((c for c in stack[-1] if c not in used and compatible(a, c)), None)
+            if b is not None:
                 mapping[a] = b
                 used.add(b)
-                if place(idx + 1):
-                    return True
-                del mapping[a]
-                used.discard(b)
-            return False
-
-        return dict(mapping) if place(0) else None
+                continue
+            stack.pop()
+            if not mapping:
+                return None
+            used.discard(mapping.popitem()[1])
+        return mapping
 
     # -- export -----------------------------------------------------------
 

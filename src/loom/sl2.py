@@ -4,7 +4,10 @@ Basis vectors of a tensor of simple modules are tagged by the divided
 powers applied to each highest weight vector.  All actions are exact
 over the rational function field; the crystal-limit machinery expresses
 a vector in the string basis through the singular vectors, checks that
-every coordinate is regular at the origin, and evaluates there.
+every coordinate is regular at the origin, and evaluates there.  The
+string coordinates of each weight level are solved by
+``cartan.solve_square``, the exact Gauss–Jordan routine that also derives
+the affine marks and comarks.
 
 The singular vectors are built from their hypergeometric-style closed
 form; ``tests/test_sl2.py::test_singular_vectors_match_kernel_solve``
@@ -26,6 +29,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cartan import solve_square
 from .crystals import CrystalGraph, Node, TensorOps, moves
 from .qfield import Q_ONE, Q_ZERO, QScalar, qbinom, qfact, qint
 
@@ -326,24 +330,6 @@ def singular_vectors(t1: int, t2: int) -> list[TensorVector]:
     return [singular_vector(t1, t2, r) for r in range(min(t1, t2) + 1)]
 
 
-def _solve_square(matrix, rhs):
-    """Exact Gaussian elimination on copies of the QScalar rows; one solution."""
-    n = len(matrix)
-    a = [row[:] + [b] for row, b in zip(matrix, rhs)]
-    for col in range(n):
-        piv = next((k for k in range(col, n) if not a[k][col].is_zero), None)
-        if piv is None:
-            raise ArithmeticError("singular linear system")
-        a[col], a[piv] = a[piv], a[col]
-        inv = Q_ONE / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for k in range(n):
-            if k != col and not a[k][col].is_zero:
-                f = a[k][col]
-                a[k] = [x - f * y for x, y in zip(a[k], a[col])]
-    return [a[k][n] for k in range(n)]
-
-
 class StringLattice:
     """The divided-power string basis of a two-factor tensor.
 
@@ -411,7 +397,7 @@ class StringLattice:
             by_level.setdefault(idx[0] + idx[1], {})[idx] = c
         for level, comp in by_level.items():
             rhs = [comp.get(key, Q_ZERO) for key in self._dp_keys[level]]
-            sol = _solve_square(self._matrices[level], rhs)
+            sol = solve_square(self._matrices[level], rhs)
             for tag, c in zip(self._levels[level], sol):
                 if not c.is_zero:
                     out[tag] = c

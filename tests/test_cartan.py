@@ -16,7 +16,8 @@ from loom import (
     path_crystal_window,
     verify_decomposition,
 )
-from loom.cartan import frac_str, parse_frac
+from loom.cartan import frac_str, parse_frac, solve_square
+from loom.qfield import Q_ONE, Q_ZERO, QScalar
 
 
 def test_a1_matrix_and_null_vectors(a1):
@@ -48,11 +49,35 @@ def test_c2_marks_and_delta_expansion(c2):
     ("E8", 8, (1, 2, 3, 4, 6, 5, 4, 3, 2), (1, 2, 3, 4, 6, 5, 4, 3, 2)),
     ("F4", 4, (1, 2, 3, 4, 2), (1, 2, 3, 2, 1)),
     ("G2", 2, (1, 2, 3), (1, 2, 1)),
+    ("A", 3, (1, 1, 1, 1), (1, 1, 1, 1)),
+    ("B", 3, (1, 1, 2, 2), (1, 1, 2, 1)),
+    ("B", 5, (1, 1, 2, 2, 2, 2), (1, 1, 2, 2, 2, 1)),
+    ("C", 3, (1, 2, 2, 1), (1, 1, 1, 1)),
+    ("C", 5, (1, 2, 2, 2, 2, 1), (1, 1, 1, 1, 1, 1)),
+    ("D", 4, (1, 1, 2, 1, 1), (1, 1, 2, 1, 1)),
+    ("D", 6, (1, 1, 2, 2, 2, 1, 1), (1, 1, 2, 2, 2, 1, 1)),
 ])
 def test_exceptional_marks_and_comarks(label, rank, marks, comarks):
     cartan = build_cartan(label, rank)
     assert cartan.marks == marks
     assert cartan.comarks == comarks
+
+
+def test_solve_square_over_both_fields():
+    fr = [[Fraction(2), Fraction(1)], [Fraction(1, 3), Fraction(-1)]]
+    fr_rhs = [Fraction(1), Fraction(5, 2)]
+    q = QScalar.q_power(1)
+    qs = [[Q_ONE, q], [q, Q_ONE + q * q + q]]
+    qs_rhs = [q, Q_ONE]
+    for matrix, rhs, zero in ((fr, fr_rhs, Fraction(0)), (qs, qs_rhs, Q_ZERO)):
+        before = [row[:] for row in matrix]
+        sol = solve_square(matrix, rhs)
+        assert matrix == before
+        for row, b in zip(matrix, rhs):
+            assert sum((x * y for x, y in zip(row, sol)), zero) == b
+        singular = [matrix[0], [x + x for x in matrix[0]]]
+        with pytest.raises(ArithmeticError):
+            solve_square(singular, rhs)
 
 
 @pytest.mark.parametrize("label,rank", [("A", 0), ("B", 1), ("C", 1), ("D", 3),

@@ -138,7 +138,17 @@ def test_normality_negative_control(a1_base):
         label="tampered", indices=a1_base.indices, nodes=tampered,
         f_edges=dict(a1_base.f_edges), seed=a1_base.seed,
     )
-    assert len(broken.normality_audit()) == 1
+    assert broken.normality_audit() == [
+        "eps mismatch at %r, i=0: table %d, chain %d" % (key, bumped[0], node.eps[0])
+    ]
+    last = a1_base.sorted_keys()[-1]
+    other = tampered[last]
+    tampered[last] = Node(other.element, other.wt, other.eps, (other.phi[0] + 1,) + other.phi[1:])
+    broken = dataclasses.replace(broken, nodes=tampered)
+    assert broken.normality_audit() == [
+        "eps mismatch at %r, i=0: table %d, chain %d" % (key, bumped[0], node.eps[0]),
+        "phi mismatch at %r, i=0: table %d, chain %d" % (last, other.phi[0] + 1, other.phi[0]),
+    ]
 
 
 def test_isomorphism(a1, a1_base, a2_base):
@@ -154,6 +164,16 @@ def test_isomorphism(a1, a1_base, a2_base):
     )
     mapping = a1_base.isomorphic(renamed)
     assert mapping == relabel
+    # 2,802 nodes: far deeper than one stack frame per placed node allows
+    wide = affinized_tensor_crystal(a1_base, 1, 700)
+    assert wide.isomorphic(wide) == {k: k for k in wide.nodes}
+    f_edges = dict(wide.f_edges)
+    del f_edges[next(iter(f_edges))]
+    cut = CrystalGraph(
+        label="cut", indices=wide.indices, nodes=dict(wide.nodes), f_edges=f_edges,
+        seed=wide.seed, truncated=True, window=wide.window,
+    )
+    assert wide.isomorphic(cut) is None
 
 
 def test_tensor_associativity(a1, a1_base, a2, a2_base):
