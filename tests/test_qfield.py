@@ -8,6 +8,14 @@ from loom import qfield
 from loom.qfield import Q_ONE, Q_ZERO, QScalar, qbinom, qfact, qint
 
 
+@pytest.fixture(autouse=True)
+def _cold_gcd_memo():
+    """Each test computes its gcds instead of reading another test's."""
+    qfield._gcd_cofactors.cache_clear()
+    yield
+    qfield._gcd_cofactors.cache_clear()
+
+
 def test_qint_examples():
     assert qint(0) == Q_ZERO
     assert qint(1) == Q_ONE
@@ -162,10 +170,15 @@ def test_results_stay_canonical(monkeypatch):
 
     monkeypatch.setattr(qfield, "_cancel", counting_cancel)
     rng = random.Random(3)
-    for _ in range(150):
+    for i in range(150):
         a, b = _shared_operand(rng), _shared_operand(rng)
         an, ad = a.coeffs()
         bn, bd = b.coeffs()
+        # q^k over the powers -3..3, and its coefficient lists
+        k = i % 7 - 3
+        qk = QScalar.q_power(k)
+        qk_num, qk_den = [0] * max(k, 0) + [1], [0] * max(-k, 0) + [1]
+        minus_an = [-c for c in an]
         cases = [
             ("add", lambda: a + b, _padd(_pmul(an, bd), _pmul(bn, ad)), _pmul(ad, bd)),
             ("add", lambda: a - b, _padd(_pmul(an, bd), _pmul(bn, ad), -1), _pmul(ad, bd)),
@@ -173,6 +186,12 @@ def test_results_stay_canonical(monkeypatch):
             ("mul", lambda: a / b, _pmul(an, bd), _pmul(ad, bn)),
             # the sum's denominator holds den(b), which must cancel again
             ("add", lambda: (a + b) - b, an, ad),
+            # a monomial or unit factor, on either side, takes no gcd
+            ("mul", lambda: a * qk, _pmul(an, qk_num), _pmul(ad, qk_den)),
+            ("mul", lambda: qk * a, _pmul(an, qk_num), _pmul(ad, qk_den)),
+            ("mul", lambda: a / qk, _pmul(an, qk_den), _pmul(ad, qk_num)),
+            ("mul", lambda: a * QScalar.const(-1), minus_an, ad),
+            ("mul", lambda: a / QScalar.const(-1), minus_an, ad),
         ]
         for op, compute, ref_num, ref_den in cases:
             running[0] = op
@@ -204,7 +223,8 @@ def _counting_prs(monkeypatch):
     return calls
 
 
-def test_heuristic_gcd_matches_prs_on_shared_factors(monkeypatch):
+def _shared_factor_pairs():
+    """300 operand pairs built from the rank-one factors, a factor shared."""
     factors = [f for f in _FACTORS if f[0]]
     rng = random.Random(7)
 
@@ -219,6 +239,11 @@ def test_heuristic_gcd_matches_prs_on_shared_factors(monkeypatch):
         shared = product()
         pairs.append((_canonical_poly(_pmul(shared, product())),
                       _canonical_poly(_pmul(shared, product()))))
+    return pairs
+
+
+def test_heuristic_gcd_matches_prs_on_shared_factors(monkeypatch):
+    pairs = _shared_factor_pairs()
     expected = [_prs_cancel(a, b) for a, b in pairs]
     fallbacks = _counting_prs(monkeypatch)
     assert [qfield._cancel(a, b) for a, b in pairs] == expected
@@ -234,9 +259,10 @@ def _dense(rng, degree, bound):
     return p
 
 
-def test_heuristic_gcd_matches_prs_on_dense_polynomials():
+def _dense_triples():
+    """200 (planted, a, b): a holds the planted factor, and b in three of four."""
     rng = random.Random(19)
-    coprime = planted_found = 0
+    triples = []
     for n in range(200):
         planted = _canonical_poly(_dense(rng, rng.randint(1, 4), 1000))
         a = _canonical_poly(_pmul(planted, _dense(rng, rng.randint(0, 4), 1000)))
@@ -244,6 +270,13 @@ def test_heuristic_gcd_matches_prs_on_dense_polynomials():
             b = _canonical_poly(_pmul(planted, _dense(rng, rng.randint(0, 4), 1000)))
         else:
             b = _canonical_poly(_dense(rng, rng.randint(1, 8), 10 ** 6))
+        triples.append((planted, a, b))
+    return triples
+
+
+def test_heuristic_gcd_matches_prs_on_dense_polynomials():
+    coprime = planted_found = 0
+    for planted, a, b in _dense_triples():
         g, qa, qb = qfield._cancel(a, b)
         assert (g, qa, qb) == _prs_cancel(a, b)
         assert _pmul(g, qa) == list(a) and _pmul(g, qb) == list(b)
@@ -265,10 +298,39 @@ def test_rejected_candidates_fall_back_to_prs(monkeypatch):
     assert qfield._cancel(a, b) == expected
     assert len(points) == qfield._HEU_ROUNDS and points == sorted(set(points))
     assert fallbacks == [(a, b)]
-    # a fallback gcd that does not divide is an error, not a silent result
+    # a fallback gcd that does not divide is an error, not a silent result;
+    # the memo holds the pair from the call above, so drop it first
+    qfield._gcd_cofactors.cache_clear()
     monkeypatch.setattr(qfield, "_igcd_poly", lambda a, b: (1, 2))
     with pytest.raises(ArithmeticError, match="does not divide"):
         qfield._cancel(a, b)
+
+
+def test_memo_returns_the_computed_cofactors(monkeypatch):
+    pairs = _shared_factor_pairs() + [(a, b) for _, a, b in _dense_triples()]
+    expected = [_prs_cancel(a, b) for a, b in pairs]
+    memo = qfield._gcd_cofactors
+    assert [qfield._cancel(a, b) for a, b in pairs] == expected
+    cold = memo.cache_info()
+    fallbacks = _counting_prs(monkeypatch)
+    assert [qfield._cancel(a, b) for a, b in pairs] == expected
+    warm = memo.cache_info()
+    multi_term = sum(len(a) > 1 and len(b) > 1 and a != b for a, b in pairs)
+    # the second round is answered by the memo alone
+    assert warm.hits - cold.hits == multi_term > 300
+    assert (warm.misses, warm.currsize) == (cold.misses, cold.currsize)
+    assert fallbacks == []
+
+
+def test_one_term_and_equal_operands_bypass_the_memo():
+    a, b = (1, 1), (1, 0, 1)
+    assert qfield._cancel((1,), a) == ((1,), (1,), a)
+    assert qfield._cancel(b, (1,)) == ((1,), b, (1,))
+    assert qfield._cancel(b, b) == (b, (1,), (1,))
+    info = qfield._gcd_cofactors.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+    assert qfield._cancel(a, b) == ((1,), a, b)
+    assert qfield._gcd_cofactors.cache_info().currsize == 1
 
 
 def test_exact_division_rejects_non_divisors():

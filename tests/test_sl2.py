@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from loom import sl2, verify
+from loom import qfield, sl2, verify
 from loom.crystals import TensorOps
 from loom.qfield import Q_ONE, Q_ZERO, QScalar, qfact, qint
 from loom.sl2 import (
@@ -295,6 +295,25 @@ def test_crystal_limit_decomposes_each_tag_once(monkeypatch, t1, t2):
     tags = (t1 + 1) * (t2 + 1)
     assert counts == {"string_decompose": tags, "kashiwara_e": tags,
                       "kashiwara_f": tags, "lattice": 1}
+
+
+def test_crystal_limit_is_the_same_with_a_cold_and_a_warm_gcd_memo():
+    def run():
+        vectors = []
+        for idx in itertools.product(range(3), range(4)):
+            vec = basis((2, 3), idx)
+            vectors += [kashiwara_e(vec), kashiwara_f(vec)]
+        return crystal_limit_table(2, 3), vectors
+
+    memo = qfield._gcd_cofactors
+    memo.cache_clear()
+    cold = run()
+    seen = memo.cache_info()
+    warm = run()
+    after = memo.cache_info()
+    assert seen.currsize > 0 and after.hits > seen.hits
+    assert after.misses == seen.misses
+    assert warm == cold
 
 
 def test_sl2_suite_builds_one_lattice(monkeypatch):
