@@ -15,10 +15,12 @@ coroot pairing along the path.  It leaves the path alone until the last
 time ``h`` sits one below its maximum, reflects the stretch where ``h``
 climbs to the maximum, and translates the rest; the lowering operator is
 the mirror image.  Heights at the breakpoints are integer prefix sums in
-units of 1 / (m n); an operator refines the grid until its split time is
-on it, cuts that stretch and reflects the integer directions of the
-block.  The canonical form drops pauses, merges collinear neighbours and
-divides out common factors, so ``n`` is the least grid of the path.
+units of 1 / (m n); an operator refines the grid until its split times
+are on it, cuts only the one or two stretches they fall inside, and
+reflects the integer directions of the block, copying every other
+stretch whole.  The canonical form drops pauses, merges collinear
+neighbours and divides out common factors, so ``n`` is the least grid
+of the path.
 
 The height maximum is required to be an integer.  Paths produced by
 closure from linear seeds satisfy this; anything else is outside the
@@ -30,8 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .cartan import AffineCartan, AmbientError, Weight, _weight, frac
@@ -117,8 +120,8 @@ class Path:
         """Reparametrisation-invariant identity: the stretch displacements."""
         if self._key is None:
             mn, affine = self.m * self.n, self.ambient == "affine"
-            key = tuple(_stretch([x * c for x in d], mn, affine)
-                        for d, c in zip(self.dirs, self.cells))
+            key = tuple([Stretch(tuple([x * c // g for x in d]), mn // g, affine)
+                         for d, c in zip(self.dirs, self.cells) for g in (gcd(mn, c * gcd(*d)),)])
             object.__setattr__(self, "_key", key)
         return self._key
 
@@ -179,20 +182,20 @@ def _grid_path(m, n, dirs, cells, ambient, ncoords) -> Path:
     moves = [(d, c) for d, c in zip(dirs, cells) if any(d)]
     if not moves:
         return Path(1, 1, (), (), ambient, ncoords)
-    total = sum(c for _, c in moves)
+    total = sum([c for _, c in moves])
     # stretching total / n of the time to fill [0, 1] scales each direction by that
     scale, m = (1, m) if total == n else (total, m * n)
     out_d, out_c = [], []
     for d, c in moves:
         if scale != 1:
-            d = tuple(x * scale for x in d)
+            d = tuple([x * scale for x in d])
         if out_d and (d == out_d[-1] or _on_ray(out_d[-1], d)):
             u, cu = out_d[-1], out_c[-1]
             s = cu + c
             if d != u:
                 # the merged direction (u cu + d c) / s needs the denominator m s
-                out_d = [tuple(x * s for x in v) for v in out_d]
-                out_d[-1] = tuple(a * cu + b * c for a, b in zip(u, d))
+                out_d = [tuple([x * s for x in v]) for v in out_d]
+                out_d[-1] = tuple([a * cu + b * c for a, b in zip(u, d)])
                 m *= s
                 scale *= s
             out_c[-1] = s
@@ -201,14 +204,14 @@ def _grid_path(m, n, dirs, cells, ambient, ncoords) -> Path:
             out_c.append(c)
     g = gcd(*out_c)
     out_c = [c // g for c in out_c]
-    g = gcd(m, *(x for d in out_d for x in d))
+    g = gcd(m, *chain.from_iterable(out_d))
     if g > 1:
         m //= g
-        out_d = [tuple(x // g for x in d) for d in out_d]
-    mn = m * sum(out_c)
-    if any(sum(d[k] * c for d, c in zip(out_d, out_c)) % mn for k in range(len(out_d[0]))):
+        out_d = [tuple([x // g for x in d]) for d in out_d]
+    n = sum(out_c)
+    if any(sum(map(mul, col, out_c)) % (m * n) for col in zip(*out_d)):
         raise PathError("path endpoint is not a lattice weight")
-    return Path(m, sum(out_c), tuple(out_d), tuple(out_c), ambient, ncoords)
+    return Path(m, n, tuple(out_d), tuple(out_c), ambient, ncoords)
 
 
 def make_path(segments, ambient: str | None = None, ncoords: int | None = None) -> Path:
@@ -340,7 +343,11 @@ def phi(cartan: AffineCartan, path: Path, i: int) -> int:
 
 
 def _split_reflect(cartan, path, i, a, b):
-    """Reflect the stretch between the cell times a and b by the i-th reflection."""
+    """Reflect the stretch between the cell times a and b by the i-th reflection.
+
+    A stretch outside [a, b], or with no i-th entry, is copied whole; only
+    the one or two stretches a cut time falls inside are split.
+    """
     q = lcm(a[1], b[1])
     lo, hi = a[0] * (q // a[1]), b[0] * (q // b[1])
     # alpha_i; a classical direction zips away the null-root entry
@@ -348,13 +355,17 @@ def _split_reflect(cartan, path, i, a, b):
     dirs, cells = [], []
     t = 0
     for d, c in zip(path.dirs, path.cells):
-        c *= q
-        for x0, x1 in ((t, min(t + c, lo)), (max(t, lo), min(t + c, hi)), (max(t, hi), t + c)):
-            if x1 > x0:
-                k = d[i] if lo <= x0 and x1 <= hi else 0
-                dirs.append(tuple(x - k * r for x, r in zip(d, root)) if k else d)
-                cells.append(x1 - x0)
-        t += c
+        s = t + c * q
+        if lo < s and t < hi and d[i]:
+            r = tuple([x - d[i] * y for x, y in zip(d, root)])
+            for v, x0, x1 in ((d, t, lo), (r, max(t, lo), min(s, hi)), (d, hi, s)):
+                if x1 > x0:
+                    dirs.append(v)
+                    cells.append(x1 - x0)
+        else:
+            dirs.append(d)
+            cells.append(s - t)
+        t = s
     return _grid_path(path.m, path.n * q, dirs, cells, path.ambient, path.ncoords)
 
 

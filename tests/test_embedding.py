@@ -7,6 +7,7 @@ import loom.paths
 from loom import (
     CrystalGraph,
     PathOps,
+    Weight,
     affinized_tensor_crystal,
     build_cartan,
     c_class,
@@ -15,10 +16,12 @@ from loom import (
     fundamental_crystal,
     kappa,
     linear_path,
+    make_path,
     path_crystal_window,
     project,
     psi,
     raising_op,
+    refine,
     verify_decomposition,
 )
 from loom.crystals import moves
@@ -182,21 +185,27 @@ def test_m1_image_matches_piece(a1, a1_base, a1_energy):
     assert inner_images == inner_piece
 
 
-@pytest.mark.parametrize("label,rank,m,window", [("A", 2, 4, 4), ("B", 3, 2, 2)])
+@pytest.mark.parametrize("label,rank,m,window", [("A", 2, 4, 4), ("B", 3, 2, 2), ("C", 2, 2, 2)])
 def test_psi_heights_match_single_point_kappa(label, rank, m, window):
-    # psi reads every height off two running sums; kappa is the
-    # single-point formula, recomputed on its own for each j
+    # psi reads every height off two running sums as integer numerators;
+    # kappa is the single-point Fraction formula, recomputed on its own for
+    # each j, and the image is rebuilt from Weight segments through make_path
     cartan = build_cartan(label, rank)
-    base = fundamental_crystal(cartan, 1)
+    base = fundamental_crystal(cartan, 2 if label == "C" else 1)
     table = energy_table(base)
-    assert table.grid == (2 if label == "B" else 1)
+    grid = table.grid
+    assert grid == (1 if label == "A" else 2)
     aff = affinized_tensor_crystal(base, m, window)
+    total = grid * m
     for factors, degree in aff.sorted_keys():
-        heights = psi(table, base, (factors, degree)).heights
-        assert len(heights) == table.grid * m + 1
-        for j, h in enumerate(heights):
-            assert h == kappa(table, base, factors, degree, j)
-
+        image = psi(table, base, (factors, degree))
+        heights = [kappa(table, base, factors, degree, j) for j in range(total + 1)]
+        assert image.heights == tuple(heights)
+        letters = [base.nodes[k].wt for k in refine(base, factors, grid)]
+        segs = [(Weight(tuple(c * m for c in w.coords), (h1 - h0) * total), Fraction(1, total))
+                for w, h0, h1 in zip(letters, heights, heights[1:])]
+        want = make_path(segs, ambient="affine", ncoords=len(letters[0].coords))
+        assert _grid_form(image.path) == _grid_form(want), (factors, degree)
 
 
 CHECK_NAMES = [
@@ -216,6 +225,7 @@ GOLDEN_REPORTS = [
         "cartan": "A1", "i": 1, "m": 2, "window": 3, "grid": 1,
         "checks": _passing_checks(psi_injective="28 nodes",
                                   image_equals_union="image 20, union 20",
+                                  psi_preserves_operators="76 moves compared, 4 skipped",
                                   degree_shift_periodicity="checked [(0, 2), (1, 3)]"),
         "pass": True,
         "counts": {"base": 2, "affinized": 28, "image_inner": 20,
@@ -225,6 +235,7 @@ GOLDEN_REPORTS = [
         "cartan": "C2", "i": 2, "m": 2, "window": 2, "grid": 2,
         "checks": _passing_checks(psi_injective="125 nodes",
                                   image_equals_union="image 75, union 75",
+                                  psi_preserves_operators="426 moves compared, 24 skipped",
                                   degree_shift_periodicity="checked [(0, 2)]"),
         "pass": True,
         "counts": {"base": 5, "affinized": 125, "image_inner": 75,
@@ -283,6 +294,20 @@ def test_every_decomposition_check_can_fail(a1, monkeypatch):
         mp.setattr(emb, "path_crystal_window", wrong_shift)
         failed = _failing(verify_decomposition(a1, 1, m, window))
     assert "degree_shift_periodicity" in failed
+
+
+def test_operator_check_that_compared_nothing_fails(a1, monkeypatch):
+    import loom.embedding as emb
+
+    # every move is sent past the window, so the check skips all 20 * 2 * 2 of them
+    def outward(graph, key):
+        return [(i, kind, (key[0], graph.window + 1)) for i, kind, _ in moves(graph, key)]
+
+    monkeypatch.setattr(emb, "moves", outward)
+    report = verify_decomposition(a1, 1, 2, 3)
+    assert _failing(report) == {"psi_preserves_operators"}
+    check = next(c for c in report["checks"] if c["name"] == "psi_preserves_operators")
+    assert check["detail"] == "0 moves compared, 80 skipped"
 
 
 def _grid_form(path):

@@ -9,6 +9,7 @@ non-integral directions, pauses and collinear neighbours.
 
 import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,52 @@ def test_collinear_neighbours_after_reflection_match_reference():
         paths = [base.nodes[k].element for k in base.sorted_keys()]
         for a, b in itertools.product(paths, repeat=2):
             _assert_matches_reference(cartan, concat([stretch(a, 2), b]))
+
+
+def _plateau(cartan, i):
+    """Every height climbs; the i-th rests at 1/2 along a middle stretch with no i-th entry."""
+    def unit(j, x):
+        return Weight(tuple(x * (k == j) for k in cartan.indices))
+
+    third, k = Fraction(1, 3), (i + 1) % len(cartan.indices)
+    return make_path([(unit(i, Fraction(-3, 2)), third), (unit(k, -3), third),
+                      (unit(i, Fraction(-3, 2)), third)])
+
+
+@pytest.mark.parametrize("label,rank,i", [("A", 2, 1), ("C", 2, 2), ("G2", 2, 1), ("D", 4, 2)])
+def test_random_concatenations_match_reference(label, rank, i):
+    # _split_reflect copies whole every stretch the cut times miss; seeded
+    # concatenations of stretched base paths must reach each split case.
+    # A crystal path never rests strictly between two integer heights, so
+    # one plateau path per index joins the crystal's paths
+    cartan = build_cartan(label, rank)
+    base = fundamental_crystal(cartan, i)
+    paths = [base.nodes[k].element for k in base.sorted_keys()]
+    paths += [_plateau(cartan, j) for j in cartan.indices]
+    rng = random.Random(label)
+    cases = set()
+    for _ in range(200):
+        parts = [stretch(rng.choice(paths), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        path = stretch(concat(parts), rng.randint(1, 2))
+        times, dirs = path.breakpoints(), path.directions()
+        for j in cartan.indices:
+            ext = ref.h_extrema(cartan, path, j)
+            for op, a, b, crossing in ((raising_op, ext.e_minus, ext.e_plus, ext.e_minus),
+                                       (lowering_op, ext.f_plus, ext.f_minus, ext.f_minus)):
+                got = op(cartan, path, j)
+                if crossing is None:
+                    assert got is None, (path, j, op.__name__)
+                    continue
+                want = ref.split_reflect(cartan, path, j, a, b)
+                assert got is not None and got.segments == want, (path, j, op.__name__)
+                if (crossing * path.n).denominator > 1:
+                    cases.add("cut off the grid")
+                if crossing in times[1:-1]:
+                    cases.add("cut on a stretch end")
+                if any(t0 < b and t1 > a and d.coords[j] == 0
+                       for d, t0, t1 in zip(dirs, times, times[1:])):
+                    cases.add("block stretch off the coroot")
+    assert cases == {"cut off the grid", "cut on a stretch end", "block stretch off the coroot"}
 
 
 def test_hand_built_paths_match_reference():
