@@ -2,17 +2,19 @@
 
 An element kind ("ops" object) exposes ``indices``, ``key``, ``wt``,
 ``strings``, ``e`` and ``f``; ``strings(x, i)`` returns the string
-lengths ``(eps, phi)`` of x for index i in one call.  :func:`generate`
-asks ``strings``, ``e`` and ``f`` per (node, index) back to back, for
-one scan: ``TensorOps`` keeps its last scan, matched by the identity of
-x and by i, and ``PathOps`` keeps one row per path key, over all
-indices.  Infinite kinds also expose ``level`` and are generated inside
-an explicit window on the absolute level.  Closure generation, the
-tensor product rule, audits and labelled-graph isomorphism all work
-against that surface, so paths, generated graphs and ad hoc test
-crystals plug into the same engine.  The tensor rule reads the coroot
-pairing of a factor's weight as ``phi - eps``, so no kind needs Cartan
-data of its own.
+lengths ``(eps, phi)`` of x for index i in one call.  A kind's ``wt``
+values add with ``+``; path kinds return the endpoint as an integer
+:class:`~loom.paths.Stretch`, made a ``Weight`` only where a check reads
+one.  :func:`generate` asks ``strings``, ``e`` and ``f`` per (node,
+index) back to back, for one scan: ``TensorOps`` keeps its last scan,
+matched by the identity of x and by i, and ``PathOps`` keeps one row per
+path key, over all indices.  Infinite kinds also expose ``level`` and
+are generated inside an explicit window on the absolute level.  Closure
+generation, the tensor product rule, audits and labelled-graph
+isomorphism all work against that surface, so paths, generated graphs
+and ad hoc test crystals plug into the same engine.  The tensor rule
+reads the coroot pairing of a factor's weight as ``phi - eps``, so no
+kind needs Cartan data of its own.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
 
-from .cartan import Weight
 from .paths import Stretch
 
 DEFAULT_NODE_CAP = 10**6
@@ -44,6 +45,8 @@ class GenerationError(ValueError):
 
 @dataclass(frozen=True)
 class Node:
+    """One processed element: its kind's ``wt`` (a ``Stretch`` for paths) and strings."""
+
     element: object
     wt: object
     eps: tuple[int, ...]
@@ -223,13 +226,12 @@ class CrystalGraph:
         for k in keys:
             n = self.nodes[k]
             entry = {"id": ids[k], "eps": list(n.eps), "phi": list(n.phi)}
-            if isinstance(n.wt, Weight):
-                wt = n.wt.to_json()
-                entry["wt"] = wt["lam"]
-                if "delta" in wt:
-                    entry["wt_delta"] = wt["delta"]
-            else:
+            if not isinstance(n.wt, Stretch):
                 entry["wt"] = repr(n.wt)
+            elif n.wt.affine:
+                *entry["wt"], entry["wt_delta"] = _ratios(n.wt)
+            else:
+                entry["wt"] = _ratios(n.wt)
             nodes.append(entry)
         edges = sorted(
             ({"src": ids[s], "dst": ids[d], "i": i} for (s, i), d in self.f_edges.items()),
@@ -261,10 +263,15 @@ class CrystalGraph:
         return "\n".join(lines) + "\n"
 
 
+def _ratios(s: Stretch) -> list[str]:
+    """Each entry of the stretch as a reduced ``"a/b"``."""
+    return ["%d/%d" % (x // g, s.den // g) for x in s.nums for g in (gcd(x, s.den),)]
+
+
 def key_str(key) -> str:
     """Deterministic compact rendering of a canonical key; a stretch as its weight."""
     if isinstance(key, Stretch):
-        parts = ["%d/%d" % (x // g, key.den // g) for x in key.nums for g in (gcd(x, key.den),)]
+        parts = _ratios(key)
         body = ",".join(parts[:-1]) + "|" + parts[-1] if key.affine else ",".join(parts)
         return "w[" + body + "]"
     if isinstance(key, tuple):
@@ -359,7 +366,7 @@ class TensorOps:
         self._last = (None, None, None, None)
 
     def key(self, b):
-        return tuple(c.key(x) for c, x in zip(self.components, b))
+        return tuple([c.key(x) for c, x in zip(self.components, b)])
 
     def wt(self, b):
         total = None
@@ -396,7 +403,7 @@ class TensorOps:
         moved = self.components[k].e(b[k], i)
         if moved is None:
             return None
-        return tuple(moved if j == k else x for j, x in enumerate(b))
+        return b[:k] + (moved,) + b[k + 1:]
 
     def f(self, b, i):
         vals = self._string_funcs(b, i)[0]
@@ -404,5 +411,5 @@ class TensorOps:
         moved = self.components[k].f(b[k], i)
         if moved is None:
             return None
-        return tuple(moved if j == k else x for j, x in enumerate(b))
+        return b[:k] + (moved,) + b[k + 1:]
 

@@ -26,7 +26,7 @@ from .crystals import (
     moves,
 )
 from .energy import EnergyTable, energy_table, major_index, refine
-from .paths import Path, PathOps, linear_path, lowering_op, make_path, raising_op
+from .paths import Path, PathOps, Stretch, linear_path, lowering_op, make_path, raising_op
 
 
 class EmbeddingError(ValueError):
@@ -86,7 +86,8 @@ def psi(table: EnergyTable, graph: CrystalGraph, element) -> PsiImage:
         late -= chi
 
     # stretch j lasts 1 / total, so its null-root entry is (nums[j] - nums[j - 1]) / grid
-    scaled = {k: tuple([c * len(factors) for c in graph.nodes[k].wt.coords]) for k in set(word)}
+    scaled = {k: tuple([Fraction(x * len(factors), w.den) for x in w.nums])
+              for k in set(word) for w in (graph.nodes[k].wt,)}
     step = Fraction(1, total)
     segs = [(_weight(scaled[k], Fraction(b - a, grid)), step)
             for k, a, b in zip(word, nums, nums[1:])]
@@ -160,12 +161,9 @@ def affinized_tensor_crystal(base: CrystalGraph, m: int, window: int,
         tnode = tensor.nodes[bkey]
         for n in range(-window, window + 1):
             key = (bkey, n)
-            nodes[key] = Node(
-                element=key,
-                wt=Weight(tnode.wt.coords, Fraction(n)),
-                eps=tnode.eps,
-                phi=tnode.phi,
-            )
+            # the classical stretch is reduced, so appending n den keeps it reduced
+            wt = Stretch(tnode.wt.nums + (n * tnode.wt.den,), tnode.wt.den, True)
+            nodes[key] = Node(element=key, wt=wt, eps=tnode.eps, phi=tnode.phi)
     for (bkey, i), btarget in tensor.f_edges.items():
         shift = 1 if i == 0 else 0
         for n in range(-window, window + 1):
@@ -247,7 +245,7 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
         for s in range(r, len(pieces), m):
             pieces[s] = {k for k, node in path_crystal_window(
                 cartan, m * fw + s * delta, window, node_cap=node_cap, ops=ops).nodes.items()
-                if abs(node.wt.delta) <= inner}
+                if abs(node.wt.nums[-1]) <= inner * node.wt.den}
     shifts = [(r - m, r) for r in range(m, len(pieces))]
 
     class_sets = [set() for _ in range(m)]
@@ -277,7 +275,7 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
          all(images[((base.seed,) * m, n)] == linear_path(m * fw + n * delta)
              for n in range(-window, window + 1)), ""),
         ("psi_endpoint_law",
-         all(img.weight() == aff.nodes[key].wt for key, img in images.items()), ""),
+         all(img.endpoint() == aff.nodes[key].wt for key, img in images.items()), ""),
         ("pieces_pairwise_disjoint", len(union) == sum(len(p) for p in pieces[:m]), ""),
         ("image_equals_union", image == union,
          "image %d, union %d" % (len(image), len(union))),

@@ -49,7 +49,11 @@ class IntegralityError(PathError):
 
 
 class Stretch(NamedTuple):
-    """Displacement ``nums / den`` in lowest terms; null-root entry last when affine."""
+    """Displacement ``nums / den`` in lowest terms; null-root entry last when affine.
+
+    Also the integer form of a weight: ``+`` and ``-`` are exact reduced
+    sums, never tuple concatenation, and refuse a mixed ambient or rank.
+    """
 
     nums: tuple[int, ...]
     den: int
@@ -58,6 +62,16 @@ class Stretch(NamedTuple):
     def weight(self) -> Weight:
         c = tuple(Fraction(x, self.den) for x in self.nums)
         return _weight(c[:-1], c[-1]) if self.affine else _weight(c, None)
+
+    def __add__(self, other: Stretch, sign: int = 1) -> Stretch:
+        if self.affine != other.affine or len(self.nums) != len(other.nums):
+            raise AmbientError("stretches of different ambients or ranks")
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        return _stretch([x * a + y * b for x, y in zip(self.nums, other.nums)], den, self.affine)
+
+    def __sub__(self, other: Stretch) -> Stretch:
+        return self.__add__(other, -1)
 
     def __lt__(self, other: Stretch) -> bool:
         """Weight order by cross-multiplication; classical first on equal coordinates."""
@@ -110,11 +124,15 @@ class Path:
     def is_constant(self) -> bool:
         return not self.cells
 
-    def weight(self) -> Weight:
-        """Endpoint of the path."""
+    def endpoint(self) -> Stretch:
+        """Endpoint of the path, as an integer stretch."""
         width = self.ncoords + (self.ambient == "affine")
         ends = [sum(d[k] * c for d, c in zip(self.dirs, self.cells)) for k in range(width)]
-        return _stretch(ends, self.m * self.n, self.ambient == "affine").weight()
+        return _stretch(ends, self.m * self.n, self.ambient == "affine")
+
+    def weight(self) -> Weight:
+        """Endpoint of the path, as a weight."""
+        return self.endpoint().weight()
 
     def key(self) -> tuple[Stretch, ...]:
         """Reparametrisation-invariant identity: the stretch displacements."""
@@ -493,8 +511,8 @@ class PathOps:
             raise AmbientError("path ambient does not match the crystal ambient")
         return x.key()
 
-    def wt(self, x: Path) -> Weight:
-        return x.weight()
+    def wt(self, x: Path) -> Stretch:
+        return x.endpoint()
 
     def _entry(self, x: Path, i: int) -> tuple:
         """``((eps, phi), e, f)`` of x at index i; x's row is built on first touch."""

@@ -38,6 +38,7 @@ from .paths import (
     project,
     raising_op,
     stretch,
+    stretch_key,
     weyl_act,
 )
 from . import sl2 as sl2lab
@@ -74,24 +75,25 @@ def _tensor_graph(base, power, *, node_cap=None):
 
 
 def suite_normality(cartan: AffineCartan, i: int, power: int, **kw) -> dict:
+    if power < 1:
+        raise ValueError("normality needs power >= 1, got %d" % power)
     rep = Report("normality", type=cartan.name, i=i, power=power)
     base = fundamental_crystal(cartan, i, **kw)
     graph = _tensor_graph(base, power, **kw)
     problems = graph.normality_audit()
     rep.check("string_lengths_and_quasi_inverse", not problems,
               "; ".join(problems[:3]))
-    grad_ok = True
-    for (src, j), dst in graph.f_edges.items():
-        alpha = cartan.simple_root(j).classical()
-        if graph.nodes[dst].wt != graph.nodes[src].wt - alpha:
-            grad_ok = False
-    rep.check("weight_gradient", grad_ok)
-    law_ok = True
-    for key, node in graph.nodes.items():
-        for pos, j in enumerate(graph.indices):
-            if node.phi[pos] - node.eps[pos] != cartan.pairing(j, node.wt):
-                law_ok = False
-    rep.check("phi_minus_eps_pairing", law_ok)
+    # node weights are integer stretches; each simple root becomes one once
+    alphas = {j: stretch_key(cartan.simple_root(j).classical()) for j in graph.indices}
+    grad_ok = all(graph.nodes[src].wt - graph.nodes[dst].wt == alphas[j]
+                  for (src, j), dst in graph.f_edges.items())
+    edges = len(graph.f_edges)
+    rep.check("weight_gradient", edges and grad_ok, "%d edges compared" % edges)
+    # <h_j, wt> is the j-th coordinate of the weight
+    law_ok = all((node.phi[pos] - node.eps[pos]) * node.wt.den == node.wt.nums[j]
+                 for node in graph.nodes.values() for pos, j in enumerate(graph.indices))
+    pairs = len(graph.nodes) * len(graph.indices)
+    rep.check("phi_minus_eps_pairing", pairs and law_ok, "%d node-index pairs compared" % pairs)
     rep.check("indecomposable", graph.is_indecomposable())
     return rep.done()
 
@@ -222,6 +224,8 @@ def suite_energy(cartan: AffineCartan, i: int, seeds: int, **kw) -> dict:
 
 
 def suite_maj(cartan: AffineCartan, i: int, power: int, **kw) -> dict:
+    if power < 1:
+        raise ValueError("maj needs power >= 1, got %d" % power)
     rep = Report("maj", type=cartan.name, i=i, power=power)
     base = fundamental_crystal(cartan, i, **kw)
     table = energy_table(base, **kw)
@@ -248,6 +252,8 @@ def suite_maj(cartan: AffineCartan, i: int, power: int, **kw) -> dict:
 
 
 def suite_psi(cartan: AffineCartan, i: int, power: int, window: int, **kw) -> dict:
+    if power < 1:
+        raise ValueError("psi needs power >= 1, got %d" % power)
     rep = Report("psi", type=cartan.name, i=i, power=power, window=window)
     base = fundamental_crystal(cartan, i, **kw)
     table = energy_table(base, **kw)

@@ -82,12 +82,13 @@ def test_criterion_2_path_operator_base_cases():
 
 def _operator_identity_checks(cartan, graph):
     ok = graph.normality_audit() == []
+    wt = {key: node.wt.weight() for key, node in graph.nodes.items()}
     for (src, i), dst in graph.f_edges.items():
         alpha = cartan.simple_root(i).classical()
-        ok &= graph.nodes[dst].wt == graph.nodes[src].wt - alpha
+        ok &= wt[dst] == wt[src] - alpha
     for key, node in graph.nodes.items():
         for pos, i in enumerate(graph.indices):
-            ok &= node.phi[pos] - node.eps[pos] == cartan.pairing(i, node.wt)
+            ok &= node.phi[pos] - node.eps[pos] == cartan.pairing(i, wt[key])
     return ok
 
 

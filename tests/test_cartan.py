@@ -213,7 +213,7 @@ def test_cartan_is_a_value():
     for graph in graphs:
         for node in graph.nodes.values():
             path = node.element
-            assert path.weight() == node.wt
+            assert path.weight() == node.wt.weight()
             assert path.directions() == [v * (1 / t) for v, t in path.segments]
     assert verify_decomposition(cartan, 2, 2, 2)["pass"]
     assert vars(cartan) == snapshot

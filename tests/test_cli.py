@@ -247,13 +247,27 @@ def test_bad_gen_input_exits_2(tmp_path, monkeypatch, env, argv):
     ["--suite", "decompose", "--m", "4", "--window", "3"],
     ["--suite", "energy", "--node-cap", "0"],
     ["--suite", "normality", "--type", "A", "--rank", "2", "--power", "3", "--m", "2"],
+    ["--suite", "normality", "--power", "0"],
+    ["--suite", "maj", "--power", "0"],
+    ["--suite", "psi", "--m", "-1"],
+    ["--suite", "all", "--power", "0"],
 ], ids=["sl2-t1", "sl2-t2", "xi-window", "energy-seeds", "decompose-power-above-window",
-        "cap-zero", "m-and-power-disagree"])
+        "cap-zero", "m-and-power-disagree", "normality-power", "maj-power", "psi-m",
+        "all-power"])
 def test_vacuous_verify_exits_2(tmp_path, argv):
     with pytest.raises(SystemExit) as err:
         main(["verify"] + argv + ["--out", str(tmp_path / "r.txt")])
     assert err.value.code == 2
     assert not (tmp_path / "r.txt").exists()
+
+
+@pytest.mark.parametrize("suite,reported", [
+    ("normality", "normality"), ("maj", "maj"), ("psi", "psi"), ("all", "normality"),
+])
+def test_verify_power_below_one_names_the_flag(capsys, suite, reported):
+    with pytest.raises(SystemExit):
+        main(["verify", "--suite", suite, "--power", "0"])
+    assert "%s needs power >= 1, got 0\n" % reported in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,stray", [

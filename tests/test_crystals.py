@@ -76,7 +76,7 @@ def test_affinized_operators(a1, a1_base):
     assert moved == ((km, kp), 5)
     up = aff.e(((kp, kp), 0), 0)
     assert up is not None and aff.f(up, 0) == ((kp, kp), 0)
-    assert aff.wt(((kp, km), 3)).delta == 3
+    assert aff.wt(((kp, km), 3)).weight().delta == 3
 
 
 def test_indecomposable(a1_base):
@@ -125,7 +125,7 @@ def test_tensor_of_affine_kinds_stays_in_the_window(a1):
     seed = linear_path(a1.classical_fundamental(1, classical=False))
     graph = generate(TensorOps([PathOps(a1, "affine")] * 2), (seed, seed), window=1)
     assert graph.truncated
-    assert {node.wt.delta for node in graph.nodes.values()} == {-1, 0, 1}
+    assert {node.wt.weight().delta for node in graph.nodes.values()} == {-1, 0, 1}
 
 
 def test_normality_negative_control(a1_base):
@@ -200,7 +200,7 @@ class PairingTensor:
 
     The rule under test reads that pairing as phi - eps of each factor;
     this one reads it off the Cartan data, as the tensor rule is usually
-    stated.
+    stated, on each factor's integer weight made a ``Weight``.
     """
 
     def __init__(self, cartan, components):
@@ -212,12 +212,12 @@ class PairingTensor:
         shift = 0
         for c, x in zip(self.components, b):
             vals.append(c.strings(x, i)[0] - shift)
-            shift += self.cartan.pairing(i, c.wt(x))
+            shift += self.cartan.pairing(i, c.wt(x).weight())
         return vals
 
     def strings(self, b, i):
-        total = sum((c.wt(x) for c, x in zip(self.components[1:], b[1:])),
-                    self.components[0].wt(b[0]))
+        total = sum((c.wt(x).weight() for c, x in zip(self.components[1:], b[1:])),
+                    self.components[0].wt(b[0]).weight())
         eps = max(self.string_funcs(b, i))
         return eps, eps + self.cartan.pairing(i, total)
 
@@ -300,7 +300,7 @@ class ScanFreePaths:
         self.indices = tuple(cartan.indices)
 
     def wt(self, x):
-        return x.weight()
+        return x.endpoint()
 
     def strings(self, x, i):
         return epsilon(self.cartan, x, i), phi(self.cartan, x, i)

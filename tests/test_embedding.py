@@ -130,7 +130,7 @@ def test_image_isomorphic_to_straight_piece(a1, a1_base, a1_energy):
     for k in inner_class0:
         path = images[k].path
         eps, phi = zip(*(ops.strings(path, i) for i in a1.indices))
-        image_nodes[path.key()] = Node(path, path.weight(), eps, phi)
+        image_nodes[path.key()] = Node(path, path.endpoint(), eps, phi)
     for (src, i), dst in aff.f_edges.items():
         if src in inner_class0 and dst in inner_class0:
             image_edges[(images[src].path.key(), i)] = images[dst].path.key()
@@ -142,7 +142,7 @@ def test_image_isomorphic_to_straight_piece(a1, a1_base, a1_energy):
 
     fw = a1.classical_fundamental(1, classical=False)
     piece = path_crystal_window(a1, 2 * fw, window)
-    keep = {k for k in piece.nodes if abs(piece.nodes[k].wt.delta) <= window - 1}
+    keep = {k for k in piece.nodes if abs(piece.nodes[k].wt.weight().delta) <= window - 1}
     piece_graph = _subgraph(piece, keep)
 
     mapping = image_graph.isomorphic(piece_graph)
@@ -176,7 +176,7 @@ def test_m1_image_matches_piece(a1, a1_base, a1_energy):
     fw = a1.classical_fundamental(1, classical=False)
     piece = path_crystal_window(a1, fw, window)
     inner_piece = {
-        k for k in piece.nodes if abs(piece.nodes[k].wt.delta) <= window - 1
+        k for k in piece.nodes if abs(piece.nodes[k].wt.weight().delta) <= window - 1
     }
     inner_images = {
         psi(a1_energy, a1_base, k).path.key()
@@ -201,7 +201,7 @@ def test_psi_heights_match_single_point_kappa(label, rank, m, window):
         image = psi(table, base, (factors, degree))
         heights = [kappa(table, base, factors, degree, j) for j in range(total + 1)]
         assert image.heights == tuple(heights)
-        letters = [base.nodes[k].wt for k in refine(base, factors, grid)]
+        letters = [base.nodes[k].wt.weight() for k in refine(base, factors, grid)]
         segs = [(Weight(tuple(c * m for c in w.coords), (h1 - h0) * total), Fraction(1, total))
                 for w, h0, h1 in zip(letters, heights, heights[1:])]
         want = make_path(segs, ambient="affine", ncoords=len(letters[0].coords))

@@ -1,0 +1,34 @@
+"""Byte-for-byte digests of ``gen`` artifacts that the benchmark does not pin.
+
+``perfbench/expected.json`` pins the closure artifacts of its own job
+list.  These four cover the constructions it leaves out: the affinised
+tensor window, a windowed path crystal from a labelled seed, the affine
+ambient window and a tensor square of a grid-2 crystal.  Each digest was
+recorded on the Fraction-weight nodes that integer stretch weights
+replaced, so node weights must still render to the same bytes.
+"""
+
+import hashlib
+
+import pytest
+
+from loom.cli import main
+
+GOLDEN = [
+    (["--type", "A", "--rank", "1", "--i", "1", "--affinize", "--power", "2", "--window", "3"],
+     "5fc9ff782b723278010d1c934418aa55cf0b7e138d5986a0a8e2f2f8112743d7"),
+    (["--type", "A", "--rank", "1", "--i", "1", "--ls", "--weight", "2w1+1d", "--window", "3"],
+     "60c5ce04bf70d7993306a7e577a1db88fded2b6c73984902d001857129795b44"),
+    (["--type", "C", "--rank", "2", "--i", "2", "--ambient", "affine", "--window", "2"],
+     "fbc566b4425efd936e9f7a4df8a7091d13076f9a76430ade5e410c7bf91a4274"),
+    (["--type", "C", "--rank", "2", "--i", "2", "--power", "2"],
+     "a703089a7f873c010d4f3e2fa0aca91e47ca382ef78afa8e25983aaf3174175d"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN,
+                         ids=["A1-affinize", "A1-ls", "C2-affine-window", "C2-square"])
+def test_gen_artifact_matches_its_golden_digest(tmp_path, argv, digest):
+    out = tmp_path / "artifact.json"
+    assert main(["gen", *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -4,10 +4,13 @@ A path key holds one reduced integer ``Stretch`` per straight stretch.
 The reference rebuilds every key as the tuple of its ``Weight``
 displacements, read from ``path.segments``: the graph must emit its
 nodes in the order of those weights and render each key as they render.
-Every comparison of two stretches must agree with that of their weights.
+Every comparison of two stretches must agree with that of their weights,
+and so must every sum and difference of two stretches.
 """
 
 import itertools
+import random
+from math import gcd
 
 import pytest
 
@@ -17,6 +20,7 @@ from loom import (
     fundamental_crystal,
     path_crystal_window,
 )
+from loom.cartan import AmbientError
 from loom.crystals import key_str
 from loom.embedding import tensor_power_crystal
 from loom.paths import Stretch
@@ -110,3 +114,35 @@ def test_classical_stretch_precedes_affine_with_equal_coordinates():
     lower, higher = Stretch((-2, 4, -1), 6, True), Stretch((-1, 2, 1), 3, True)
     _assert_order_matches_weights({classical, lower, higher})
     assert sorted([higher, lower, classical]) == [classical, lower, higher]
+
+
+def _random_stretch(rng, width, affine):
+    den = rng.randint(1, 6)
+    nums = [rng.randint(-12, 12) for _ in range(width)]
+    g = gcd(den, *nums)
+    return Stretch(tuple(x // g for x in nums), den // g, affine)
+
+
+def test_stretch_sum_and_difference_are_weight_sum_and_difference():
+    rng = random.Random(2201)
+    for _ in range(400):
+        affine = rng.random() < 0.5
+        # a rank-r weight has r + 1 coordinates, and one more entry when affine
+        width = rng.randint(2, 8) + 1 + affine
+        a, b = (_random_stretch(rng, width, affine) for _ in range(2))
+        for got, want in ((a + b, a.weight() + b.weight()), (a - b, a.weight() - b.weight())):
+            assert isinstance(got, Stretch) and got.affine == affine
+            # never tuple concatenation: the result keeps the length and is reduced
+            assert len(got.nums) == width and got.den > 0
+            assert gcd(got.den, *got.nums) == 1
+            assert got.weight() == want
+
+
+def test_stretch_arithmetic_refuses_mixed_ambients_and_ranks():
+    classical, affine = Stretch((1, -1, 0), 2, False), Stretch((1, -1, 1), 2, True)
+    wider = Stretch((1, -1, 0, 1), 1, False)
+    for a, b in ((classical, affine), (affine, classical), (classical, wider)):
+        with pytest.raises(AmbientError):
+            a + b
+        with pytest.raises(AmbientError):
+            a - b

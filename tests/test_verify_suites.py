@@ -1,6 +1,7 @@
 import pytest
 
 import loom.verify
+from loom.crystals import CrystalGraph, Node
 from loom.verify import SUITES, run_suite
 
 
@@ -59,3 +60,26 @@ def test_psi_fails_on_a_missing_straight_seed(monkeypatch):
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
         run_suite("nonsense")
+
+
+def test_normality_weight_checks_count_what_they_compared():
+    report = run_suite("normality", type_label="A", rank=2, i=1, power=2)
+    details = {c["name"]: c["detail"] for c in report["checks"]}
+    # the A2 square has 9 nodes and 3 indices; per index the base is one
+    # 1-string and one fixed node, so the square has 2 + 1 + 1 edges
+    assert details["weight_gradient"] == "12 edges compared"
+    assert details["phi_minus_eps_pairing"] == "27 node-index pairs compared"
+
+
+def test_normality_weight_checks_fail_on_an_empty_comparison(monkeypatch):
+    def one_node(base, power, **kw):
+        key = base.seed
+        node = Node(base.nodes[key].element, base.nodes[key].wt, (), ())
+        return CrystalGraph("one-node", (), {key: node}, {}, key)
+
+    monkeypatch.setattr(loom.verify, "_tensor_graph", one_node)
+    report = run_suite("normality", type_label="A", rank=1, i=1, power=2)
+    verdicts = {c["name"]: c["pass"] for c in report["checks"]}
+    assert verdicts["weight_gradient"] is False
+    assert verdicts["phi_minus_eps_pairing"] is False
+    assert not report["pass"]
