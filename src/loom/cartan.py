@@ -39,19 +39,6 @@ def frac(x) -> Fraction:
     raise TypeError("expected an integer or Fraction, got %r" % (x,))
 
 
-def frac_str(x: Fraction) -> str:
-    x = frac(x)
-    return "%d/%d" % (x.numerator, x.denominator)
-
-
-def parse_frac(s: str) -> Fraction:
-    s = s.strip()
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
-
-
 @dataclass(frozen=True, slots=True)
 class Weight:
     """Exact weight vector; ``coords[i]`` pairs with the i-th simple coroot.
@@ -127,17 +114,6 @@ class Weight:
         return self.scale(c)
 
     __rmul__ = __mul__
-
-    def to_json(self):
-        obj = {"lam": [frac_str(c) for c in self.coords]}
-        if self.delta is not None:
-            obj["delta"] = frac_str(self.delta)
-        return obj
-
-    @staticmethod
-    def from_json(obj) -> "Weight":
-        delta = parse_frac(obj["delta"]) if "delta" in obj else None
-        return Weight(tuple(parse_frac(c) for c in obj["lam"]), delta)
 
     def __repr__(self):
         body = ",".join(str(c) for c in self.coords)

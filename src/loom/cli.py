@@ -10,7 +10,6 @@ raises is a ``ValueError``, and :func:`main` alone maps each to exit 2.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import re
@@ -20,7 +19,7 @@ import tempfile
 from .cartan import Weight, build_cartan
 from .crystals import NodeCapError, TensorOps, generate
 from .embedding import affinized_tensor_crystal, fundamental_crystal, path_crystal_window
-from .verify import SUITE_ALIASES, SUITES, run_suite
+from .verify import SUITE_ALIASES, SUITES, run_suite, suite_params
 
 
 def _node_cap(args, parser):
@@ -149,7 +148,7 @@ def cmd_verify(args, parser) -> int:
         if name not in SUITES:
             parser.error("unknown suite %r" % args.suite)
         # every flag must reach the suite it is given to, as on gen
-        reads = inspect.signature(SUITES[name]).parameters
+        reads = suite_params(name)
         stray = ["--" + flag for flag, param in FLAG_PARAMS.items()
                  if getattr(args, flag) is not None and param not in reads]
         if stray:

@@ -6,8 +6,9 @@ affine lattice; the null-root heights of the turning points are exact
 rationals built from the energy function and the degree.  The residue of
 the major index plus the degree grades the affinised crystal into
 classes that no operator move can leave, and the windowed decomposition
-report checks, piece by piece, that the image of the embedding is the
+check verifies, piece by piece, that the image of the embedding is the
 disjoint union of the path crystals generated from the straight seeds.
+It fills a :class:`Report`, the one check record every suite returns.
 """
 
 from __future__ import annotations
@@ -190,6 +191,20 @@ def path_crystal_window(cartan, seed_weight: Weight, window: int,
     )
 
 
+class Report:
+    """The check record of every suite: named checks, each with a verdict and a detail."""
+
+    def __init__(self, suite: str, **params):
+        self.obj = {"suite": suite, "params": params, "checks": []}
+
+    def check(self, name: str, ok: bool, detail: str = ""):
+        self.obj["checks"].append({"name": name, "pass": bool(ok), "detail": detail})
+
+    def done(self) -> dict:
+        self.obj["pass"] = all(c["pass"] for c in self.obj["checks"])
+        return self.obj
+
+
 def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
                          *, node_cap=None) -> dict:
     """Windowed check that the embedding splits into the straight-seed pieces.
@@ -217,7 +232,8 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
       shifted seed inside the window;
     - ``no_edge_crosses_classes``: every edge joins two nodes of one class.
 
-    Returns a structured report; every check must pass for the verdict.
+    Returns the ``decompose`` suite's :class:`Report` record, with the
+    node counts added under ``counts``; every check must pass for the verdict.
     """
     if window < 2:
         raise EmbeddingError("window must be at least 2")
@@ -267,39 +283,29 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
             compared += 1
             mismatched += root_op(cartan, images[key], idx) != want
 
-    checks = [
-        ("psi_injective",
-         len({img.key() for img in images.values()}) == len(images),
-         "%d nodes" % len(images)),
-        ("psi_of_straight_seeds",
-         all(images[((base.seed,) * m, n)] == linear_path(m * fw + n * delta)
-             for n in range(-window, window + 1)), ""),
-        ("psi_endpoint_law",
-         all(img.endpoint() == aff.nodes[key].wt for key, img in images.items()), ""),
-        ("pieces_pairwise_disjoint", len(union) == sum(len(p) for p in pieces[:m]), ""),
-        ("image_equals_union", image == union,
-         "image %d, union %d" % (len(image), len(union))),
-        ("classes_match_pieces", class_sets == pieces[:m], ""),
-        ("psi_preserves_operators", compared > 0 and not mismatched,
-         "%d moves compared, %d skipped" % (compared, skipped)),
-        ("degree_shift_periodicity", all(pieces[r] == pieces[n] for n, r in shifts),
-         "checked %s" % (shifts,)),
-        ("no_edge_crosses_classes",
-         all(classes[src] == classes[dst] for (src, _i), dst in aff.f_edges.items()), ""),
-    ]
-    return {
-        "cartan": cartan.name,
-        "i": i,
-        "m": m,
-        "window": window,
-        "grid": table.grid,
-        "checks": [{"name": name, "pass": bool(ok), "detail": detail}
-                   for name, ok, detail in checks],
-        "pass": all(ok for _name, ok, _detail in checks),
-        "counts": {
-            "base": len(base),
-            "affinized": len(aff),
-            "image_inner": len(image),
-            "pieces_inner": {str(n): len(pieces[n]) for n in range(m)},
-        },
+    rep = Report("decompose", type=cartan.name, i=i, power=m, window=window)
+    rep.check("psi_injective", len({img.key() for img in images.values()}) == len(images),
+              "%d nodes" % len(images))
+    rep.check("psi_of_straight_seeds",
+              all(images[((base.seed,) * m, n)] == linear_path(m * fw + n * delta)
+                  for n in range(-window, window + 1)))
+    rep.check("psi_endpoint_law",
+              all(img.endpoint() == aff.nodes[key].wt for key, img in images.items()))
+    rep.check("pieces_pairwise_disjoint", len(union) == sum(len(p) for p in pieces[:m]))
+    rep.check("image_equals_union", image == union,
+              "image %d, union %d" % (len(image), len(union)))
+    rep.check("classes_match_pieces", class_sets == pieces[:m])
+    rep.check("psi_preserves_operators", compared > 0 and not mismatched,
+              "%d moves compared, %d skipped" % (compared, skipped))
+    rep.check("degree_shift_periodicity", all(pieces[r] == pieces[n] for n, r in shifts),
+              "checked %s" % (shifts,))
+    rep.check("no_edge_crosses_classes",
+              all(classes[src] == classes[dst] for (src, _i), dst in aff.f_edges.items()))
+    out = rep.done()
+    out["counts"] = {
+        "base": len(base),
+        "affinized": len(aff),
+        "image_inner": len(image),
+        "pieces_inner": {str(n): len(pieces[n]) for n in range(m)},
     }
+    return out

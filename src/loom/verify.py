@@ -1,19 +1,22 @@
 """Named verification suites behind the command line interface.
 
-Each suite returns a structured report: a list of named checks with a
-boolean verdict and a short detail string.  The suites re-derive their
-expectations from independent routes (hand fixtures, dual computations,
-exhaustive closure) rather than trusting the code under test.
+Each suite returns an :class:`~loom.embedding.Report` record of named
+checks, and :func:`run_suite` passes it the arguments its signature
+names.  The suites re-derive their expectations from independent routes
+(hand fixtures, dual computations, exhaustive closure) rather than
+trusting the code under test.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
 
 from .cartan import AffineCartan, build_cartan
 from .crystals import TensorOps, check_node_cap, generate, moves
 from .embedding import (
+    Report,
     affinized_tensor_crystal,
     fundamental_crystal,
     kappa,
@@ -45,18 +48,6 @@ from . import sl2 as sl2lab
 
 # stretch factors n for which suite_stretch checks e_j^n(stretch(b, n)) = stretch(e_j b, n)
 STRETCH_FACTORS = (2, 3)
-
-
-class Report:
-    def __init__(self, suite: str, **params):
-        self.obj = {"suite": suite, "params": params, "checks": []}
-
-    def check(self, name: str, ok: bool, detail: str = ""):
-        self.obj["checks"].append({"name": name, "pass": bool(ok), "detail": detail})
-
-    def done(self) -> dict:
-        self.obj["pass"] = all(c["pass"] for c in self.obj["checks"])
-        return self.obj
 
 
 def _power_keys(base, power, *, node_cap=None):
@@ -282,13 +273,7 @@ def suite_psi(cartan: AffineCartan, i: int, power: int, window: int, **kw) -> di
 
 
 def suite_decompose(cartan: AffineCartan, i: int, power: int, window: int, **kw) -> dict:
-    report = verify_decomposition(cartan, i, power, window, **kw)
-    rep = Report("decompose", type=cartan.name, i=i, power=power, window=window)
-    for c in report["checks"]:
-        rep.check(c["name"], c["pass"], c["detail"])
-    out = rep.done()
-    out["counts"] = report["counts"]
-    return out
+    return verify_decomposition(cartan, i, power, window, **kw)
 
 
 def suite_sl2(t1: int, t2: int, *, node_cap=None) -> dict:
@@ -359,23 +344,26 @@ SUITE_ALIASES = {
 }
 
 
+def suite_params(name: str) -> list[str]:
+    """The parameter names of a suite's signature, in order."""
+    return list(inspect.signature(SUITES[name]).parameters)
+
+
 def run_suite(name: str, *, type_label="A", rank=1, i=1, power=2, window=3,
               t1=1, t2=1, seeds=20, node_cap=None) -> dict:
     name = SUITE_ALIASES.get(name, name)
     if name != "all" and name not in SUITES:
         raise KeyError("unknown suite %r" % name)
-    # positional arguments of each suite after (cartan, i)
-    extra = {"normality": (power,), "xi": (window,), "energy": (seeds,),
-             "maj": (power,), "psi": (power, window), "decompose": (power, window)}
     cartan = None if name == "sl2" else build_cartan(type_label, rank)
 
-    def run(suite):
-        if suite == "sl2":
-            return SUITES[suite](t1, t2, node_cap=node_cap)
-        return SUITES[suite](cartan, i, *extra.get(suite, ()), node_cap=node_cap)
+    def run(suite, window=window):
+        given = {"cartan": cartan, "i": i, "power": power, "window": window,
+                 "t1": t1, "t2": t2, "seeds": seeds}
+        # node_cap reaches most suites only through **kw, so it is always passed
+        return SUITES[suite](**{p: given[p] for p in suite_params(suite) if p in given},
+                             node_cap=node_cap)
 
     if name != "all":
         return run(name)
-    extra["xi"] = (min(window, 2),)
-    reports = [run(suite) for suite in SUITES]
+    reports = [run(suite, min(window, 2) if suite == "xi" else window) for suite in SUITES]
     return {"suite": "all", "reports": reports, "pass": all(r["pass"] for r in reports)}

@@ -16,7 +16,7 @@ from loom import (
     path_crystal_window,
     verify_decomposition,
 )
-from loom.cartan import frac_str, parse_frac, solve_square
+from loom.cartan import solve_square
 from loom.qfield import Q_ONE, Q_ZERO, QScalar
 
 
@@ -195,13 +195,6 @@ def test_cartan_json_fixture(a1):
         "d": [1, 1],
     }
     assert type(a1).from_json(json.loads(json.dumps(a1.to_json()))) == a1
-
-
-def test_weight_json_roundtrip():
-    w = Weight((Fraction(1, 2), Fraction(-3)), Fraction(2, 7))
-    assert w.to_json() == {"lam": ["1/2", "-3/1"], "delta": "2/7"}
-    assert Weight.from_json(w.to_json()) == w
-    assert parse_frac(frac_str(Fraction(-5, 3))) == Fraction(-5, 3)
 
 
 def test_cartan_is_a_value():

@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -24,9 +25,11 @@ from loom import (
     refine,
     verify_decomposition,
 )
+from loom.cli import main
 from loom.crystals import moves
 from loom.embedding import EmbeddingError, tensor_power_crystal
 from loom.paths import stretch_key
+from loom.verify import run_suite
 
 
 def a1_keys(a1):
@@ -219,10 +222,10 @@ def _passing_checks(**details):
     return [{"name": n, "pass": True, "detail": details.get(n, "")} for n in CHECK_NAMES]
 
 
-# full reports of the check-by-check implementation; C2 w2 runs on grid 2
+# full decompose records of the check-by-check implementation
 GOLDEN_REPORTS = [
     (("A", 1, 1, 2, 3), {
-        "cartan": "A1", "i": 1, "m": 2, "window": 3, "grid": 1,
+        "suite": "decompose", "params": {"type": "A1", "i": 1, "power": 2, "window": 3},
         "checks": _passing_checks(psi_injective="28 nodes",
                                   image_equals_union="image 20, union 20",
                                   psi_preserves_operators="76 moves compared, 4 skipped",
@@ -232,7 +235,7 @@ GOLDEN_REPORTS = [
                    "pieces_inner": {"0": 11, "1": 9}},
     }),
     (("C", 2, 2, 2, 2), {
-        "cartan": "C2", "i": 2, "m": 2, "window": 2, "grid": 2,
+        "suite": "decompose", "params": {"type": "C2", "i": 2, "power": 2, "window": 2},
         "checks": _passing_checks(psi_injective="125 nodes",
                                   image_equals_union="image 75, union 75",
                                   psi_preserves_operators="426 moves compared, 24 skipped",
@@ -244,11 +247,28 @@ GOLDEN_REPORTS = [
 ]
 
 
+# the energy-table grid of each golden base; C2 w2 runs on grid 2
+GOLDEN_GRIDS = {("A", 1, 1): 1, ("C", 2, 2): 2}
+
+
 @pytest.mark.parametrize("args,golden", GOLDEN_REPORTS)
 def test_decomposition_report_is_golden(args, golden):
     label, rank, i, m, window = args
-    report = verify_decomposition(build_cartan(label, rank), i, m, window)
-    assert report == golden
+    cartan = build_cartan(label, rank)
+    assert energy_table(fundamental_crystal(cartan, i)).grid == GOLDEN_GRIDS[label, rank, i]
+    assert verify_decomposition(cartan, i, m, window) == golden
+
+
+@pytest.mark.parametrize("args,golden", GOLDEN_REPORTS)
+def test_one_record_through_three_entry_points(tmp_path, args, golden):
+    label, rank, i, m, window = args
+    direct = verify_decomposition(build_cartan(label, rank), i, m, window)
+    suite = run_suite("decompose", type_label=label, rank=rank, i=i, power=m, window=window)
+    out = tmp_path / "report.json"
+    argv = ["verify", "--suite", "decompose", "--type", label, "--rank", str(rank),
+            "--i", str(i), "--m", str(m), "--window", str(window), "--json", "--out", str(out)]
+    assert main(argv) == 0
+    assert direct == suite == json.loads(out.read_text()) == golden
 
 
 def _failing(report):

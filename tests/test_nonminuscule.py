@@ -99,10 +99,10 @@ def test_class_grading_is_operator_invariant(c2):
 
 
 def test_decomposition_grid_two(c2):
+    assert energy_table(fundamental_crystal(c2, 2)).grid == 2
     for m in (1, 2):
         report = verify_decomposition(c2, 2, m, 3)
         assert report["pass"], report
-        assert report["grid"] == 2
 
 
 def test_decomposition_grid_six():
@@ -111,9 +111,9 @@ def test_decomposition_grid_six():
     assert len(base) == 15
     assert choose_grid(base) == 6
     assert base.normality_audit() == []
+    assert energy_table(base).grid == 6
     report = verify_decomposition(g2, 1, 1, 2)
     assert report["pass"], report
-    assert report["grid"] == 6
 
 
 def test_decomposition_b3_vector_node(b3):

@@ -1,7 +1,7 @@
 import pytest
 
 import loom.verify
-from loom.crystals import CrystalGraph, Node
+from loom.crystals import CrystalGraph, Node, NodeCapError
 from loom.verify import SUITES, run_suite
 
 
@@ -60,6 +60,16 @@ def test_psi_fails_on_a_missing_straight_seed(monkeypatch):
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
         run_suite("nonsense")
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_run_suite_passes_the_node_cap_to_every_suite(name):
+    # most suites take node_cap only through **kw, which their signature
+    # does not name; a dispatch that forwarded named parameters alone would
+    # run them uncapped
+    with pytest.raises(NodeCapError):
+        run_suite(name, type_label="A", rank=1, i=1, power=2, window=3,
+                  t1=1, t2=1, seeds=2, node_cap=1)
 
 
 def test_normality_weight_checks_count_what_they_compared():
