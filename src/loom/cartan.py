@@ -369,25 +369,6 @@ class AffineCartan:
             return w
         return w - w.coords[i] * self._roots[i][1 if w.is_classical else 0]
 
-    # -- serialization --------------------------------------------------
-
-    def to_json(self):
-        return {
-            "type": self.label,
-            "rank": self.rank,
-            "matrix": [list(row) for row in self.matrix],
-            "marks": list(self.marks),
-            "comarks": list(self.comarks),
-            "d": list(self.sym),
-        }
-
-    @staticmethod
-    def from_json(obj) -> "AffineCartan":
-        cartan = build_cartan(obj["type"], obj["rank"])
-        if cartan.to_json() != obj:
-            raise CartanError("serialized Cartan data does not match its type")
-        return cartan
-
 
 def build_cartan(label: str, rank: int) -> AffineCartan:
     """Construct the affine Cartan data for an untwisted type.

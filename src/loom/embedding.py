@@ -9,6 +9,8 @@ classes that no operator move can leave, and the windowed decomposition
 check verifies, piece by piece, that the image of the embedding is the
 disjoint union of the path crystals generated from the straight seeds.
 It fills a :class:`Report`, the one check record every suite returns.
+:func:`preserves_operators` is the one counted check that a map commutes
+with the root operators; ``decompose``, ``concat`` and ``xi`` all use it.
 """
 
 from __future__ import annotations
@@ -205,6 +207,29 @@ class Report:
         return self.obj
 
 
+def preserves_operators(rep: Report, name: str, cartan: AffineCartan, ops, images: dict, keys):
+    """Record whether ``images`` commutes with the root operators on the moves of ``ops``.
+
+    From each key, every move of ``ops`` must be matched by the root
+    operator on the key's image: it gives the image of the move's target,
+    or None where the move does not act.  A move whose target has no image
+    is skipped.  The detail counts both, and the check fails when it
+    compared no move.
+    """
+    compared = skipped = mismatched = 0
+    for key in keys:
+        for idx, kind, target in moves(ops, key):
+            if target is not None and target not in images:
+                skipped += 1
+                continue
+            root_op = raising_op if kind == "e" else lowering_op
+            want = None if target is None else images[target]
+            compared += 1
+            mismatched += root_op(cartan, images[key], idx) != want
+    rep.check(name, compared > 0 and not mismatched,
+              "%d moves compared, %d skipped" % (compared, skipped))
+
+
 def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
                          *, node_cap=None) -> dict:
     """Windowed check that the embedding splits into the straight-seed pieces.
@@ -226,8 +251,9 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
     - ``classes_match_pieces``: the inner image of class r is piece r;
     - ``psi_preserves_operators``: every root operator on an inner image
       gives the image of the graph's move, or None where the move does
-      not act; moves leaving the inner window are skipped, and it fails
-      when it compared no move;
+      not act; moves leaving the inner window are skipped.  It is
+      recorded by :func:`preserves_operators`, so its detail counts the
+      moves compared and skipped, and it fails when it compared none;
     - ``degree_shift_periodicity``: piece r + m equals piece r, for each
       shifted seed inside the window;
     - ``no_edge_crosses_classes``: every edge joins two nodes of one class.
@@ -270,19 +296,6 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
     image = set().union(*class_sets)
     union = set().union(*pieces[:m])
 
-    compared = skipped = mismatched = 0
-    # an inner key has every neighbour inside the window, so the graph's
-    # edges are all the operator moves from it
-    for key in inner_keys:
-        for idx, kind, target in moves(aff, key):
-            if target is not None and abs(target[1]) > inner:
-                skipped += 1
-                continue
-            root_op = raising_op if kind == "e" else lowering_op
-            want = None if target is None else images[target]
-            compared += 1
-            mismatched += root_op(cartan, images[key], idx) != want
-
     rep = Report("decompose", type=cartan.name, i=i, power=m, window=window)
     rep.check("psi_injective", len({img.key() for img in images.values()}) == len(images),
               "%d nodes" % len(images))
@@ -295,8 +308,10 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
     rep.check("image_equals_union", image == union,
               "image %d, union %d" % (len(image), len(union)))
     rep.check("classes_match_pieces", class_sets == pieces[:m])
-    rep.check("psi_preserves_operators", compared > 0 and not mismatched,
-              "%d moves compared, %d skipped" % (compared, skipped))
+    # an inner key has every neighbour inside the window, so the graph's
+    # edges are all the operator moves from it; moves leaving it are skipped
+    preserves_operators(rep, "psi_preserves_operators", cartan, aff,
+                        {key: images[key] for key in inner_keys}, inner_keys)
     rep.check("degree_shift_periodicity", all(pieces[r] == pieces[n] for n, r in shifts),
               "checked %s" % (shifts,))
     rep.check("no_edge_crosses_classes",

@@ -47,14 +47,6 @@ class EnergyTable:
         except KeyError:
             raise EnergyError("pair not in the energy table") from None
 
-    def to_json(self, key_str):
-        items = sorted(self.chi.items(), key=lambda kv: (key_str(kv[0][0]), key_str(kv[0][1])))
-        return {
-            "crystal": self.crystal_label,
-            "N": self.grid,
-            "chi": [{"a": key_str(a), "b": key_str(b), "v": v} for (a, b), v in items],
-        }
-
 
 def _shifted_moves(ops2, pair):
     """Operator moves of the tensor square from pair, with their energy shift.

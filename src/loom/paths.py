@@ -165,18 +165,6 @@ class Path:
         # the constant path still parametrises the full interval
         return times + [Fraction(1)] if self.is_constant else times
 
-    def to_json(self):
-        segments = []
-        for d, (_, t) in zip(self.directions(), self.segments):
-            entry = {
-                "dir": ["%d/%d" % (x.numerator, x.denominator) for x in d.coords],
-                "len": "%d/%d" % (t.numerator, t.denominator),
-            }
-            if d.delta is not None:
-                entry["dir_delta"] = "%d/%d" % (d.delta.numerator, d.delta.denominator)
-            segments.append(entry)
-        return {"ambient": self.ambient, "segments": segments}
-
     def __repr__(self):
         if self.is_constant:
             return "Path(constant)"

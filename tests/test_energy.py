@@ -211,12 +211,9 @@ def test_major_index(a1, a1_energy, a1_base):
 
 
 def test_energy_json(a1, a1_energy):
-    from loom.crystals import key_str
-
-    obj = a1_energy.to_json(key_str)
-    assert obj["N"] == 1 and obj["crystal"] == "A1:B(w1)"
-    assert len(obj["chi"]) == 4
-    assert sorted(entry["v"] for entry in obj["chi"]) == [0, 0, 0, 1]
+    assert a1_energy.grid == 1 and a1_energy.crystal_label == "A1:B(w1)"
+    assert len(a1_energy.chi) == 4
+    assert sorted(a1_energy.chi.values()) == [0, 0, 0, 1]
 
 
 def test_disconnected_tensor_square_detected(a1, a1_base):

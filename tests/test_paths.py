@@ -308,14 +308,3 @@ def test_pause_segments_are_dropped(a1):
     zero = a1.zero_weight()
     paused = make_path([(2 * w, Fraction(1, 2)), (zero, Fraction(1, 2))])
     assert paused == linear_path(w)
-
-
-def test_path_json(a1):
-    pp = linear_path(fund(a1))
-    assert pp.to_json() == {
-        "ambient": "classical",
-        "segments": [{"dir": ["-1/1", "1/1"], "len": "1/1"}],
-    }
-    affine = linear_path(fund(a1, classical=False) + a1.null_root())
-    seg = affine.to_json()["segments"][0]
-    assert seg["dir_delta"] == "1/1"

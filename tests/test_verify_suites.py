@@ -93,3 +93,43 @@ def test_normality_weight_checks_fail_on_an_empty_comparison(monkeypatch):
     assert verdicts["weight_gradient"] is False
     assert verdicts["phi_minus_eps_pairing"] is False
     assert not report["pass"]
+
+
+def _checks(report):
+    return {c["name"]: (c["pass"], c["detail"]) for c in report["checks"]}
+
+
+def test_concat_and_xi_count_their_operator_checks():
+    # C2 w2: 5 base nodes give 25 pairs, each with e and f on 3 indices
+    concat = run_suite("concat", type_label="C", rank=2, i=2)
+    assert _checks(concat)["concat_matches_tensor_rule"] == (True, "150 moves compared, 0 skipped")
+    # B3 w1, window 2: 21 paths with |delta| <= 1, each with e and f on 4
+    # indices, whether the affine operator acts or not
+    xi = run_suite("xi", type_label="B", rank=3, i=1, window=2)
+    assert _checks(xi)["projection_commutes_with_operators"] == (
+        True, "168 moves compared, 0 skipped")
+
+
+def test_concat_fails_when_the_factors_are_swapped(monkeypatch):
+    join = loom.verify.concat
+    monkeypatch.setattr(loom.verify, "concat", lambda paths: join(paths[::-1]))
+    report = run_suite("concat", type_label="A", rank=2, i=1)
+    assert _checks(report)["concat_matches_tensor_rule"] == (False, "54 moves compared, 0 skipped")
+    assert not report["pass"]
+
+
+def test_xi_fails_on_a_projection_that_reflects(monkeypatch):
+    shadow = loom.verify.project
+    cartan = loom.verify.build_cartan("A", 2)
+    monkeypatch.setattr(loom.verify, "project",
+                        lambda path: loom.verify.weyl_act(cartan, shadow(path), 1))
+    report = run_suite("xi", type_label="A", rank=2, i=1, window=2)
+    assert _checks(report)["projection_commutes_with_operators"][0] is False
+    assert not report["pass"]
+
+
+def test_operator_check_fails_when_it_compared_nothing(monkeypatch):
+    monkeypatch.setattr(loom.verify, "_power_keys", lambda base, power, **kw: iter(()))
+    report = run_suite("concat", type_label="A", rank=1, i=1)
+    assert _checks(report)["concat_matches_tensor_rule"] == (False, "0 moves compared, 0 skipped")
+    assert not report["pass"]
