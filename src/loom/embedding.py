@@ -9,12 +9,15 @@ classes that no operator move can leave, and the windowed decomposition
 check verifies, piece by piece, that the image of the embedding is the
 disjoint union of the path crystals generated from the straight seeds.
 It fills a :class:`Report`, the one check record every suite returns.
-:func:`preserves_operators` is the one counted check that a map commutes
+Every check over a collection is recorded by :meth:`Report.count`, whose
+detail reads "N <items> compared, K skipped" and which fails when N is 0.
+:func:`preserves_operators` is the one such check that a map commutes
 with the root operators; ``decompose``, ``concat`` and ``xi`` all use it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -202,6 +205,17 @@ class Report:
     def check(self, name: str, ok: bool, detail: str = ""):
         self.obj["checks"].append({"name": name, "pass": bool(ok), "detail": detail})
 
+    def count(self, name: str, outcomes, noun: str):
+        """Record one check over a collection, counting what it examined.
+
+        ``outcomes`` holds True or False for each item compared and None
+        for each item skipped.  The detail reads "N <noun> compared, K
+        skipped", and the check fails when N is 0 or any outcome is False.
+        """
+        tally = Counter(outcomes)
+        self.check(name, tally[True] > 0 and not tally[False], "%d %s compared, %d skipped"
+                   % (tally[True] + tally[False], noun, tally[None]))
+
     def done(self) -> dict:
         self.obj["pass"] = all(c["pass"] for c in self.obj["checks"])
         return self.obj
@@ -213,21 +227,19 @@ def preserves_operators(rep: Report, name: str, cartan: AffineCartan, ops, image
     From each key, every move of ``ops`` must be matched by the root
     operator on the key's image: it gives the image of the move's target,
     or None where the move does not act.  A move whose target has no image
-    is skipped.  The detail counts both, and the check fails when it
-    compared no move.
+    is skipped.  :meth:`Report.count` records the check over the moves.
     """
-    compared = skipped = mismatched = 0
-    for key in keys:
-        for idx, kind, target in moves(ops, key):
-            if target is not None and target not in images:
-                skipped += 1
-                continue
-            root_op = raising_op if kind == "e" else lowering_op
-            want = None if target is None else images[target]
-            compared += 1
-            mismatched += root_op(cartan, images[key], idx) != want
-    rep.check(name, compared > 0 and not mismatched,
-              "%d moves compared, %d skipped" % (compared, skipped))
+    def outcomes():
+        for key in keys:
+            for idx, kind, target in moves(ops, key):
+                if target is not None and target not in images:
+                    yield None
+                    continue
+                root_op = raising_op if kind == "e" else lowering_op
+                yield root_op(cartan, images[key], idx) == (None if target is None
+                                                            else images[target])
+
+    rep.count(name, outcomes(), "moves")
 
 
 def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
@@ -251,12 +263,14 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
     - ``classes_match_pieces``: the inner image of class r is piece r;
     - ``psi_preserves_operators``: every root operator on an inner image
       gives the image of the graph's move, or None where the move does
-      not act; moves leaving the inner window are skipped.  It is
-      recorded by :func:`preserves_operators`, so its detail counts the
-      moves compared and skipped, and it fails when it compared none;
+      not act; moves leaving the inner window are skipped, through
+      :func:`preserves_operators`;
     - ``degree_shift_periodicity``: piece r + m equals piece r, for each
       shifted seed inside the window;
     - ``no_edge_crosses_classes``: every edge joins two nodes of one class.
+
+    Each check over degrees, nodes, moves, shifts or edges goes through
+    :meth:`Report.count`, so it counts what it compared and fails on none.
 
     Returns the ``decompose`` suite's :class:`Report` record, with the
     node counts added under ``counts``; every check must pass for the verdict.
@@ -299,11 +313,11 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
     rep = Report("decompose", type=cartan.name, i=i, power=m, window=window)
     rep.check("psi_injective", len({img.key() for img in images.values()}) == len(images),
               "%d nodes" % len(images))
-    rep.check("psi_of_straight_seeds",
-              all(images[((base.seed,) * m, n)] == linear_path(m * fw + n * delta)
-                  for n in range(-window, window + 1)))
-    rep.check("psi_endpoint_law",
-              all(img.endpoint() == aff.nodes[key].wt for key, img in images.items()))
+    rep.count("psi_of_straight_seeds",
+              (images[((base.seed,) * m, n)] == linear_path(m * fw + n * delta)
+               for n in range(-window, window + 1)), "degrees")
+    rep.count("psi_endpoint_law",
+              (img.endpoint() == aff.nodes[key].wt for key, img in images.items()), "nodes")
     rep.check("pieces_pairwise_disjoint", len(union) == sum(len(p) for p in pieces[:m]))
     rep.check("image_equals_union", image == union,
               "image %d, union %d" % (len(image), len(union)))
@@ -312,10 +326,9 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
     # edges are all the operator moves from it; moves leaving it are skipped
     preserves_operators(rep, "psi_preserves_operators", cartan, aff,
                         {key: images[key] for key in inner_keys}, inner_keys)
-    rep.check("degree_shift_periodicity", all(pieces[r] == pieces[n] for n, r in shifts),
-              "checked %s" % (shifts,))
-    rep.check("no_edge_crosses_classes",
-              all(classes[src] == classes[dst] for (src, _i), dst in aff.f_edges.items()))
+    rep.count("degree_shift_periodicity", (pieces[r] == pieces[n] for n, r in shifts), "shifts")
+    rep.count("no_edge_crosses_classes",
+              (classes[src] == classes[dst] for (src, _i), dst in aff.f_edges.items()), "edges")
     out = rep.done()
     out["counts"] = {
         "base": len(base),

@@ -36,8 +36,6 @@ class DisconnectedTensorSquareError(EnergyError):
 class EnergyTable:
     """Total map from ordered node pairs of one crystal to integers."""
 
-    crystal_label: str
-    seed: object
     grid: int
     chi: dict
 
@@ -103,9 +101,7 @@ def energy_table(graph: CrystalGraph, *, rng: random.Random | None = None,
         raise DisconnectedTensorSquareError(
             "reached %d of %d pairs" % (len(chi), len(graph) ** 2)
         )
-    return EnergyTable(
-        crystal_label=graph.label, seed=graph.seed, grid=choose_grid(graph), chi=chi
-    )
+    return EnergyTable(grid=choose_grid(graph), chi=chi)
 
 
 def choose_grid(graph: CrystalGraph) -> int:

@@ -27,7 +27,7 @@ from loom import (
 )
 from loom.cli import main
 from loom.crystals import moves
-from loom.embedding import EmbeddingError, tensor_power_crystal
+from loom.embedding import EmbeddingError, Report, tensor_power_crystal
 from loom.paths import stretch_key
 from loom.verify import run_suite
 
@@ -222,14 +222,31 @@ def _passing_checks(**details):
     return [{"name": n, "pass": True, "detail": details.get(n, "")} for n in CHECK_NAMES]
 
 
-# full decompose records of the check-by-check implementation
+def _counted(n, noun, skipped=0):
+    return "%d %s compared, %d skipped" % (n, noun, skipped)
+
+
+# full decompose records of the check-by-check implementation.  The counts,
+# where an a-string times a b-string has (a + 1)(b + 1) - min(a, b) - 1 edges:
+# - A1 w1 m2 W3: 7 degrees -3..3 and 2^2 * 7 = 28 nodes; pieces 0..3, so the
+#   shifts (0, 2) and (1, 3); per index the base is one 1-string, so the
+#   square has 2 edges per index, and W3 keeps 2 * 7 1-edges and 2 * 6
+#   0-edges (a 0-edge lowers the degree): 26 edges.
+# - C2 w2 m2 W2: 5 degrees and 5^2 * 5 = 125 nodes; pieces 0..2, so the one
+#   shift (0, 2); per index 0 and 2 the base is two 1-strings and a fixed
+#   node (square: 4 * 2 + 4 * 1 = 12 edges), per index 1 one 2-string and
+#   two fixed nodes (square: 6 + 4 * 2 = 14 edges), so W2 keeps
+#   (12 + 14) * 5 + 12 * 4 = 178 edges.
 GOLDEN_REPORTS = [
     (("A", 1, 1, 2, 3), {
         "suite": "decompose", "params": {"type": "A1", "i": 1, "power": 2, "window": 3},
         "checks": _passing_checks(psi_injective="28 nodes",
+                                  psi_of_straight_seeds=_counted(7, "degrees"),
+                                  psi_endpoint_law=_counted(28, "nodes"),
                                   image_equals_union="image 20, union 20",
-                                  psi_preserves_operators="76 moves compared, 4 skipped",
-                                  degree_shift_periodicity="checked [(0, 2), (1, 3)]"),
+                                  psi_preserves_operators=_counted(76, "moves", 4),
+                                  degree_shift_periodicity=_counted(2, "shifts"),
+                                  no_edge_crosses_classes=_counted(26, "edges")),
         "pass": True,
         "counts": {"base": 2, "affinized": 28, "image_inner": 20,
                    "pieces_inner": {"0": 11, "1": 9}},
@@ -237,9 +254,12 @@ GOLDEN_REPORTS = [
     (("C", 2, 2, 2, 2), {
         "suite": "decompose", "params": {"type": "C2", "i": 2, "power": 2, "window": 2},
         "checks": _passing_checks(psi_injective="125 nodes",
+                                  psi_of_straight_seeds=_counted(5, "degrees"),
+                                  psi_endpoint_law=_counted(125, "nodes"),
                                   image_equals_union="image 75, union 75",
-                                  psi_preserves_operators="426 moves compared, 24 skipped",
-                                  degree_shift_periodicity="checked [(0, 2)]"),
+                                  psi_preserves_operators=_counted(426, "moves", 24),
+                                  degree_shift_periodicity=_counted(1, "shifts"),
+                                  no_edge_crosses_classes=_counted(178, "edges")),
         "pass": True,
         "counts": {"base": 5, "affinized": 125, "image_inner": 75,
                    "pieces_inner": {"0": 35, "1": 40}},
@@ -328,6 +348,19 @@ def test_operator_check_that_compared_nothing_fails(a1, monkeypatch):
     assert _failing(report) == {"psi_preserves_operators"}
     check = next(c for c in report["checks"] if c["name"] == "psi_preserves_operators")
     assert check["detail"] == "0 moves compared, 80 skipped"
+
+
+@pytest.mark.parametrize("outcomes,want", [
+    ([True, None, True], (True, "2 x compared, 1 skipped")),
+    (iter([True, False, None, True]), (False, "3 x compared, 1 skipped")),
+    ([None] * 3, (False, "0 x compared, 3 skipped")),
+    (iter(()), (False, "0 x compared, 0 skipped")),
+])
+def test_count_fails_on_a_false_or_when_it_compared_nothing(outcomes, want):
+    rep = Report("toy")
+    rep.count("x_check", outcomes, "x")
+    (check,) = rep.done()["checks"]
+    assert (check["pass"], check["detail"]) == want
 
 
 def _grid_form(path):

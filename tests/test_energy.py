@@ -140,7 +140,7 @@ def test_total_order_rejects_synthetic_tables(a1_base, zeros):
     graph = CrystalGraph(label="toy", indices=(0, 1), nodes={k: node for k in keys},
                          f_edges={}, seed=0)
     chi = {(a, b): 0 if a == b or (a, b) in zeros else 1 for a in keys for b in keys}
-    table = EnergyTable(crystal_label="toy", seed=0, grid=1, chi=chi)
+    table = EnergyTable(grid=1, chi=chi)
     assert brute_force_order(graph, table) is None
     assert compatible_total_order(graph, table) is None
 
@@ -211,7 +211,7 @@ def test_major_index(a1, a1_energy, a1_base):
 
 
 def test_energy_json(a1, a1_energy):
-    assert a1_energy.grid == 1 and a1_energy.crystal_label == "A1:B(w1)"
+    assert a1_energy.grid == 1
     assert len(a1_energy.chi) == 4
     assert sorted(a1_energy.chi.values()) == [0, 0, 0, 1]
 

@@ -77,8 +77,8 @@ def test_normality_weight_checks_count_what_they_compared():
     details = {c["name"]: c["detail"] for c in report["checks"]}
     # the A2 square has 9 nodes and 3 indices; per index the base is one
     # 1-string and one fixed node, so the square has 2 + 1 + 1 edges
-    assert details["weight_gradient"] == "12 edges compared"
-    assert details["phi_minus_eps_pairing"] == "27 node-index pairs compared"
+    assert details["weight_gradient"] == "12 edges compared, 0 skipped"
+    assert details["phi_minus_eps_pairing"] == "27 node-index pairs compared, 0 skipped"
 
 
 def test_normality_weight_checks_fail_on_an_empty_comparison(monkeypatch):
@@ -133,3 +133,33 @@ def test_operator_check_fails_when_it_compared_nothing(monkeypatch):
     report = run_suite("concat", type_label="A", rank=1, i=1)
     assert _checks(report)["concat_matches_tensor_rule"] == (False, "0 moves compared, 0 skipped")
     assert not report["pass"]
+
+
+def test_collection_checks_count_what_they_compared():
+    # A2 w1: 3 straight paths and 3 indices, so 9 path-index pairs, none bent
+    weyl = _checks(run_suite("weyl", type_label="A", rank=2, i=1))
+    assert weyl["involution"] == (True, "9 path-index pairs compared, 0 skipped")
+    assert weyl["linear_paths_reflect"] == (True, "9 path-index pairs compared, 0 skipped")
+    # C2 w2: 5 paths; the one of weight zero is bent, so self-concatenation skips it
+    concat = _checks(run_suite("concat", type_label="C", rank=2, i=2))
+    assert concat["constant_is_identity"] == (True, "5 paths compared, 0 skipped")
+    assert concat["linear_selfconcat_is_stretch"] == (True, "4 paths compared, 1 skipped")
+    # A2 w1 squared: 9 pairs * 3 indices * (e, f) = 54 moves; the square has
+    # 12 edges, each an f-move from its source and an e-move from its target
+    maj = _checks(run_suite("maj", type_label="A", rank=2, i=1, power=2))
+    assert maj["major_index_shift_mod_power"] == (True, "24 moves compared, 30 skipped")
+    assert maj["refined_index_shifts_by_grid"] == (True, "24 moves compared, 30 skipped")
+    # shape (2,3): 3 * 4 basis tags and min(2, 3) + 1 singular vectors
+    sl2 = _checks(run_suite("sl2", t1=2, t2=3))
+    assert sl2["defining_relations"] == (True, "12 basis tags compared, 0 skipped")
+    assert sl2["singular_vectors"] == (True, "3 vectors compared, 0 skipped")
+
+
+def test_power_checks_fail_when_they_compared_nothing(monkeypatch):
+    monkeypatch.setattr(loom.verify, "_power_keys", lambda base, power, **kw: iter(()))
+    maj = run_suite("maj", type_label="A", rank=1, i=1)
+    assert _checks(maj)["major_index_shift_mod_power"] == (False, "0 moves compared, 0 skipped")
+    assert _checks(maj)["refined_index_shifts_by_grid"] == (False, "0 moves compared, 0 skipped")
+    psi = run_suite("psi", type_label="A", rank=1, i=1, window=2)
+    assert _checks(psi)["kappa_endpoints"] == (False, "0 endpoints compared, 0 skipped")
+    assert not maj["pass"] and not psi["pass"]
