@@ -44,7 +44,6 @@ from .paths import (
     concat,
     constant_path,
     epsilon,
-    grid_size,
     h_extrema,
     linear_path,
     lowering_op,

@@ -10,9 +10,11 @@ index) back to back, for one scan: ``TensorOps`` keeps its last scan,
 matched by the identity of x and by i, and ``PathOps`` keeps one row per
 path key, over all indices.  Infinite kinds also expose ``level`` and
 are generated inside an explicit window on the absolute level.  Closure
-generation, the tensor product rule, audits and labelled-graph
+generation, the tensor product rule, the normality audit and labelled-graph
 isomorphism all work against that surface, so paths, generated graphs
-and ad hoc test crystals plug into the same engine.  The tensor rule
+and ad hoc test crystals plug into the same engine.  The audit returns
+one True or False per item it compared, which a suite records through
+:meth:`~loom.embedding.Report.count`.  The tensor rule
 reads the coroot pairing of a factor's weight as ``phi - eps``, so no
 kind needs Cartan data of its own.
 """
@@ -129,41 +131,31 @@ class CrystalGraph:
 
     def is_indecomposable(self) -> bool:
         if self.truncated:
-            raise GenerationError(
-                "indecomposability is only defined for untruncated graphs; "
-                "use window_connected for windows"
-            )
+            raise GenerationError("indecomposability is only defined for untruncated graphs")
         return len(self.components()) == 1
 
-    def window_connected(self) -> bool:
-        return len(self.components()) == 1
+    def normality_audit(self) -> list[bool]:
+        """One outcome per node-index pair, in node order, then one per edge.
 
-    def normality_audit(self) -> list[str]:
-        """Check string lengths and quasi-inverse edges; empty means clean."""
+        A node-index pair holds when its raising and lowering chains are as
+        long as its stored ``eps`` and ``phi``; a chain longer than the graph
+        cycles and fails.  An edge holds when it is quasi-inverse.
+        """
         if self.truncated:
             raise GenerationError("normality audit needs an untruncated graph")
-        problems = []
-        for key in self.sorted_keys():
-            node = self.nodes[key]
-            for pos, i in enumerate(self.indices):
-                for edges, table, walk, name in ((self.e_edges, node.eps, "raising", "eps"),
-                                                 (self.f_edges, node.phi, "lowering", "phi")):
-                    steps, k = 0, key
-                    while (k, i) in edges:
-                        k = edges[(k, i)]
-                        steps += 1
-                        if steps > len(self.nodes):
-                            problems.append("cycle in %s chain at %r, i=%d" % (walk, key, i))
-                            break
-                    if steps != table[pos]:
-                        problems.append(
-                            "%s mismatch at %r, i=%d: table %d, chain %d"
-                            % (name, key, i, table[pos], steps)
-                        )
-        for (src, i), dst in self.f_edges.items():
-            if self.e_edges.get((dst, i)) != src:
-                problems.append("edge (%r, %d) is not quasi-inverse" % (src, i))
-        return problems
+
+        def chain(edges, k, i):
+            for steps in range(len(self.nodes) + 1):
+                if (k, i) not in edges:
+                    return steps
+                k = edges[(k, i)]
+            return None
+
+        outcomes = [chain(self.e_edges, key, i) == node.eps[pos]
+                    and chain(self.f_edges, key, i) == node.phi[pos]
+                    for key, node in self.nodes.items() for pos, i in enumerate(self.indices)]
+        outcomes += [self.e_edges.get((dst, i)) == src for (src, i), dst in self.f_edges.items()]
+        return outcomes
 
     # -- isomorphism ------------------------------------------------------
 

@@ -253,14 +253,16 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
     m fw + r delta; the first m pieces are the decomposition.  Pieces r and
     r + m share one :class:`PathOps` table, and no piece graph is kept.  The checks:
 
-    - ``psi_injective``: distinct nodes have distinct image paths;
+    - ``psi_injective``: the image key of each node occurs once;
     - ``psi_of_straight_seeds``: the seed tuple at degree n goes to the
       straight path to m fw + n delta;
     - ``psi_endpoint_law``: every image ends at its node's weight;
-    - ``pieces_pairwise_disjoint``: the union of the m pieces is as large
-      as their sizes summed;
-    - ``image_equals_union``: the inner image is that union;
-    - ``classes_match_pieces``: the inner image of class r is piece r;
+    - ``pieces_pairwise_disjoint``: each node of the m pieces lies in
+      exactly one of them;
+    - ``image_equals_union``: the inner image is that union, which is not
+      empty; the one check here that is a single comparison;
+    - ``classes_match_pieces``: for each class r, the inner image of class
+      r is piece r; a class whose image and piece are both empty is skipped;
     - ``psi_preserves_operators``: every root operator on an inner image
       gives the image of the graph's move, or None where the move does
       not act; moves leaving the inner window are skipped, through
@@ -269,8 +271,9 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
       shifted seed inside the window;
     - ``no_edge_crosses_classes``: every edge joins two nodes of one class.
 
-    Each check over degrees, nodes, moves, shifts or edges goes through
-    :meth:`Report.count`, so it counts what it compared and fails on none.
+    Every other check, over nodes, degrees, classes, moves, shifts or
+    edges, goes through :meth:`Report.count`, so it counts what it compared
+    and fails on none.
 
     Returns the ``decompose`` suite's :class:`Report` record, with the
     node counts added under ``counts``; every check must pass for the verdict.
@@ -308,20 +311,24 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
     for key in inner_keys:
         class_sets[classes[key]].add(images[key].key())
     image = set().union(*class_sets)
-    union = set().union(*pieces[:m])
+    piece_counts = Counter(k for piece in pieces[:m] for k in piece)
+    union = set(piece_counts)
 
     rep = Report("decompose", type=cartan.name, i=i, power=m, window=window)
-    rep.check("psi_injective", len({img.key() for img in images.values()}) == len(images),
-              "%d nodes" % len(images))
+    image_keys = Counter(img.key() for img in images.values())
+    rep.count("psi_injective", (image_keys[img.key()] == 1 for img in images.values()), "nodes")
     rep.count("psi_of_straight_seeds",
               (images[((base.seed,) * m, n)] == linear_path(m * fw + n * delta)
                for n in range(-window, window + 1)), "degrees")
     rep.count("psi_endpoint_law",
               (img.endpoint() == aff.nodes[key].wt for key, img in images.items()), "nodes")
-    rep.check("pieces_pairwise_disjoint", len(union) == sum(len(p) for p in pieces[:m]))
-    rep.check("image_equals_union", image == union,
+    rep.count("pieces_pairwise_disjoint", (n == 1 for n in piece_counts.values()), "nodes")
+    rep.check("image_equals_union", bool(union) and image == union,
               "image %d, union %d" % (len(image), len(union)))
-    rep.check("classes_match_pieces", class_sets == pieces[:m])
+    # a class with no image and an empty piece is skipped
+    rep.count("classes_match_pieces",
+              (class_sets[r] == pieces[r] if class_sets[r] or pieces[r] else None
+               for r in range(m)), "classes")
     # an inner key has every neighbour inside the window, so the graph's
     # edges are all the operator moves from it; moves leaving it are skipped
     preserves_operators(rep, "psi_preserves_operators", cartan, aff,

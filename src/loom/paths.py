@@ -470,11 +470,6 @@ def segment_uniform(path: Path, n: int) -> list[Weight]:
     return [s.weight() for s in uniform_stretches(path, n)]
 
 
-def grid_size(path: Path) -> int:
-    """Least n putting every breakpoint of the path on the 1/n grid."""
-    return path.n
-
-
 class PathOps:
     """Crystal operations on paths of a fixed ambient, for the generator.
 

@@ -26,6 +26,7 @@ from loom import (
     raising_op,
 )
 from loom.crystals import GenerationError, Node
+from outcomes import holds
 
 
 def keys_of(cartan, *weights):
@@ -39,7 +40,9 @@ def test_a1_base_fixture(a1, a1_base):
     assert a1_base.f(kp, 1) == km
     assert a1_base.f(km, 0) == kp
     assert a1_base.edge_count() == 2
-    assert a1_base.normality_audit() == []
+    # 2 nodes x 2 indices, then 2 edges
+    audit = a1_base.normality_audit()
+    assert holds(audit) and len(audit) == 6
 
 
 def test_a2_base_fixture(a2, a2_base):
@@ -100,7 +103,9 @@ def test_tensor_square_connected(a1, a1_base):
     graph = generate(ops, (a1_base.seed, a1_base.seed))
     assert len(graph) == 4
     assert graph.is_indecomposable()
-    assert graph.normality_audit() == []
+    # 4 pairs x 2 indices, then per index a 1-string squared: 2 * 2 - 1 - 1 = 2 edges
+    audit = graph.normality_audit()
+    assert holds(audit) and len(audit) == 8 + 4
 
 
 def test_truncated_graphs_reject_global_checks(a1):
@@ -111,7 +116,7 @@ def test_truncated_graphs_reject_global_checks(a1):
         graph.is_indecomposable()
     with pytest.raises(GenerationError):
         graph.normality_audit()
-    assert graph.window_connected()
+    assert len(graph.components()) == 1
 
 
 def test_window_required_for_affine(a1):
@@ -128,6 +133,14 @@ def test_tensor_of_affine_kinds_stays_in_the_window(a1):
     assert {node.wt.weight().delta for node in graph.nodes.values()} == {-1, 0, 1}
 
 
+def _audit_failures(graph):
+    """The node-index pairs, then the edges, whose audit outcome is False."""
+    items = [(k, i) for k in graph.nodes for i in graph.indices] + list(graph.f_edges)
+    audit = graph.normality_audit()
+    assert len(audit) == len(items)
+    return [item for item, ok in zip(items, audit) if not ok]
+
+
 def test_normality_negative_control(a1_base):
     key = a1_base.sorted_keys()[0]
     node = a1_base.nodes[key]
@@ -138,17 +151,27 @@ def test_normality_negative_control(a1_base):
         label="tampered", indices=a1_base.indices, nodes=tampered,
         f_edges=dict(a1_base.f_edges), seed=a1_base.seed,
     )
-    assert broken.normality_audit() == [
-        "eps mismatch at %r, i=0: table %d, chain %d" % (key, bumped[0], node.eps[0])
-    ]
+    assert _audit_failures(broken) == [(key, 0)]
     last = a1_base.sorted_keys()[-1]
     other = tampered[last]
     tampered[last] = Node(other.element, other.wt, other.eps, (other.phi[0] + 1,) + other.phi[1:])
     broken = dataclasses.replace(broken, nodes=tampered)
-    assert broken.normality_audit() == [
-        "eps mismatch at %r, i=0: table %d, chain %d" % (key, bumped[0], node.eps[0]),
-        "phi mismatch at %r, i=0: table %d, chain %d" % (last, other.phi[0] + 1, other.phi[0]),
-    ]
+    assert _audit_failures(broken) == [(key, 0), (last, 0)]
+
+
+def test_normality_audit_fails_a_cycle_and_a_non_quasi_inverse_edge(a1_base):
+    # a planted 0-loop at kp: the 0-chains through kp never end, so the pairs
+    # (kp, 0) (raising) and (km, 0) (lowering) fail, and raising kp by 0 now
+    # gives kp, so the edge km -> kp is not quasi-inverse; the loop itself is
+    kp = a1_base.seed
+    km = a1_base.f(kp, 1)
+    looped = CrystalGraph(
+        label="looped", indices=a1_base.indices, nodes=dict(a1_base.nodes),
+        f_edges={**a1_base.f_edges, (kp, 0): kp}, seed=kp,
+    )
+    assert list(looped.nodes) == [kp, km]
+    # two node-index pairs, then one of the three edges
+    assert _audit_failures(looped) == [(kp, 0), (km, 0), (km, 0)]
 
 
 def test_isomorphism(a1, a1_base, a2_base):
@@ -394,7 +417,7 @@ def test_energy_sweep_and_recheck_scan_once_per_pair_and_index(monkeypatch):
     table = energy_table(base)
     per_sweep = 2 * len(base) ** 2 * len(base.indices)
     assert len(calls) == per_sweep
-    assert energy_edge_check(base, table) == []
+    assert holds(energy_edge_check(base, table))
     assert len(calls) == 2 * per_sweep
 
 

@@ -237,13 +237,18 @@ def _counted(n, noun, skipped=0):
 #   node (square: 4 * 2 + 4 * 1 = 12 edges), per index 1 one 2-string and
 #   two fixed nodes (square: 6 + 4 * 2 = 14 edges), so W2 keeps
 #   (12 + 14) * 5 + 12 * 4 = 178 edges.
+# psi_injective compares every node; pieces_pairwise_disjoint every node of
+# the union of pieces 0..m-1 (the image_inner count, 11 + 9 = 20 on A1 and
+# 35 + 40 = 75 on C2); classes_match_pieces each of the m = 2 classes.
 GOLDEN_REPORTS = [
     (("A", 1, 1, 2, 3), {
         "suite": "decompose", "params": {"type": "A1", "i": 1, "power": 2, "window": 3},
-        "checks": _passing_checks(psi_injective="28 nodes",
+        "checks": _passing_checks(psi_injective=_counted(28, "nodes"),
                                   psi_of_straight_seeds=_counted(7, "degrees"),
                                   psi_endpoint_law=_counted(28, "nodes"),
+                                  pieces_pairwise_disjoint=_counted(20, "nodes"),
                                   image_equals_union="image 20, union 20",
+                                  classes_match_pieces=_counted(2, "classes"),
                                   psi_preserves_operators=_counted(76, "moves", 4),
                                   degree_shift_periodicity=_counted(2, "shifts"),
                                   no_edge_crosses_classes=_counted(26, "edges")),
@@ -253,10 +258,12 @@ GOLDEN_REPORTS = [
     }),
     (("C", 2, 2, 2, 2), {
         "suite": "decompose", "params": {"type": "C2", "i": 2, "power": 2, "window": 2},
-        "checks": _passing_checks(psi_injective="125 nodes",
+        "checks": _passing_checks(psi_injective=_counted(125, "nodes"),
                                   psi_of_straight_seeds=_counted(5, "degrees"),
                                   psi_endpoint_law=_counted(125, "nodes"),
+                                  pieces_pairwise_disjoint=_counted(75, "nodes"),
                                   image_equals_union="image 75, union 75",
+                                  classes_match_pieces=_counted(2, "classes"),
                                   psi_preserves_operators=_counted(426, "moves", 24),
                                   degree_shift_periodicity=_counted(1, "shifts"),
                                   no_edge_crosses_classes=_counted(178, "edges")),
@@ -296,6 +303,10 @@ def _failing(report):
     return {c["name"] for c in report["checks"] if not c["pass"]}
 
 
+def _checks(report):
+    return {c["name"]: (c["pass"], c["detail"]) for c in report["checks"]}
+
+
 def test_every_decomposition_check_can_fail(a1, monkeypatch):
     import loom.embedding as emb
 
@@ -321,8 +332,22 @@ def test_every_decomposition_check_can_fail(a1, monkeypatch):
 
     with monkeypatch.context() as mp:
         mp.setattr(emb, "psi", wrong_psi)
-        failed = _failing(verify_decomposition(a1, 1, m, window))
-    assert {"psi_injective", "psi_preserves_operators"} <= failed
+        report = verify_decomposition(a1, 1, m, window)
+    assert {"psi_injective", "psi_preserves_operators"} <= _failing(report)
+    # two of the 28 nodes now share an image key
+    assert _checks(report)["psi_injective"] == (False, "28 nodes compared, 0 skipped")
+
+    def overlapping(cartan, seed_weight, window, **kw):
+        # piece 1 comes back as piece 0, so all 11 nodes of piece 0 lie in two pieces
+        if seed_weight.delta == 1:
+            seed_weight = seed_weight - a1.null_root()
+        return real_window(cartan, seed_weight, window, **kw)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(emb, "path_crystal_window", overlapping)
+        report = verify_decomposition(a1, 1, m, window)
+    assert "pieces_pairwise_disjoint" in _failing(report)
+    assert _checks(report)["pieces_pairwise_disjoint"] == (False, "11 nodes compared, 0 skipped")
 
     def wrong_shift(cartan, seed_weight, window, **kw):
         # a piece shifted by m comes back shifted by m - 1, another class
@@ -334,6 +359,37 @@ def test_every_decomposition_check_can_fail(a1, monkeypatch):
         mp.setattr(emb, "path_crystal_window", wrong_shift)
         failed = _failing(verify_decomposition(a1, 1, m, window))
     assert "degree_shift_periodicity" in failed
+
+
+def test_set_checks_that_compared_nothing_fail(a1, monkeypatch):
+    import loom.embedding as emb
+
+    def no_nodes(cartan, seed_weight, window, **kw):
+        return CrystalGraph("empty", cartan.indices, {}, {}, None)
+
+    monkeypatch.setattr(emb, "path_crystal_window", no_nodes)
+    checks = _checks(verify_decomposition(a1, 1, 2, 3))
+    assert checks["pieces_pairwise_disjoint"] == (False, "0 nodes compared, 0 skipped")
+    assert checks["image_equals_union"] == (False, "image 20, union 0")
+    # each class has images but an empty piece
+    assert checks["classes_match_pieces"] == (False, "2 classes compared, 0 skipped")
+
+
+def test_a_class_with_no_image_and_no_piece_is_skipped(a1, monkeypatch):
+    import loom.embedding as emb
+
+    real_window = emb.path_crystal_window
+
+    def even_pieces_only(cartan, seed_weight, window, **kw):
+        if seed_weight.delta % 2:
+            return CrystalGraph("empty", cartan.indices, {}, {}, None)
+        return real_window(cartan, seed_weight, window, **kw)
+
+    monkeypatch.setattr(emb, "c_class", lambda table, graph, element, m: 0)
+    monkeypatch.setattr(emb, "path_crystal_window", even_pieces_only)
+    checks = _checks(verify_decomposition(a1, 1, 2, 3))
+    # class 1 has no image and piece 1 is empty; class 0 holds all 20 inner images
+    assert checks["classes_match_pieces"] == (False, "1 classes compared, 1 skipped")
 
 
 def test_operator_check_that_compared_nothing_fails(a1, monkeypatch):

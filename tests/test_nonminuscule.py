@@ -24,13 +24,16 @@ from loom import (
     verify_decomposition,
 )
 from loom.crystals import moves
+from outcomes import holds
 
 
 def test_bent_fundamental_crystal(c2):
     base = fundamental_crystal(c2, 2)
     assert len(base) == 5 and base.edge_count() == 6
     assert choose_grid(base) == 2
-    assert base.normality_audit() == []
+    # 5 nodes x 3 indices, then 6 edges
+    audit = base.normality_audit()
+    assert holds(audit) and len(audit) == 15 + 6
     bent = [
         base.nodes[k].element for k in base.sorted_keys()
         if len(base.nodes[k].element.segments) == 2
@@ -44,7 +47,12 @@ def test_energy_on_grid_two(c2):
     base = fundamental_crystal(c2, 2)
     table = energy_table(base)
     assert len(table.chi) == 25
-    assert energy_edge_check(base, table) == []
+    # each edge of the square is an f-move from its source and an e-move from
+    # its target; per index 0 and 2 the base is two 1-strings and a fixed node
+    # (4 * 2 + 4 * 1 = 12 square edges), per index 1 one 2-string and two
+    # fixed nodes (6 + 4 * 2 = 14), so 2 * (12 + 14 + 12) = 76 moves
+    shifts = energy_edge_check(base, table)
+    assert holds(shifts) and len(shifts) == 76
     assert sorted(set(table.chi.values())) == [0, 1, 2]
 
 
@@ -110,7 +118,7 @@ def test_decomposition_grid_six():
     base = fundamental_crystal(g2, 1)
     assert len(base) == 15
     assert choose_grid(base) == 6
-    assert base.normality_audit() == []
+    assert holds(base.normality_audit())
     assert energy_table(base).grid == 6
     report = verify_decomposition(g2, 1, 1, 2)
     assert report["pass"], report

@@ -11,7 +11,6 @@ from loom import (
     constant_path,
     epsilon,
     fundamental_crystal,
-    grid_size,
     h_extrema,
     linear_path,
     lowering_op,
@@ -118,7 +117,7 @@ def test_split_times_match_reference():
     for cartan, graph in crystals:
         for key in graph.sorted_keys():
             path = graph.nodes[key].element
-            grids.add(grid_size(path))
+            grids.add(path.n)
             for i in cartan.indices:
                 ext = h_extrema(cartan, path, i)
                 got = (ext.e_minus, ext.e_plus, ext.f_plus, ext.f_minus)
@@ -254,7 +253,7 @@ def test_segment_uniform(a1):
     assert rebuilt == bent
     with pytest.raises(PathError):
         segment_uniform(bent, 3)
-    assert grid_size(bent) == 2
+    assert bent.n == 2
 
 
 def test_segmentation_reflection_law(a1, a1_base, a2, a2_base, c2, c2_base):

@@ -28,6 +28,7 @@ from loom.sl2 import (
     string_decompose,
     tensor_rule_table,
 )
+from outcomes import holds
 
 
 def basis(shape, idx):
@@ -255,7 +256,9 @@ def test_kashiwara_operators_follow_the_tensor_rule_at_the_origin(shape):
 
 def test_string_chain_is_a_normal_crystal():
     chain = sl2._string_chain(3)
-    assert chain.normality_audit() == []
+    # 4 tags x 1 index, then 3 edges
+    audit = chain.normality_audit()
+    assert holds(audit) and len(audit) == 4 + 3
     assert [chain.wt(s) for s in chain.nodes] == [3, 1, -1, -3]
 
 
@@ -267,9 +270,10 @@ def test_sl2_suite_reads_the_production_tensor_rule(monkeypatch):
         return None if moved is None else b[:k] + (moved,) + b[k + 1:]
 
     monkeypatch.setattr(TensorOps, "e", rightmost_e)
-    checks = {c["name"]: c["pass"] for c in verify.suite_sl2(2, 3)["checks"]}
-    assert checks["matches_case_split"]
-    assert not checks["matches_tensor_rule"]
+    checks = {c["name"]: (c["pass"], c["detail"]) for c in verify.suite_sl2(2, 3)["checks"]}
+    # 3 * 4 tags, each with an e and an f transition
+    assert checks["matches_case_split"] == (True, "24 transitions compared, 0 skipped")
+    assert checks["matches_tensor_rule"] == (False, "24 transitions compared, 0 skipped")
 
 
 def _count_calls(monkeypatch):

@@ -1,7 +1,11 @@
+import itertools
+import re
+
 import pytest
 
 import loom.verify
-from loom.crystals import CrystalGraph, Node, NodeCapError
+from loom.crystals import CrystalGraph, Node, NodeCapError, TensorOps, moves
+from loom.energy import EnergyTable, energy_edge_check
 from loom.verify import SUITES, run_suite
 
 
@@ -79,6 +83,9 @@ def test_normality_weight_checks_count_what_they_compared():
     # 1-string and one fixed node, so the square has 2 + 1 + 1 edges
     assert details["weight_gradient"] == "12 edges compared, 0 skipped"
     assert details["phi_minus_eps_pairing"] == "27 node-index pairs compared, 0 skipped"
+    # the audit takes the 27 node-index pairs, then the 12 edges
+    assert details["string_lengths_and_quasi_inverse"] == (
+        "39 node-index pairs and edges compared, 0 skipped")
 
 
 def test_normality_weight_checks_fail_on_an_empty_comparison(monkeypatch):
@@ -92,6 +99,8 @@ def test_normality_weight_checks_fail_on_an_empty_comparison(monkeypatch):
     verdicts = {c["name"]: c["pass"] for c in report["checks"]}
     assert verdicts["weight_gradient"] is False
     assert verdicts["phi_minus_eps_pairing"] is False
+    assert _checks(report)["string_lengths_and_quasi_inverse"] == (
+        False, "0 node-index pairs and edges compared, 0 skipped")
     assert not report["pass"]
 
 
@@ -163,3 +172,130 @@ def test_power_checks_fail_when_they_compared_nothing(monkeypatch):
     psi = run_suite("psi", type_label="A", rank=1, i=1, window=2)
     assert _checks(psi)["kappa_endpoints"] == (False, "0 endpoints compared, 0 skipped")
     assert not maj["pass"] and not psi["pass"]
+
+
+def _planted(table, pair, delta=1):
+    return EnergyTable(grid=table.grid, chi={**table.chi, pair: table.chi[pair] + delta})
+
+
+def test_energy_shift_rule_fails_on_exactly_the_moves_at_a_planted_value(monkeypatch):
+    base = loom.verify.fundamental_crystal(loom.verify.build_cartan("A", 2), 1)
+    table = loom.verify.energy_table(base)
+    keys = base.sorted_keys()
+    pair = (keys[0], keys[-1])
+    assert pair != (base.seed, base.seed)
+    planted = _planted(table, pair)
+    ops2 = TensorOps([base] * 2)
+    acting = [(p, target) for p in itertools.product(keys, repeat=2)
+              for _i, _kind, target in moves(ops2, p) if target is not None]
+    outcomes = energy_edge_check(base, planted)
+    # the A2 square's 12 edges, each an f-move and an e-move
+    assert len(outcomes) == len(acting) == 24
+    failing = [move for move, ok in zip(acting, outcomes) if not ok]
+    assert failing and failing == [move for move in acting if pair in move]
+
+    build = loom.verify.energy_table
+    monkeypatch.setattr(loom.verify, "energy_table",
+                        lambda graph, **kw: _planted(build(graph, **kw), pair))
+    report = run_suite("energy", type_label="A", rank=2, i=1, seeds=2)
+    assert _checks(report)["shift_rule_on_every_edge"] == (False, "24 moves compared, 0 skipped")
+    assert not report["pass"]
+
+
+def test_energy_shift_rule_fails_when_it_compared_nothing(monkeypatch):
+    # one node and no indices: the square is the seed pair alone, with no move
+    fundamental = loom.verify.fundamental_crystal
+
+    def one_node(cartan, i, **kw):
+        base = fundamental(cartan, i, **kw)
+        node = Node(base.nodes[base.seed].element, None, (), ())
+        return CrystalGraph("one-node", (), {base.seed: node}, {}, base.seed)
+
+    monkeypatch.setattr(loom.verify, "fundamental_crystal", one_node)
+    report = run_suite("energy", type_label="A", rank=1, i=1, seeds=1)
+    assert _checks(report)["shift_rule_on_every_edge"] == (False, "0 moves compared, 0 skipped")
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == ["shift_rule_on_every_edge"]
+
+
+def test_psi_injective_fails_on_a_collision_and_on_no_nodes(monkeypatch):
+    image = loom.verify.psi
+
+    def collide(table, graph, element):
+        # every node at degree 1 is sent to its image at degree 0
+        factors, degree = element
+        return image(table, graph, (factors, 0 if degree == 1 else degree))
+
+    with monkeypatch.context() as mp:
+        mp.setattr(loom.verify, "psi", collide)
+        report = run_suite("psi", type_label="A", rank=1, i=1, power=2, window=2)
+    # A1 squared: 4 tuples at 5 degrees
+    assert _checks(report)["injective"] == (False, "20 nodes compared, 0 skipped")
+
+    build = loom.verify.affinized_tensor_crystal
+
+    def no_nodes(*args, **kw):
+        aff = build(*args, **kw)
+        aff.nodes.clear()
+        return aff
+
+    monkeypatch.setattr(loom.verify, "affinized_tensor_crystal", no_nodes)
+    report = run_suite("psi", type_label="A", rank=1, i=1, power=2, window=2)
+    assert _checks(report)["injective"] == (False, "0 nodes compared, 0 skipped")
+
+
+@pytest.mark.parametrize("plant", ["drop", "alter"])
+def test_sl2_transition_checks_fail_on_a_dropped_or_altered_entry(monkeypatch, plant):
+    cases = loom.verify.sl2lab.origin_case_table
+
+    def planted(t1, t2):
+        table = cases(t1, t2)
+        if plant == "drop":
+            del table["e", 0, 0]
+        else:
+            table["f", 0, 0] = (0, 0)
+        return table
+
+    monkeypatch.setattr(loom.verify.sl2lab, "origin_case_table", planted)
+    checks = _checks(run_suite("sl2", t1=1, t2=1))
+    # 2 * 2 tags, each with an e and an f transition; the dropped ("e", 0, 0)
+    # maps to None in the other tables, and still fails as a missing key
+    assert checks["matches_case_split"] == (False, "8 transitions compared, 0 skipped")
+    assert checks["matches_tensor_rule"] == (True, "8 transitions compared, 0 skipped")
+
+
+def test_sl2_transition_checks_fail_on_empty_tables(monkeypatch):
+    for name in ("crystal_limit_table", "origin_case_table", "tensor_rule_table"):
+        monkeypatch.setattr(loom.verify.sl2lab, name, lambda t1, t2: {})
+    checks = _checks(run_suite("sl2", t1=1, t2=1))
+    assert checks["matches_case_split"] == (False, "0 transitions compared, 0 skipped")
+    assert checks["matches_tensor_rule"] == (False, "0 transitions compared, 0 skipped")
+
+
+def test_sl2_transition_checks_fail_when_the_lattice_check_fails(monkeypatch):
+    def not_in_lattice(t1, t2):
+        raise loom.verify.sl2lab.NotInLatticeError("planted")
+
+    monkeypatch.setattr(loom.verify.sl2lab, "crystal_limit_table", not_in_lattice)
+    checks = _checks(run_suite("sl2", t1=1, t2=1))
+    # every transition is missing from the empty limit table, including the
+    # ones whose value is None
+    assert checks["lattice_preserved"] == (False, "planted")
+    assert checks["matches_case_split"] == (False, "8 transitions compared, 0 skipped")
+    assert checks["matches_tensor_rule"] == (False, "8 transitions compared, 0 skipped")
+
+
+# the checks that make one comparison, not one per item of a collection
+SINGLE_COMPARISONS = {"image_equals_union", "total", "seed_pair_is_zero", "total_order_exists",
+                      "indecomposable", "lattice_preserved"}
+
+
+def test_every_check_over_a_collection_counts_what_it_compared():
+    report = run_suite("all", type_label="A", rank=2, window=2)
+    names = set()
+    for sub in report["reports"]:
+        for check in sub["checks"]:
+            names.add(check["name"])
+            if check["name"] not in SINGLE_COMPARISONS:
+                assert re.fullmatch(r"\d+ .+ compared, \d+ skipped", check["detail"]), (
+                    sub["suite"], check)
+    assert SINGLE_COMPARISONS <= names
