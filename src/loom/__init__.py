@@ -51,7 +51,6 @@ from .paths import (
     phi,
     project,
     raising_op,
-    segment_uniform,
     stretch,
     weyl_act,
 )

@@ -44,10 +44,10 @@ class Weight:
     """Exact weight vector; ``coords[i]`` pairs with the i-th simple coroot.
 
     ``delta`` is the null-root coefficient, or ``None`` for a weight of the
-    classical quotient.  Weights sort lexicographically on their exact
-    coordinates; crystal nodes are emitted in the order of their
-    :class:`~loom.paths.Stretch` keys, which ``tests/test_keys.py`` checks
-    against this order.
+    classical quotient.  Weights have no order of their own: crystal nodes
+    are emitted in the order of their :class:`~loom.paths.Stretch` keys,
+    which ``tests/test_keys.py`` checks against the lexicographic order of
+    the exact coordinates, kept in ``tests/weights.py``.
     """
 
     coords: tuple[Fraction, ...]
@@ -57,12 +57,6 @@ class Weight:
         object.__setattr__(self, "coords", tuple(frac(c) for c in self.coords))
         if self.delta is not None:
             object.__setattr__(self, "delta", frac(self.delta))
-
-    def _order_key(self):
-        return (self.coords, self.delta is not None, self.delta or Fraction(0))
-
-    def __lt__(self, other: "Weight"):
-        return self._order_key() < other._order_key()
 
     @property
     def is_classical(self) -> bool:
@@ -320,14 +314,6 @@ class AffineCartan:
         d = None if classical else Fraction(0)
         return Weight((Fraction(0),) * (self.rank + 1), d)
 
-    def fundamental_weight(self, i: int) -> Weight:
-        """The i-th affine fundamental weight, null-root coefficient zero."""
-        self._check_index(i)
-        return Weight(
-            tuple(Fraction(1 if j == i else 0) for j in self.indices),
-            Fraction(0),
-        )
-
     def null_root(self) -> Weight:
         return Weight((Fraction(0),) * (self.rank + 1), Fraction(1))
 
@@ -345,10 +331,6 @@ class AffineCartan:
         self._check_index(j)
         return self._roots[j][0]
 
-    def highest_finite_root(self) -> Weight:
-        """theta as a classical weight; the node-0 root projects to -theta."""
-        return -self.simple_root(0).classical()
-
     # -- pairings and reflections --------------------------------------
 
     def _check_index(self, i: int):
@@ -359,9 +341,6 @@ class AffineCartan:
         """Pairing of the i-th simple coroot with w; blind to the null root."""
         self._check_index(i)
         return w.coords[i]
-
-    def level(self, w: Weight) -> Fraction:
-        return sum((self.comarks[i] * w.coords[i] for i in self.indices), Fraction(0))
 
     def reflect(self, i: int, w: Weight) -> Weight:
         self._check_index(i)

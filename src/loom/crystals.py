@@ -10,9 +10,9 @@ index) back to back, for one scan: ``TensorOps`` keeps its last scan,
 matched by the identity of x and by i, and ``PathOps`` keeps one row per
 path key, over all indices.  Infinite kinds also expose ``level`` and
 are generated inside an explicit window on the absolute level.  Closure
-generation, the tensor product rule, the normality audit and labelled-graph
-isomorphism all work against that surface, so paths, generated graphs
-and ad hoc test crystals plug into the same engine.  The audit returns
+generation, the tensor product rule and the normality audit all work
+against that surface, so paths, generated graphs and ad hoc test crystals
+plug into the same engine.  The audit returns
 one True or False per item it compared, which a suite records through
 :meth:`~loom.embedding.Report.count`.  The tensor rule
 reads the coroot pairing of a factor's weight as ``phi - eps``, so no
@@ -21,7 +21,6 @@ kind needs Cartan data of its own.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -156,58 +155,6 @@ class CrystalGraph:
                     for key, node in self.nodes.items() for pos, i in enumerate(self.indices)]
         outcomes += [self.e_edges.get((dst, i)) == src for (src, i), dst in self.f_edges.items()]
         return outcomes
-
-    # -- isomorphism ------------------------------------------------------
-
-    def isomorphic(self, other: "CrystalGraph"):
-        """A label, weight and string preserving bijection, or None.
-
-        Anchored on invariant signatures (weight and both string length
-        vectors), with backtracking over whatever ambiguity is left.
-        Crystal graphs are sparse and weight labels usually separate the
-        nodes outright, so the search rarely branches.
-        """
-        if self.indices != other.indices or len(self.nodes) != len(other.nodes):
-            return None
-        sig1 = {k: (n.wt, n.eps, n.phi) for k, n in self.nodes.items()}
-        sig2 = {k: (n.wt, n.eps, n.phi) for k, n in other.nodes.items()}
-        if Counter(sig1.values()) != Counter(sig2.values()):
-            return None
-
-        # the candidates for a node of self: the nodes of other with its signature
-        cls2: dict = {}
-        for k in other.sorted_keys():
-            cls2.setdefault(sig2[k], []).append(k)
-        order = sorted(self.nodes, key=lambda k: (len(cls2[sig1[k]]), k))
-
-        pairs = ((self.f_edges, other.f_edges), (self.e_edges, other.e_edges))
-        mapping: dict = {}
-        used: set = set()
-
-        def compatible(a, b):
-            for i in self.indices:
-                for mine, theirs in pairs:
-                    xa, xb = mine.get((a, i)), theirs.get((b, i))
-                    if (xa is None) != (xb is None) or (xa in mapping and mapping[xa] != xb):
-                        return False
-            return True
-
-        # stack[d] yields the candidates left for order[d]; mapping places order[:d]
-        stack = []
-        while len(mapping) < len(order):
-            a = order[len(mapping)]
-            if len(stack) == len(mapping):
-                stack.append(iter(cls2[sig1[a]]))
-            b = next((c for c in stack[-1] if c not in used and compatible(a, c)), None)
-            if b is not None:
-                mapping[a] = b
-                used.add(b)
-                continue
-            stack.pop()
-            if not mapping:
-                return None
-            used.discard(mapping.popitem()[1])
-        return mapping
 
     # -- export -----------------------------------------------------------
 

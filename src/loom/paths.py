@@ -143,11 +143,6 @@ class Path:
             object.__setattr__(self, "_key", key)
         return self._key
 
-    @property
-    def segments(self) -> tuple[tuple[Weight, Fraction], ...]:
-        """``(displacement, duration)`` of each maximal straight stretch."""
-        return tuple((s.weight(), Fraction(c, self.n)) for s, c in zip(self.key(), self.cells))
-
     def __eq__(self, other):
         return (isinstance(other, Path) and self.ambient == other.ambient
                 and self.ncoords == other.ncoords and self.key() == other.key())
@@ -158,12 +153,6 @@ class Path:
     def directions(self) -> list[Weight]:
         """Derivative of the path on each stretch."""
         return [_stretch(d, self.m, self.ambient == "affine").weight() for d in self.dirs]
-
-    def breakpoints(self) -> list[Fraction]:
-        """Cumulative times 0 = t_0 < ... < t_k = 1."""
-        times = [Fraction(t, self.n) for t in accumulate(self.cells, initial=0)]
-        # the constant path still parametrises the full interval
-        return times + [Fraction(1)] if self.is_constant else times
 
     def __repr__(self):
         if self.is_constant:
@@ -273,26 +262,16 @@ def constant_path(cartan: AffineCartan, classical: bool = True) -> Path:
 
 
 class HeightExtrema(NamedTuple):
-    """Extremum data of the height function for one index, on the path's grid ``n``.
+    """Extremum data of the height function for one index: both string lengths and four cuts.
 
-    ``cuts``: e_minus, e_plus, f_plus, f_minus as pairs (a, b) meaning a / b cells, or None.
+    ``cuts``: e_minus, e_plus, f_plus, f_minus as pairs (a, b) meaning a / b
+    cells of the path's grid ``n``, or None.  The root operators cut there;
+    ``tests/fraction_paths.py`` reads the cuts as ``Fraction`` times.
     """
 
     eps: int
     phi: int
-    n: int
     cuts: tuple
-
-    def _time(self, k: int) -> Fraction | None:
-        t = self.cuts[k]
-        return None if t is None else Fraction(t[0], t[1] * self.n)
-
-    max_value = property(lambda self: Fraction(self.eps))
-    end = property(lambda self: Fraction(self.eps - self.phi))
-    e_minus = property(lambda self: self._time(0))
-    e_plus = property(lambda self: self._time(1))
-    f_plus = property(lambda self: self._time(2))
-    f_minus = property(lambda self: self._time(3))
 
 
 def h_extrema(cartan: AffineCartan, path: Path, i: int) -> HeightExtrema:
@@ -334,7 +313,7 @@ def h_extrema(cartan: AffineCartan, path: Path, i: int) -> HeightExtrema:
         p = path.dirs[j][i]
         f_minus = (times[j] * p + heights[j] - level, p)
     cuts = (e_minus, (times[first], 1), (times[last], 1), f_minus)
-    return HeightExtrema(hmax // mn, (hmax - heights[-1]) // mn, path.n, cuts)
+    return HeightExtrema(hmax // mn, (hmax - heights[-1]) // mn, cuts)
 
 
 def epsilon(cartan: AffineCartan, path: Path, i: int) -> int:
@@ -463,11 +442,6 @@ def uniform_stretches(path: Path, n: int) -> list[Stretch]:
             raise PathError("breakpoint %s is not a multiple of 1/%d" % (Fraction(t, path.n), n))
         out.extend([_stretch(d, path.m, affine)] * (c * n // path.n))
     return out
-
-
-def segment_uniform(path: Path, n: int) -> list[Weight]:
-    """Directions of the path on the uniform grid of step 1/n, as weights."""
-    return [s.weight() for s in uniform_stretches(path, n)]
 
 
 class PathOps:

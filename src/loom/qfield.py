@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from .cartan import frac
 
@@ -224,16 +224,6 @@ class QScalar:
         return QScalar(scale * Fraction(cn, cd), kn - kd, num, den)
 
     @staticmethod
-    def of(num, den=(1,)) -> "QScalar":
-        """Build from rational coefficient sequences, lowest degree first."""
-        num = [frac(c) for c in num]
-        den = [frac(c) for c in den]
-        mn = lcm(*[c.denominator for c in num]) if num else 1
-        md = lcm(*[c.denominator for c in den]) if den else 1
-        return QScalar._make(Fraction(md, mn), [int(c * mn) for c in num],
-                             [int(c * md) for c in den])
-
-    @staticmethod
     def const(x) -> "QScalar":
         return QScalar._make(frac(x), (1,), (1,))
 
@@ -321,20 +311,6 @@ class QScalar:
         if self.power < 0:
             raise ZeroDivisionError("pole at the origin")
         return self.scale * Fraction(self.num[0], self.den[0])
-
-    def bar(self) -> "QScalar":
-        """Substitute the inverse variable."""
-        if self.is_zero:
-            return self
-        # reversing keeps both parts primitive and coprime; only signs move
-        cn, num = _unit_split(self.num[::-1])
-        cd, den = _unit_split(self.den[::-1])
-        return QScalar(self.scale * (cn * cd),
-                       len(self.den) - len(self.num) - self.power, num, den)
-
-    def is_laurent(self) -> bool:
-        """True when the denominator is a single power of the variable."""
-        return self.den == (1,)
 
     def coeffs(self):
         """Rational coefficient tuples (num, den) for display and tests."""

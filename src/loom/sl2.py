@@ -176,56 +176,11 @@ def act_F_div(v: TensorVector, r: int) -> TensorVector:
 
 
 def act_E_div(v: TensorVector, r: int) -> TensorVector:
+    """E^r / [r]!; no library route calls it, the tests and ``perfbench`` do."""
     out = v
     for _ in range(r):
         out = act_E(out)
     return out.scale(Q_ONE / qfact(r)) if r else out
-
-
-def _tensor_join(shape, left: TensorVector, right: TensorVector) -> TensorVector:
-    out: dict = {}
-    for lidx, lc in left.coords:
-        for ridx, rc in right.coords:
-            out[lidx + ridx] = out.get(lidx + ridx, Q_ZERO) + lc * rc
-    return TensorVector.make(shape, out)
-
-
-def act_F_div_split(v: TensorVector, r: int, cut: int) -> TensorVector:
-    """Divided lowering power through the two-sided coproduct at a cut.
-
-    Exercises the explicit expansion of the coproduct of a divided power
-    with the factors grouped as (first ``cut``) against (rest); it must
-    agree with the ungrouped action whatever the cut.
-    """
-    if not 0 < cut < len(v.shape):
-        raise ValueError("cut must split the factors properly")
-    lshape, rshape = v.shape[:cut], v.shape[cut:]
-    total = TensorVector.zero(v.shape)
-    for idx, c in v.coords:
-        left = TensorVector.basis(lshape, idx[:cut])
-        right = TensorVector.basis(rshape, idx[cut:])
-        for s in range(r + 1):
-            lpart = act_F_div(act_K(left, s), r - s)
-            rpart = act_F_div(right, s)
-            piece = _tensor_join(v.shape, lpart, rpart)
-            total = total + piece.scale(c * QScalar.q_power(-s * (r - s)))
-    return total
-
-
-def act_E_div_split(v: TensorVector, r: int, cut: int) -> TensorVector:
-    if not 0 < cut < len(v.shape):
-        raise ValueError("cut must split the factors properly")
-    lshape, rshape = v.shape[:cut], v.shape[cut:]
-    total = TensorVector.zero(v.shape)
-    for idx, c in v.coords:
-        left = TensorVector.basis(lshape, idx[:cut])
-        right = TensorVector.basis(rshape, idx[cut:])
-        for s in range(r + 1):
-            lpart = act_E_div(left, s)
-            rpart = act_E_div(act_K(right, -s), r - s)
-            piece = _tensor_join(v.shape, lpart, rpart)
-            total = total + piece.scale(c * QScalar.q_power(-s * (r - s)))
-    return total
 
 
 # -- string decomposition and the Kashiwara operators ---------------------
@@ -402,9 +357,6 @@ class StringLattice:
                 if not c.is_zero:
                     out[tag] = c
         return out
-
-    def in_lattice(self, v: TensorVector) -> bool:
-        return all(c.regular_at_zero for c in self.coords(v).values())
 
     def reduce_at_zero(self, v: TensorVector) -> dict:
         """Classes surviving at the origin; poles raise."""

@@ -1,24 +1,45 @@
 """Rational reference for the path kernel, used only by the tests.
 
-It works on the ``(displacement, duration)`` segments of a path with
-``Fraction`` times and the ``Weight`` arithmetic: heights at the
-breakpoints, crossing times by linear interpolation, a three-way split
-of every segment against the reflected interval, and a canonical form
-that drops pauses, rescales the durations and merges collinear
-neighbours.  The integer grid kernel in ``loom.paths`` must agree with
-it on every field.
+It reads a path as ``(displacement, duration)`` segments with
+``Fraction`` times and ``Weight`` displacements (``segments``,
+``breakpoints``), and the cell cuts of ``loom.paths.h_extrema`` as
+``Fraction`` times (``rational_extrema``).  On those it recomputes, with
+the ``Weight`` arithmetic: heights at the breakpoints, crossing times by
+linear interpolation, a three-way split of every segment against the
+reflected interval, and a canonical form that drops pauses, rescales the
+durations and merges collinear neighbours.  The integer grid kernel in
+``loom.paths`` must agree with it on every field.
 """
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import accumulate
 
 Extrema = namedtuple("Extrema", "max_value eps e_minus e_plus f_plus f_minus end")
+
+
+def segments(path):
+    """``(displacement, duration)`` of each maximal straight stretch."""
+    return tuple((s.weight(), Fraction(c, path.n)) for s, c in zip(path.key(), path.cells))
+
+
+def breakpoints(path):
+    """Cumulative times 0 = t_0 < ... < t_k = 1."""
+    times = [Fraction(t, path.n) for t in accumulate(path.cells, initial=0)]
+    # the constant path still parametrises the full interval
+    return times + [Fraction(1)] if path.is_constant else times
+
+
+def rational_extrema(path, ext):
+    """The grid extrema ``ext`` of the path with every cut as a ``Fraction`` time."""
+    times = [None if t is None else Fraction(t[0], t[1] * path.n) for t in ext.cuts]
+    return Extrema(Fraction(ext.eps), ext.eps, *times, Fraction(ext.eps - ext.phi))
 
 
 def height_values(cartan, path, i):
     """Times and values of the height function at the breakpoints."""
     times, values = [Fraction(0)], [Fraction(0)]
-    for v, t in path.segments:
+    for v, t in segments(path):
         times.append(times[-1] + t)
         values.append(values[-1] - cartan.pairing(i, v))
     if path.is_constant:
@@ -89,7 +110,7 @@ def split_reflect(cartan, path, i, a, b):
     """Segments of the path with the interval [a, b] reflected by s_i."""
     out = []
     t = Fraction(0)
-    for v, dur in path.segments:
+    for v, dur in segments(path):
         lo, hi = t, t + dur
         for x0, x1 in ((lo, min(hi, a)), (max(lo, a), min(hi, b)), (max(lo, b), hi)):
             if x1 <= x0:

@@ -1,8 +1,9 @@
 """The integer grid kernel of loom.paths against the rational reference.
 
 ``fraction_paths`` recomputes heights, split times and the reflected
-segments with ``Fraction`` arithmetic from a path's public segments; the
-kernel must agree with it field by field on every node and index of the
+segments with ``Fraction`` arithmetic from the segments it reads off a
+path's integer stretches; the kernel must agree with it field by field,
+its cut times read through ``rational_extrema``, on every node and index of the
 fundamental crystals, their affine windows, and hand-built paths with
 non-integral directions, pauses and collinear neighbours.
 """
@@ -33,7 +34,6 @@ from loom import (
     make_path,
     path_crystal_window,
     raising_op,
-    segment_uniform,
     stretch,
 )
 from loom.paths import stretch_key, uniform_stretches
@@ -42,18 +42,19 @@ FUNDAMENTALS = (("A", 2, 1), ("B", 3, 1), ("C", 2, 2), ("G2", 2, 1), ("D", 4, 2)
 
 
 def _assert_matches_reference(cartan, path, indices=None):
-    assert path.key() == tuple(stretch_key(v) for v, _ in path.segments)
+    assert path.key() == tuple(stretch_key(v) for v, _ in ref.segments(path))
     for i in cartan.indices if indices is None else indices:
         ext, want = h_extrema(cartan, path, i), ref.h_extrema(cartan, path, i)
+        got = ref.rational_extrema(path, ext)
         for name in want._fields:
-            assert getattr(ext, name) == getattr(want, name), (path, i, name)
+            assert getattr(got, name) == getattr(want, name), (path, i, name)
         assert ext.phi == want.max_value - want.end
         for op, ref_op in ((raising_op, ref.raising), (lowering_op, ref.lowering)):
             got, segs = op(cartan, path, i), ref_op(cartan, path, i)
             if segs is None:
                 assert got is None, (path, i, op.__name__)
             else:
-                assert got is not None and got.segments == segs, (path, i, op.__name__)
+                assert got is not None and ref.segments(got) == segs, (path, i, op.__name__)
                 assert got.key() == tuple(stretch_key(v) for v, _ in segs)
 
 
@@ -100,7 +101,7 @@ def test_table_rows_match_fresh_root_operators(label, rank, i, ambient):
 
 @pytest.mark.parametrize("label,rank,i", FUNDAMENTALS)
 def test_uniform_stretches_walk_the_grid(label, rank, i):
-    # refine keys cells by uniform_stretches; segment_uniform is its weight view
+    # refine keys cells by uniform_stretches
     cartan = build_cartan(label, rank)
     base = fundamental_crystal(cartan, i)
     window = path_crystal_window(cartan, cartan.classical_fundamental(i, classical=False), 2)
@@ -112,7 +113,8 @@ def test_uniform_stretches_walk_the_grid(label, rank, i):
                 got = uniform_stretches(p, n)
                 assert got == [stretch_key(d) for d, c in zip(p.directions(), p.cells)
                                for _ in range(c * n // p.n)], (p, n)
-                assert segment_uniform(p, n) == [s.weight() for s in got]
+                assert [s.weight() for s in got] == [d for d, c in zip(p.directions(), p.cells)
+                                                     for _ in range(c * n // p.n)], (p, n)
 
 
 def test_uniform_stretches_of_hand_built_paths():
@@ -126,11 +128,10 @@ def test_uniform_stretches_of_hand_built_paths():
     odd = make_path([(u, Fraction(1, 3)), (v, Fraction(2, 3))])
     assert uniform_stretches(odd, 3) == [stretch_key(u)] + [stretch_key(v)] * 2
     bent = make_path([(2 * w, Fraction(1, 2)), (-2 * w, Fraction(1, 2))])
-    for walk in (uniform_stretches, segment_uniform):
-        with pytest.raises(PathError, match=r"^breakpoint 1/2 is not a multiple of 1/3$"):
-            walk(bent, 3)
-        with pytest.raises(PathError, match=r"^grid size must be a positive integer$"):
-            walk(bent, 0)
+    with pytest.raises(PathError, match=r"^breakpoint 1/2 is not a multiple of 1/3$"):
+        uniform_stretches(bent, 3)
+    with pytest.raises(PathError, match=r"^grid size must be a positive integer$"):
+        uniform_stretches(bent, 0)
 
 
 def test_collinear_neighbours_after_reflection_match_reference():
@@ -169,7 +170,7 @@ def test_random_concatenations_match_reference(label, rank, i):
     for _ in range(200):
         parts = [stretch(rng.choice(paths), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
         path = stretch(concat(parts), rng.randint(1, 2))
-        times, dirs = path.breakpoints(), path.directions()
+        times, dirs = ref.breakpoints(path), path.directions()
         for j in cartan.indices:
             ext = ref.h_extrema(cartan, path, j)
             for op, a, b, crossing in ((raising_op, ext.e_minus, ext.e_plus, ext.e_minus),
@@ -179,7 +180,7 @@ def test_random_concatenations_match_reference(label, rank, i):
                     assert got is None, (path, j, op.__name__)
                     continue
                 want = ref.split_reflect(cartan, path, j, a, b)
-                assert got is not None and got.segments == want, (path, j, op.__name__)
+                assert got is not None and ref.segments(got) == want, (path, j, op.__name__)
                 if (crossing * path.n).denominator > 1:
                     cases.add("cut off the grid")
                 if crossing in times[1:-1]:
@@ -202,7 +203,7 @@ def test_hand_built_paths_match_reference():
     for segs in (odd, paused, unequal):
         path = make_path(segs)
         moves = [(d * t, t) for d, t in segs if t]
-        assert path.segments == ref.canonical(moves)
+        assert ref.segments(path) == ref.canonical(moves)
         integral = []
         for i in a2.indices:
             try:
@@ -224,7 +225,7 @@ def test_constant_path_extrema():
         for classical in (True, False):
             zero = constant_path(cartan, classical=classical)
             for i in cartan.indices:
-                ext = h_extrema(cartan, zero, i)
+                ext = ref.rational_extrema(zero, h_extrema(cartan, zero, i))
                 assert ext.f_plus == 1 and ext.e_plus == 0 and ext.end == 0
                 assert ext.e_minus is None and ext.f_minus is None
                 assert raising_op(cartan, zero, i) is None

@@ -2,8 +2,9 @@
 
 A path key holds one reduced integer ``Stretch`` per straight stretch.
 The reference rebuilds every key as the tuple of its ``Weight``
-displacements, read from ``path.segments``: the graph must emit its
-nodes in the order of those weights and render each key as they render.
+displacements, read by ``fraction_paths.segments``: the graph must emit
+its nodes in the lexicographic order of those weights' exact coordinates
+(``weights.order_key``) and render each key as they render.
 Every comparison of two stretches must agree with that of their weights,
 and so must every sum and difference of two stretches.
 """
@@ -20,10 +21,12 @@ from loom import (
     fundamental_crystal,
     path_crystal_window,
 )
-from loom.cartan import AmbientError
+from loom.cartan import AmbientError, Weight
 from loom.crystals import key_str
 from loom.embedding import tensor_power_crystal
 from loom.paths import Stretch
+from fraction_paths import segments
+from weights import order_key
 
 # C2 w2 and G2 w1 put breakpoints on the grids 2 and 6
 FUNDAMENTALS = (("A", 2, 1), ("B", 3, 1), ("C", 2, 2), ("G2", 2, 1), ("D", 4, 2))
@@ -32,9 +35,18 @@ FUNDAMENTALS = (("A", 2, 1), ("B", 3, 1), ("C", 2, 2), ("G2", 2, 1), ("D", 4, 2)
 def _weight_key(key, paths):
     """The key with every path key replaced by its tuple of displacement weights."""
     if key in paths:
-        return tuple(v for v, _ in paths[key].segments)
+        return tuple(v for v, _ in segments(paths[key]))
     if isinstance(key, tuple):
         return tuple(_weight_key(k, paths) for k in key)
+    return key
+
+
+def _weight_order(key):
+    """A ``Weight``-keyed node's sort key: each weight by its coordinate order."""
+    if isinstance(key, Weight):
+        return order_key(key)
+    if isinstance(key, tuple):
+        return tuple(_weight_order(k) for k in key)
     return key
 
 
@@ -51,7 +63,7 @@ def _weight_str(key):
 
 
 def _assert_keys_match_weights(graph, paths):
-    want = sorted(graph.nodes, key=lambda k: _weight_key(k, paths))
+    want = sorted(graph.nodes, key=lambda k: _weight_order(_weight_key(k, paths)))
     assert graph.sorted_keys() == want
     for k in want:
         assert key_str(k) == _weight_str(_weight_key(k, paths)), k
@@ -88,7 +100,7 @@ def _stretches(key, out):
 
 
 def _assert_order_matches_weights(stretches):
-    weights = {s: s.weight() for s in stretches}
+    weights = {s: order_key(s.weight()) for s in stretches}
     for a, b in itertools.permutations(stretches, 2):
         wa, wb = weights[a], weights[b]
         assert (a < b, a > b, a <= b, a >= b) == (wa < wb, wb < wa, not wb < wa, not wa < wb), (a, b)

@@ -24,6 +24,7 @@ from loom import (
     verify_decomposition,
 )
 from loom.crystals import moves
+from fraction_paths import breakpoints, segments
 from outcomes import holds
 
 
@@ -36,11 +37,11 @@ def test_bent_fundamental_crystal(c2):
     assert holds(audit) and len(audit) == 15 + 6
     bent = [
         base.nodes[k].element for k in base.sorted_keys()
-        if len(base.nodes[k].element.segments) == 2
+        if len(segments(base.nodes[k].element)) == 2
     ]
     assert len(bent) == 1
     assert bent[0].weight().is_zero
-    assert bent[0].breakpoints() == [0, Fraction(1, 2), 1]
+    assert breakpoints(bent[0]) == [0, Fraction(1, 2), 1]
 
 
 def test_energy_on_grid_two(c2):

@@ -13,10 +13,8 @@ from loom.sl2 import (
     TensorVector,
     act_E,
     act_E_div,
-    act_E_div_split,
     act_F,
     act_F_div,
-    act_F_div_split,
     act_K,
     crystal_limit_table,
     kashiwara_e,
@@ -28,6 +26,7 @@ from loom.sl2 import (
     string_decompose,
     tensor_rule_table,
 )
+from coproduct import act_E_div_split, act_F_div_split
 from outcomes import holds
 
 

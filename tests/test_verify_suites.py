@@ -104,6 +104,24 @@ def test_normality_weight_checks_fail_on_an_empty_comparison(monkeypatch):
     assert not report["pass"]
 
 
+def test_normality_indecomposable_fails_when_the_closure_misses_tuples(monkeypatch):
+    # a tensor rule whose index-0 moves return None closes the A2 square
+    # from its seed under the finite indices only: 6 of its 9 tuples
+    class NoZeroMoves(TensorOps):
+        def e(self, b, i):
+            return None if i == 0 else super().e(b, i)
+
+        def f(self, b, i):
+            return None if i == 0 else super().f(b, i)
+
+    assert _checks(run_suite("normality", type_label="A", rank=2, i=1, power=2))[
+        "indecomposable"] == (True, "")
+    monkeypatch.setattr(loom.verify, "TensorOps", NoZeroMoves)
+    report = run_suite("normality", type_label="A", rank=2, i=1, power=2)
+    assert _checks(report)["indecomposable"] == (False, "")
+    assert not report["pass"]
+
+
 def _checks(report):
     return {c["name"]: (c["pass"], c["detail"]) for c in report["checks"]}
 
