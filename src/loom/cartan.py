@@ -240,14 +240,17 @@ def _highest_root(mat: list[list[int]]) -> tuple[int, ...]:
     return best
 
 
-def solve_square(matrix, rhs) -> list:
-    """The one solution of a square system by exact Gauss–Jordan on row copies.
+def eliminate(matrix) -> list:
+    """Exact Gauss–Jordan on row copies of a square matrix, recorded for replay.
 
+    Returns one ``(pivot row, pivot, [(row, factor), ...])`` step per
+    column; the pivot choice and every factor depend on the matrix alone.
     Any field with a falsy zero and ``/`` works: ``Fraction``, ``QScalar``.
     A singular matrix raises ArithmeticError.
     """
     n = len(matrix)
-    a = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    a = [list(row) for row in matrix]
+    steps = []
     for col in range(n):
         piv = next((k for k in range(col, n) if a[k][col]), None)
         if piv is None:
@@ -255,11 +258,27 @@ def solve_square(matrix, rhs) -> list:
         a[col], a[piv] = a[piv], a[col]
         pivot = a[col][col]
         a[col] = [x / pivot for x in a[col]]
-        for k in range(n):
-            if k != col and a[k][col]:
-                f = a[k][col]
-                a[k] = [x - f * y for x, y in zip(a[k], a[col])]
-    return [a[k][n] for k in range(n)]
+        factors = [(k, a[k][col]) for k in range(n) if k != col and a[k][col]]
+        for k, f in factors:
+            a[k] = [x - f * y for x, y in zip(a[k], a[col])]
+        steps.append((piv, pivot, factors))
+    return steps
+
+
+def replay(steps, rhs) -> list:
+    """The solution for rhs: the row operations of ``eliminate`` on one column."""
+    b = list(rhs)
+    for col, (piv, pivot, factors) in enumerate(steps):
+        b[col], b[piv] = b[piv], b[col]
+        b[col] = b[col] / pivot
+        for k, f in factors:
+            b[k] = b[k] - f * b[col]
+    return b
+
+
+def solve_square(matrix, rhs) -> list:
+    """The one solution of a square system: ``eliminate`` then ``replay``."""
+    return replay(eliminate(matrix), rhs)
 
 
 def _primitive_null_vector(mat) -> list[int]:

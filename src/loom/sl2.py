@@ -5,9 +5,10 @@ powers applied to each highest weight vector.  All actions are exact
 over the rational function field; the crystal-limit machinery expresses
 a vector in the string basis through the singular vectors, checks that
 every coordinate is regular at the origin, and evaluates there.  The
-string coordinates of each weight level are solved by
-``cartan.solve_square``, the exact Gauss–Jordan routine that also derives
-the affine marks and comarks.
+change of basis of each weight level is eliminated once by
+``cartan.eliminate``, the exact Gauss–Jordan routine that also derives
+the affine marks and comarks, and each vector's coordinates replay that
+record (``cartan.replay``).
 
 The singular vectors are built from their hypergeometric-style closed
 form; ``tests/test_sl2.py::test_singular_vectors_match_kernel_solve``
@@ -29,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cartan import solve_square
+from .cartan import eliminate, replay
 from .crystals import CrystalGraph, Node, TensorOps, moves
 from .qfield import Q_ONE, Q_ZERO, QScalar, qbinom, qfact, qint
 
@@ -191,12 +192,14 @@ def string_decompose(v: TensorVector) -> list[tuple[int, TensorVector]]:
 
     Peels the top of the longest string first: the highest surviving
     raising power is a kernel vector up to an invertible balanced-integer
-    product, which is divided out exactly.
+    product, which is divided out exactly.  The reassembly check sums the
+    strings that were subtracted; ``tests/test_sl2.py`` recomputes them.
     """
     if v.is_zero:
         return []
     nu = v.weight()
     parts: list[tuple[int, TensorVector]] = []
+    peeled = []
     rest = v
     while not rest.is_zero:
         chain = [rest]
@@ -214,14 +217,12 @@ def string_decompose(v: TensorVector) -> list[tuple[int, TensorVector]]:
         if not act_E(u).is_zero:
             raise ArithmeticError("string top is not in the raising kernel")
         parts.append((smax, u))
-        rest = rest - act_F_div(u, smax)
+        peeled.append(act_F_div(u, smax))
+        rest = rest - peeled[-1]
         if not rest.is_zero and rest.weight() != nu:
             raise ArithmeticError("string peeling changed the weight")
-    parts.sort()
-    check = TensorVector.zero(v.shape)
-    for s, u in parts:
-        check = check + act_F_div(u, s)
-    if check != v:
+    parts.sort()  # the peel shortened every string: this reverses the list
+    if sum(reversed(peeled), TensorVector.zero(v.shape)) != v:
         raise ArithmeticError("string decomposition does not reassemble")
     if any(s < max(0, -nu) for s, _ in parts):
         raise ArithmeticError("string decomposition violates the weight bound")
@@ -288,9 +289,10 @@ def singular_vectors(t1: int, t2: int) -> list[TensorVector]:
 class StringLattice:
     """The divided-power string basis of a two-factor tensor.
 
-    Holds every string vector through the singular vectors, the exact
-    change of basis per weight level, and the class each string vector
-    occupies at the origin.
+    Holds every string vector through the singular vectors, the
+    Gauss–Jordan record of the exact change of basis per weight level,
+    eliminated once here, and the class each string vector occupies at the
+    origin.
     """
 
     def __init__(self, t1: int, t2: int):
@@ -324,9 +326,9 @@ class StringLattice:
             if len(tags) != len(self._dp_keys[level]):
                 raise ArithmeticError("string basis does not fill the level")
         columns = {tag: vec.as_dict() for tag, vec in self.strings.items()}
-        self._matrices = {
-            level: [[columns[tag].get(key, Q_ZERO) for tag in tags]
-                    for key in self._dp_keys[level]]
+        self._steps = {
+            level: eliminate([[columns[tag].get(key, Q_ZERO) for tag in tags]
+                              for key in self._dp_keys[level]])
             for level, tags in by_level.items()
         }
         self.class_of_string = {}
@@ -342,7 +344,7 @@ class StringLattice:
             raise ArithmeticError("origin classes are not distinct")
 
     def coords(self, v: TensorVector) -> dict:
-        """Coordinates of v in the string basis, exact."""
+        """Coordinates of v in the string basis, exact: one replay per level."""
         if v.shape != self.shape:
             raise ValueError("vector of shape %r in the string lattice of shape %r"
                              % (v.shape, self.shape))
@@ -352,7 +354,7 @@ class StringLattice:
             by_level.setdefault(idx[0] + idx[1], {})[idx] = c
         for level, comp in by_level.items():
             rhs = [comp.get(key, Q_ZERO) for key in self._dp_keys[level]]
-            sol = solve_square(self._matrices[level], rhs)
+            sol = replay(self._steps[level], rhs)
             for tag, c in zip(self._levels[level], sol):
                 if not c.is_zero:
                     out[tag] = c

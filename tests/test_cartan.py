@@ -15,7 +15,7 @@ from loom import (
     path_crystal_window,
     verify_decomposition,
 )
-from loom.cartan import solve_square
+from loom.cartan import eliminate, replay, solve_square
 from loom.qfield import Q_ONE, Q_ZERO, QScalar
 from fraction_paths import segments
 from weights import fundamental_weight, highest_finite_root, level
@@ -79,6 +79,32 @@ def test_solve_square_over_both_fields():
         singular = [matrix[0], [x + x for x in matrix[0]]]
         with pytest.raises(ArithmeticError):
             solve_square(singular, rhs)
+
+
+def test_one_elimination_replays_on_every_right_hand_side():
+    fr = [[Fraction(0), Fraction(2), Fraction(1)], [Fraction(1, 3), Fraction(-1), Fraction(4)],
+          [Fraction(5), Fraction(0), Fraction(-2, 7)]]
+    fr_rhs = [[Fraction(1), Fraction(0), Fraction(0)], [Fraction(5, 2), Fraction(-1), Fraction(3)],
+              [Fraction(0), Fraction(0), Fraction(0)]]
+    q = QScalar.q_power(1)
+    qs = [[Q_ZERO, q, Q_ONE], [q, Q_ONE + q * q + q, Q_ZERO], [Q_ONE, Q_ZERO, Q_ONE / (Q_ONE - q)]]
+    qs_rhs = [[q, Q_ONE, Q_ZERO], [Q_ZERO, Q_ONE - q * q, q], [Q_ZERO, Q_ZERO, Q_ZERO]]
+    for matrix, rhss in ((fr, fr_rhs), (qs, qs_rhs)):
+        before = [row[:] for row in matrix]
+        steps = eliminate(matrix)
+        assert matrix == before
+        # a zero in the top-left corner forces a row swap
+        assert steps[0][0] != 0
+        for rhs in rhss:
+            assert replay(steps, rhs) == solve_square(matrix, rhs)
+        assert matrix == before
+
+
+def test_a_singular_matrix_fails_while_it_is_eliminated():
+    q = QScalar.q_power(1)
+    for row in ([Fraction(2), Fraction(-3)], [q, Q_ONE - q]):
+        with pytest.raises(ArithmeticError, match="singular"):
+            eliminate([row, [x + x for x in row]])
 
 
 @pytest.mark.parametrize("label,rank", [("A", 0), ("B", 1), ("C", 1), ("D", 3),

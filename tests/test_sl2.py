@@ -1,9 +1,12 @@
 import itertools
+import json
 import time
 
 import pytest
 
-from loom import qfield, sl2, verify
+from loom import cartan, qfield, sl2, verify
+from loom.cartan import solve_square
+from loom.cli import main
 from loom.crystals import TensorOps
 from loom.qfield import Q_ONE, Q_ZERO, QScalar, qfact, qint
 from loom.sl2 import (
@@ -276,7 +279,8 @@ def test_sl2_suite_reads_the_production_tensor_rule(monkeypatch):
 
 
 def _count_calls(monkeypatch):
-    counts = {"string_decompose": 0, "kashiwara_e": 0, "kashiwara_f": 0, "lattice": 0}
+    counts = {"string_decompose": 0, "kashiwara_e": 0, "kashiwara_f": 0, "lattice": 0,
+              "eliminate": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -288,6 +292,9 @@ def _count_calls(monkeypatch):
         monkeypatch.setattr(sl2, name, counted(name, getattr(sl2, name)))
     monkeypatch.setattr(StringLattice, "__init__",
                         counted("lattice", StringLattice.__init__))
+    # a Gauss–Jordan elimination reached from sl2 directly or through solve_square
+    monkeypatch.setattr(sl2, "eliminate", counted("eliminate", sl2.eliminate))
+    monkeypatch.setattr(cartan, "eliminate", counted("eliminate", cartan.eliminate))
     return counts
 
 
@@ -296,8 +303,27 @@ def test_crystal_limit_decomposes_each_tag_once(monkeypatch, t1, t2):
     counts = _count_calls(monkeypatch)
     crystal_limit_table(t1, t2)
     tags = (t1 + 1) * (t2 + 1)
+    # and eliminates the change of basis of each weight level once
     assert counts == {"string_decompose": tags, "kashiwara_e": tags,
-                      "kashiwara_f": tags, "lattice": 1}
+                      "kashiwara_f": tags, "lattice": 1, "eliminate": t1 + t2 + 1}
+
+
+def test_coords_replays_the_level_records_without_eliminating(monkeypatch):
+    t1, t2 = 3, 3
+    lattice = StringLattice(t1, t2)
+    tags = list(itertools.product(range(t1 + 1), range(t2 + 1)))
+    expected = {}
+    for idx in tags:
+        level = sum(idx)
+        cols = sorted(tag for tag in lattice.strings if sum(tag) == level)
+        keys = sorted(key for key in tags if sum(key) == level)
+        matrix = [[lattice.strings[tag].as_dict().get(key, Q_ZERO) for tag in cols]
+                  for key in keys]
+        sol = solve_square(matrix, [Q_ONE if key == idx else Q_ZERO for key in keys])
+        expected[idx] = {tag: c for tag, c in zip(cols, sol) if not c.is_zero}
+    counts = _count_calls(monkeypatch)
+    assert {idx: lattice.coords(basis((t1, t2), idx)) for idx in tags} == expected
+    assert counts["eliminate"] == 0
 
 
 def test_crystal_limit_is_the_same_with_a_cold_and_a_warm_gcd_memo():
@@ -342,6 +368,35 @@ def test_string_decompose_fails_when_a_peel_does_not_shorten(monkeypatch):
     with pytest.raises(ArithmeticError, match="did not shorten"):
         string_decompose(basis((1, 1), (0, 1)))
     assert time.perf_counter() - start < 30
+
+
+def test_string_decompose_reassembles_from_recomputed_strings(monkeypatch):
+    # string_decompose checks its reassembly on the strings it peeled; here
+    # each string is recomputed from the returned parts
+    calls = []
+    monkeypatch.setattr(sl2, "act_F_div", lambda u, s: calls.append(s) or act_F_div(u, s))
+    for shape in itertools.product(range(5), repeat=2):
+        for idx in itertools.product(*[range(t + 1) for t in shape]):
+            v = basis(shape, idx)
+            calls.clear()
+            parts = string_decompose(v)
+            assert sorted(calls) == [s for s, _ in parts]
+            rebuilt = TensorVector.zero(shape)
+            for s, u in parts:
+                rebuilt = rebuilt + act_F_div(u, s)
+            assert rebuilt == v
+
+
+def test_an_oracle_failure_is_a_failed_check_not_a_traceback(monkeypatch, tmp_path):
+    right = sl2.kashiwara_f
+    monkeypatch.setattr(sl2, "kashiwara_f",
+                        lambda v, *, parts=None: right(v, parts=parts).scale(QScalar.const(2)))
+    out = tmp_path / "sl2.json"
+    assert main(["verify", "--suite", "sl2", "--t1", "1", "--t2", "1", "--json",
+                 "--out", str(out)]) == 1
+    checks = {c["name"]: (c["pass"], c["detail"]) for c in json.loads(out.read_text())["checks"]}
+    assert checks["lattice_preserved"] == (
+        False, "ArithmeticError: origin reduction is not a single class")
 
 
 @pytest.mark.parametrize("build", [

@@ -297,7 +297,7 @@ def test_sl2_transition_checks_fail_when_the_lattice_check_fails(monkeypatch):
     checks = _checks(run_suite("sl2", t1=1, t2=1))
     # every transition is missing from the empty limit table, including the
     # ones whose value is None
-    assert checks["lattice_preserved"] == (False, "planted")
+    assert checks["lattice_preserved"] == (False, "NotInLatticeError: planted")
     assert checks["matches_case_split"] == (False, "8 transitions compared, 0 skipped")
     assert checks["matches_tensor_rule"] == (False, "8 transitions compared, 0 skipped")
 
