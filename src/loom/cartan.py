@@ -63,12 +63,6 @@ class Weight:
         return self.delta is None
 
     @property
-    def is_integral(self) -> bool:
-        if any(c.denominator != 1 for c in self.coords):
-            return False
-        return self.delta is None or self.delta.denominator == 1
-
-    @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords) and (self.delta is None or self.delta == 0)
 

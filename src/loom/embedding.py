@@ -20,8 +20,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .cartan import AffineCartan, Weight, _weight
+from .cartan import AffineCartan, Weight
 from .crystals import (
     CrystalGraph,
     GenerationError,
@@ -32,7 +33,16 @@ from .crystals import (
     moves,
 )
 from .energy import EnergyTable, energy_table, major_index, refine
-from .paths import Path, PathOps, Stretch, linear_path, lowering_op, make_path, raising_op
+from .paths import (
+    Path,
+    PathOps,
+    Stretch,
+    h_extrema,
+    linear_path,
+    lowering_op,
+    make_path,
+    raising_op,
+)
 
 
 class EmbeddingError(ValueError):
@@ -75,6 +85,9 @@ def psi(table: EnergyTable, graph: CrystalGraph, element) -> PsiImage:
     points come from the uniform refinement; each is lifted by its exact
     null-root height ``kappa``, read off two running sums of the adjacent
     energies in one pass as an integer numerator over ``total * grid``.
+    The image is built in grid form over one common denominator, each of
+    the ``total`` stretches one cell long, and goes straight to
+    :func:`make_path`; only ``heights`` holds ``Fraction`` values.
     """
     factors, degree = element
     grid = table.grid
@@ -91,13 +104,14 @@ def psi(table: EnergyTable, graph: CrystalGraph, element) -> PsiImage:
         early += j * chi
         late -= chi
 
-    # stretch j lasts 1 / total, so its null-root entry is (nums[j] - nums[j - 1]) / grid
-    scaled = {k: tuple([Fraction(x * len(factors), w.den) for x in w.nums])
-              for k in set(word) for w in (graph.nodes[k].wt,)}
-    step = Fraction(1, total)
-    segs = [(_weight(scaled[k], Fraction(b - a, grid)), step)
-            for k, a, b in zip(word, nums, nums[1:])]
-    path = make_path(segs, ambient="affine", ncoords=len(scaled[word[0]]))
+    # stretch j lasts 1 / total, so its null-root entry is (nums[j] - nums[j - 1]) / grid;
+    # every direction goes over the one denominator den
+    wts = {k: graph.nodes[k].wt for k in set(word)}
+    den = lcm(grid, *(w.den for w in wts.values()))
+    scaled = {k: tuple([x * len(factors) * (den // w.den) for x in w.nums])
+              for k, w in wts.items()}
+    dirs = [scaled[k] + ((b - a) * (den // grid),) for k, a, b in zip(word, nums, nums[1:])]
+    path = make_path(den, total, dirs, [1] * total, "affine", len(scaled[word[0]]))
     return PsiImage(path=path, heights=tuple([Fraction(h, total * grid) for h in nums]))
 
 
@@ -227,17 +241,23 @@ def preserves_operators(rep: Report, name: str, cartan: AffineCartan, ops, image
     From each key, every move of ``ops`` must be matched by the root
     operator on the key's image: it gives the image of the move's target,
     or None where the move does not act.  A move whose target has no image
-    is skipped.  :meth:`Report.count` records the check over the moves.
+    is skipped.  The image's height function is scanned once per index
+    with a compared move, and that one :func:`h_extrema` goes to both
+    operators, as in ``PathOps``; each move still runs its root operator.
+    :meth:`Report.count` records the check over the moves.
     """
     def outcomes():
         for key in keys:
+            image, scanned = images[key], None
             for idx, kind, target in moves(ops, key):
                 if target is not None and target not in images:
                     yield None
                     continue
+                if scanned != idx:
+                    ext, scanned = h_extrema(cartan, image, idx), idx
                 root_op = raising_op if kind == "e" else lowering_op
-                yield root_op(cartan, images[key], idx) == (None if target is None
-                                                            else images[target])
+                yield root_op(cartan, image, idx, ext) == (None if target is None
+                                                           else images[target])
 
     rep.count(name, outcomes(), "moves")
 

@@ -10,6 +10,12 @@ touch.  Held as reduced integer :class:`Stretch` records, they are the
 key for equality and hashing, which runs on plain tuples of ints, and
 they order themselves as the weights they stand for.
 
+:func:`make_path` is the one constructor: every path, from
+:func:`linear_path`, the root operators, :func:`concat`,
+:func:`stretch`, :func:`project` or ``embedding.psi``, is built from an
+integer grid form through it.  Only :func:`linear_path` reads a
+:class:`Weight`, once, through :func:`stretch_key`.
+
 The raising operator acts on the height function ``h(tau)``, the negated
 coroot pairing along the path.  It leaves the path alone until the last
 time ``h`` sits one below its maximum, reflects the stretch where ``h``
@@ -37,7 +43,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .cartan import AffineCartan, AmbientError, Weight, _weight, frac
+from .cartan import AffineCartan, AmbientError, Weight, _weight
 
 
 class PathError(ValueError):
@@ -169,10 +175,14 @@ def _on_ray(u, v) -> bool:
     return u[j] * v[j] > 0 and all(a * v[j] == b * u[j] for a, b in zip(u, v))
 
 
-def _grid_path(m, n, dirs, cells, ambient, ncoords) -> Path:
+def make_path(m: int, n: int, dirs, cells, ambient: str, ncoords: int) -> Path:
     """Canonical path through stretches along ``d / m`` lasting ``c / n``.
 
-    Pauses go and the rest fills [0, 1]; collinear neighbours merge.
+    The one path constructor: ``dirs`` are integer directions (null-root
+    entry last when affine) and ``cells`` positive integer cell counts.
+    Zero directions are pauses and go, and the rest is rescaled to fill
+    [0, 1], which is a reparametrisation; collinear neighbours merge.  The
+    endpoint must be a lattice weight.
     """
     moves = [(d, c) for d, c in zip(dirs, cells) if any(d)]
     if not moves:
@@ -209,49 +219,12 @@ def _grid_path(m, n, dirs, cells, ambient, ncoords) -> Path:
     return Path(m, n, tuple(out_d), tuple(out_c), ambient, ncoords)
 
 
-def make_path(segments, ambient: str | None = None, ncoords: int | None = None) -> Path:
-    """Build a path in canonical form from ``(direction, duration)`` segments.
-
-    Zero-direction stretches are pauses and are removed; the remaining
-    durations are rescaled to fill [0, 1], which is a reparametrisation.
-    Consecutive segments pointing along the same ray are merged.  The
-    endpoint must be a lattice weight.
-    """
-    dirs, times = [], []
-    for d, t in segments:
-        t = frac(t)
-        if t < 0:
-            raise PathError("segment durations must be positive")
-        if t == 0:
-            continue
-        amb = "classical" if d.is_classical else "affine"
-        if ambient is None:
-            ambient = amb
-        elif ambient != amb:
-            raise AmbientError("path mixes classical and affine directions")
-        if ncoords is None:
-            ncoords = len(d.coords)
-        elif ncoords != len(d.coords):
-            raise PathError("path mixes weights of different ranks")
-        dirs.append(d.coords if d.delta is None else d.coords + (d.delta,))
-        times.append(t)
-    if ambient is None or ncoords is None:
-        raise PathError("ambient of a constant path cannot be inferred")
-    m, n = lcm(*(x.denominator for d in dirs for x in d)), lcm(*(t.denominator for t in times))
-    dirs = [tuple(x.numerator * (m // x.denominator) for x in d) for d in dirs]
-    cells = [t.numerator * (n // t.denominator) for t in times]
-    path = _grid_path(m, n, dirs, cells, ambient, ncoords)
-    if sum(times) != 1 and not path.is_constant:
-        raise PathError("durations must sum to one")
-    return path
-
-
 def linear_path(w: Weight) -> Path:
     """The straight path from the origin to w."""
-    if not w.is_integral:
+    s = stretch_key(w)
+    if s.den != 1:
         raise PathError("linear paths need an integral endpoint")
-    amb = "classical" if w.is_classical else "affine"
-    return make_path([(w, Fraction(1))], ambient=amb, ncoords=len(w.coords))
+    return make_path(1, 1, [s.nums], [1], "affine" if s.affine else "classical", len(w.coords))
 
 
 def constant_path(cartan: AffineCartan, classical: bool = True) -> Path:
@@ -351,7 +324,7 @@ def _split_reflect(cartan, path, i, a, b):
             dirs.append(d)
             cells.append(s - t)
         t = s
-    return _grid_path(path.m, path.n * q, dirs, cells, path.ambient, path.ncoords)
+    return make_path(path.m, path.n * q, dirs, cells, path.ambient, path.ncoords)
 
 
 def raising_op(cartan: AffineCartan, path: Path, i: int,
@@ -404,7 +377,7 @@ def concat(paths) -> Path:
     m, n = lcm(*(p.m for p in movers)), lcm(*(p.n for p in movers))
     dirs = [tuple(x * k * (m // p.m) for x in d) for p in movers for d in p.dirs]
     cells = [c * (n // p.n) for p in movers for c in p.cells]
-    return _grid_path(m, k * n, dirs, cells, ambient, ncoords)
+    return make_path(m, k * n, dirs, cells, ambient, ncoords)
 
 
 def stretch(path: Path, n: int) -> Path:
@@ -412,7 +385,7 @@ def stretch(path: Path, n: int) -> Path:
     if n < 1:
         raise PathError("stretch factor must be a positive integer")
     dirs = [tuple(x * n for x in d) for d in path.dirs]
-    return _grid_path(path.m, path.n, dirs, path.cells, path.ambient, path.ncoords)
+    return make_path(path.m, path.n, dirs, path.cells, path.ambient, path.ncoords)
 
 
 def project(path: Path) -> Path:
@@ -420,7 +393,7 @@ def project(path: Path) -> Path:
     if path.ambient != "affine":
         raise AmbientError("path is already classical")
     dirs = [d[:-1] for d in path.dirs]
-    return _grid_path(path.m, path.n, dirs, path.cells, "classical", path.ncoords)
+    return make_path(path.m, path.n, dirs, path.cells, "classical", path.ncoords)
 
 
 def uniform_stretches(path: Path, n: int) -> list[Stretch]:

@@ -1,21 +1,66 @@
 """Rational reference for the path kernel, used only by the tests.
 
-It reads a path as ``(displacement, duration)`` segments with
-``Fraction`` times and ``Weight`` displacements (``segments``,
-``breakpoints``), and the cell cuts of ``loom.paths.h_extrema`` as
-``Fraction`` times (``rational_extrema``).  On those it recomputes, with
-the ``Weight`` arithmetic: heights at the breakpoints, crossing times by
-linear interpolation, a three-way split of every segment against the
-reflected interval, and a canonical form that drops pauses, rescales the
-durations and merges collinear neighbours.  The integer grid kernel in
-``loom.paths`` must agree with it on every field.
+It builds a path from ``(direction, duration)`` segments
+(``path_from_segments``), reads a path back as ``(displacement,
+duration)`` segments with ``Fraction`` times and ``Weight``
+displacements (``segments``, ``breakpoints``), and reads the cell cuts
+of ``loom.paths.h_extrema`` as ``Fraction`` times (``rational_extrema``).
+On those it recomputes, with the ``Weight`` arithmetic: heights at the
+breakpoints, crossing times by linear interpolation, a three-way split of
+every segment against the reflected interval, and a canonical form that
+drops pauses, rescales the durations and merges collinear neighbours.
+The integer grid kernel in ``loom.paths`` must agree with it on every
+field.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
+
+from loom import AmbientError, PathError, make_path
+from loom.cartan import frac
 
 Extrema = namedtuple("Extrema", "max_value eps e_minus e_plus f_plus f_minus end")
+
+
+def path_from_segments(segs, ambient=None, ncoords=None):
+    """The path through ``(direction, duration)`` segments, read onto a grid form.
+
+    Directions are weights and durations integers or ``Fraction`` values.
+    A zero duration is skipped and a negative one refused; the ambient and
+    the rank must agree across the segments (or with the ones given); the
+    durations must sum to one unless every direction is zero, and the
+    endpoint must be a lattice weight, which ``loom.paths.make_path``
+    checks.
+    """
+    dirs, times = [], []
+    for d, t in segs:
+        t = frac(t)
+        if t < 0:
+            raise PathError("segment durations must be positive")
+        if t == 0:
+            continue
+        amb = "classical" if d.is_classical else "affine"
+        if ambient is None:
+            ambient = amb
+        elif ambient != amb:
+            raise AmbientError("path mixes classical and affine directions")
+        if ncoords is None:
+            ncoords = len(d.coords)
+        elif ncoords != len(d.coords):
+            raise PathError("path mixes weights of different ranks")
+        dirs.append(d.coords if d.delta is None else d.coords + (d.delta,))
+        times.append(t)
+    if ambient is None or ncoords is None:
+        raise PathError("ambient of a constant path cannot be inferred")
+    m, n = lcm(*(x.denominator for d in dirs for x in d)), lcm(*(t.denominator for t in times))
+    dirs = [tuple(x.numerator * (m // x.denominator) for x in d) for d in dirs]
+    cells = [t.numerator * (n // t.denominator) for t in times]
+    path = make_path(m, n, dirs, cells, ambient, ncoords)
+    if sum(times) != 1 and not path.is_constant:
+        raise PathError("durations must sum to one")
+    return path
 
 
 def segments(path):

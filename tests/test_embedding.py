@@ -17,7 +17,6 @@ from loom import (
     fundamental_crystal,
     kappa,
     linear_path,
-    make_path,
     path_crystal_window,
     project,
     psi,
@@ -30,6 +29,7 @@ from loom.crystals import moves
 from loom.embedding import EmbeddingError, Report, tensor_power_crystal
 from loom.paths import stretch_key
 from loom.verify import run_suite
+from fraction_paths import path_from_segments
 from isomorphism import isomorphic
 
 
@@ -189,16 +189,20 @@ def test_m1_image_matches_piece(a1, a1_base, a1_energy):
     assert inner_images == inner_piece
 
 
-@pytest.mark.parametrize("label,rank,m,window", [("A", 2, 4, 4), ("B", 3, 2, 2), ("C", 2, 2, 2)])
+@pytest.mark.parametrize("label,rank,m,window", [
+    ("A", 2, 4, 4), ("B", 3, 2, 2), ("C", 2, 2, 2), ("D", 4, 2, 3), ("G2", 2, 1, 2),
+])
 def test_psi_heights_match_single_point_kappa(label, rank, m, window):
-    # psi reads every height off two running sums as integer numerators;
-    # kappa is the single-point Fraction formula, recomputed on its own for
-    # each j, and the image is rebuilt from Weight segments through make_path
+    # psi reads every height off two running sums as integer numerators and
+    # assembles its grid form over one common denominator; kappa is the
+    # single-point Fraction formula, recomputed on its own for each j, and
+    # the image is rebuilt from Weight segments through path_from_segments.
+    # G2 w1 has grid 6, with base paths on the grids 1, 2, 3 and 6
     cartan = build_cartan(label, rank)
     base = fundamental_crystal(cartan, 2 if label == "C" else 1)
     table = energy_table(base)
     grid = table.grid
-    assert grid == (1 if label == "A" else 2)
+    assert grid == {"A": 1, "B": 2, "C": 2, "D": 1, "G2": 6}[label]
     aff = affinized_tensor_crystal(base, m, window)
     total = grid * m
     for factors, degree in aff.sorted_keys():
@@ -208,7 +212,7 @@ def test_psi_heights_match_single_point_kappa(label, rank, m, window):
         letters = [base.nodes[k].wt.weight() for k in refine(base, factors, grid)]
         segs = [(Weight(tuple(c * m for c in w.coords), (h1 - h0) * total), Fraction(1, total))
                 for w, h0, h1 in zip(letters, heights, heights[1:])]
-        want = make_path(segs, ambient="affine", ncoords=len(letters[0].coords))
+        want = path_from_segments(segs, ambient="affine", ncoords=len(letters[0].coords))
         assert _grid_form(image.path) == _grid_form(want), (factors, degree)
 
 
@@ -405,6 +409,45 @@ def test_operator_check_that_compared_nothing_fails(a1, monkeypatch):
     assert _failing(report) == {"psi_preserves_operators"}
     check = next(c for c in report["checks"] if c["name"] == "psi_preserves_operators")
     assert check["detail"] == "0 moves compared, 80 skipped"
+
+
+def test_operator_check_scans_each_image_once_per_index(a1, a1_base, monkeypatch):
+    import loom.embedding as emb
+
+    # the pairs (inner image, index) with a compared move, read off the
+    # graph's moves: a move is compared unless its target leaves the inner window
+    aff = affinized_tensor_crystal(a1_base, 2, 3)
+    inner = {key for key in aff.nodes if abs(key[1]) <= 2}
+    want = {(key, i) for key in inner for i, _kind, target in moves(aff, key)
+            if target is None or target in inner}
+    table = energy_table(a1_base)
+    images = {psi(table, a1_base, key).path.key(): key for key in inner}
+    calls, original = [], loom.paths.h_extrema
+
+    def counting(cartan, path, i):
+        calls.append((images[path.key()], i))
+        return original(cartan, path, i)
+
+    monkeypatch.setattr(emb, "h_extrema", counting)
+    checks = _checks(verify_decomposition(a1, 1, 2, 3))
+    # 40 scans, one per pair, serve the 76 compared moves
+    assert checks["psi_preserves_operators"] == (True, "76 moves compared, 4 skipped")
+    assert len(calls) == len(want) == 40
+    assert set(calls) == want
+
+
+def test_operator_check_fails_on_the_next_index_extrema(a1, monkeypatch):
+    import loom.embedding as emb
+
+    # a scan handed to the operators of the wrong index must show
+    original = loom.paths.h_extrema
+    indices = a1.indices
+
+    def next_index(cartan, path, i):
+        return original(cartan, path, indices[(indices.index(i) + 1) % len(indices)])
+
+    monkeypatch.setattr(emb, "h_extrema", next_index)
+    assert _failing(verify_decomposition(a1, 1, 2, 3)) == {"psi_preserves_operators"}
 
 
 @pytest.mark.parametrize("outcomes,want", [

@@ -15,13 +15,13 @@ from loom import (
     fundamental_crystal,
     linear_path,
     major_index,
-    make_path,
     refine,
     refined_major_index,
 )
 from loom.crystals import Node, NodeCapError
 from loom.energy import DisconnectedTensorSquareError, EnergyError, EnergyTable
 from loom.paths import PathError
+from fraction_paths import path_from_segments
 from outcomes import holds
 from test_crystals import PairingTensor
 
@@ -156,10 +156,8 @@ def test_choose_grid(a1_base, a2_base, a1):
     assert choose_grid(a1_base) == 1
     assert choose_grid(a2_base) == 1
     w = a1.classical_fundamental(1)
-    from loom import make_path
-
-    half = make_path([(2 * w, Fraction(1, 2)), (-2 * w, Fraction(1, 2))])
-    third = make_path([(3 * w, Fraction(1, 3)), (-3 * w, Fraction(2, 3))])
+    half = path_from_segments([(2 * w, Fraction(1, 2)), (-2 * w, Fraction(1, 2))])
+    third = path_from_segments([(3 * w, Fraction(1, 3)), (-3 * w, Fraction(2, 3))])
     fake = CrystalGraph(
         label="grid", indices=(0, 1),
         nodes={
@@ -181,8 +179,8 @@ def test_refine(a1, a1_base, a1_energy):
 
 def test_refine_bent_paths_and_its_errors(a1):
     w = a1.classical_fundamental(1)
-    half = make_path([(2 * w, Fraction(1, 2)), (-2 * w, Fraction(1, 2))])
-    third = make_path([(3 * w, Fraction(1, 3)), (-3 * w, Fraction(2, 3))])
+    half = path_from_segments([(2 * w, Fraction(1, 2)), (-2 * w, Fraction(1, 2))])
+    third = path_from_segments([(3 * w, Fraction(1, 3)), (-3 * w, Fraction(2, 3))])
     flat = constant_path(a1)
     up, down = linear_path(2 * w), linear_path(-2 * w)
     graph = CrystalGraph(

@@ -18,6 +18,7 @@ import pytest
 import fraction_paths as ref
 import loom.paths
 from loom import (
+    AmbientError,
     IntegralityError,
     PathError,
     PathOps,
@@ -31,7 +32,6 @@ from loom import (
     h_extrema,
     linear_path,
     lowering_op,
-    make_path,
     path_crystal_window,
     raising_op,
     stretch,
@@ -125,9 +125,9 @@ def test_uniform_stretches_of_hand_built_paths():
     w, w2 = a2.classical_fundamental(1), a2.classical_fundamental(2)
     # on the common denominator 4, the first direction 6 (w - w2) / 4 is not in lowest terms
     u, v = (w - w2) * Fraction(3, 2), (w + w2) * Fraction(3, 4)
-    odd = make_path([(u, Fraction(1, 3)), (v, Fraction(2, 3))])
+    odd = ref.path_from_segments([(u, Fraction(1, 3)), (v, Fraction(2, 3))])
     assert uniform_stretches(odd, 3) == [stretch_key(u)] + [stretch_key(v)] * 2
-    bent = make_path([(2 * w, Fraction(1, 2)), (-2 * w, Fraction(1, 2))])
+    bent = ref.path_from_segments([(2 * w, Fraction(1, 2)), (-2 * w, Fraction(1, 2))])
     with pytest.raises(PathError, match=r"^breakpoint 1/2 is not a multiple of 1/3$"):
         uniform_stretches(bent, 3)
     with pytest.raises(PathError, match=r"^grid size must be a positive integer$"):
@@ -151,8 +151,8 @@ def _plateau(cartan, i):
         return Weight(tuple(x * (k == j) for k in cartan.indices))
 
     third, k = Fraction(1, 3), (i + 1) % len(cartan.indices)
-    return make_path([(unit(i, Fraction(-3, 2)), third), (unit(k, -3), third),
-                      (unit(i, Fraction(-3, 2)), third)])
+    return ref.path_from_segments([(unit(i, Fraction(-3, 2)), third), (unit(k, -3), third),
+                                   (unit(i, Fraction(-3, 2)), third)])
 
 
 @pytest.mark.parametrize("label,rank,i", [("A", 2, 1), ("C", 2, 2), ("G2", 2, 1), ("D", 4, 2)])
@@ -191,6 +191,33 @@ def test_random_concatenations_match_reference(label, rank, i):
     assert cases == {"cut off the grid", "cut on a stretch end", "block stretch off the coroot"}
 
 
+def test_segment_reader_refuses_malformed_segments():
+    # the Fraction segment reader keeps every check of its input, the
+    # lattice endpoint through loom.paths.make_path
+    a2 = build_cartan("A", 2)
+    w, fw = a2.classical_fundamental(1), a2.classical_fundamental(1, classical=False)
+    half = Fraction(1, 2)
+    cases = [
+        ([(w, Fraction(3, 2)), (-w, -half)], PathError, "segment durations must be positive"),
+        ([(w, half), (fw, half)], AmbientError, "path mixes classical and affine directions"),
+        ([(w, half), (Weight((1, 0)), half)], PathError, "path mixes weights of different ranks"),
+        ([(4 * w, half), (4 * w, Fraction(1, 4))], PathError, "durations must sum to one"),
+        ([(half * w, 1)], PathError, "path endpoint is not a lattice weight"),
+        ([], PathError, "ambient of a constant path cannot be inferred"),
+        ([(w, 0.5), (w, 0.5)], TypeError, "expected an integer or Fraction, got 0.5"),
+    ]
+    for segs, error, message in cases:
+        with pytest.raises(error, match="^%s$" % message):
+            ref.path_from_segments(segs)
+    with pytest.raises(AmbientError, match="^path mixes classical and affine directions$"):
+        ref.path_from_segments([(w, 1)], ambient="affine")
+    with pytest.raises(PathError, match="^path mixes weights of different ranks$"):
+        ref.path_from_segments([(w, 1)], ncoords=2)
+    # a zero duration is skipped, and pauses need not fill the interval
+    assert ref.path_from_segments([(w, 1), (-w, 0)]) == linear_path(w)
+    assert ref.path_from_segments([(0 * w, half)]).is_constant
+
+
 def test_hand_built_paths_match_reference():
     a2 = build_cartan("A", 2)
     w1, w2 = a2.classical_fundamental(1), a2.classical_fundamental(2)
@@ -201,7 +228,7 @@ def test_hand_built_paths_match_reference():
     paused = [(w1 * 4, Fraction(1, 4)), (zero, Fraction(1, 4)), (-w2 * 2, Fraction(1, 2))]
     unequal = [(w1 * 2, Fraction(1, 2)), (w1 * 6, Fraction(1, 2)), (-w2, Fraction(0))]
     for segs in (odd, paused, unequal):
-        path = make_path(segs)
+        path = ref.path_from_segments(segs)
         moves = [(d * t, t) for d, t in segs if t]
         assert ref.segments(path) == ref.canonical(moves)
         integral = []
@@ -215,8 +242,9 @@ def test_hand_built_paths_match_reference():
                 integral.append(i)
         assert integral
         _assert_matches_reference(a2, path, integral)
-    assert make_path(unequal).key() == (stretch_key(w1 * 4),)
-    assert make_path(odd).directions() == [(w1 - w2) * Fraction(3, 2), (w1 + w2) * Fraction(3, 4)]
+    assert ref.path_from_segments(unequal).key() == (stretch_key(w1 * 4),)
+    assert ref.path_from_segments(odd).directions() == [(w1 - w2) * Fraction(3, 2),
+                                                         (w1 + w2) * Fraction(3, 4)]
 
 
 def test_constant_path_extrema():

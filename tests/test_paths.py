@@ -14,7 +14,6 @@ from loom import (
     h_extrema,
     linear_path,
     lowering_op,
-    make_path,
     path_crystal_window,
     phi,
     project,
@@ -24,7 +23,7 @@ from loom import (
 )
 from loom import Weight
 from loom.paths import stretch_key, uniform_stretches
-from fraction_paths import height_values, rational_extrema, segments
+from fraction_paths import height_values, path_from_segments, rational_extrema, segments
 from weights import highest_finite_root
 
 
@@ -44,9 +43,31 @@ def test_linear_path_statistics(a1, a2):
     assert epsilon(a2, p2, 1) == 0 and epsilon(a2, p2, 2) == 0
 
 
-def test_linear_path_needs_integrality(a1):
+def test_linear_path_needs_integrality(a1, a2):
     with pytest.raises(PathError):
         linear_path(Weight((Fraction(1, 2), Fraction(-1, 2))))
+    with pytest.raises(PathError, match="^linear paths need an integral endpoint$"):
+        linear_path(Fraction(1, 2) * fund(a2, classical=False) + a2.null_root())
+    with pytest.raises(PathError, match="^linear paths need an integral endpoint$"):
+        linear_path(fund(a2, classical=False) + Fraction(1, 3) * a2.null_root())
+
+
+def test_linear_path_matches_the_rational_rebuild(a1, a2):
+    # linear_path reads its weight once into a grid form; the Fraction
+    # segment reader is the independent route
+    for cartan in (a1, a2):
+        for classical in (True, False):
+            zero = linear_path(cartan.zero_weight(classical=classical))
+            assert (zero.m, zero.n, zero.dirs, zero.cells) == (1, 1, (), ())
+            assert zero.ambient == ("classical" if classical else "affine")
+            assert zero.ncoords == len(cartan.indices)
+        fw, delta = fund(cartan, classical=False), cartan.null_root()
+        classical = fund(cartan, cartan.rank) - 2 * fund(cartan)
+        for w in (fw, 2 * fw - 3 * delta, delta, -fw + delta, classical):
+            path, want = linear_path(w), path_from_segments([(w, 1)])
+            assert (path.m, path.n, path.dirs, path.cells) == (
+                want.m, want.n, want.dirs, want.cells)
+            assert path.weight() == w
 
 
 def test_height_extrema(a1):
@@ -128,7 +149,7 @@ def test_split_times_match_reference():
 
 def test_nonintegral_height_maximum_rejected(a1):
     w = fund(a1)
-    bent = make_path([(w, Fraction(1, 2)), (-3 * w, Fraction(1, 2))])
+    bent = path_from_segments([(w, Fraction(1, 2)), (-3 * w, Fraction(1, 2))])
     with pytest.raises(IntegralityError):
         epsilon(a1, bent, 0)
 
@@ -250,7 +271,7 @@ def test_segment_uniform(a1):
     bent = lowering_op(a1, stretch(pp, 2), 1)
     dirs = uniform_stretches(bent, 2)
     assert dirs == [stretch_key(-2 * fund(a1)), stretch_key(2 * fund(a1))]
-    rebuilt = make_path([(d.weight(), Fraction(1, 2)) for d in dirs])
+    rebuilt = path_from_segments([(d.weight(), Fraction(1, 2)) for d in dirs])
     assert rebuilt == bent
     with pytest.raises(PathError):
         uniform_stretches(bent, 3)
@@ -296,8 +317,8 @@ def test_segmentation_reflection_law(a1, a1_base, a2, a2_base, c2, c2_base):
 def test_equality_up_to_reparametrization(a1):
     w = fund(a1)
     u = -w
-    one = make_path([(2 * w, Fraction(1, 2)), (2 * u, Fraction(1, 2))])
-    other = make_path([(3 * w, Fraction(1, 3)), (Fraction(3, 2) * u, Fraction(2, 3))])
+    one = path_from_segments([(2 * w, Fraction(1, 2)), (2 * u, Fraction(1, 2))])
+    other = path_from_segments([(3 * w, Fraction(1, 3)), (Fraction(3, 2) * u, Fraction(2, 3))])
     assert one == other
     assert hash(one) == hash(other)
     assert one.key() == (stretch_key(w), stretch_key(u))
@@ -306,5 +327,5 @@ def test_equality_up_to_reparametrization(a1):
 def test_pause_segments_are_dropped(a1):
     w = fund(a1)
     zero = a1.zero_weight()
-    paused = make_path([(2 * w, Fraction(1, 2)), (zero, Fraction(1, 2))])
+    paused = path_from_segments([(2 * w, Fraction(1, 2)), (zero, Fraction(1, 2))])
     assert paused == linear_path(w)
