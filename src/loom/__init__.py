@@ -9,7 +9,7 @@ crystals at desk scale.  A rank-one quantum-group laboratory provides
 the independent module-level oracle for the combinatorial tensor rule.
 """
 
-from .cartan import AffineCartan, AmbientError, CartanError, Weight, build_cartan
+from .cartan import AffineCartan, AmbientError, CartanError, Stretch, Weight, build_cartan
 from .crystals import (
     CrystalGraph,
     NodeCapError,
@@ -43,12 +43,10 @@ from .paths import (
     PathOps,
     concat,
     constant_path,
-    epsilon,
     h_extrema,
     linear_path,
     lowering_op,
     make_path,
-    phi,
     project,
     raising_op,
     stretch,

@@ -1,16 +1,18 @@
 """Affine Cartan data for the untwisted types and exact weight arithmetic.
 
-Weights are stored by their coefficients over the affine fundamental
-weights, together with an optional exact coefficient of the null root.
-In that basis a coroot pairing is a coordinate read and the null-root
-direction stays explicit.  A weight with no null-root coefficient lives
-in the classical quotient lattice; operations refuse to mix the two
-ambients silently.
+A weight is held as one reduced integer :class:`Stretch`: numerators over
+the affine fundamental weights, the null-root numerator last when the
+weight is affine, and one common denominator.  In that basis a coroot
+pairing is a coordinate read and the null-root direction stays explicit;
+sums refuse to mix the two ambients silently.  :class:`Weight` is only
+the named form a user types and reads: seeds cross to a stretch once, and
+a label renders through :meth:`Stretch.weight`.
 
-Every numeric entry is an exact rational.  Marks, comarks and the
-symmetrizers are recomputed from the affine matrix itself rather than
-copied from tables, so a transcription error in the type data cannot
-survive construction.
+Every numeric entry is exact.  Marks, comarks and the symmetrizers are
+recomputed from the affine matrix itself rather than copied from tables,
+so a transcription error in the type data cannot survive construction.
+The simple roots form one integer table that both :meth:`AffineCartan.reflect`
+and the root operators of :mod:`loom.paths` read.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 
 class CartanError(ValueError):
@@ -39,15 +42,74 @@ def frac(x) -> Fraction:
     raise TypeError("expected an integer or Fraction, got %r" % (x,))
 
 
+class Stretch(NamedTuple):
+    """The weight ``nums / den`` in lowest terms; null-root entry last when affine.
+
+    The one weight arithmetic: sums, differences, negatives and integer
+    multiples are exact reduced results, never tuple concatenation or
+    repetition, and sums refuse a mixed ambient or rank.
+    """
+
+    nums: tuple[int, ...]
+    den: int
+    affine: bool
+
+    def weight(self) -> Weight:
+        c = tuple(Fraction(x, self.den) for x in self.nums)
+        return Weight(c[:-1], c[-1]) if self.affine else Weight(c)
+
+    def __add__(self, other: Stretch, sign: int = 1) -> Stretch:
+        if self.affine != other.affine or len(self.nums) != len(other.nums):
+            raise AmbientError("stretches of different ambients or ranks")
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        return _stretch([x * a + y * b for x, y in zip(self.nums, other.nums)], den, self.affine)
+
+    def __sub__(self, other: Stretch) -> Stretch:
+        return self.__add__(other, -1)
+
+    def __mul__(self, c: int) -> Stretch:
+        if not isinstance(c, int):
+            raise TypeError("a stretch scales only by an integer, got %r" % (c,))
+        return _stretch([x * c for x in self.nums], self.den, self.affine)
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> Stretch:
+        return Stretch(tuple([-x for x in self.nums]), self.den, self.affine)
+
+    def __lt__(self, other: Stretch) -> bool:
+        """Weight order by cross-multiplication; classical first on equal coordinates."""
+        for a, b in zip(self.nums, other.nums):
+            a, b = a * other.den, b * self.den
+            if a != b:
+                return a < b
+        return len(self.nums) < len(other.nums)
+
+    # the other comparisons follow __lt__, not the inherited tuple order
+    def __gt__(self, other: Stretch) -> bool:
+        return other < self
+
+    def __le__(self, other: Stretch) -> bool:
+        return not other < self
+
+    def __ge__(self, other: Stretch) -> bool:
+        return not self < other
+
+
+def _stretch(nums, den: int, affine: bool) -> Stretch:
+    g = gcd(den, *nums)
+    return Stretch(tuple(x // g for x in nums), den // g, affine)
+
+
 @dataclass(frozen=True, slots=True)
 class Weight:
-    """Exact weight vector; ``coords[i]`` pairs with the i-th simple coroot.
+    """A weight by name: ``coords[i]`` pairs with the i-th simple coroot.
 
     ``delta`` is the null-root coefficient, or ``None`` for a weight of the
-    classical quotient.  Weights have no order of their own: crystal nodes
-    are emitted in the order of their :class:`~loom.paths.Stretch` keys,
-    which ``tests/test_keys.py`` checks against the lexicographic order of
-    the exact coordinates, kept in ``tests/weights.py``.
+    classical quotient.  This is the form a user types and reads, with no
+    order or arithmetic of its own: every sum, multiple, reflection and
+    comparison runs on its :meth:`stretch`.
     """
 
     coords: tuple[Fraction, ...]
@@ -58,64 +120,18 @@ class Weight:
         if self.delta is not None:
             object.__setattr__(self, "delta", frac(self.delta))
 
-    @property
-    def is_classical(self) -> bool:
-        return self.delta is None
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords) and (self.delta is None or self.delta == 0)
-
-    def classical(self) -> "Weight":
-        """Image under the projection that kills the null root."""
-        if self.delta is None:
-            raise AmbientError("weight is already classical")
-        return _weight(self.coords, None)
-
-    def _check_compatible(self, other: "Weight"):
-        if len(self.coords) != len(other.coords):
-            raise AmbientError("weights of different ranks")
-        if (self.delta is None) != (other.delta is None):
-            raise AmbientError("cannot mix classical and affine weights")
-
-    def __add__(self, other: "Weight") -> "Weight":
-        self._check_compatible(other)
-        d = None if self.delta is None else self.delta + other.delta
-        return _weight(tuple(a + b for a, b in zip(self.coords, other.coords)), d)
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        self._check_compatible(other)
-        d = None if self.delta is None else self.delta - other.delta
-        return _weight(tuple(a - b for a, b in zip(self.coords, other.coords)), d)
-
-    def __neg__(self) -> "Weight":
-        return _weight(tuple(-c for c in self.coords), None if self.delta is None else -self.delta)
-
-    def scale(self, c) -> "Weight":
-        c = frac(c)
-        return _weight(
-            tuple(c * x for x in self.coords),
-            None if self.delta is None else c * self.delta,
-        )
-
-    def __mul__(self, c):
-        return self.scale(c)
-
-    __rmul__ = __mul__
+    def stretch(self) -> Stretch:
+        """The reduced integer form, read once where a seed enters the arithmetic."""
+        c = self.coords if self.delta is None else self.coords + (self.delta,)
+        den = lcm(*(x.denominator for x in c))
+        return Stretch(tuple(x.numerator * den // x.denominator for x in c), den,
+                       self.delta is not None)
 
     def __repr__(self):
         body = ",".join(str(c) for c in self.coords)
         if self.delta is None:
             return "Weight(%s)" % body
         return "Weight(%s | %sd)" % (body, self.delta)
-
-
-def _weight(coords: tuple, delta) -> Weight:
-    """A weight from coordinates that are already Fractions, skipping the checks."""
-    w = object.__new__(Weight)
-    for name, value in (("coords", coords), ("delta", delta)):
-        object.__setattr__(w, name, value)
-    return w
 
 
 def _finite_matrix(label: str, rank: int) -> list[list[int]]:
@@ -303,12 +319,12 @@ class AffineCartan:
     marks: tuple[int, ...]
     comarks: tuple[int, ...]
     sym: tuple[int, ...]
-    # (affine, classical) simple root per index, built once
-    _roots: tuple = field(init=False, repr=False, compare=False)
+    # alpha_j per index in the fundamental-weight basis, null-root entry last
+    roots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        roots = [Weight(tuple(row[j] for row in self.matrix), int(j == 0)) for j in self.indices]
-        object.__setattr__(self, "_roots", tuple((r, r.classical()) for r in roots))
+        object.__setattr__(self, "roots", tuple(
+            tuple(row[j] for row in self.matrix) + (int(j == 0),) for j in self.indices))
 
     @property
     def indices(self) -> range:
@@ -321,45 +337,37 @@ class AffineCartan:
             return self.label
         return "%s%d" % (self.label, self.rank)
 
-    # -- weight constructors -------------------------------------------
-
-    def zero_weight(self, classical: bool = True) -> Weight:
-        d = None if classical else Fraction(0)
-        return Weight((Fraction(0),) * (self.rank + 1), d)
+    # -- weights ---------------------------------------------------------
 
     def null_root(self) -> Weight:
-        return Weight((Fraction(0),) * (self.rank + 1), Fraction(1))
+        return Weight((0,) * (self.rank + 1), 1)
 
     def classical_fundamental(self, i: int, classical: bool = True) -> Weight:
         """Level-zero lift of the i-th finite fundamental weight, 1 <= i <= rank."""
         if not 1 <= i <= self.rank:
             raise CartanError("classical fundamental index must be in 1..rank")
-        coords = [Fraction(0)] * (self.rank + 1)
-        coords[i] = Fraction(1)
-        coords[0] = Fraction(-self.comarks[i])
-        return Weight(tuple(coords), None if classical else Fraction(0))
+        coords = [0] * (self.rank + 1)
+        coords[i] = 1
+        coords[0] = -self.comarks[i]
+        return Weight(tuple(coords), None if classical else 0)
 
-    def simple_root(self, j: int) -> Weight:
-        """alpha_j in the fundamental-weight basis, with its null-root part."""
+    def simple_root(self, j: int, classical: bool = False) -> Stretch:
+        """alpha_j in the fundamental-weight basis, with its null-root part unless classical."""
         self._check_index(j)
-        return self._roots[j][0]
-
-    # -- pairings and reflections --------------------------------------
+        root = self.roots[j]
+        return Stretch(root[:-1], 1, False) if classical else Stretch(root, 1, True)
 
     def _check_index(self, i: int):
         if not 0 <= i <= self.rank:
             raise CartanError("index %r out of range 0..%d" % (i, self.rank))
 
-    def pairing(self, i: int, w: Weight) -> Fraction:
-        """Pairing of the i-th simple coroot with w; blind to the null root."""
+    def reflect(self, i: int, w: Stretch) -> Stretch:
+        """s_i w = w - <h_i, w> alpha_i; a classical w zips away the null-root entry."""
         self._check_index(i)
-        return w.coords[i]
-
-    def reflect(self, i: int, w: Weight) -> Weight:
-        self._check_index(i)
-        if w.coords[i] == 0:
+        c = w.nums[i]
+        if c == 0:
             return w
-        return w - w.coords[i] * self._roots[i][1 if w.is_classical else 0]
+        return _stretch([x - c * y for x, y in zip(w.nums, self.roots[i])], w.den, w.affine)
 
 
 def build_cartan(label: str, rank: int) -> AffineCartan:

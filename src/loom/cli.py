@@ -16,7 +16,7 @@ import re
 import sys
 import tempfile
 
-from .cartan import Weight, build_cartan
+from .cartan import CartanError, Weight, build_cartan
 from .crystals import NodeCapError, TensorOps, generate
 from .embedding import affinized_tensor_crystal, fundamental_crystal, path_crystal_window
 from .verify import SUITE_ALIASES, SUITES, run_suite, suite_params
@@ -41,13 +41,15 @@ def parse_weight_label(cartan, text: str) -> Weight:
 
     Grammar: one or more terms like ``2w1``, ``-w2``, ``+3d``, each after
     the first preceded by its sign, or a bare ``0``; spaces are ignored.
+    The level-zero fundamental ``wj`` is the affine ``Lambda_j`` less
+    ``comark_j Lambda_0``, so node 0 gets minus the comark-weighted sum.
     """
     squeezed = text.replace(" ", "")
     if not squeezed:
         raise ValueError("empty weight label")
+    coords, delta = [0] * len(cartan.indices), 0
     if squeezed in ("0", "+0", "-0"):
-        return cartan.zero_weight(classical=False)
-    out = cartan.zero_weight(classical=False)
+        return Weight(tuple(coords), delta)
     pos = 0
     pattern = re.compile(r"([+-]?)(\d*)(?:w(\d+)|d)")
     while pos < len(squeezed):
@@ -55,15 +57,16 @@ def parse_weight_label(cartan, text: str) -> Weight:
         if m is None or (pos > 0 and not m.group(1)):
             raise ValueError("cannot parse weight term at %r" % squeezed[pos:])
         sign, count, index = m.groups()
-        coeff = int(count) if count else 1
-        if sign == "-":
-            coeff = -coeff
+        coeff = (-1 if sign == "-" else 1) * (int(count) if count else 1)
         if index is None:
-            out = out + coeff * cartan.null_root()
+            delta += coeff
+        elif 1 <= int(index) <= cartan.rank:
+            coords[int(index)] += coeff
+            coords[0] -= coeff * cartan.comarks[int(index)]
         else:
-            out = out + coeff * cartan.classical_fundamental(int(index), classical=False)
+            raise CartanError("classical fundamental index must be in 1..rank")
         pos = m.end()
-    return out
+    return Weight(tuple(coords), delta)
 
 
 def _emit(args, text: str):
@@ -109,7 +112,7 @@ def cmd_gen(args, parser) -> int:
     cap = _node_cap(args, parser)
     if args.ls or args.ambient == "affine":
         seed = (parse_weight_label(cartan, args.weight) if args.ls
-                else cartan.classical_fundamental(args.i, classical=False))
+                else cartan.classical_fundamental(args.i, classical=False)).stretch()
         graph = path_crystal_window(cartan, seed, args.window, node_cap=cap)
     else:
         base = fundamental_crystal(cartan, args.i, node_cap=cap)

@@ -4,19 +4,19 @@ An element kind ("ops" object) exposes ``indices``, ``key``, ``wt``,
 ``strings``, ``e`` and ``f``; ``strings(x, i)`` returns the string
 lengths ``(eps, phi)`` of x for index i in one call.  A kind's ``wt``
 values add with ``+``; path kinds return the endpoint as an integer
-:class:`~loom.paths.Stretch`, made a ``Weight`` only where a check reads
-one.  :func:`generate` asks ``strings``, ``e`` and ``f`` per (node,
-index) back to back, for one scan: ``TensorOps`` keeps its last scan,
-matched by the identity of x and by i, and ``PathOps`` keeps one row per
-path key, over all indices.  Infinite kinds also expose ``level`` and
-are generated inside an explicit window on the absolute level.  Closure
-generation, the tensor product rule and the normality audit all work
-against that surface, so paths, generated graphs and ad hoc test crystals
-plug into the same engine.  The audit returns
-one True or False per item it compared, which a suite records through
-:meth:`~loom.embedding.Report.count`.  The tensor rule
-reads the coroot pairing of a factor's weight as ``phi - eps``, so no
-kind needs Cartan data of its own.
+:class:`~loom.cartan.Stretch`, the one weight arithmetic.
+:func:`generate` asks ``strings``, ``e`` and ``f`` per (node, index)
+back to back, for one scan: ``TensorOps`` keeps its last scan, matched
+by the identity of x and by i, and ``PathOps`` keeps one row per path
+key, over all indices.  Infinite kinds also expose ``level`` and are
+generated inside an explicit window on the absolute level; a tensor
+product takes finite factors only.  Closure generation, the tensor
+product rule and the normality audit all work against that surface, so
+paths, generated graphs and ad hoc test crystals plug into the same
+engine.  The audit returns one True or False per item it compared,
+which a suite records through :meth:`~loom.embedding.Report.count`.  The
+tensor rule reads the coroot pairing of a factor's weight as
+``phi - eps``, so no kind needs Cartan data of its own.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .paths import Stretch
+from .cartan import Stretch
 
 DEFAULT_NODE_CAP = 10**6
 
@@ -301,7 +301,8 @@ class TensorOps:
         for c in self.components:
             if tuple(c.indices) != tuple(self.indices):
                 raise GenerationError("tensor factors have different index sets")
-        self.infinite = any(getattr(c, "infinite", False) for c in self.components)
+            if getattr(c, "infinite", False):
+                raise GenerationError("tensor factors must be finite kinds")
         self._last = (None, None, None, None)
 
     def key(self, b):
@@ -313,9 +314,6 @@ class TensorOps:
             w = c.wt(x)
             total = w if total is None else total + w
         return total
-
-    def level(self, b):
-        return sum(c.level(x) for c, x in zip(self.components, b))
 
     def _string_funcs(self, b, i):
         # <h_i, wt(x)> of a factor is phi(x, i) - eps(x, i); shift ends as their sum

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .cartan import AffineCartan, Weight
+from .cartan import AffineCartan, Stretch
 from .crystals import (
     CrystalGraph,
     GenerationError,
@@ -36,7 +36,6 @@ from .energy import EnergyTable, energy_table, major_index, refine
 from .paths import (
     Path,
     PathOps,
-    Stretch,
     h_extrema,
     linear_path,
     lowering_op,
@@ -130,7 +129,7 @@ def c_class(table: EnergyTable, graph: CrystalGraph, element, m: int) -> int:
 
 def fundamental_crystal(cartan: AffineCartan, i: int, *, node_cap=None) -> CrystalGraph:
     """Closure of the straight classical path to the i-th level-zero weight."""
-    seed = linear_path(cartan.classical_fundamental(i))
+    seed = linear_path(cartan.classical_fundamental(i).stretch())
     return generate(
         PathOps(cartan, "classical"),
         seed,
@@ -200,13 +199,12 @@ def affinized_tensor_crystal(base: CrystalGraph, m: int, window: int,
     )
 
 
-def path_crystal_window(cartan, seed_weight: Weight, window: int,
+def path_crystal_window(cartan, seed: Stretch, window: int,
                         *, node_cap=None, ops: PathOps | None = None) -> CrystalGraph:
-    """Windowed closure of a straight affine seed path, on ``ops`` if given."""
-    seed = linear_path(seed_weight)
+    """Windowed closure of the straight affine path to ``seed``, on ``ops`` if given."""
     return generate(
-        ops or PathOps(cartan, "affine"), seed, window=window, node_cap=node_cap,
-        label="%s:LS(%r):W%d" % (cartan.name, seed_weight, window),
+        ops or PathOps(cartan, "affine"), linear_path(seed), window=window, node_cap=node_cap,
+        label="%s:LS(%r):W%d" % (cartan.name, seed.weight(), window),
     )
 
 
@@ -309,8 +307,8 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
     base = fundamental_crystal(cartan, i, node_cap=node_cap)
     table = energy_table(base, node_cap=node_cap)
     aff = affinized_tensor_crystal(base, m, window, node_cap=node_cap)
-    fw = cartan.classical_fundamental(i, classical=False)
-    delta = cartan.null_root()
+    fw = cartan.classical_fundamental(i, classical=False).stretch()
+    delta = cartan.null_root().stretch()
     inner = window - 1
 
     keys = aff.sorted_keys()

@@ -6,15 +6,15 @@ integer direction ``d`` (null-root entry last when affine) and a cell
 count ``c``: the stretch runs along d / m for the time c / n.  Paths that
 differ only by a piecewise linear reparametrisation are equal: the
 displacements d c / (m n) are exactly the data a reparametrisation cannot
-touch.  Held as reduced integer :class:`Stretch` records, they are the
-key for equality and hashing, which runs on plain tuples of ints, and
-they order themselves as the weights they stand for.
+touch.  Held as reduced integer :class:`~loom.cartan.Stretch` records,
+they are the key for equality and hashing, which runs on plain tuples of
+ints, and they order themselves as the weights they stand for.
 
 :func:`make_path` is the one constructor: every path, from
 :func:`linear_path`, the root operators, :func:`concat`,
 :func:`stretch`, :func:`project` or ``embedding.psi``, is built from an
-integer grid form through it.  Only :func:`linear_path` reads a
-:class:`Weight`, once, through :func:`stretch_key`.
+integer grid form through it.  Weights come and go as stretches:
+:func:`linear_path` takes one and :meth:`Path.endpoint` returns one.
 
 The raising operator acts on the height function ``h(tau)``, the negated
 coroot pairing along the path.  It leaves the path alone until the last
@@ -43,7 +43,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .cartan import AffineCartan, AmbientError, Weight, _weight
+from .cartan import AffineCartan, AmbientError, Stretch, _stretch
 
 
 class PathError(ValueError):
@@ -54,68 +54,12 @@ class IntegralityError(PathError):
     """The height function has a non-integral maximum."""
 
 
-class Stretch(NamedTuple):
-    """Displacement ``nums / den`` in lowest terms; null-root entry last when affine.
-
-    Also the integer form of a weight: ``+`` and ``-`` are exact reduced
-    sums, never tuple concatenation, and refuse a mixed ambient or rank.
-    """
-
-    nums: tuple[int, ...]
-    den: int
-    affine: bool
-
-    def weight(self) -> Weight:
-        c = tuple(Fraction(x, self.den) for x in self.nums)
-        return _weight(c[:-1], c[-1]) if self.affine else _weight(c, None)
-
-    def __add__(self, other: Stretch, sign: int = 1) -> Stretch:
-        if self.affine != other.affine or len(self.nums) != len(other.nums):
-            raise AmbientError("stretches of different ambients or ranks")
-        den = lcm(self.den, other.den)
-        a, b = den // self.den, sign * (den // other.den)
-        return _stretch([x * a + y * b for x, y in zip(self.nums, other.nums)], den, self.affine)
-
-    def __sub__(self, other: Stretch) -> Stretch:
-        return self.__add__(other, -1)
-
-    def __lt__(self, other: Stretch) -> bool:
-        """Weight order by cross-multiplication; classical first on equal coordinates."""
-        for a, b in zip(self.nums, other.nums):
-            a, b = a * other.den, b * self.den
-            if a != b:
-                return a < b
-        return len(self.nums) < len(other.nums)
-
-    # the other comparisons follow __lt__, not the inherited tuple order
-    def __gt__(self, other: Stretch) -> bool:
-        return other < self
-
-    def __le__(self, other: Stretch) -> bool:
-        return not other < self
-
-    def __ge__(self, other: Stretch) -> bool:
-        return not self < other
-
-
-def _stretch(nums, den: int, affine: bool) -> Stretch:
-    g = gcd(den, *nums)
-    return Stretch(tuple(x // g for x in nums), den // g, affine)
-
-
-def stretch_key(w: Weight) -> Stretch:
-    """The key entry of a straight stretch with displacement w."""
-    c = w.coords if w.delta is None else w.coords + (w.delta,)
-    den = lcm(*(x.denominator for x in c))
-    return Stretch(tuple(x.numerator * den // x.denominator for x in c), den, w.delta is not None)
-
-
 @dataclass(frozen=True, slots=True, eq=False)
 class Path:
     """Canonical path: stretch k runs along ``dirs[k] / m`` for ``cells[k] / n``.
 
-    The key is one :class:`Stretch` per stretch; the weights the accessors
-    return are built from stretches on demand.
+    The key is one :class:`Stretch` per stretch, and the accessors return
+    stretches too; a weight is made only to render one.
     """
 
     m: int
@@ -136,10 +80,6 @@ class Path:
         ends = [sum(d[k] * c for d, c in zip(self.dirs, self.cells)) for k in range(width)]
         return _stretch(ends, self.m * self.n, self.ambient == "affine")
 
-    def weight(self) -> Weight:
-        """Endpoint of the path, as a weight."""
-        return self.endpoint().weight()
-
     def key(self) -> tuple[Stretch, ...]:
         """Reparametrisation-invariant identity: the stretch displacements."""
         if self._key is None:
@@ -156,15 +96,16 @@ class Path:
     def __hash__(self):
         return hash((self.ambient, self.key()))
 
-    def directions(self) -> list[Weight]:
+    def directions(self) -> list[Stretch]:
         """Derivative of the path on each stretch."""
-        return [_stretch(d, self.m, self.ambient == "affine").weight() for d in self.dirs]
+        return [_stretch(d, self.m, self.ambient == "affine") for d in self.dirs]
 
     def __repr__(self):
         if self.is_constant:
             return "Path(constant)"
         return "Path(%s)" % "; ".join(
-            "%r x %s" % (d, Fraction(c, self.n)) for d, c in zip(self.directions(), self.cells)
+            "%r x %s" % (d.weight(), Fraction(c, self.n))
+            for d, c in zip(self.directions(), self.cells)
         )
 
 
@@ -219,16 +160,16 @@ def make_path(m: int, n: int, dirs, cells, ambient: str, ncoords: int) -> Path:
     return Path(m, n, tuple(out_d), tuple(out_c), ambient, ncoords)
 
 
-def linear_path(w: Weight) -> Path:
+def linear_path(w: Stretch) -> Path:
     """The straight path from the origin to w."""
-    s = stretch_key(w)
-    if s.den != 1:
+    if w.den != 1:
         raise PathError("linear paths need an integral endpoint")
-    return make_path(1, 1, [s.nums], [1], "affine" if s.affine else "classical", len(w.coords))
+    return make_path(1, 1, [w.nums], [1], "affine" if w.affine else "classical",
+                     len(w.nums) - w.affine)
 
 
 def constant_path(cartan: AffineCartan, classical: bool = True) -> Path:
-    return linear_path(cartan.zero_weight(classical=classical))
+    return make_path(1, 1, [], [], "classical" if classical else "affine", cartan.rank + 1)
 
 
 # -- height data -------------------------------------------------------
@@ -289,14 +230,6 @@ def h_extrema(cartan: AffineCartan, path: Path, i: int) -> HeightExtrema:
     return HeightExtrema(hmax // mn, (hmax - heights[-1]) // mn, cuts)
 
 
-def epsilon(cartan: AffineCartan, path: Path, i: int) -> int:
-    return h_extrema(cartan, path, i).eps
-
-
-def phi(cartan: AffineCartan, path: Path, i: int) -> int:
-    return h_extrema(cartan, path, i).phi
-
-
 # -- root operators ----------------------------------------------------
 
 
@@ -309,7 +242,7 @@ def _split_reflect(cartan, path, i, a, b):
     q = lcm(a[1], b[1])
     lo, hi = a[0] * (q // a[1]), b[0] * (q // b[1])
     # alpha_i; a classical direction zips away the null-root entry
-    root = [row[i] for row in cartan.matrix] + [int(i == 0)]
+    root = cartan.roots[i]
     dirs, cells = [], []
     t = 0
     for d, c in zip(path.dirs, path.cells):
@@ -347,10 +280,11 @@ def lowering_op(cartan: AffineCartan, path: Path, i: int,
 
 def weyl_act(cartan: AffineCartan, path: Path, i: int) -> Path:
     """Simple-reflection action: iterate a root operator endpoint-pairing times."""
-    n = cartan.pairing(i, path.weight())
-    if n.denominator != 1:
+    cartan._check_index(i)
+    end = path.endpoint()
+    if end.nums[i] % end.den:
         raise PathError("endpoint pairing is not integral")
-    n = int(n)
+    n = end.nums[i] // end.den
     out = path
     for _ in range(abs(n)):
         out = lowering_op(cartan, out, i) if n > 0 else raising_op(cartan, out, i)

@@ -40,12 +40,11 @@ from .energy import (
 from .paths import (
     concat,
     constant_path,
-    epsilon,
+    h_extrema,
     linear_path,
     project,
     raising_op,
     stretch,
-    stretch_key,
     weyl_act,
 )
 from . import sl2 as sl2lab
@@ -77,8 +76,8 @@ def suite_normality(cartan: AffineCartan, i: int, power: int, **kw) -> dict:
     graph = _tensor_graph(base, power, **kw)
     rep.count("string_lengths_and_quasi_inverse", graph.normality_audit(),
               "node-index pairs and edges")
-    # node weights are integer stretches; each simple root becomes one once
-    alphas = {j: stretch_key(cartan.simple_root(j).classical()) for j in graph.indices}
+    # node weights and simple roots are integer stretches
+    alphas = {j: cartan.simple_root(j, classical=True) for j in graph.indices}
     rep.count("weight_gradient", (graph.nodes[src].wt - graph.nodes[dst].wt == alphas[j]
                                   for (src, j), dst in graph.f_edges.items()), "edges")
     # <h_j, wt> is the j-th coordinate of the weight
@@ -99,7 +98,7 @@ def suite_weyl(cartan: AffineCartan, i: int, **kw) -> dict:
                              for path, j in pairs), "path-index pairs")
     # a bent path is skipped
     rep.count("linear_paths_reflect",
-              (weyl_act(cartan, path, j) == linear_path(cartan.reflect(j, path.weight()))
+              (weyl_act(cartan, path, j) == linear_path(cartan.reflect(j, path.endpoint()))
                if len(path.cells) == 1 else None for path, j in pairs), "path-index pairs")
     return rep.done()
 
@@ -145,8 +144,8 @@ def suite_xi(cartan: AffineCartan, i: int, window: int, **kw) -> dict:
         # every node with |delta| > window - 1 is skipped, so nothing is checked
         raise ValueError("xi needs window >= 1, got %d" % window)
     rep = Report("xi", type=cartan.name, i=i, window=window)
-    graph = path_crystal_window(cartan, cartan.classical_fundamental(i, classical=False),
-                                window, **kw)
+    seed = cartan.classical_fundamental(i, classical=False).stretch()
+    graph = path_crystal_window(cartan, seed, window, **kw)
     shadows = {key: project(node.element) for key, node in graph.nodes.items()}
     # an inner node has every neighbour inside the window, so the graph's
     # edges are all the operator moves from it
@@ -154,7 +153,8 @@ def suite_xi(cartan: AffineCartan, i: int, window: int, **kw) -> dict:
              if abs(node.wt.nums[-1]) <= (window - 1) * node.wt.den]
     preserves_operators(rep, "projection_commutes_with_operators", cartan, graph, shadows, inner)
     rep.count("projection_preserves_eps",
-              (epsilon(cartan, graph.nodes[key].element, j) == epsilon(cartan, shadows[key], j)
+              (h_extrema(cartan, graph.nodes[key].element, j).eps
+               == h_extrema(cartan, shadows[key], j).eps
                for key in inner for j in cartan.indices), "path-index pairs")
     return rep.done()
 
@@ -218,8 +218,8 @@ def suite_psi(cartan: AffineCartan, i: int, power: int, window: int, **kw) -> di
     images = {key: psi(table, base, key) for key in aff.sorted_keys()}
     image_keys = Counter(im.path.key() for im in images.values())
     rep.count("injective", (image_keys[im.path.key()] == 1 for im in images.values()), "nodes")
-    fw = cartan.classical_fundamental(i, classical=False)
-    delta = cartan.null_root()
+    fw = cartan.classical_fundamental(i, classical=False).stretch()
+    delta = cartan.null_root().stretch()
     seed = (base.seed,) * power
     rep.count("straight_seeds",
               ((seed, n) in images and images[seed, n].path == linear_path(power * fw + n * delta)

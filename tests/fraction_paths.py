@@ -1,14 +1,17 @@
 """Rational reference for the path kernel, used only by the tests.
 
-It builds a path from ``(direction, duration)`` segments
-(``path_from_segments``), reads a path back as ``(displacement,
-duration)`` segments with ``Fraction`` times and ``Weight``
-displacements (``segments``, ``breakpoints``), and reads the cell cuts
-of ``loom.paths.h_extrema`` as ``Fraction`` times (``rational_extrema``).
-On those it recomputes, with the ``Weight`` arithmetic: heights at the
-breakpoints, crossing times by linear interpolation, a three-way split of
-every segment against the reflected interval, and a canonical form that
-drops pauses, rescales the durations and merges collinear neighbours.
+It builds a path from ``(direction, duration)`` segments with
+:class:`~loom.cartan.Stretch` directions (``path_from_segments``), reads
+a path back as ``(displacement, duration)`` segments with ``Fraction``
+times and displacements given by their exact ``Fraction`` coordinates,
+null-root entry last when affine (``segments``, ``breakpoints``), and
+reads the cell cuts of ``loom.paths.h_extrema`` as ``Fraction`` times
+(``rational_extrema``).  On those it recomputes, with ``Fraction``
+arithmetic on the coordinates: heights at the breakpoints, crossing
+times by linear interpolation, a three-way split of every segment
+against the interval it reflects through the columns of the Cartan
+matrix, and a canonical form that drops pauses, rescales the durations
+and merges collinear neighbours.
 The integer grid kernel in ``loom.paths`` must agree with it on every
 field.
 """
@@ -20,6 +23,7 @@ from math import lcm
 
 from loom import AmbientError, PathError, make_path
 from loom.cartan import frac
+from weights import coords
 
 Extrema = namedtuple("Extrema", "max_value eps e_minus e_plus f_plus f_minus end")
 
@@ -27,7 +31,7 @@ Extrema = namedtuple("Extrema", "max_value eps e_minus e_plus f_plus f_minus end
 def path_from_segments(segs, ambient=None, ncoords=None):
     """The path through ``(direction, duration)`` segments, read onto a grid form.
 
-    Directions are weights and durations integers or ``Fraction`` values.
+    Directions are stretches and durations integers or ``Fraction`` values.
     A zero duration is skipped and a negative one refused; the ambient and
     the rank must agree across the segments (or with the ones given); the
     durations must sum to one unless every direction is zero, and the
@@ -41,21 +45,21 @@ def path_from_segments(segs, ambient=None, ncoords=None):
             raise PathError("segment durations must be positive")
         if t == 0:
             continue
-        amb = "classical" if d.is_classical else "affine"
+        amb = "affine" if d.affine else "classical"
         if ambient is None:
             ambient = amb
         elif ambient != amb:
             raise AmbientError("path mixes classical and affine directions")
         if ncoords is None:
-            ncoords = len(d.coords)
-        elif ncoords != len(d.coords):
+            ncoords = len(d.nums) - d.affine
+        elif ncoords != len(d.nums) - d.affine:
             raise PathError("path mixes weights of different ranks")
-        dirs.append(d.coords if d.delta is None else d.coords + (d.delta,))
+        dirs.append(d)
         times.append(t)
     if ambient is None or ncoords is None:
         raise PathError("ambient of a constant path cannot be inferred")
-    m, n = lcm(*(x.denominator for d in dirs for x in d)), lcm(*(t.denominator for t in times))
-    dirs = [tuple(x.numerator * (m // x.denominator) for x in d) for d in dirs]
+    m, n = lcm(*(d.den for d in dirs)), lcm(*(t.denominator for t in times))
+    dirs = [tuple(x * (m // d.den) for x in d.nums) for d in dirs]
     cells = [t.numerator * (n // t.denominator) for t in times]
     path = make_path(m, n, dirs, cells, ambient, ncoords)
     if sum(times) != 1 and not path.is_constant:
@@ -65,7 +69,7 @@ def path_from_segments(segs, ambient=None, ncoords=None):
 
 def segments(path):
     """``(displacement, duration)`` of each maximal straight stretch."""
-    return tuple((s.weight(), Fraction(c, path.n)) for s, c in zip(path.key(), path.cells))
+    return tuple((coords(s), Fraction(c, path.n)) for s, c in zip(path.key(), path.cells))
 
 
 def breakpoints(path):
@@ -86,7 +90,7 @@ def height_values(cartan, path, i):
     times, values = [Fraction(0)], [Fraction(0)]
     for v, t in segments(path):
         times.append(times[-1] + t)
-        values.append(values[-1] - cartan.pairing(i, v))
+        values.append(values[-1] - v[i])
     if path.is_constant:
         times.append(Fraction(1))
         values.append(Fraction(0))
@@ -120,35 +124,29 @@ def h_extrema(cartan, path, i):
     return Extrema(hmax, int(hmax), e_minus, times[first], times[last], f_minus, values[-1])
 
 
-def _flat(w):
-    return w.coords + ((w.delta,) if w.delta is not None else ())
-
-
 def _collinear(u, v):
-    uc, vc = _flat(u), _flat(v)
-    j = next(k for k, a in enumerate(uc) if a != 0)
-    return uc[j] * vc[j] > 0 and all(a * vc[j] == b * uc[j] for a, b in zip(uc, vc))
+    j = next(k for k, a in enumerate(u) if a != 0)
+    return u[j] * v[j] > 0 and all(a * v[j] == b * u[j] for a, b in zip(u, v))
 
 
 def canonical(moves):
     """Canonical ``(displacement, duration)`` segments through the moves."""
-    moves = [(v, t) for v, t in moves if not v.is_zero]
+    moves = [(v, t) for v, t in moves if any(v)]
     scale = sum(t for _, t in moves)
     merged = []
     for v, t in moves:
         t = t / scale
         if merged and _collinear(merged[-1][0], v):
-            merged[-1] = (merged[-1][0] + v, merged[-1][1] + t)
+            merged[-1] = (tuple(map(sum, zip(merged[-1][0], v))), merged[-1][1] + t)
         else:
             merged.append((v, t))
     return tuple(merged)
 
 
 def _reflect(cartan, i, v):
-    root = cartan.simple_root(i)
-    if v.is_classical:
-        root = root.classical()
-    return v - v.coords[i] * root
+    # alpha_i is the i-th column of the matrix, with null-root entry 1 at node 0
+    root = [row[i] for row in cartan.matrix] + [int(i == 0)]
+    return tuple(x - v[i] * r for x, r in zip(v, root))
 
 
 def split_reflect(cartan, path, i, a, b):
@@ -160,7 +158,7 @@ def split_reflect(cartan, path, i, a, b):
         for x0, x1 in ((lo, min(hi, a)), (max(lo, a), min(hi, b)), (max(lo, b), hi)):
             if x1 <= x0:
                 continue
-            piece = v * ((x1 - x0) / dur)
+            piece = tuple(x * (x1 - x0) / dur for x in v)
             if a <= x0 and x1 <= b:
                 piece = _reflect(cartan, i, piece)
             out.append((piece, x1 - x0))

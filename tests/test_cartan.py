@@ -9,6 +9,7 @@ from loom import (
     AffineCartan,
     AmbientError,
     CartanError,
+    Stretch,
     Weight,
     build_cartan,
     fundamental_crystal,
@@ -18,7 +19,7 @@ from loom import (
 from loom.cartan import eliminate, replay, solve_square
 from loom.qfield import Q_ONE, Q_ZERO, QScalar
 from fraction_paths import segments
-from weights import fundamental_weight, highest_finite_root, level
+from weights import coords, fund, fundamental_weight, highest_finite_root, level
 
 
 def test_a1_matrix_and_null_vectors(a1):
@@ -36,10 +37,10 @@ def test_a2_matrix(a2):
 
 def test_c2_marks_and_delta_expansion(c2):
     assert c2.marks == (1, 2, 1)
-    total = c2.zero_weight(classical=False)
+    total = 0 * c2.null_root().stretch()
     for j in c2.indices:
         total = total + c2.marks[j] * c2.simple_root(j)
-    assert total == c2.null_root()
+    assert total == c2.null_root().stretch()
 
 
 # Kac, Infinite dimensional Lie algebras, Table Aff 1, in the node numbering of
@@ -129,45 +130,52 @@ def test_cartan_invariants_hold(a1, a2, c2, b3):
 
 
 def test_pairing_basics(a1, a2):
-    lam1 = fundamental_weight(a1, 1)
-    assert a1.pairing(1, lam1) == 1
-    assert a1.pairing(0, lam1) == 0
-    assert a1.pairing(0, a1.null_root()) == 0
-    assert a1.pairing(0, a1.classical_fundamental(1)) == -1
-    assert a2.pairing(0, a2.classical_fundamental(1)) == -1
+    # the i-th coordinate of a stretch is its pairing with the i-th simple coroot
+    assert coords(fundamental_weight(a1, 1)) == (0, 1, 0)
+    assert a1.null_root().stretch() == Stretch((0, 0, 1), 1, True)
+    assert fund(a1, 1) == Stretch((-1, 1), 1, False)
+    assert fund(a2, 1, classical=False) == Stretch((-1, 1, 0, 0), 1, True)
+    assert Weight((Fraction(1, 2), Fraction(-1, 3)), Fraction(5, 6)).stretch() == Stretch(
+        (3, -2, 5), 6, True)
     with pytest.raises(CartanError):
-        a1.pairing(2, lam1)
+        a1.simple_root(2)
+    with pytest.raises(CartanError):
+        a1.reflect(2, fundamental_weight(a1, 1))
 
 
 def test_simple_roots(a1, a2, c2):
-    assert a1.simple_root(1) == Weight((-2, 2), 0)
-    assert a1.simple_root(0) == Weight((2, -2), 1)
+    assert a1.simple_root(1) == Stretch((-2, 2, 0), 1, True)
+    assert a1.simple_root(0) == Stretch((2, -2, 1), 1, True)
+    assert a1.simple_root(0, classical=True) == Stretch((2, -2), 1, False)
     for cartan in (a1, a2, c2):
         for j in cartan.indices:
             assert level(cartan, cartan.simple_root(j)) == 0
+            # the one root table: reflect and the root operators read the same row
+            assert cartan.simple_root(j).nums == cartan.roots[j]
 
 
 def test_reflections(a1):
-    w1 = a1.classical_fundamental(1)
+    w1 = fund(a1, 1)
     assert a1.reflect(1, w1) == -w1
     assert a1.reflect(0, w1) == -w1
     rng = random.Random(7)
     for _ in range(20):
         w = Weight(
-            (Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4))),
+            (Fraction(rng.randint(-4, 4), rng.randint(1, 3)), Fraction(rng.randint(-4, 4))),
             Fraction(rng.randint(-3, 3)),
-        )
+        ).stretch()
         for i in a1.indices:
             r = a1.reflect(i, w)
             assert a1.reflect(i, r) == w
             assert level(a1, r) == level(a1, w)
-            assert a1.pairing(i, r) == -a1.pairing(i, w)
+            assert coords(r)[i] == -coords(w)[i]
+            # s_i w = w - <h_i, w> alpha_i, in Fraction coordinates
+            assert coords(r) == tuple(x - coords(w)[i] * y
+                                      for x, y in zip(coords(w), a1.simple_root(i).nums))
             if i != 0:
-                assert r.delta == w.delta
-            if w.coords[i] == 0:
+                assert coords(r)[-1] == coords(w)[-1]
+            if w.nums[i] == 0:
                 assert r is w
-    # the simple roots are built once per cartan
-    assert a1.simple_root(0) is a1.simple_root(0)
 
 
 def test_node_zero_reflection_is_highest_root_reflection(a2, c2, b3):
@@ -175,41 +183,44 @@ def test_node_zero_reflection_is_highest_root_reflection(a2, c2, b3):
     for cartan in (a2, c2, b3):
         theta = highest_finite_root(cartan)
         for i in range(1, cartan.rank + 1):
-            w = cartan.classical_fundamental(i)
+            w = fund(cartan, i)
             by_theta = w - sum(
-                cartan.comarks[j] * w.coords[j] for j in range(1, cartan.rank + 1)
+                cartan.comarks[j] * w.nums[j] for j in range(1, cartan.rank + 1)
             ) * theta
             assert cartan.reflect(0, w) == by_theta
 
 
 def test_classical_projection(a1):
+    def classical(w):
+        return Stretch(w.nums[:-1], w.den, False)
+
     alpha0 = a1.simple_root(0)
     theta = highest_finite_root(a1)
-    assert alpha0.classical() == -theta
-    assert alpha0.classical() == Weight((2, -2))
-    assert a1.null_root().classical().is_zero
-    w = 3 * a1.classical_fundamental(1, classical=False) + 2 * a1.null_root()
-    assert w.classical() == 3 * a1.classical_fundamental(1)
-    with pytest.raises(AmbientError):
-        w.classical().classical()
+    assert classical(alpha0) == a1.simple_root(0, classical=True) == -theta
+    assert classical(alpha0) == Weight((2, -2)).stretch()
+    w = (3 * fund(a1, 1, classical=False)
+         + 2 * a1.null_root().stretch())
+    assert classical(w) == 3 * fund(a1, 1)
     for i in a1.indices:
-        assert a1.reflect(i, w).classical() == a1.reflect(i, w.classical())
+        assert classical(a1.reflect(i, w)) == a1.reflect(i, classical(w))
 
 
 def test_classical_fundamentals(a1, a2, c2):
     assert a1.classical_fundamental(1) == Weight((-1, 1))
     assert a2.classical_fundamental(1) == Weight((-1, 1, 0))
     for i in (1, 2):
-        assert level(c2, c2.classical_fundamental(i, classical=False)) == 0
+        assert level(c2, fund(c2, i, classical=False)) == 0
     with pytest.raises(CartanError):
         a1.classical_fundamental(2)
 
 
 def test_ambient_mixing_rejected(a1):
-    classical = a1.classical_fundamental(1)
+    classical = fund(a1, 1)
     affine = fundamental_weight(a1, 1)
     with pytest.raises(AmbientError):
         classical + affine
+    with pytest.raises(AmbientError):
+        affine - classical
 
 
 def test_cartan_json_fixture(a1):
@@ -226,12 +237,13 @@ def test_cartan_is_a_value():
     cartan = build_cartan("C", 2)
     snapshot = {name: copy.copy(value) for name, value in vars(cartan).items()}
     graphs = (fundamental_crystal(cartan, 2),
-              path_crystal_window(cartan, cartan.classical_fundamental(2, classical=False), 2))
+              path_crystal_window(cartan, fund(cartan, 2, classical=False), 2))
     for graph in graphs:
         for node in graph.nodes.values():
             path = node.element
-            assert path.weight() == node.wt.weight()
-            assert path.directions() == [v * (1 / t) for v, t in segments(path)]
+            assert path.endpoint() == node.wt
+            assert [coords(d) for d in path.directions()] == [
+                tuple(x / t for x in v) for v, t in segments(path)]
     assert verify_decomposition(cartan, 2, 2, 2)["pass"]
     assert vars(cartan) == snapshot
     containers = [f.name for f in dataclasses.fields(AffineCartan)

@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 
 import loom
-from loom import build_cartan
+from loom import CartanError, Weight, build_cartan
 from loom.cli import main, parse_weight_label
 from loom.embedding import EmbeddingError
 from loom.verify import SUITES
+from weights import fund
 
 
 def run(tmp_path, *argv):
@@ -358,16 +359,30 @@ def test_artifacts_identical_across_interpreters(argv):
 
 def test_weight_grammar():
     a2 = build_cartan("A", 2)
+    fw1, fw2 = (fund(a2, i, classical=False) for i in (1, 2))
+    delta = a2.null_root().stretch()
     w = parse_weight_label(a2, "2w1 + w2 + 3d")
-    expect = (
-        2 * a2.classical_fundamental(1, classical=False)
-        + a2.classical_fundamental(2, classical=False)
-        + 3 * a2.null_root()
-    )
-    assert w == expect
-    assert parse_weight_label(a2, "-w2+1d") == (
-        -a2.classical_fundamental(2, classical=False) + a2.null_root()
-    )
-    assert parse_weight_label(a2, "0").is_zero
+    assert w.stretch() == 2 * fw1 + fw2 + 3 * delta
+    assert parse_weight_label(a2, "-w2+1d").stretch() == -fw2 + delta
+    assert parse_weight_label(a2, "0") == Weight((0, 0, 0), 0)
+    # node 0 gets minus the comark-weighted sum; G2 and E6 have comarks above one.
+    # The reprs were recorded on the Fraction-weight parser that summed Weight terms
+    for (label, rank), text, want, terms in [
+        (("G2", 2), "2w1 - w2 + 3d", "Weight(-3,2,-1 | 3d)", {1: 2, 2: -1, 0: 3}),
+        (("G2", 2), "w2+w1", "Weight(-3,1,1 | 0d)", {1: 1, 2: 1}),
+        (("C", 2), "3w2-w1-2d", "Weight(-2,-1,3 | -2d)", {1: -1, 2: 3, 0: -2}),
+        (("E6", 6), "w4 - 2w3 + w1 + d", "Weight(0,1,0,-2,1,0,0 | 1d)", {1: 1, 3: -2, 4: 1, 0: 1}),
+        (("E6", 6), "2w4+w2-5d", "Weight(-8,0,1,0,2,0,0 | -5d)", {2: 1, 4: 2, 0: -5}),
+    ]:
+        cartan = build_cartan(label, rank)
+        got = parse_weight_label(cartan, text)
+        assert repr(got) == want, (label, text)
+        # key 0 counts the null root
+        parts = [c * (fund(cartan, j, classical=False) if j else cartan.null_root().stretch())
+                 for j, c in terms.items()]
+        assert got.stretch() == sum(parts[1:], parts[0]), (label, text)
+    for text in ("w3", "w1+w0"):
+        with pytest.raises(CartanError, match=r"^classical fundamental index must be in 1\.\.rank"):
+            parse_weight_label(a2, text)
     with pytest.raises(ValueError):
         parse_weight_label(a2, "2x3")

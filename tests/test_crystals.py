@@ -16,18 +16,18 @@ from loom import (
     constant_path,
     energy_edge_check,
     energy_table,
-    epsilon,
     fundamental_crystal,
     generate,
     linear_path,
     lowering_op,
+    h_extrema,
     path_crystal_window,
-    phi,
     raising_op,
 )
 from loom.crystals import GenerationError, Node
 from isomorphism import isomorphic
 from outcomes import holds
+from weights import coords, fund
 
 
 def keys_of(cartan, *weights):
@@ -35,7 +35,7 @@ def keys_of(cartan, *weights):
 
 
 def test_a1_base_fixture(a1, a1_base):
-    w = a1.classical_fundamental(1)
+    w = fund(a1, 1)
     kp, km = keys_of(a1, w, -w)
     assert sorted(a1_base.nodes) == sorted([kp, km])
     assert a1_base.f(kp, 1) == km
@@ -47,7 +47,7 @@ def test_a1_base_fixture(a1, a1_base):
 
 
 def test_a2_base_fixture(a2, a2_base):
-    w1, w2 = a2.classical_fundamental(1), a2.classical_fundamental(2)
+    w1, w2 = fund(a2, 1), fund(a2, 2)
     k1, k2, k3 = keys_of(a2, w1, w2 - w1, -w2)
     assert sorted(a2_base.nodes) == sorted([k1, k2, k3])
     assert a2_base.f(k1, 1) == k2
@@ -63,7 +63,7 @@ def test_constant_seed(a1):
 
 def test_tensor_rule_positions(a1, a1_base):
     ops = TensorOps([a1_base] * 2)
-    w = a1.classical_fundamental(1)
+    w = fund(a1, 1)
     kp, km = keys_of(a1, w, -w)
     assert ops.f((kp, kp), 1) == (km, kp)
     assert ops.e((kp, kp), 0) == (kp, km)
@@ -73,14 +73,14 @@ def test_tensor_rule_positions(a1, a1_base):
 
 def test_affinized_operators(a1, a1_base):
     aff = affinized_tensor_crystal(a1_base, 2, 5)
-    w = a1.classical_fundamental(1)
+    w = fund(a1, 1)
     kp, km = keys_of(a1, w, -w)
     assert aff.e(((kp, km), 0), 0) == ((km, km), 1)
     moved = aff.f(((kp, kp), 5), 1)
     assert moved == ((km, kp), 5)
     up = aff.e(((kp, kp), 0), 0)
     assert up is not None and aff.f(up, 0) == ((kp, kp), 0)
-    assert aff.wt(((kp, km), 3)).weight().delta == 3
+    assert coords(aff.wt(((kp, km), 3)))[-1] == 3
 
 
 def test_indecomposable(a1_base):
@@ -110,7 +110,7 @@ def test_tensor_square_connected(a1, a1_base):
 
 
 def test_truncated_graphs_reject_global_checks(a1):
-    fw = a1.classical_fundamental(1, classical=False)
+    fw = fund(a1, 1, classical=False)
     graph = generate(PathOps(a1, "affine"), linear_path(fw), window=2)
     assert graph.truncated
     with pytest.raises(GenerationError):
@@ -121,17 +121,16 @@ def test_truncated_graphs_reject_global_checks(a1):
 
 
 def test_window_required_for_affine(a1):
-    fw = a1.classical_fundamental(1, classical=False)
+    fw = fund(a1, 1, classical=False)
     with pytest.raises(GenerationError):
         generate(PathOps(a1, "affine"), linear_path(fw))
 
 
-def test_tensor_of_affine_kinds_stays_in_the_window(a1):
-    # the level of a tensor is the sum of its factors' levels, read here from the weight
-    seed = linear_path(a1.classical_fundamental(1, classical=False))
-    graph = generate(TensorOps([PathOps(a1, "affine")] * 2), (seed, seed), window=1)
-    assert graph.truncated
-    assert {node.wt.weight().delta for node in graph.nodes.values()} == {-1, 0, 1}
+def test_tensor_of_affine_kinds_is_refused(a1):
+    # no construction windows a tensor product, so its factors must be finite kinds
+    with pytest.raises(GenerationError, match="^tensor factors must be finite kinds$"):
+        TensorOps([PathOps(a1, "classical"), PathOps(a1, "affine")])
+    assert TensorOps([PathOps(a1, "classical")] * 2).components
 
 
 def _audit_failures(graph):
@@ -223,12 +222,11 @@ class PairingTensor:
     """Reference tensor rule that shifts the string functions by <h_i, wt>.
 
     The rule under test reads that pairing as phi - eps of each factor;
-    this one reads it off the Cartan data, as the tensor rule is usually
-    stated, on each factor's integer weight made a ``Weight``.
+    this one reads it as the i-th coordinate of each factor's weight, as
+    the tensor rule is usually stated, and sums the weights with ``+``.
     """
 
-    def __init__(self, cartan, components):
-        self.cartan = cartan
+    def __init__(self, components):
         self.components = components
 
     def string_funcs(self, b, i):
@@ -236,14 +234,14 @@ class PairingTensor:
         shift = 0
         for c, x in zip(self.components, b):
             vals.append(c.strings(x, i)[0] - shift)
-            shift += self.cartan.pairing(i, c.wt(x).weight())
+            shift += coords(c.wt(x))[i]
         return vals
 
     def strings(self, b, i):
-        total = sum((c.wt(x).weight() for c, x in zip(self.components[1:], b[1:])),
-                    self.components[0].wt(b[0]).weight())
+        total = sum((c.wt(x) for c, x in zip(self.components[1:], b[1:])),
+                    self.components[0].wt(b[0]))
         eps = max(self.string_funcs(b, i))
-        return eps, eps + self.cartan.pairing(i, total)
+        return eps, eps + coords(total)[i]
 
     def e_position(self, b, i):
         vals = self.string_funcs(b, i)
@@ -267,7 +265,7 @@ def test_tensor_rule_matches_pairing_reference(label, rank, i, power):
     cartan = build_cartan(label, rank)
     base = fundamental_crystal(cartan, i)
     ops = TensorOps([base] * power)
-    ref = PairingTensor(cartan, [base] * power)
+    ref = PairingTensor([base] * power)
     for b in itertools.product(base.sorted_keys(), repeat=power):
         for j in cartan.indices:
             eps, phi = ops.strings(b, j)
@@ -285,11 +283,12 @@ def test_strings_match_path_reference(label, rank, i, window):
     if window is None:
         ops, graph = PathOps(cartan, "classical"), fundamental_crystal(cartan, i)
     else:
-        seed = cartan.classical_fundamental(i, classical=False)
+        seed = fund(cartan, i, classical=False)
         ops, graph = PathOps(cartan, "affine"), path_crystal_window(cartan, seed, window)
     for key, node in graph.nodes.items():
         for pos, j in enumerate(graph.indices):
-            want = (epsilon(cartan, node.element, j), phi(cartan, node.element, j))
+            ext = h_extrema(cartan, node.element, j)
+            want = (ext.eps, ext.phi)
             assert ops.strings(node.element, j) == want
             assert graph.strings(key, j) == (node.eps[pos], node.phi[pos]) == want
 
@@ -304,7 +303,7 @@ def test_generation_independence(a2, a2_base):
 def test_node_cap(a1):
     with pytest.raises(NodeCapError):
         generate(PathOps(a1, "classical"),
-                 linear_path(a1.classical_fundamental(1)), node_cap=1)
+                 linear_path(fund(a1, 1)), node_cap=1)
 
 
 def test_graph_json_and_dot(a1_base):
@@ -327,7 +326,8 @@ class ScanFreePaths:
         return x.endpoint()
 
     def strings(self, x, i):
-        return epsilon(self.cartan, x, i), phi(self.cartan, x, i)
+        ext = h_extrema(self.cartan, x, i)
+        return ext.eps, ext.phi
 
     def e(self, x, i):
         return raising_op(self.cartan, x, i)
@@ -352,9 +352,9 @@ def test_interleaved_queries_never_read_a_stale_scan(label, rank, i):
     path_ops = PathOps(cartan, "classical")
     kinds = [
         (path_ops, ScanFreePaths(cartan), paths),
-        (TensorOps([base] * 2), PairingTensor(cartan, [base] * 2),
+        (TensorOps([base] * 2), PairingTensor([base] * 2),
          list(itertools.product(base.sorted_keys(), repeat=2))),
-        (TensorOps([path_ops] * 2), PairingTensor(cartan, [ScanFreePaths(cartan)] * 2),
+        (TensorOps([path_ops] * 2), PairingTensor([ScanFreePaths(cartan)] * 2),
          list(itertools.product(paths, repeat=2))),
     ]
     rng = random.Random(1991)
@@ -396,8 +396,7 @@ def test_generate_scans_heights_once_per_node_and_index(monkeypatch, label, rank
     if window is None:
         graph = fundamental_crystal(cartan, i)
     else:
-        graph = path_crystal_window(cartan, cartan.classical_fundamental(i, classical=False),
-                                    window)
+        graph = path_crystal_window(cartan, fund(cartan, i, classical=False), window)
     scanned = Counter((path.key(), j) for _cartan, path, j in calls)
     assert scanned == Counter(itertools.product(graph.nodes, graph.indices))
 
@@ -430,7 +429,7 @@ def test_node_cap_boundary(construction):
         if construction == "classical":
             return fundamental_crystal(cartan, 2, node_cap=cap)
         if construction == "affine window":
-            seed = cartan.classical_fundamental(2, classical=False)
+            seed = fund(cartan, 2, classical=False)
             return path_crystal_window(cartan, seed, 2, node_cap=cap)
         base = fundamental_crystal(cartan, 1)
         return generate(TensorOps([base] * 2), (base.seed,) * 2, node_cap=cap)

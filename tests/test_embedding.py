@@ -8,7 +8,6 @@ import loom.paths
 from loom import (
     CrystalGraph,
     PathOps,
-    Weight,
     affinized_tensor_crystal,
     build_cartan,
     c_class,
@@ -27,14 +26,14 @@ from loom import (
 from loom.cli import main
 from loom.crystals import moves
 from loom.embedding import EmbeddingError, Report, tensor_power_crystal
-from loom.paths import stretch_key
 from loom.verify import run_suite
 from fraction_paths import path_from_segments
 from isomorphism import isomorphic
+from weights import coords, fund, scaled, stretch_of
 
 
 def a1_keys(a1):
-    w = a1.classical_fundamental(1)
+    w = fund(a1, 1)
     return linear_path(w).key(), linear_path(-w).key()
 
 
@@ -63,19 +62,19 @@ def test_kappa_endpoint_is_degree(a1, a1_base, a1_energy):
 
 def test_psi_fixtures(a1, a1_base, a1_energy):
     kp, km = a1_keys(a1)
-    fw = a1.classical_fundamental(1, classical=False)
-    delta = a1.null_root()
+    fw = fund(a1, 1, classical=False)
+    delta = a1.null_root().stretch()
     img = psi(a1_energy, a1_base, ((kp, kp), 0))
     assert img.path == linear_path(2 * fw)
     bent = psi(a1_energy, a1_base, ((kp, km), 0))
-    assert bent.path.key()[0] == stretch_key(fw - Fraction(1, 2) * delta)
-    assert bent.path.weight().is_zero
+    assert bent.path.key()[0] == fw - scaled(Fraction(1, 2), delta)
+    assert not any(bent.path.endpoint().nums)
     assert bent.heights == (0, Fraction(-1, 2), 0)
 
     lifted = raising_op(a1, bent.path, 0)
     other = psi(a1_energy, a1_base, ((km, km), 1))
     assert lifted == other.path
-    assert other.path.weight() == -2 * fw + delta
+    assert other.path.endpoint() == -2 * fw + delta
     assert other.heights[1] == Fraction(1, 2)
 
 
@@ -144,9 +143,9 @@ def test_image_isomorphic_to_straight_piece(a1, a1_base, a1_energy):
         truncated=True, window=window - 1,
     )
 
-    fw = a1.classical_fundamental(1, classical=False)
+    fw = fund(a1, 1, classical=False)
     piece = path_crystal_window(a1, 2 * fw, window)
-    keep = {k for k in piece.nodes if abs(piece.nodes[k].wt.weight().delta) <= window - 1}
+    keep = {k for k in piece.nodes if abs(coords(piece.nodes[k].wt)[-1]) <= window - 1}
     piece_graph = _subgraph(piece, keep)
 
     mapping = isomorphic(image_graph, piece_graph)
@@ -177,10 +176,10 @@ def test_decomposition_reports(a1, a2):
 def test_m1_image_matches_piece(a1, a1_base, a1_energy):
     window = 3
     aff = affinized_tensor_crystal(a1_base, 1, window)
-    fw = a1.classical_fundamental(1, classical=False)
+    fw = fund(a1, 1, classical=False)
     piece = path_crystal_window(a1, fw, window)
     inner_piece = {
-        k for k in piece.nodes if abs(piece.nodes[k].wt.weight().delta) <= window - 1
+        k for k in piece.nodes if abs(coords(piece.nodes[k].wt)[-1]) <= window - 1
     }
     inner_images = {
         psi(a1_energy, a1_base, k).path.key()
@@ -196,7 +195,7 @@ def test_psi_heights_match_single_point_kappa(label, rank, m, window):
     # psi reads every height off two running sums as integer numerators and
     # assembles its grid form over one common denominator; kappa is the
     # single-point Fraction formula, recomputed on its own for each j, and
-    # the image is rebuilt from Weight segments through path_from_segments.
+    # the image is rebuilt from Fraction coordinates through path_from_segments.
     # G2 w1 has grid 6, with base paths on the grids 1, 2, 3 and 6
     cartan = build_cartan(label, rank)
     base = fundamental_crystal(cartan, 2 if label == "C" else 1)
@@ -209,10 +208,10 @@ def test_psi_heights_match_single_point_kappa(label, rank, m, window):
         image = psi(table, base, (factors, degree))
         heights = [kappa(table, base, factors, degree, j) for j in range(total + 1)]
         assert image.heights == tuple(heights)
-        letters = [base.nodes[k].wt.weight() for k in refine(base, factors, grid)]
-        segs = [(Weight(tuple(c * m for c in w.coords), (h1 - h0) * total), Fraction(1, total))
-                for w, h0, h1 in zip(letters, heights, heights[1:])]
-        want = path_from_segments(segs, ambient="affine", ncoords=len(letters[0].coords))
+        letters = [coords(base.nodes[k].wt) for k in refine(base, factors, grid)]
+        segs = [(stretch_of(tuple(c * m for c in w) + ((h1 - h0) * total,), True),
+                 Fraction(1, total)) for w, h0, h1 in zip(letters, heights, heights[1:])]
+        want = path_from_segments(segs, ambient="affine", ncoords=len(letters[0]))
         assert _grid_form(image.path) == _grid_form(want), (factors, degree)
 
 
@@ -342,11 +341,11 @@ def test_every_decomposition_check_can_fail(a1, monkeypatch):
     # two of the 28 nodes now share an image key
     assert _checks(report)["psi_injective"] == (False, "28 nodes compared, 0 skipped")
 
-    def overlapping(cartan, seed_weight, window, **kw):
+    def overlapping(cartan, seed, window, **kw):
         # piece 1 comes back as piece 0, so all 11 nodes of piece 0 lie in two pieces
-        if seed_weight.delta == 1:
-            seed_weight = seed_weight - a1.null_root()
-        return real_window(cartan, seed_weight, window, **kw)
+        if coords(seed)[-1] == 1:
+            seed = seed - a1.null_root().stretch()
+        return real_window(cartan, seed, window, **kw)
 
     with monkeypatch.context() as mp:
         mp.setattr(emb, "path_crystal_window", overlapping)
@@ -354,11 +353,11 @@ def test_every_decomposition_check_can_fail(a1, monkeypatch):
     assert "pieces_pairwise_disjoint" in _failing(report)
     assert _checks(report)["pieces_pairwise_disjoint"] == (False, "11 nodes compared, 0 skipped")
 
-    def wrong_shift(cartan, seed_weight, window, **kw):
+    def wrong_shift(cartan, seed, window, **kw):
         # a piece shifted by m comes back shifted by m - 1, another class
-        if seed_weight.delta >= m:
-            seed_weight = seed_weight - a1.null_root()
-        return real_window(cartan, seed_weight, window, **kw)
+        if coords(seed)[-1] >= m:
+            seed = seed - a1.null_root().stretch()
+        return real_window(cartan, seed, window, **kw)
 
     with monkeypatch.context() as mp:
         mp.setattr(emb, "path_crystal_window", wrong_shift)
@@ -369,7 +368,7 @@ def test_every_decomposition_check_can_fail(a1, monkeypatch):
 def test_set_checks_that_compared_nothing_fail(a1, monkeypatch):
     import loom.embedding as emb
 
-    def no_nodes(cartan, seed_weight, window, **kw):
+    def no_nodes(cartan, seed, window, **kw):
         return CrystalGraph("empty", cartan.indices, {}, {}, None)
 
     monkeypatch.setattr(emb, "path_crystal_window", no_nodes)
@@ -385,10 +384,10 @@ def test_a_class_with_no_image_and_no_piece_is_skipped(a1, monkeypatch):
 
     real_window = emb.path_crystal_window
 
-    def even_pieces_only(cartan, seed_weight, window, **kw):
-        if seed_weight.delta % 2:
+    def even_pieces_only(cartan, seed, window, **kw):
+        if coords(seed)[-1] % 2:
             return CrystalGraph("empty", cartan.indices, {}, {}, None)
-        return real_window(cartan, seed_weight, window, **kw)
+        return real_window(cartan, seed, window, **kw)
 
     monkeypatch.setattr(emb, "c_class", lambda table, graph, element, m: 0)
     monkeypatch.setattr(emb, "path_crystal_window", even_pieces_only)
@@ -474,7 +473,8 @@ def test_shifted_piece_on_its_partners_table_matches_a_fresh_one(monkeypatch, la
                                                                  m, window):
     # verify_decomposition generates piece r + m on piece r's PathOps
     cartan = build_cartan(label, rank)
-    fw, delta = cartan.classical_fundamental(i, classical=False), cartan.null_root()
+    fw = fund(cartan, i, classical=False)
+    delta = cartan.null_root().stretch()
     for r in range(min(m, window + 1 - m)):
         ops = PathOps(cartan, "affine")
         path_crystal_window(cartan, m * fw + r * delta, window, ops=ops)

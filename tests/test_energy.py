@@ -23,11 +23,12 @@ from loom.energy import DisconnectedTensorSquareError, EnergyError, EnergyTable
 from loom.paths import PathError
 from fraction_paths import path_from_segments
 from outcomes import holds
+from weights import fund
 from test_crystals import PairingTensor
 
 
 def a1_keys(a1):
-    w = a1.classical_fundamental(1)
+    w = fund(a1, 1)
     return linear_path(w).key(), linear_path(-w).key()
 
 
@@ -74,7 +75,7 @@ def zero_shift(i, kind, position):
 
 def position_energy(cartan, base):
     """Reference sweep whose acting factor comes from the pairing-based positions."""
-    ref = PairingTensor(cartan, [base] * 2)
+    ref = PairingTensor([base] * 2)
     seed = (base.seed, base.seed)
     chi = {seed: 0}
     frontier = [seed]
@@ -155,14 +156,14 @@ def test_energy_randomized_bfs_deterministic(a2, a2_base, a2_energy):
 def test_choose_grid(a1_base, a2_base, a1):
     assert choose_grid(a1_base) == 1
     assert choose_grid(a2_base) == 1
-    w = a1.classical_fundamental(1)
+    w = fund(a1, 1)
     half = path_from_segments([(2 * w, Fraction(1, 2)), (-2 * w, Fraction(1, 2))])
     third = path_from_segments([(3 * w, Fraction(1, 3)), (-3 * w, Fraction(2, 3))])
     fake = CrystalGraph(
         label="grid", indices=(0, 1),
         nodes={
-            half.key(): Node(half, half.weight(), (0, 0), (0, 0)),
-            third.key(): Node(third, third.weight(), (0, 0), (0, 0)),
+            half.key(): Node(half, half.endpoint(), (0, 0), (0, 0)),
+            third.key(): Node(third, third.endpoint(), (0, 0), (0, 0)),
         },
         f_edges={}, seed=half.key(),
     )
@@ -178,14 +179,14 @@ def test_refine(a1, a1_base, a1_energy):
 
 
 def test_refine_bent_paths_and_its_errors(a1):
-    w = a1.classical_fundamental(1)
+    w = fund(a1, 1)
     half = path_from_segments([(2 * w, Fraction(1, 2)), (-2 * w, Fraction(1, 2))])
     third = path_from_segments([(3 * w, Fraction(1, 3)), (-3 * w, Fraction(2, 3))])
     flat = constant_path(a1)
     up, down = linear_path(2 * w), linear_path(-2 * w)
     graph = CrystalGraph(
         label="refine", indices=(0, 1),
-        nodes={p.key(): Node(p, p.weight(), (0, 0), (0, 0))
+        nodes={p.key(): Node(p, p.endpoint(), (0, 0), (0, 0))
                for p in (half, third, flat, up, down)},
         f_edges={}, seed=half.key(),
     )

@@ -22,6 +22,7 @@ from loom import (
     IntegralityError,
     PathError,
     PathOps,
+    Stretch,
     Weight,
     build_cartan,
     concat,
@@ -36,13 +37,19 @@ from loom import (
     raising_op,
     stretch,
 )
-from loom.paths import stretch_key, uniform_stretches
+from loom.paths import uniform_stretches
+from weights import coords, fund, scaled, stretch_of
 
 FUNDAMENTALS = (("A", 2, 1), ("B", 3, 1), ("C", 2, 2), ("G2", 2, 1), ("D", 4, 2))
 
 
+def _key_of(path, segs):
+    """The key of segments ``segs`` on the ambient of path."""
+    return tuple(stretch_of(v, path.ambient == "affine") for v, _ in segs)
+
+
 def _assert_matches_reference(cartan, path, indices=None):
-    assert path.key() == tuple(stretch_key(v) for v, _ in ref.segments(path))
+    assert path.key() == _key_of(path, ref.segments(path))
     for i in cartan.indices if indices is None else indices:
         ext, want = h_extrema(cartan, path, i), ref.h_extrema(cartan, path, i)
         got = ref.rational_extrema(path, ext)
@@ -55,7 +62,7 @@ def _assert_matches_reference(cartan, path, indices=None):
                 assert got is None, (path, i, op.__name__)
             else:
                 assert got is not None and ref.segments(got) == segs, (path, i, op.__name__)
-                assert got.key() == tuple(stretch_key(v) for v, _ in segs)
+                assert got.key() == _key_of(got, segs)
 
 
 @pytest.mark.parametrize("label,rank,i", FUNDAMENTALS)
@@ -69,7 +76,7 @@ def test_classical_crystal_matches_reference(label, rank, i):
 @pytest.mark.parametrize("label,rank,i", FUNDAMENTALS)
 def test_affine_window_matches_reference(label, rank, i):
     cartan = build_cartan(label, rank)
-    graph = path_crystal_window(cartan, cartan.classical_fundamental(i, classical=False), 2)
+    graph = path_crystal_window(cartan, fund(cartan, i, classical=False), 2)
     for key in graph.sorted_keys():
         _assert_matches_reference(cartan, graph.nodes[key].element)
 
@@ -85,7 +92,7 @@ def test_table_rows_match_fresh_root_operators(label, rank, i, ambient):
     # the grid form of the path its row was built from
     cartan = build_cartan(label, rank)
     ops = PathOps(cartan, ambient)
-    seed = linear_path(cartan.classical_fundamental(i, classical=ambient == "classical"))
+    seed = linear_path(fund(cartan, i, classical=ambient == "classical"))
     graph = generate(ops, seed, window=2 if ambient == "affine" else None)
     for node in graph.nodes.values():
         x = node.element
@@ -104,29 +111,31 @@ def test_uniform_stretches_walk_the_grid(label, rank, i):
     # refine keys cells by uniform_stretches
     cartan = build_cartan(label, rank)
     base = fundamental_crystal(cartan, i)
-    window = path_crystal_window(cartan, cartan.classical_fundamental(i, classical=False), 2)
+    window = path_crystal_window(cartan, fund(cartan, i, classical=False), 2)
     grid = energy_table(base).grid
     for graph in (base, window):
         for node in graph.nodes.values():
             p = node.element
             for n in (p.n, 2 * p.n, grid):
                 got = uniform_stretches(p, n)
-                assert got == [stretch_key(d) for d, c in zip(p.directions(), p.cells)
+                assert got == [d for d, c in zip(p.directions(), p.cells)
                                for _ in range(c * n // p.n)], (p, n)
-                assert [s.weight() for s in got] == [d for d, c in zip(p.directions(), p.cells)
-                                                     for _ in range(c * n // p.n)], (p, n)
+                # each cell's derivative is its stretch's displacement over its duration
+                assert [coords(s) for s in got] == [tuple(x / t for x in v)
+                                                    for v, t in ref.segments(p)
+                                                    for _ in range(int(t * n))], (p, n)
 
 
 def test_uniform_stretches_of_hand_built_paths():
     a2 = build_cartan("A", 2)
     for classical in (True, False):
-        zero = stretch_key(a2.zero_weight(classical=classical))
+        zero = Stretch((0,) * (3 + (not classical)), 1, not classical)
         assert uniform_stretches(constant_path(a2, classical=classical), 3) == [zero] * 3
-    w, w2 = a2.classical_fundamental(1), a2.classical_fundamental(2)
+    w, w2 = fund(a2, 1), fund(a2, 2)
     # on the common denominator 4, the first direction 6 (w - w2) / 4 is not in lowest terms
-    u, v = (w - w2) * Fraction(3, 2), (w + w2) * Fraction(3, 4)
+    u, v = scaled(Fraction(3, 2), w - w2), scaled(Fraction(3, 4), w + w2)
     odd = ref.path_from_segments([(u, Fraction(1, 3)), (v, Fraction(2, 3))])
-    assert uniform_stretches(odd, 3) == [stretch_key(u)] + [stretch_key(v)] * 2
+    assert uniform_stretches(odd, 3) == [u] + [v] * 2
     bent = ref.path_from_segments([(2 * w, Fraction(1, 2)), (-2 * w, Fraction(1, 2))])
     with pytest.raises(PathError, match=r"^breakpoint 1/2 is not a multiple of 1/3$"):
         uniform_stretches(bent, 3)
@@ -148,7 +157,7 @@ def test_collinear_neighbours_after_reflection_match_reference():
 def _plateau(cartan, i):
     """Every height climbs; the i-th rests at 1/2 along a middle stretch with no i-th entry."""
     def unit(j, x):
-        return Weight(tuple(x * (k == j) for k in cartan.indices))
+        return scaled(x, Stretch(tuple(int(k == j) for k in cartan.indices), 1, False))
 
     third, k = Fraction(1, 3), (i + 1) % len(cartan.indices)
     return ref.path_from_segments([(unit(i, Fraction(-3, 2)), third), (unit(k, -3), third),
@@ -185,7 +194,7 @@ def test_random_concatenations_match_reference(label, rank, i):
                     cases.add("cut off the grid")
                 if crossing in times[1:-1]:
                     cases.add("cut on a stretch end")
-                if any(t0 < b and t1 > a and d.coords[j] == 0
+                if any(t0 < b and t1 > a and d.nums[j] == 0
                        for d, t0, t1 in zip(dirs, times, times[1:])):
                     cases.add("block stretch off the coroot")
     assert cases == {"cut off the grid", "cut on a stretch end", "block stretch off the coroot"}
@@ -195,14 +204,15 @@ def test_segment_reader_refuses_malformed_segments():
     # the Fraction segment reader keeps every check of its input, the
     # lattice endpoint through loom.paths.make_path
     a2 = build_cartan("A", 2)
-    w, fw = a2.classical_fundamental(1), a2.classical_fundamental(1, classical=False)
+    w, fw = (fund(a2, 1, classical=c) for c in (True, False))
     half = Fraction(1, 2)
     cases = [
         ([(w, Fraction(3, 2)), (-w, -half)], PathError, "segment durations must be positive"),
         ([(w, half), (fw, half)], AmbientError, "path mixes classical and affine directions"),
-        ([(w, half), (Weight((1, 0)), half)], PathError, "path mixes weights of different ranks"),
+        ([(w, half), (Stretch((1, 0), 1, False), half)], PathError,
+         "path mixes weights of different ranks"),
         ([(4 * w, half), (4 * w, Fraction(1, 4))], PathError, "durations must sum to one"),
-        ([(half * w, 1)], PathError, "path endpoint is not a lattice weight"),
+        ([(scaled(half, w), 1)], PathError, "path endpoint is not a lattice weight"),
         ([], PathError, "ambient of a constant path cannot be inferred"),
         ([(w, 0.5), (w, 0.5)], TypeError, "expected an integer or Fraction, got 0.5"),
     ]
@@ -220,16 +230,16 @@ def test_segment_reader_refuses_malformed_segments():
 
 def test_hand_built_paths_match_reference():
     a2 = build_cartan("A", 2)
-    w1, w2 = a2.classical_fundamental(1), a2.classical_fundamental(2)
-    zero = a2.zero_weight()
+    w1, w2 = fund(a2, 1), fund(a2, 2)
+    zero = 0 * w1
     # directions 3/2 (w1 - w2) and 3/4 (w1 + w2) are not lattice weights
-    odd = [((w1 - w2) * Fraction(3, 2), Fraction(1, 3)),
-           ((w1 + w2) * Fraction(3, 4), Fraction(2, 3))]
+    odd = [(scaled(Fraction(3, 2), w1 - w2), Fraction(1, 3)),
+           (scaled(Fraction(3, 4), w1 + w2), Fraction(2, 3))]
     paused = [(w1 * 4, Fraction(1, 4)), (zero, Fraction(1, 4)), (-w2 * 2, Fraction(1, 2))]
     unequal = [(w1 * 2, Fraction(1, 2)), (w1 * 6, Fraction(1, 2)), (-w2, Fraction(0))]
     for segs in (odd, paused, unequal):
         path = ref.path_from_segments(segs)
-        moves = [(d * t, t) for d, t in segs if t]
+        moves = [(tuple(x * t for x in coords(d)), t) for d, t in segs if t]
         assert ref.segments(path) == ref.canonical(moves)
         integral = []
         for i in a2.indices:
@@ -242,9 +252,8 @@ def test_hand_built_paths_match_reference():
                 integral.append(i)
         assert integral
         _assert_matches_reference(a2, path, integral)
-    assert ref.path_from_segments(unequal).key() == (stretch_key(w1 * 4),)
-    assert ref.path_from_segments(odd).directions() == [(w1 - w2) * Fraction(3, 2),
-                                                         (w1 + w2) * Fraction(3, 4)]
+    assert ref.path_from_segments(unequal).key() == (w1 * 4,)
+    assert ref.path_from_segments(odd).directions() == [d for d, _ in odd]
 
 
 def test_constant_path_extrema():
@@ -265,7 +274,7 @@ def test_root_operators_reach_h_extrema(monkeypatch):
     # perfbench counts calls at the loom.paths:h_extrema binding; an
     # operator that bypassed it would leave that site without a call
     a2 = build_cartan("A", 2)
-    path = linear_path(a2.classical_fundamental(1))
+    path = linear_path(fund(a2, 1))
     calls = []
     original = loom.paths.h_extrema
 
@@ -283,8 +292,9 @@ def test_root_operators_reach_h_extrema(monkeypatch):
 
 def test_weights_and_paths_have_no_instance_dict():
     a2 = build_cartan("A", 2)
-    w = a2.classical_fundamental(1)
+    named = a2.classical_fundamental(1)
+    w = named.stretch()
     path = lowering_op(a2, linear_path(w), 1)
-    for obj in (w, w + w, -w, w * 2, Weight((1, 2, 3)), path, linear_path(w),
-                path.weight(), *path.key()):
+    for obj in (named, w, w + w, w - w, -w, w * 2, Weight((1, 2, 3)), path, linear_path(w),
+                path.endpoint(), *path.key()):
         assert not hasattr(obj, "__dict__"), type(obj)

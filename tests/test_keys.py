@@ -2,15 +2,17 @@
 
 A path key holds one reduced integer ``Stretch`` per straight stretch.
 The reference rebuilds every key as the tuple of its ``Weight``
-displacements, read by ``fraction_paths.segments``: the graph must emit
-its nodes in the lexicographic order of those weights' exact coordinates
-(``weights.order_key``) and render each key as they render.
-Every comparison of two stretches must agree with that of their weights,
-and so must every sum and difference of two stretches.
+displacements, named from the exact coordinates that
+``fraction_paths.segments`` reads: the graph must emit its nodes in the
+lexicographic order of those coordinates (``weights.order_key``) and
+render each key as they render.  Every comparison of two stretches must
+agree with that of their weights, and every sum, difference, negative and
+integer multiple with the ``Fraction`` arithmetic on their coordinates.
 """
 
 import itertools
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -21,12 +23,11 @@ from loom import (
     fundamental_crystal,
     path_crystal_window,
 )
-from loom.cartan import AmbientError, Weight
+from loom.cartan import AmbientError, Stretch, Weight
 from loom.crystals import key_str
 from loom.embedding import tensor_power_crystal
-from loom.paths import Stretch
 from fraction_paths import segments
-from weights import order_key
+from weights import coords, fund, named, order_key
 
 # C2 w2 and G2 w1 put breakpoints on the grids 2 and 6
 FUNDAMENTALS = (("A", 2, 1), ("B", 3, 1), ("C", 2, 2), ("G2", 2, 1), ("D", 4, 2))
@@ -35,7 +36,8 @@ FUNDAMENTALS = (("A", 2, 1), ("B", 3, 1), ("C", 2, 2), ("G2", 2, 1), ("D", 4, 2)
 def _weight_key(key, paths):
     """The key with every path key replaced by its tuple of displacement weights."""
     if key in paths:
-        return tuple(v for v, _ in segments(paths[key]))
+        affine = paths[key].ambient == "affine"
+        return tuple(named(v, affine) for v, _ in segments(paths[key]))
     if isinstance(key, tuple):
         return tuple(_weight_key(k, paths) for k in key)
     return key
@@ -79,7 +81,7 @@ def test_classical_and_affine_window_keys(label, rank, i):
     cartan = build_cartan(label, rank)
     base = fundamental_crystal(cartan, i)
     _assert_keys_match_weights(base, _paths(base))
-    window = path_crystal_window(cartan, cartan.classical_fundamental(i, classical=False), 2)
+    window = path_crystal_window(cartan, fund(cartan, i, classical=False), 2)
     _assert_keys_match_weights(window, _paths(window))
 
 
@@ -103,14 +105,15 @@ def _assert_order_matches_weights(stretches):
     weights = {s: order_key(s.weight()) for s in stretches}
     for a, b in itertools.permutations(stretches, 2):
         wa, wb = weights[a], weights[b]
-        assert (a < b, a > b, a <= b, a >= b) == (wa < wb, wb < wa, not wb < wa, not wa < wb), (a, b)
+        assert ((a < b, a > b, a <= b, a >= b)
+                == (wa < wb, wb < wa, not wb < wa, not wa < wb)), (a, b)
 
 
 @pytest.mark.parametrize("label,rank,i", FUNDAMENTALS)
 def test_stretch_order_is_weight_order(label, rank, i):
     cartan = build_cartan(label, rank)
     base = fundamental_crystal(cartan, i)
-    window = path_crystal_window(cartan, cartan.classical_fundamental(i, classical=False), 2)
+    window = path_crystal_window(cartan, fund(cartan, i, classical=False), 2)
     square = tensor_power_crystal(base, 2)
     found = set()
     for graph in (base, window, square):
@@ -142,12 +145,29 @@ def test_stretch_sum_and_difference_are_weight_sum_and_difference():
         # a rank-r weight has r + 1 coordinates, and one more entry when affine
         width = rng.randint(2, 8) + 1 + affine
         a, b = (_random_stretch(rng, width, affine) for _ in range(2))
-        for got, want in ((a + b, a.weight() + b.weight()), (a - b, a.weight() - b.weight())):
+        k = rng.randint(-4, 4)
+        ca, cb = coords(a), coords(b)
+        for got, want in ((a + b, tuple(x + y for x, y in zip(ca, cb))),
+                          (a - b, tuple(x - y for x, y in zip(ca, cb))),
+                          (-a, tuple(-x for x in ca)),
+                          (k * a, tuple(k * x for x in ca)), (a * k, tuple(k * x for x in ca))):
             assert isinstance(got, Stretch) and got.affine == affine
-            # never tuple concatenation: the result keeps the length and is reduced
+            # never tuple concatenation or repetition: the result keeps the length and is reduced
             assert len(got.nums) == width and got.den > 0
             assert gcd(got.den, *got.nums) == 1
-            assert got.weight() == want
+            assert coords(got) == want
+
+
+def test_stretch_scales_only_by_an_integer():
+    s = Stretch((1, -1, 0), 1, True)
+    assert 2 * s == s * 2 == Stretch((2, -2, 0), 1, True)
+    assert 0 * Stretch((1, 3), 2, False) == Stretch((0, 0), 1, False)
+    assert 2 * Stretch((1, 3), 2, False) == Stretch((1, 3), 1, False)
+    for other in (Fraction(1, 2), 0.5, s):
+        with pytest.raises(TypeError):
+            other * s
+        with pytest.raises(TypeError):
+            s * other
 
 
 def test_stretch_arithmetic_refuses_mixed_ambients_and_ranks():

@@ -40,7 +40,7 @@ def test_bent_fundamental_crystal(c2):
         if len(segments(base.nodes[k].element)) == 2
     ]
     assert len(bent) == 1
-    assert bent[0].weight().is_zero
+    assert not any(bent[0].endpoint().nums)
     assert breakpoints(bent[0]) == [0, Fraction(1, 2), 1]
 
 
@@ -90,7 +90,8 @@ def test_kappa_endpoints_on_grid_two(c2):
             assert kappa(table, base, b, n, 0) == 0
             assert kappa(table, base, b, n, 2 * table.grid) == n
             img = psi(table, base, (b, n))
-            assert img.path.weight().delta == n
+            end = img.path.endpoint()
+            assert end.nums[-1] == n * end.den
 
 
 def test_class_grading_is_operator_invariant(c2):

@@ -14,6 +14,9 @@ import ast
 import pathlib
 from collections import Counter
 
+import loom.cartan
+import loom.paths
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "loom"
 
@@ -77,3 +80,14 @@ def test_guard_names_unnamed_routes(tmp_path):
         "    def again(self):\n        return self.again\n")
     assert unnamed_routes(tmp_path, set()) == ["loom.a:orphan", "loom.a:K.again"]
     assert unnamed_routes(tmp_path, {("loom.a", "orphan")}) == ["loom.a:K.again"]
+
+
+def test_weight_keeps_only_its_name():
+    # every sum, multiple and reflection runs on the integer Stretch
+    tree = ast.parse((SRC / "cartan.py").read_text())
+    weight = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "Weight")
+    defined = {node.name for node in weight.body if isinstance(node, ast.FunctionDef)}
+    assert defined == {"__post_init__", "stretch", "__repr__"}
+    # paths imports the integer form, so loom.paths.Stretch keeps working
+    assert loom.paths.Stretch is loom.cartan.Stretch

@@ -1,29 +1,59 @@
 """Weight routes that only the tests read.
 
 The library never asks for an affine fundamental weight, the highest
-finite root, the level of a weight, or an order on ``Weight`` values;
-the tests use them to state expectations by an independent route.
+finite root, the level of a weight, a rational multiple of a weight or
+an order on ``Weight`` values; the tests use them to state expectations
+by an independent route.  A weight here is either a library
+:class:`~loom.cartan.Stretch` or its exact coordinates as a tuple of
+``Fraction`` values, null-root entry last when affine.
 """
 
 from fractions import Fraction
+from math import lcm
 
-from loom.cartan import Weight
+from loom.cartan import Stretch, Weight, frac
 
 
-def fundamental_weight(cartan, i: int) -> Weight:
+def coords(s: Stretch) -> tuple:
+    """The exact coordinates of a stretch, null-root entry last when affine."""
+    return tuple(Fraction(x, s.den) for x in s.nums)
+
+
+def stretch_of(v, affine: bool) -> Stretch:
+    """The reduced stretch with the exact coordinates v."""
+    den = lcm(*(x.denominator for x in v))
+    return Stretch(tuple(x.numerator * (den // x.denominator) for x in v), den, affine)
+
+
+def scaled(c, s: Stretch) -> Stretch:
+    """The stretch of c times s for an integer or ``Fraction`` c."""
+    return stretch_of(tuple(frac(c) * x for x in coords(s)), s.affine)
+
+
+def named(v, affine: bool) -> Weight:
+    """The named weight with the exact coordinates v."""
+    return Weight(v[:-1], v[-1]) if affine else Weight(v)
+
+
+def fund(cartan, i: int = 1, classical: bool = True) -> Stretch:
+    """The level-zero fundamental weight i, as the library's seeds read it."""
+    return cartan.classical_fundamental(i, classical=classical).stretch()
+
+
+def fundamental_weight(cartan, i: int) -> Stretch:
     """The i-th affine fundamental weight, null-root coefficient zero."""
     cartan._check_index(i)
-    return Weight(tuple(Fraction(1 if j == i else 0) for j in cartan.indices), Fraction(0))
+    return Stretch(tuple(int(j == i) for j in cartan.indices) + (0,), 1, True)
 
 
-def highest_finite_root(cartan) -> Weight:
+def highest_finite_root(cartan) -> Stretch:
     """theta as a classical weight; the node-0 root projects to -theta."""
-    return -cartan.simple_root(0).classical()
+    return -cartan.simple_root(0, classical=True)
 
 
-def level(cartan, w: Weight) -> Fraction:
+def level(cartan, w: Stretch) -> Fraction:
     """Sum over i of comark i times the i-th coordinate of w."""
-    return sum((cartan.comarks[i] * w.coords[i] for i in cartan.indices), Fraction(0))
+    return Fraction(sum(cartan.comarks[i] * w.nums[i] for i in cartan.indices), w.den)
 
 
 def order_key(w: Weight) -> tuple:
