@@ -351,11 +351,10 @@ class AffineCartan:
         coords[0] = -self.comarks[i]
         return Weight(tuple(coords), None if classical else 0)
 
-    def simple_root(self, j: int, classical: bool = False) -> Stretch:
-        """alpha_j in the fundamental-weight basis, with its null-root part unless classical."""
+    def simple_root(self, j: int) -> Stretch:
+        """The classical alpha_j in the fundamental-weight basis."""
         self._check_index(j)
-        root = self.roots[j]
-        return Stretch(root[:-1], 1, False) if classical else Stretch(root, 1, True)
+        return Stretch(self.roots[j][:-1], 1, False)
 
     def _check_index(self, i: int):
         if not 0 <= i <= self.rank:
@@ -364,6 +363,8 @@ class AffineCartan:
     def reflect(self, i: int, w: Stretch) -> Stretch:
         """s_i w = w - <h_i, w> alpha_i; a classical w zips away the null-root entry."""
         self._check_index(i)
+        if len(w.nums) != self.rank + 1 + w.affine:
+            raise AmbientError("weight of another rank than the cartan")
         c = w.nums[i]
         if c == 0:
             return w

@@ -16,7 +16,7 @@ import re
 import sys
 import tempfile
 
-from .cartan import CartanError, Weight, build_cartan
+from .cartan import Weight, build_cartan
 from .crystals import NodeCapError, TensorOps, generate
 from .embedding import affinized_tensor_crystal, fundamental_crystal, path_crystal_window
 from .verify import SUITE_ALIASES, SUITES, run_suite, suite_params
@@ -47,9 +47,10 @@ def parse_weight_label(cartan, text: str) -> Weight:
     squeezed = text.replace(" ", "")
     if not squeezed:
         raise ValueError("empty weight label")
-    coords, delta = [0] * len(cartan.indices), 0
+    delta = cartan.null_root().stretch()
+    total = 0 * delta
     if squeezed in ("0", "+0", "-0"):
-        return Weight(tuple(coords), delta)
+        return total.weight()
     pos = 0
     pattern = re.compile(r"([+-]?)(\d*)(?:w(\d+)|d)")
     while pos < len(squeezed):
@@ -59,14 +60,12 @@ def parse_weight_label(cartan, text: str) -> Weight:
         sign, count, index = m.groups()
         coeff = (-1 if sign == "-" else 1) * (int(count) if count else 1)
         if index is None:
-            delta += coeff
-        elif 1 <= int(index) <= cartan.rank:
-            coords[int(index)] += coeff
-            coords[0] -= coeff * cartan.comarks[int(index)]
+            total = total + coeff * delta
         else:
-            raise CartanError("classical fundamental index must be in 1..rank")
+            fw = cartan.classical_fundamental(int(index), classical=False)
+            total = total + coeff * fw.stretch()
         pos = m.end()
-    return Weight(tuple(coords), delta)
+    return total.weight()
 
 
 def _emit(args, text: str):

@@ -77,7 +77,7 @@ def suite_normality(cartan: AffineCartan, i: int, power: int, **kw) -> dict:
     rep.count("string_lengths_and_quasi_inverse", graph.normality_audit(),
               "node-index pairs and edges")
     # node weights and simple roots are integer stretches
-    alphas = {j: cartan.simple_root(j, classical=True) for j in graph.indices}
+    alphas = {j: cartan.simple_root(j) for j in graph.indices}
     rep.count("weight_gradient", (graph.nodes[src].wt - graph.nodes[dst].wt == alphas[j]
                                   for (src, j), dst in graph.f_edges.items()), "edges")
     # <h_j, wt> is the j-th coordinate of the weight

@@ -89,7 +89,7 @@ def _operator_identity_checks(cartan, graph):
     ok = holds(graph.normality_audit())
     wt = {key: coords(node.wt) for key, node in graph.nodes.items()}
     for (src, i), dst in graph.f_edges.items():
-        alpha = coords(cartan.simple_root(i, classical=True))
+        alpha = coords(cartan.simple_root(i))
         ok &= wt[dst] == tuple(x - y for x, y in zip(wt[src], alpha))
     for key, node in graph.nodes.items():
         for pos, i in enumerate(graph.indices):

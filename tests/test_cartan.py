@@ -19,7 +19,7 @@ from loom import (
 from loom.cartan import eliminate, replay, solve_square
 from loom.qfield import Q_ONE, Q_ZERO, QScalar
 from fraction_paths import segments
-from weights import coords, fund, fundamental_weight, highest_finite_root, level
+from weights import affine_root, coords, fund, fundamental_weight, highest_finite_root, level
 
 
 def test_a1_matrix_and_null_vectors(a1):
@@ -39,7 +39,7 @@ def test_c2_marks_and_delta_expansion(c2):
     assert c2.marks == (1, 2, 1)
     total = 0 * c2.null_root().stretch()
     for j in c2.indices:
-        total = total + c2.marks[j] * c2.simple_root(j)
+        total = total + c2.marks[j] * affine_root(c2, j)
     assert total == c2.null_root().stretch()
 
 
@@ -144,14 +144,15 @@ def test_pairing_basics(a1, a2):
 
 
 def test_simple_roots(a1, a2, c2):
-    assert a1.simple_root(1) == Stretch((-2, 2, 0), 1, True)
-    assert a1.simple_root(0) == Stretch((2, -2, 1), 1, True)
-    assert a1.simple_root(0, classical=True) == Stretch((2, -2), 1, False)
+    assert affine_root(a1, 1) == Stretch((-2, 2, 0), 1, True)
+    assert affine_root(a1, 0) == Stretch((2, -2, 1), 1, True)
+    assert a1.simple_root(1) == Stretch((-2, 2), 1, False)
+    assert a1.simple_root(0) == Stretch((2, -2), 1, False)
     for cartan in (a1, a2, c2):
         for j in cartan.indices:
-            assert level(cartan, cartan.simple_root(j)) == 0
-            # the one root table: reflect and the root operators read the same row
-            assert cartan.simple_root(j).nums == cartan.roots[j]
+            assert level(cartan, affine_root(cartan, j)) == 0
+            # the one root table: simple_root, reflect and the root operators read the same row
+            assert cartan.simple_root(j).nums + (int(j == 0),) == cartan.roots[j]
 
 
 def test_reflections(a1):
@@ -171,7 +172,7 @@ def test_reflections(a1):
             assert coords(r)[i] == -coords(w)[i]
             # s_i w = w - <h_i, w> alpha_i, in Fraction coordinates
             assert coords(r) == tuple(x - coords(w)[i] * y
-                                      for x, y in zip(coords(w), a1.simple_root(i).nums))
+                                      for x, y in zip(coords(w), affine_root(a1, i).nums))
             if i != 0:
                 assert coords(r)[-1] == coords(w)[-1]
             if w.nums[i] == 0:
@@ -194,9 +195,9 @@ def test_classical_projection(a1):
     def classical(w):
         return Stretch(w.nums[:-1], w.den, False)
 
-    alpha0 = a1.simple_root(0)
+    alpha0 = affine_root(a1, 0)
     theta = highest_finite_root(a1)
-    assert classical(alpha0) == a1.simple_root(0, classical=True) == -theta
+    assert classical(alpha0) == a1.simple_root(0) == -theta
     assert classical(alpha0) == Weight((2, -2)).stretch()
     w = (3 * fund(a1, 1, classical=False)
          + 2 * a1.null_root().stretch())
@@ -214,13 +215,19 @@ def test_classical_fundamentals(a1, a2, c2):
         a1.classical_fundamental(2)
 
 
-def test_ambient_mixing_rejected(a1):
+def test_ambient_mixing_rejected(a1, a2):
     classical = fund(a1, 1)
     affine = fundamental_weight(a1, 1)
     with pytest.raises(AmbientError):
         classical + affine
     with pytest.raises(AmbientError):
         affine - classical
+    # a reflection refuses a weight of another rank, classical or affine
+    for cartan, w in ((a1, fund(a2, 1)), (a1, fundamental_weight(a2, 1)),
+                      (a2, classical), (a2, affine)):
+        for i in cartan.indices:
+            with pytest.raises(AmbientError):
+                cartan.reflect(i, w)
 
 
 def test_cartan_json_fixture(a1):

@@ -186,7 +186,7 @@ def test_operator_weight_gradient(a2, a2_base):
         for i in a2.indices:
             down = lowering_op(a2, path, i)
             if down is not None:
-                assert down.endpoint() == path.endpoint() - a2.simple_root(i, classical=True)
+                assert down.endpoint() == path.endpoint() - a2.simple_root(i)
 
 
 def test_weyl_action(a1, a2):

@@ -1,9 +1,9 @@
 """Weight routes that only the tests read.
 
-The library never asks for an affine fundamental weight, the highest
-finite root, the level of a weight, a rational multiple of a weight or
-an order on ``Weight`` values; the tests use them to state expectations
-by an independent route.  A weight here is either a library
+The library never asks for an affine fundamental weight, an affine
+simple root, the highest finite root, the level of a weight, a rational
+multiple of a weight or an order on ``Weight`` values; the tests use
+them to state expectations by an independent route.  A weight here is either a library
 :class:`~loom.cartan.Stretch` or its exact coordinates as a tuple of
 ``Fraction`` values, null-root entry last when affine.
 """
@@ -46,9 +46,15 @@ def fundamental_weight(cartan, i: int) -> Stretch:
     return Stretch(tuple(int(j == i) for j in cartan.indices) + (0,), 1, True)
 
 
+def affine_root(cartan, j: int) -> Stretch:
+    """alpha_j with its null-root entry, as the cartan's root table holds it."""
+    cartan._check_index(j)
+    return Stretch(cartan.roots[j], 1, True)
+
+
 def highest_finite_root(cartan) -> Stretch:
     """theta as a classical weight; the node-0 root projects to -theta."""
-    return -cartan.simple_root(0, classical=True)
+    return -cartan.simple_root(0)
 
 
 def level(cartan, w: Stretch) -> Fraction:
