@@ -27,11 +27,9 @@ from .energy import (
     refined_major_index,
 )
 from .embedding import (
-    PsiImage,
     affinized_tensor_crystal,
     c_class,
     fundamental_crystal,
-    kappa,
     path_crystal_window,
     psi,
     verify_decomposition,

@@ -165,9 +165,7 @@ class CrystalGraph:
         for k in keys:
             n = self.nodes[k]
             entry = {"id": ids[k], "eps": list(n.eps), "phi": list(n.phi)}
-            if not isinstance(n.wt, Stretch):
-                entry["wt"] = repr(n.wt)
-            elif n.wt.affine:
+            if n.wt.affine:
                 *entry["wt"], entry["wt_delta"] = _ratios(n.wt)
             else:
                 entry["wt"] = _ratios(n.wt)

@@ -13,13 +13,13 @@ Every check over a collection is recorded by :meth:`Report.count`, whose
 detail reads "N <items> compared, K skipped" and which fails when N is 0.
 :func:`preserves_operators` is the one such check that a map commutes
 with the root operators; ``decompose``, ``concat`` and ``xi`` all use it.
+:func:`psi_checks` records the checks on the images of :func:`psi` for
+both ``psi`` and ``decompose``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .cartan import AffineCartan, Stretch
@@ -48,53 +48,24 @@ class EmbeddingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PsiImage:
-    """Image of one affinised tensor element.
-
-    ``heights`` keeps the null-root heights of the raw uniform turning
-    points, so they stay auditable after collinear stretches merge.
-    """
-
-    path: Path
-    heights: tuple[Fraction, ...]
-
-
-def kappa(table: EnergyTable, graph: CrystalGraph, factors, degree: int, j: int) -> Fraction:
-    """Null-root height of the j-th uniform turning point of the image."""
-    grid = table.grid
-    word = refine(graph, factors, grid)
-    total = grid * len(factors)
-    if not 0 <= j <= total:
-        raise EmbeddingError("turning point index out of range")
-    if j == 0:
-        return Fraction(0)
-    maj = major_index(table, word)
-    chis = [table.value(word[s - 1], word[s]) for s in range(1, total)]
-    head = Fraction(j, total) * (Fraction(maj, grid) + degree)
-    early = sum((Fraction(s * chis[s - 1], grid) for s in range(1, j)), Fraction(0))
-    late = sum((Fraction(j * chis[s - 1], grid) for s in range(j, total)), Fraction(0))
-    return head - early - late
-
-
-def psi(table: EnergyTable, graph: CrystalGraph, element) -> PsiImage:
+def psi(table: EnergyTable, graph: CrystalGraph, element) -> Path:
     """Map one affinised tensor element to its affine path.
 
     ``element`` is a pair (factor keys, degree).  The classical turning
     points come from the uniform refinement; each is lifted by its exact
-    null-root height ``kappa``, read off two running sums of the adjacent
-    energies in one pass as an integer numerator over ``total * grid``.
-    The image is built in grid form over one common denominator, each of
-    the ``total`` stretches one cell long, and goes straight to
-    :func:`make_path`; only ``heights`` holds ``Fraction`` values.
+    null-root height, read off two running sums of the adjacent energies
+    in one pass as an integer numerator over ``total * grid``.  The image
+    is built in grid form over one common denominator, each of the
+    ``total`` stretches one cell long, and goes straight to
+    :func:`make_path`.
     """
     factors, degree = element
     grid = table.grid
     word = refine(graph, factors, grid)
     total = len(word)
     chis = [table.value(a, b) for a, b in zip(word, word[1:])]
-    # total grid kappa_j = j (maj + grid degree)
-    #                      - total (sum_{s<j} s chi_s + j sum_{s>=j} chi_s)
+    # total grid times the height of turning point j:
+    # j (maj + grid degree) - total (sum_{s<j} s chi_s + j sum_{s>=j} chi_s)
     head = sum(s * chi for s, chi in enumerate(chis, 1)) + grid * degree
     early, late = 0, sum(chis)
     nums = [0]
@@ -110,11 +81,10 @@ def psi(table: EnergyTable, graph: CrystalGraph, element) -> PsiImage:
     scaled = {k: tuple([x * len(factors) * (den // w.den) for x in w.nums])
               for k, w in wts.items()}
     dirs = [scaled[k] + ((b - a) * (den // grid),) for k, a, b in zip(word, nums, nums[1:])]
-    path = make_path(den, total, dirs, [1] * total, "affine", len(scaled[word[0]]))
-    return PsiImage(path=path, heights=tuple([Fraction(h, total * grid) for h in nums]))
+    return make_path(den, total, dirs, [1] * total, "affine", len(scaled[word[0]]))
 
 
-def c_class(table: EnergyTable, graph: CrystalGraph, element, m: int) -> int:
+def c_class(table: EnergyTable, element, m: int) -> int:
     """Residue class of the major index plus the degree.
 
     The major index is taken over the unrefined factors: a 0-labelled
@@ -260,6 +230,31 @@ def preserves_operators(rep: Report, name: str, cartan: AffineCartan, ops, image
     rep.count(name, outcomes(), "moves")
 
 
+def psi_checks(rep: Report, base: CrystalGraph, table: EnergyTable, aff: CrystalGraph,
+               fw: Stretch, delta: Stretch) -> dict:
+    """Map every node of ``aff`` through :func:`psi` and count the three psi checks.
+
+    m and the window are read off ``aff``; ``fw`` is the level-zero
+    fundamental weight and ``delta`` the null root.  Returns the images,
+    keyed by node in sorted order.
+
+    - ``psi_injective``: the image key of each node occurs once;
+    - ``psi_of_straight_seeds``: the seed tuple at each degree n of the window
+      goes to the straight path to m fw + n delta; a missing seed node fails;
+    - ``psi_endpoint_law``: every image ends at its node's weight.
+    """
+    seed, window = aff.seed[0], aff.window
+    images = {key: psi(table, base, key) for key in aff.sorted_keys()}
+    image_keys = Counter(img.key() for img in images.values())
+    rep.count("psi_injective", (image_keys[img.key()] == 1 for img in images.values()), "nodes")
+    rep.count("psi_of_straight_seeds",
+              ((seed, n) in images and images[seed, n] == linear_path(len(seed) * fw + n * delta)
+               for n in range(-window, window + 1)), "degrees")
+    rep.count("psi_endpoint_law",
+              (img.endpoint() == aff.nodes[key].wt for key, img in images.items()), "nodes")
+    return images
+
+
 def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
                          *, node_cap=None) -> dict:
     """Windowed check that the embedding splits into the straight-seed pieces.
@@ -271,10 +266,8 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
     m fw + r delta; the first m pieces are the decomposition.  Pieces r and
     r + m share one :class:`PathOps` table, and no piece graph is kept.  The checks:
 
-    - ``psi_injective``: the image key of each node occurs once;
-    - ``psi_of_straight_seeds``: the seed tuple at degree n goes to the
-      straight path to m fw + n delta;
-    - ``psi_endpoint_law``: every image ends at its node's weight;
+    - ``psi_injective``, ``psi_of_straight_seeds`` and ``psi_endpoint_law``
+      over every node of the window, recorded by :func:`psi_checks`;
     - ``pieces_pairwise_disjoint``: each node of the m pieces lies in
       exactly one of them;
     - ``image_equals_union``: the inner image is that union, which is not
@@ -289,9 +282,8 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
       shifted seed inside the window;
     - ``no_edge_crosses_classes``: every edge joins two nodes of one class.
 
-    Every other check, over nodes, degrees, classes, moves, shifts or
-    edges, goes through :meth:`Report.count`, so it counts what it compared
-    and fails on none.
+    Every other check goes through :meth:`Report.count`, so it counts what
+    it compared and fails on none.
 
     Returns the ``decompose`` suite's :class:`Report` record, with the
     node counts added under ``counts``; every check must pass for the verdict.
@@ -311,10 +303,10 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
     delta = cartan.null_root().stretch()
     inner = window - 1
 
-    keys = aff.sorted_keys()
-    images = {key: psi(table, base, key).path for key in keys}
-    classes = {key: c_class(table, base, key, m) for key in keys}
-    inner_keys = [key for key in keys if abs(key[1]) <= inner]
+    rep = Report("decompose", type=cartan.name, i=i, power=m, window=window)
+    images = psi_checks(rep, base, table, aff, fw, delta)
+    classes = {key: c_class(table, key, m) for key in images}
+    inner_keys = [key for key in images if abs(key[1]) <= inner]
 
     pieces = [None] * min(2 * m, window + 1)
     for r in range(m):
@@ -332,14 +324,6 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
     piece_counts = Counter(k for piece in pieces[:m] for k in piece)
     union = set(piece_counts)
 
-    rep = Report("decompose", type=cartan.name, i=i, power=m, window=window)
-    image_keys = Counter(img.key() for img in images.values())
-    rep.count("psi_injective", (image_keys[img.key()] == 1 for img in images.values()), "nodes")
-    rep.count("psi_of_straight_seeds",
-              (images[((base.seed,) * m, n)] == linear_path(m * fw + n * delta)
-               for n in range(-window, window + 1)), "degrees")
-    rep.count("psi_endpoint_law",
-              (img.endpoint() == aff.nodes[key].wt for key, img in images.items()), "nodes")
     rep.count("pieces_pairwise_disjoint", (n == 1 for n in piece_counts.values()), "nodes")
     rep.check("image_equals_union", bool(union) and image == union,
               "image %d, union %d" % (len(image), len(union)))

@@ -9,6 +9,8 @@ by :meth:`~loom.embedding.Report.count`, so its detail says how many items
 it compared and skipped, and it fails when it compared none.  The normality
 and energy audits hand it one outcome per item they compared, and the sl2
 transition tables are compared key by key over the union of their keys.
+The ``psi`` suite records ``decompose``'s psi checks through
+:func:`~loom.embedding.psi_checks`, also at powers above the window.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import inspect
 import itertools
 import random
-from collections import Counter
 
 from .cartan import AffineCartan, build_cartan
 from .crystals import TensorOps, check_node_cap, generate, moves
@@ -24,10 +25,9 @@ from .embedding import (
     Report,
     affinized_tensor_crystal,
     fundamental_crystal,
-    kappa,
     path_crystal_window,
     preserves_operators,
-    psi,
+    psi_checks,
     verify_decomposition,
 )
 from .energy import (
@@ -208,22 +208,9 @@ def suite_psi(cartan: AffineCartan, i: int, power: int, window: int, **kw) -> di
     rep = Report("psi", type=cartan.name, i=i, power=power, window=window)
     base = fundamental_crystal(cartan, i, **kw)
     table = energy_table(base, **kw)
-    total = table.grid * power
-    # the first turning point sits at height 0 and the last at the degree
-    rep.count("kappa_endpoints",
-              (kappa(table, base, b, n, j) == (n if j else 0)
-               for b in _power_keys(base, power, **kw) for n in range(-2, 3) for j in (total, 0)),
-              "endpoints")
     aff = affinized_tensor_crystal(base, power, window, **kw)
-    images = {key: psi(table, base, key) for key in aff.sorted_keys()}
-    image_keys = Counter(im.path.key() for im in images.values())
-    rep.count("injective", (image_keys[im.path.key()] == 1 for im in images.values()), "nodes")
-    fw = cartan.classical_fundamental(i, classical=False).stretch()
-    delta = cartan.null_root().stretch()
-    seed = (base.seed,) * power
-    rep.count("straight_seeds",
-              ((seed, n) in images and images[seed, n].path == linear_path(power * fw + n * delta)
-               for n in range(-window, window + 1)), "degrees")
+    psi_checks(rep, base, table, aff, cartan.classical_fundamental(i, classical=False).stretch(),
+               cartan.null_root().stretch())
     return rep.done()
 
 

@@ -13,7 +13,8 @@ against the interval it reflects through the columns of the Cartan
 matrix, and a canonical form that drops pauses, rescales the durations
 and merges collinear neighbours.
 The integer grid kernel in ``loom.paths`` must agree with it on every
-field.
+field.  ``kappa`` is the single-point ``Fraction`` formula for the
+null-root height of one turning point of ``loom.embedding.psi``'s image.
 """
 
 from collections import namedtuple
@@ -21,8 +22,9 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
-from loom import AmbientError, PathError, make_path
+from loom import AmbientError, PathError, major_index, make_path, refine
 from loom.cartan import frac
+from loom.embedding import EmbeddingError
 from weights import coords
 
 Extrema = namedtuple("Extrema", "max_value eps e_minus e_plus f_plus f_minus end")
@@ -65,6 +67,23 @@ def path_from_segments(segs, ambient=None, ncoords=None):
     if sum(times) != 1 and not path.is_constant:
         raise PathError("durations must sum to one")
     return path
+
+
+def kappa(table, graph, factors, degree, j):
+    """Null-root height of the j-th uniform turning point of the image."""
+    grid = table.grid
+    word = refine(graph, factors, grid)
+    total = grid * len(factors)
+    if not 0 <= j <= total:
+        raise EmbeddingError("turning point index out of range")
+    if j == 0:
+        return Fraction(0)
+    maj = major_index(table, word)
+    chis = [table.value(word[s - 1], word[s]) for s in range(1, total)]
+    head = Fraction(j, total) * (Fraction(maj, grid) + degree)
+    early = sum((Fraction(s * chis[s - 1], grid) for s in range(1, j)), Fraction(0))
+    late = sum((Fraction(j * chis[s - 1], grid) for s in range(j, total)), Fraction(0))
+    return head - early - late
 
 
 def segments(path):

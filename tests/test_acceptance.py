@@ -21,7 +21,6 @@ from loom import (
     fundamental_crystal,
     generate,
     h_extrema,
-    kappa,
     linear_path,
     lowering_op,
     project,
@@ -37,7 +36,7 @@ from loom.paths import uniform_stretches
 from loom.qfield import QScalar, qbinom, qint
 from loom import sl2
 from coproduct import act_E_div_split, act_F_div_split
-from fraction_paths import rational_extrema, segments
+from fraction_paths import kappa, rational_extrema, segments
 from outcomes import holds
 from qscalars import bar, is_laurent
 from weights import coords, fund

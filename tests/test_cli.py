@@ -122,12 +122,13 @@ def test_affinized_node_cap_exit_code(tmp_path):
 ], ids=["maj", "psi", "energy-square", "concat-square", "maj-square", "sl2"])
 def test_power_over_node_cap_exit_code(tmp_path, monkeypatch, argv):
     # the cap is checked before any loop over the 2**3 tuples or the 3**2
-    # pairs, and before any vector of the 5 x 5 sl2 tags is built
+    # pairs, and before any vector of the 5 x 5 sl2 tags is built; psi's
+    # closure of the 2**3 tuples stops at the cap before any image is made
     def untouched(*args):
         raise AssertionError("product loop ran over the node cap")
 
     monkeypatch.setattr("loom.verify.major_index", untouched)
-    monkeypatch.setattr("loom.verify.kappa", untouched)
+    monkeypatch.setattr("loom.embedding.psi", untouched)
     monkeypatch.setattr("loom.verify.concat", untouched)
     monkeypatch.setattr("loom.sl2.StringLattice", untouched)
     monkeypatch.setattr("loom.sl2.TensorVector.basis", untouched)

@@ -14,7 +14,6 @@ from loom import (
     concat,
     energy_table,
     fundamental_crystal,
-    kappa,
     linear_path,
     path_crystal_window,
     project,
@@ -27,7 +26,7 @@ from loom.cli import main
 from loom.crystals import moves
 from loom.embedding import EmbeddingError, Report, tensor_power_crystal
 from loom.verify import run_suite
-from fraction_paths import path_from_segments
+from fraction_paths import kappa, path_from_segments
 from isomorphism import isomorphic
 from weights import coords, fund, scaled, stretch_of
 
@@ -65,17 +64,20 @@ def test_psi_fixtures(a1, a1_base, a1_energy):
     fw = fund(a1, 1, classical=False)
     delta = a1.null_root().stretch()
     img = psi(a1_energy, a1_base, ((kp, kp), 0))
-    assert img.path == linear_path(2 * fw)
+    assert img == linear_path(2 * fw)
     bent = psi(a1_energy, a1_base, ((kp, km), 0))
-    assert bent.path.key()[0] == fw - scaled(Fraction(1, 2), delta)
-    assert not any(bent.path.endpoint().nums)
-    assert bent.heights == (0, Fraction(-1, 2), 0)
+    assert bent.key()[0] == fw - scaled(Fraction(1, 2), delta)
+    assert not any(bent.endpoint().nums)
+    # the turning points sit at the heights 0, -1/2 and 0
+    assert _grid_form(bent) == _grid_form(
+        _from_heights(a1_base, a1_energy, (kp, km), (0, Fraction(-1, 2), 0)))
 
-    lifted = raising_op(a1, bent.path, 0)
+    lifted = raising_op(a1, bent, 0)
     other = psi(a1_energy, a1_base, ((km, km), 1))
-    assert lifted == other.path
-    assert other.path.endpoint() == -2 * fw + delta
-    assert other.heights[1] == Fraction(1, 2)
+    assert lifted == other
+    assert other.endpoint() == -2 * fw + delta
+    assert _grid_form(other) == _grid_form(
+        _from_heights(a1_base, a1_energy, (km, km), (0, Fraction(1, 2), 1)))
 
 
 def test_psi_projects_to_concatenation(a1, a1_base, a1_energy):
@@ -83,24 +85,24 @@ def test_psi_projects_to_concatenation(a1, a1_base, a1_energy):
         for n in (-1, 0, 2):
             img = psi(a1_energy, a1_base, (b, n))
             shadow = concat([a1_base.nodes[k].element for k in b])
-            assert project(img.path) == shadow
+            assert project(img) == shadow
 
 
 def test_c_class(a1, a1_base, a1_energy):
     kp, km = a1_keys(a1)
     for m in (2, 3):
         for r in range(-3, 4):
-            assert c_class(a1_energy, a1_base, ((kp,) * m, r), m) == r % m
-    assert c_class(a1_energy, a1_base, ((kp, km), 0), 2) == 1
+            assert c_class(a1_energy, ((kp,) * m, r), m) == r % m
+    assert c_class(a1_energy, ((kp, km), 0), 2) == 1
     # degrees -1..1 keep every neighbour inside the window 2
     aff = affinized_tensor_crystal(a1_base, 2, 2)
     for b in itertools.product(a1_base.sorted_keys(), repeat=2):
         for n in (-1, 0, 1):
             x = (b, n)
-            before = c_class(a1_energy, a1_base, x, 2)
+            before = c_class(a1_energy, x, 2)
             for _i, _kind, moved in moves(aff, x):
                 if moved is not None:
-                    assert c_class(a1_energy, a1_base, moved, 2) == before
+                    assert c_class(a1_energy, moved, 2) == before
 
 
 def _subgraph(graph, keep):
@@ -125,21 +127,21 @@ def test_image_isomorphic_to_straight_piece(a1, a1_base, a1_energy):
 
     inner_class0 = {
         k for k in aff.nodes
-        if abs(k[1]) <= window - 1 and c_class(a1_energy, a1_base, k, m) == 0
+        if abs(k[1]) <= window - 1 and c_class(a1_energy, k, m) == 0
     }
     ops = PathOps(a1, "affine")
     image_nodes = {}
     image_edges = {}
     for k in inner_class0:
-        path = images[k].path
+        path = images[k]
         eps, phi = zip(*(ops.strings(path, i) for i in a1.indices))
         image_nodes[path.key()] = Node(path, path.endpoint(), eps, phi)
     for (src, i), dst in aff.f_edges.items():
         if src in inner_class0 and dst in inner_class0:
-            image_edges[(images[src].path.key(), i)] = images[dst].path.key()
+            image_edges[(images[src].key(), i)] = images[dst].key()
     image_graph = CrystalGraph(
         label="psi-image", indices=tuple(a1.indices), nodes=image_nodes,
-        f_edges=image_edges, seed=images[((a1_base.seed,) * m, 0)].path.key(),
+        f_edges=image_edges, seed=images[((a1_base.seed,) * m, 0)].key(),
         truncated=True, window=window - 1,
     )
 
@@ -182,7 +184,7 @@ def test_m1_image_matches_piece(a1, a1_base, a1_energy):
         k for k in piece.nodes if abs(coords(piece.nodes[k].wt)[-1]) <= window - 1
     }
     inner_images = {
-        psi(a1_energy, a1_base, k).path.key()
+        psi(a1_energy, a1_base, k).key()
         for k in aff.nodes if abs(k[1]) <= window - 1
     }
     assert inner_images == inner_piece
@@ -195,7 +197,8 @@ def test_psi_heights_match_single_point_kappa(label, rank, m, window):
     # psi reads every height off two running sums as integer numerators and
     # assembles its grid form over one common denominator; kappa is the
     # single-point Fraction formula, recomputed on its own for each j, and
-    # the image is rebuilt from Fraction coordinates through path_from_segments.
+    # the image is rebuilt from those heights through path_from_segments, so
+    # equal grid forms mean psi's image is the path through kappa's heights.
     # G2 w1 has grid 6, with base paths on the grids 1, 2, 3 and 6
     cartan = build_cartan(label, rank)
     base = fundamental_crystal(cartan, 2 if label == "C" else 1)
@@ -207,12 +210,8 @@ def test_psi_heights_match_single_point_kappa(label, rank, m, window):
     for factors, degree in aff.sorted_keys():
         image = psi(table, base, (factors, degree))
         heights = [kappa(table, base, factors, degree, j) for j in range(total + 1)]
-        assert image.heights == tuple(heights)
-        letters = [coords(base.nodes[k].wt) for k in refine(base, factors, grid)]
-        segs = [(stretch_of(tuple(c * m for c in w) + ((h1 - h0) * total,), True),
-                 Fraction(1, total)) for w, h0, h1 in zip(letters, heights, heights[1:])]
-        want = path_from_segments(segs, ambient="affine", ncoords=len(letters[0]))
-        assert _grid_form(image.path) == _grid_form(want), (factors, degree)
+        want = _from_heights(base, table, factors, heights)
+        assert _grid_form(image) == _grid_form(want), (factors, degree)
 
 
 CHECK_NAMES = [
@@ -311,16 +310,16 @@ def _checks(report):
     return {c["name"]: (c["pass"], c["detail"]) for c in report["checks"]}
 
 
-def test_every_decomposition_check_can_fail(a1, monkeypatch):
+def test_every_decomposition_check_can_fail(a1, a1_base, monkeypatch):
     import loom.embedding as emb
 
     m, window = 2, 3
     real_class, real_psi, real_window = emb.c_class, emb.psi, emb.path_crystal_window
 
-    def wrong_class(table, graph, element, m):
+    def wrong_class(table, element, m):
         factors, degree = element
-        moved = degree == 0 and factors == (graph.seed,) * m
-        return (real_class(table, graph, element, m) + moved) % m
+        moved = degree == 0 and factors == (a1_base.seed,) * m
+        return (real_class(table, element, m) + moved) % m
 
     with monkeypatch.context() as mp:
         mp.setattr(emb, "c_class", wrong_class)
@@ -389,7 +388,7 @@ def test_a_class_with_no_image_and_no_piece_is_skipped(a1, monkeypatch):
             return CrystalGraph("empty", cartan.indices, {}, {}, None)
         return real_window(cartan, seed, window, **kw)
 
-    monkeypatch.setattr(emb, "c_class", lambda table, graph, element, m: 0)
+    monkeypatch.setattr(emb, "c_class", lambda table, element, m: 0)
     monkeypatch.setattr(emb, "path_crystal_window", even_pieces_only)
     checks = _checks(verify_decomposition(a1, 1, 2, 3))
     # class 1 has no image and piece 1 is empty; class 0 holds all 20 inner images
@@ -420,7 +419,7 @@ def test_operator_check_scans_each_image_once_per_index(a1, a1_base, monkeypatch
     want = {(key, i) for key in inner for i, _kind, target in moves(aff, key)
             if target is None or target in inner}
     table = energy_table(a1_base)
-    images = {psi(table, a1_base, key).path.key(): key for key in inner}
+    images = {psi(table, a1_base, key).key(): key for key in inner}
     calls, original = [], loom.paths.h_extrema
 
     def counting(cartan, path, i):
@@ -464,6 +463,15 @@ def test_count_fails_on_a_false_or_when_it_compared_nothing(outcomes, want):
 
 def _grid_form(path):
     return path.m, path.n, path.dirs, path.cells
+
+
+def _from_heights(base, table, factors, heights):
+    """The image of ``factors`` rebuilt from the Fraction heights of its turning points."""
+    m, total = len(factors), len(heights) - 1
+    letters = [coords(base.nodes[k].wt) for k in refine(base, factors, table.grid)]
+    segs = [(stretch_of(tuple(c * m for c in w) + ((h1 - h0) * total,), True),
+             Fraction(1, total)) for w, h0, h1 in zip(letters, heights, heights[1:])]
+    return path_from_segments(segs, ambient="affine", ncoords=len(letters[0]))
 
 
 @pytest.mark.parametrize("label,rank,i,m,window", [

@@ -17,14 +17,13 @@ from loom import (
     energy_edge_check,
     energy_table,
     fundamental_crystal,
-    kappa,
     major_index,
     psi,
     refine,
     verify_decomposition,
 )
 from loom.crystals import moves
-from fraction_paths import breakpoints, segments
+from fraction_paths import breakpoints, kappa, segments
 from outcomes import holds
 
 
@@ -90,7 +89,7 @@ def test_kappa_endpoints_on_grid_two(c2):
             assert kappa(table, base, b, n, 0) == 0
             assert kappa(table, base, b, n, 2 * table.grid) == n
             img = psi(table, base, (b, n))
-            end = img.path.endpoint()
+            end = img.endpoint()
             assert end.nums[-1] == n * end.den
 
 
@@ -102,10 +101,10 @@ def test_class_grading_is_operator_invariant(c2):
     for b in itertools.product(base.sorted_keys(), repeat=2):
         for n in (-1, 0, 1):
             x = (b, n)
-            cls = c_class(table, base, x, 2)
+            cls = c_class(table, x, 2)
             for _i, _kind, moved in moves(aff, x):
                 if moved is not None:
-                    assert c_class(table, base, moved, 2) == cls
+                    assert c_class(table, moved, 2) == cls
 
 
 def test_decomposition_grid_two(c2):

@@ -1,8 +1,12 @@
 """The library holds only what it runs.
 
 Every module-level function and every non-dunder method defined in
-``src/loom`` must be named, as a ``Name`` or an ``Attribute``, somewhere
-in ``src/loom`` outside its own body and outside ``__init__.py``.  A route
+``src/loom`` must be used somewhere in ``src/loom`` outside its own body
+and outside ``__init__.py``.  A use is a loaded ``Name`` that its
+enclosing functions do not bind as a parameter or an assignment target;
+for a method also any ``Attribute`` of its name, and for a module-level
+function only an ``Attribute`` read off an imported module, so a local
+variable or ``ext.phi`` does not keep a function ``phi`` alive.  A route
 that only the tests reach belongs in a test-side helper such as
 ``tests/fraction_paths.py``.  The one exemption is a route that
 ``perfbench/tracer.py`` lists in ``TARGETS``: the tracer wraps it by name,
@@ -43,23 +47,60 @@ def _routes(tree):
                     yield "%s.%s" % (node.name, sub.name), sub
 
 
-def _names(tree):
-    """How often each ``Name`` id and ``Attribute`` attr occurs in tree."""
-    return Counter(node.id if isinstance(node, ast.Name) else node.attr
-                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+def _imported_modules(tree):
+    """The names ``import m`` and ``from . import m`` bind in tree."""
+    return {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+            if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and not node.module
+            for alias in node.names}
+
+
+def _uses(tree, modules):
+    """Count the uses in tree: ``("name", id)``, ``("attr", attr)`` and ``("module", attr)``.
+
+    A ``Name`` counts when it is loaded and no enclosing function binds it
+    as a parameter or an assignment target; every ``Attribute`` counts
+    under ``attr``, and one read off a name in ``modules`` also under ``module``.
+    """
+    uses = Counter()
+
+    def visit(node, bound):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args
+            bound = bound | {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                             + [args.vararg, args.kwarg] if a} | {
+                n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Store)}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
+            uses["name", node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            uses["attr", node.attr] += 1
+            if isinstance(node.value, ast.Name) and node.value.id in modules:
+                uses["module", node.attr] += 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, bound)
+
+    visit(tree, frozenset())
+    return uses
 
 
 def unnamed_routes(src=SRC, targets=None):
-    """The routes of src named nowhere else in it, as ``loom.module:qualname``."""
+    """The routes of src used nowhere else in it, as ``loom.module:qualname``."""
     targets = _tracer_targets() if targets is None else targets
     trees = {"loom." + p.stem: ast.parse(p.read_text())
              for p in sorted(src.glob("*.py")) if p.name != "__init__.py"}
-    total = sum(map(_names, trees.values()), Counter())
+    modules = {module: _imported_modules(tree) for module, tree in trees.items()}
+    total = sum((_uses(tree, modules[module]) for module, tree in trees.items()), Counter())
     out = []
     for module, tree in trees.items():
         for qualname, node in _routes(tree):
+            kind = "attr" if "." in qualname else "module"
+
+            def count(uses):
+                return uses["name", node.name] + uses[kind, node.name]
+
             # the uses of a name inside the route's own body do not count
-            if (module, qualname) not in targets and total[node.name] == _names(node)[node.name]:
+            if (module, qualname) not in targets and count(total) == count(
+                    _uses(node, modules[module])):
                 out.append("%s:%s" % (module, qualname))
     return out
 
@@ -71,15 +112,24 @@ def test_every_library_route_is_named_in_the_library():
 
 
 def test_guard_names_unnamed_routes(tmp_path):
-    # orphan is named only in __init__.py and K.again only in its own body
+    # orphan is named only in __init__.py and K.again only in its own body;
+    # b.phi is only bound as a parameter and a local and read off a call's
+    # result, so nothing uses it, while reached is read off the module a
     (tmp_path / "__init__.py").write_text("from .a import orphan\n")
     (tmp_path / "a.py").write_text(
         "def used():\n    return 1\n\n"
         "def orphan():\n    return used()\n\n"
+        "def reached():\n    return 2\n\n"
         "class K:\n    def __len__(self):\n        return 0\n\n"
         "    def again(self):\n        return self.again\n")
-    assert unnamed_routes(tmp_path, set()) == ["loom.a:orphan", "loom.a:K.again"]
-    assert unnamed_routes(tmp_path, {("loom.a", "orphan")}) == ["loom.a:K.again"]
+    (tmp_path / "b.py").write_text(
+        "from . import a\n\n"
+        "def phi(path):\n    return path\n\n"
+        "def h_extrema(path, phi=None):\n    return phi or path\n\n"
+        "def lower(path):\n    phi = a.reached()\n    return h_extrema(path).phi + phi\n\n"
+        "LOWER = lower\n")
+    assert unnamed_routes(tmp_path, set()) == ["loom.a:orphan", "loom.a:K.again", "loom.b:phi"]
+    assert unnamed_routes(tmp_path, {("loom.a", "orphan")}) == ["loom.a:K.again", "loom.b:phi"]
 
 
 def test_weight_keeps_only_its_name():

@@ -3,8 +3,10 @@ import re
 
 import pytest
 
+import loom.embedding
 import loom.verify
 from loom.crystals import CrystalGraph, Node, NodeCapError, TensorOps, moves
+from loom.embedding import EmbeddingError
 from loom.energy import EnergyTable, energy_edge_check
 from loom.verify import SUITES, run_suite
 
@@ -58,7 +60,8 @@ def test_psi_fails_on_a_missing_straight_seed(monkeypatch):
     monkeypatch.setattr(loom.verify, "affinized_tensor_crystal", without_seed)
     report = run_suite("psi", type_label="A", rank=1, i=1, power=2, window=2)
     verdicts = {c["name"]: c["pass"] for c in report["checks"]}
-    assert verdicts == {"kappa_endpoints": True, "injective": True, "straight_seeds": False}
+    assert verdicts == {"psi_injective": True, "psi_of_straight_seeds": False,
+                        "psi_endpoint_law": True}
 
 
 def test_unknown_suite_rejected():
@@ -187,9 +190,7 @@ def test_power_checks_fail_when_they_compared_nothing(monkeypatch):
     maj = run_suite("maj", type_label="A", rank=1, i=1)
     assert _checks(maj)["major_index_shift_mod_power"] == (False, "0 moves compared, 0 skipped")
     assert _checks(maj)["refined_index_shifts_by_grid"] == (False, "0 moves compared, 0 skipped")
-    psi = run_suite("psi", type_label="A", rank=1, i=1, window=2)
-    assert _checks(psi)["kappa_endpoints"] == (False, "0 endpoints compared, 0 skipped")
-    assert not maj["pass"] and not psi["pass"]
+    assert not maj["pass"]
 
 
 def _planted(table, pair, delta=1):
@@ -236,7 +237,7 @@ def test_energy_shift_rule_fails_when_it_compared_nothing(monkeypatch):
 
 
 def test_psi_injective_fails_on_a_collision_and_on_no_nodes(monkeypatch):
-    image = loom.verify.psi
+    image = loom.embedding.psi
 
     def collide(table, graph, element):
         # every node at degree 1 is sent to its image at degree 0
@@ -244,10 +245,10 @@ def test_psi_injective_fails_on_a_collision_and_on_no_nodes(monkeypatch):
         return image(table, graph, (factors, 0 if degree == 1 else degree))
 
     with monkeypatch.context() as mp:
-        mp.setattr(loom.verify, "psi", collide)
+        mp.setattr(loom.embedding, "psi", collide)
         report = run_suite("psi", type_label="A", rank=1, i=1, power=2, window=2)
     # A1 squared: 4 tuples at 5 degrees
-    assert _checks(report)["injective"] == (False, "20 nodes compared, 0 skipped")
+    assert _checks(report)["psi_injective"] == (False, "20 nodes compared, 0 skipped")
 
     build = loom.verify.affinized_tensor_crystal
 
@@ -258,7 +259,47 @@ def test_psi_injective_fails_on_a_collision_and_on_no_nodes(monkeypatch):
 
     monkeypatch.setattr(loom.verify, "affinized_tensor_crystal", no_nodes)
     report = run_suite("psi", type_label="A", rank=1, i=1, power=2, window=2)
-    assert _checks(report)["injective"] == (False, "0 nodes compared, 0 skipped")
+    # every seed image at the 5 degrees is missing
+    assert _checks(report) == {
+        "psi_injective": (False, "0 nodes compared, 0 skipped"),
+        "psi_of_straight_seeds": (False, "5 degrees compared, 0 skipped"),
+        "psi_endpoint_law": (False, "0 nodes compared, 0 skipped"),
+    }
+
+
+def test_psi_endpoint_law_fails_on_a_planted_endpoint(monkeypatch):
+    image = loom.embedding.psi
+
+    def lifted(table, graph, element):
+        # one non-seed node at degree 0 goes to its image at degree 3, which
+        # no node of the window 2 has, so only its endpoint is wrong
+        other = next(k for k in graph.sorted_keys() if k != graph.seed)
+        if element == ((graph.seed, other), 0):
+            element = ((graph.seed, other), 3)
+        return image(table, graph, element)
+
+    monkeypatch.setattr(loom.embedding, "psi", lifted)
+    report = run_suite("psi", type_label="A", rank=1, i=1, power=2, window=2)
+    assert _checks(report) == {
+        "psi_injective": (True, "20 nodes compared, 0 skipped"),
+        "psi_of_straight_seeds": (True, "5 degrees compared, 0 skipped"),
+        "psi_endpoint_law": (False, "20 nodes compared, 0 skipped"),
+    }
+    assert not report["pass"]
+
+
+def test_psi_runs_at_a_power_above_the_window():
+    # decompose refuses power 3 on the window 1, so psi is the one check here;
+    # A1 cubed: 8 tuples at the 3 degrees -1..1
+    report = run_suite("psi", type_label="A", rank=1, i=1, power=3, window=1)
+    assert report["pass"]
+    assert _checks(report) == {
+        "psi_injective": (True, "24 nodes compared, 0 skipped"),
+        "psi_of_straight_seeds": (True, "3 degrees compared, 0 skipped"),
+        "psi_endpoint_law": (True, "24 nodes compared, 0 skipped"),
+    }
+    with pytest.raises(EmbeddingError):
+        run_suite("decompose", type_label="A", rank=1, i=1, power=3, window=1)
 
 
 @pytest.mark.parametrize("plant", ["drop", "alter"])
