@@ -1,14 +1,14 @@
 """Generic crystal machinery over any element kind with raise/lower maps.
 
 An element kind ("ops" object) exposes ``indices``, ``key``, ``wt``,
-``strings``, ``e`` and ``f``; ``strings(x, i)`` returns the string
-lengths ``(eps, phi)`` of x for index i in one call.  A kind's ``wt``
-values add with ``+``; path kinds return the endpoint as an integer
-:class:`~loom.cartan.Stretch`, the one weight arithmetic.
-:func:`generate` asks ``strings``, ``e`` and ``f`` per (node, index)
-back to back, for one scan: ``TensorOps`` keeps its last scan, matched
-by the identity of x and by i, and ``PathOps`` keeps one row per path
-key, over all indices.  Infinite kinds also expose ``level`` and are
+``strings``, ``e`` and ``f``; ``strings(x)`` returns the string lengths
+of x for every index at once, as two tuples ``(eps, phi)`` ordered as
+``indices``.  A kind's ``wt`` values add with ``+``; path kinds return
+the endpoint as an integer :class:`~loom.cartan.Stretch`, the one weight
+arithmetic.  :func:`generate` asks ``strings`` once per node, then ``e``
+and ``f`` per index, all from one row: ``TensorOps`` keeps the row of
+its last element, matched by identity, and ``PathOps`` one row per path
+key.  Infinite kinds also expose ``level`` and are
 generated inside an explicit window on the absolute level; a tensor
 product takes finite factors only.  Closure generation, the tensor
 product rule and the normality audit all work against that surface, so
@@ -22,6 +22,7 @@ tensor rule reads the coroot pairing of a factor's weight as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import gcd
 
 from .cartan import Stretch
@@ -74,7 +75,6 @@ class CrystalGraph:
     e_edges: dict = field(init=False)
 
     def __post_init__(self):
-        self._pos = {i: p for p, i in enumerate(self.indices)}
         self.e_edges = {(dst, i): src for (src, i), dst in self.f_edges.items()}
 
     def sorted_keys(self) -> list:
@@ -96,9 +96,9 @@ class CrystalGraph:
     def wt(self, key):
         return self.nodes[key].wt
 
-    def strings(self, key, i):
-        node, pos = self.nodes[key], self._pos[i]
-        return node.eps[pos], node.phi[pos]
+    def strings(self, key):
+        node = self.nodes[key]
+        return node.eps, node.phi
 
     def edge_count(self) -> int:
         return len(self.f_edges)
@@ -160,7 +160,7 @@ class CrystalGraph:
 
     def to_json(self):
         keys = self.sorted_keys()
-        ids = {k: key_str(k) for k in keys}
+        ids = _key_strs(keys)
         nodes = []
         for k in keys:
             n = self.nodes[k]
@@ -189,7 +189,7 @@ class CrystalGraph:
             "#ff7f00", "#a65628", "#f781bf", "#999999",
         ]
         keys = self.sorted_keys()
-        ids = {k: key_str(k) for k in keys}
+        ids = _key_strs(keys)
         lines = ["digraph crystal {"]
         for k in keys:
             lines.append('  "%s";' % ids[k])
@@ -216,6 +216,13 @@ def key_str(key) -> str:
     return str(key)
 
 
+def _key_strs(keys) -> dict:
+    """:func:`key_str` of every key, each distinct entry of a tuple key rendered once."""
+    entry = cache(key_str)
+    return {k: "(" + ",".join(map(entry, k)) + ")"
+            if isinstance(k, tuple) and not isinstance(k, Stretch) else key_str(k) for k in keys}
+
+
 def moves(ops, x):
     """Every operator move from x as ``(i, kind, target)``, "e" then "f" per index.
 
@@ -229,19 +236,18 @@ def moves(ops, x):
 def generate(ops, seed, *, window=None, node_cap=None, label="") -> CrystalGraph:
     """Breadth-first closure of a seed under all raising and lowering maps.
 
+    Each node's strings come from one ``ops.strings`` call, then ``e``
+    and ``f`` per index; the window is tested only when one is set.
     Deterministic: each frontier is processed in discovery order, and
     neither the node set nor the edges depend on that order.
     """
     if getattr(ops, "infinite", False) and window is None:
         raise GenerationError("an infinite kind needs an explicit window")
-    if window is not None and window < 0:
-        raise GenerationError("window must be non-negative")
-
-    def in_window(x):
-        return window is None or abs(ops.level(x)) <= window
-
-    if not in_window(seed):
-        raise GenerationError("seed lies outside the window")
+    if window is not None:
+        if window < 0:
+            raise GenerationError("window must be non-negative")
+        if abs(ops.level(seed)) > window:
+            raise GenerationError("seed lies outside the window")
 
     idx = ops.indices
     seed_key = ops.key(seed)
@@ -254,13 +260,12 @@ def generate(ops, seed, *, window=None, node_cap=None, label="") -> CrystalGraph
         fresh = []
         for key in frontier:
             x = nodes[key]
-            strings = []
+            eps, phi = ops.strings(x)
             for i in idx:
-                strings.append(ops.strings(x, i))
                 for kind, y in (("e", ops.e(x, i)), ("f", ops.f(x, i))):
                     if y is None:
                         continue
-                    if not in_window(y):
+                    if window is not None and abs(ops.level(y)) > window:
                         truncated = True
                         continue
                     ykey = ops.key(y)
@@ -274,7 +279,6 @@ def generate(ops, seed, *, window=None, node_cap=None, label="") -> CrystalGraph
                         raise GenerationError(
                             "conflicting lowering edges at %r, i=%d" % (edge[0], i)
                         )
-            eps, phi = zip(*strings)
             nodes[key] = Node(x, ops.wt(x), eps, phi)
         frontier = fresh
     return CrystalGraph(
@@ -288,7 +292,9 @@ class TensorOps:
 
     Elements are tuples, one entry per component.  The raising operator
     acts in the leftmost place where the running maximum of the string
-    functions is attained, the lowering operator in the rightmost.
+    functions is attained, the lowering operator in the rightmost.  A
+    row holds an element's strings and both places for every index, from
+    one ``strings`` call per factor; only the last row is kept.
     """
 
     def __init__(self, components):
@@ -313,38 +319,48 @@ class TensorOps:
             total = w if total is None else total + w
         return total
 
-    def _string_funcs(self, b, i):
-        # <h_i, wt(x)> of a factor is phi(x, i) - eps(x, i); shift ends as their sum
-        last = self._last
-        if last[0] is b and last[1] == i:
-            return last[2], last[3]
-        vals = []
-        shift = 0
-        for c, x in zip(self.components, b):
-            eps, phi = c.strings(x, i)
-            vals.append(eps - shift)
-            shift += phi - eps
-        self._last = (b, i, vals, shift)
-        return vals, shift
+    def _row(self, b):
+        """``(b, (eps, phi), lefts, rights)``: lefts and rights map each index to a place."""
+        row = self._last
+        if row[0] is b:
+            return row
+        if len(b) != len(self.components):
+            raise GenerationError("tensor element of length %d for %d factors"
+                                  % (len(b), len(self.components)))
+        (eps0, phi0), *rest = [c.strings(x) for c, x in zip(self.components, b)]
+        eps, phi, lefts, rights = [], [], {}, {}
+        for p, i in enumerate(self.indices):
+            # string function k is eps_k minus the pairings <h_i, wt> = phi - eps left of k
+            top = eps0[p]
+            shift = phi0[p] - top
+            left = right = 0
+            for k, (ek, pk) in enumerate(rest, 1):
+                val = ek[p] - shift
+                if val > top:
+                    top, left, right = val, k, k
+                elif val == top:
+                    right = k
+                shift += pk[p] - ek[p]
+            eps.append(top)
+            phi.append(top + shift)
+            lefts[i] = left
+            rights[i] = right
+        row = self._last = (b, (tuple(eps), tuple(phi)), lefts, rights)
+        return row
 
-    def strings(self, b, i):
-        vals, shift = self._string_funcs(b, i)
-        top = max(vals)
-        return top, top + shift
+    def strings(self, b):
+        return self._row(b)[1]
 
     def e(self, b, i):
-        vals = self._string_funcs(b, i)[0]
-        k = vals.index(max(vals))
+        k = self._row(b)[2][i]
         moved = self.components[k].e(b[k], i)
         if moved is None:
             return None
         return b[:k] + (moved,) + b[k + 1:]
 
     def f(self, b, i):
-        vals = self._string_funcs(b, i)[0]
-        k = len(vals) - 1 - vals[::-1].index(max(vals))
+        k = self._row(b)[3][i]
         moved = self.components[k].f(b[k], i)
         if moved is None:
             return None
         return b[:k] + (moved,) + b[k + 1:]
-

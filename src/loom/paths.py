@@ -355,7 +355,8 @@ class PathOps:
     """Crystal operations on paths of a fixed ambient, for the generator.
 
     One table row per path key, from one :func:`h_extrema` scan per index, holds
-    eps, phi, e and f; a key names one grid form, and the table keeps one path per key.
+    the tuples ``(eps, phi)`` over all indices and e and f per index; a key names
+    one grid form, and the table keeps one path per key.
     """
 
     def __init__(self, cartan: AffineCartan, ambient: str = "classical"):
@@ -378,28 +379,30 @@ class PathOps:
     def wt(self, x: Path) -> Stretch:
         return x.endpoint()
 
-    def _entry(self, x: Path, i: int) -> tuple:
-        """``((eps, phi), e, f)`` of x at index i; x's row is built on first touch."""
+    def _row(self, x: Path) -> tuple:
+        """``((eps, phi), moves)`` of x, moves taking an index to ``(e, f)``; built once."""
         if self._last[0] is not x:  # the identity check spares hashing x's key
             row = self._rows.get(x.key())
             if row is None:
-                c, keep, row = self.cartan, self._paths.setdefault, {}
+                c, keep, eps, phi, moves = self.cartan, self._paths.setdefault, [], [], {}
                 for j in self.indices:
                     ext = h_extrema(c, x, j)
+                    eps.append(ext.eps)
+                    phi.append(ext.phi)
                     moved = (raising_op(c, x, j, ext), lowering_op(c, x, j, ext))
-                    row[j] = ((ext.eps, ext.phi), *(y and keep(y.key(), y) for y in moved))
-                self._rows[x.key()] = row
+                    moves[j] = tuple([y and keep(y.key(), y) for y in moved])
+                row = self._rows[x.key()] = ((tuple(eps), tuple(phi)), moves)
             self._last = (x, row)
-        return self._last[1][i]
+        return self._last[1]
 
-    def strings(self, x: Path, i: int) -> tuple[int, int]:
-        return self._entry(x, i)[0]
+    def strings(self, x: Path) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return self._row(x)[0]
 
     def e(self, x: Path, i: int):
-        return self._entry(x, i)[1]
+        return self._row(x)[1][i][0]
 
     def f(self, x: Path, i: int):
-        return self._entry(x, i)[2]
+        return self._row(x)[1][i][1]
 
     def level(self, x: Path) -> int:
         """Null-root entry of the endpoint, an integer since that is a lattice weight."""

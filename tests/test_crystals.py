@@ -24,6 +24,7 @@ from loom import (
     path_crystal_window,
     raising_op,
 )
+from loom.cartan import Stretch
 from loom.crystals import GenerationError, Node
 from isomorphism import isomorphic
 from outcomes import holds
@@ -68,7 +69,23 @@ def test_tensor_rule_positions(a1, a1_base):
     assert ops.f((kp, kp), 1) == (km, kp)
     assert ops.e((kp, kp), 0) == (kp, km)
     assert ops.e((kp, km), 1) is None
-    assert ops.strings((kp, km), 1) == (0, 0)
+    # per index 0 both string functions reach 1: e acts leftmost, f rightmost
+    assert ops.strings((kp, km)) == ((1, 0), (1, 0))
+    assert ops.e((kp, km), 0) == (km, km)
+    assert ops.f((kp, km), 0) == (kp, kp)
+
+
+def test_tensor_rule_refuses_a_mis_sized_element(a1_base):
+    ops = TensorOps([a1_base] * 2)
+    seed = a1_base.seed
+    for b in ((seed,), (seed,) * 3):
+        message = "^tensor element of length %d for 2 factors$" % len(b)
+        for query in (lambda: ops.strings(b), lambda: ops.e(b, 0), lambda: ops.f(b, 1)):
+            with pytest.raises(GenerationError, match=message):
+                query()
+    with pytest.raises(GenerationError, match="^tensor element of length 3 for 2 factors$"):
+        generate(ops, (seed,) * 3)
+    assert len(generate(ops, (seed,) * 2)) == 4
 
 
 def test_affinized_operators(a1, a1_base):
@@ -214,8 +231,8 @@ def test_tensor_associativity(a1, a1_base, a2, a2_base):
                 flat_left = None if got_left is None else got_left[0] + (got_left[1],)
                 flat_right = None if got_right is None else (got_right[0],) + got_right[1]
                 assert want == flat_left == flat_right
-                assert flat.strings(triple, i) == left.strings(((a, b), c), i)
-                assert flat.strings(triple, i) == right.strings((a, (b, c)), i)
+            assert flat.strings(triple) == left.strings(((a, b), c))
+            assert flat.strings(triple) == right.strings((a, (b, c)))
 
 
 class PairingTensor:
@@ -228,20 +245,25 @@ class PairingTensor:
 
     def __init__(self, components):
         self.components = components
+        self.indices = tuple(components[0].indices)
+
+    def wt(self, b):
+        return sum((c.wt(x) for c, x in zip(self.components[1:], b[1:])),
+                   self.components[0].wt(b[0]))
 
     def string_funcs(self, b, i):
+        pos = self.indices.index(i)
         vals = []
         shift = 0
         for c, x in zip(self.components, b):
-            vals.append(c.strings(x, i)[0] - shift)
+            vals.append(c.strings(x)[0][pos] - shift)
             shift += coords(c.wt(x))[i]
         return vals
 
-    def strings(self, b, i):
-        total = sum((c.wt(x) for c, x in zip(self.components[1:], b[1:])),
-                    self.components[0].wt(b[0]))
-        eps = max(self.string_funcs(b, i))
-        return eps, eps + coords(total)[i]
+    def strings(self, b):
+        eps = tuple(max(self.string_funcs(b, i)) for i in self.indices)
+        total = coords(self.wt(b))
+        return eps, tuple(top + total[i] for top, i in zip(eps, self.indices))
 
     def e_position(self, b, i):
         vals = self.string_funcs(b, i)
@@ -257,6 +279,12 @@ class PairingTensor:
         moved = c.e(b[k], i) if kind == "e" else c.f(b[k], i)
         return None if moved is None else b[:k] + (moved,) + b[k + 1:]
 
+    def e(self, b, i):
+        return self.move(b, i, "e")
+
+    def f(self, b, i):
+        return self.move(b, i, "f")
+
 
 @pytest.mark.parametrize("label,rank,i,power", [
     ("A", 2, 1, 2), ("C", 2, 2, 2), ("G2", 2, 1, 2), ("D", 4, 2, 2), ("A", 1, 1, 3),
@@ -267,10 +295,11 @@ def test_tensor_rule_matches_pairing_reference(label, rank, i, power):
     ops = TensorOps([base] * power)
     ref = PairingTensor([base] * power)
     for b in itertools.product(base.sorted_keys(), repeat=power):
+        eps, phi = ops.strings(b)
+        assert type(eps) is tuple and type(phi) is tuple
+        assert all(type(n) is int for n in eps + phi)
+        assert (eps, phi) == ref.strings(b)
         for j in cartan.indices:
-            eps, phi = ops.strings(b, j)
-            assert type(eps) is int and type(phi) is int
-            assert (eps, phi) == ref.strings(b, j)
             assert ops.e(b, j) == ref.move(b, j, "e")
             assert ops.f(b, j) == ref.move(b, j, "f")
 
@@ -286,11 +315,10 @@ def test_strings_match_path_reference(label, rank, i, window):
         seed = fund(cartan, i, classical=False)
         ops, graph = PathOps(cartan, "affine"), path_crystal_window(cartan, seed, window)
     for key, node in graph.nodes.items():
-        for pos, j in enumerate(graph.indices):
-            ext = h_extrema(cartan, node.element, j)
-            want = (ext.eps, ext.phi)
-            assert ops.strings(node.element, j) == want
-            assert graph.strings(key, j) == (node.eps[pos], node.phi[pos]) == want
+        exts = [h_extrema(cartan, node.element, j) for j in graph.indices]
+        want = (tuple(ext.eps for ext in exts), tuple(ext.phi for ext in exts))
+        assert ops.strings(node.element) == want
+        assert graph.strings(key) == (node.eps, node.phi) == want
 
 
 def test_generation_independence(a2, a2_base):
@@ -325,9 +353,9 @@ class ScanFreePaths:
     def wt(self, x):
         return x.endpoint()
 
-    def strings(self, x, i):
-        ext = h_extrema(self.cartan, x, i)
-        return ext.eps, ext.phi
+    def strings(self, x):
+        exts = [h_extrema(self.cartan, x, i) for i in self.indices]
+        return tuple(ext.eps for ext in exts), tuple(ext.phi for ext in exts)
 
     def e(self, x, i):
         return raising_op(self.cartan, x, i)
@@ -340,8 +368,11 @@ class ScanFreePaths:
 
 
 def _twin(x):
-    """An equal element that is a different object."""
-    return tuple(x) if isinstance(x, tuple) else dataclasses.replace(x)
+    """An equal element that is a different object, and so is a nested tensor element in it."""
+    if not isinstance(x, tuple):
+        return dataclasses.replace(x)
+    return tuple(_twin(y) if isinstance(y, tuple) and not isinstance(y[0], Stretch) else y
+                 for y in x)
 
 
 @pytest.mark.parametrize("label,rank,i", [("A", 2, 1), ("C", 2, 2), ("G2", 2, 1)])
@@ -356,6 +387,9 @@ def test_interleaved_queries_never_read_a_stale_scan(label, rank, i):
          list(itertools.product(base.sorted_keys(), repeat=2))),
         (TensorOps([path_ops] * 2), PairingTensor([ScanFreePaths(cartan)] * 2),
          list(itertools.product(paths, repeat=2))),
+        (TensorOps([TensorOps([base] * 2), base]),
+         PairingTensor([PairingTensor([base] * 2), base]),
+         [((a, b), c) for a, b, c in itertools.product(base.sorted_keys(), repeat=3)]),
     ]
     rng = random.Random(1991)
     for ops, ref, elements in kinds:
@@ -369,9 +403,10 @@ def test_interleaved_queries_never_read_a_stale_scan(label, rank, i):
             if rng.random() < 0.2:
                 x = _twin(x)
             query = rng.choice(["strings", "e", "f"])
-            got = getattr(ops, query)(x, j)
-            want = ref.strings(x, j) if query == "strings" else ref.move(x, j, query)
-            assert got == want, (query, x, j)
+            if query == "strings":
+                assert ops.strings(x) == ref.strings(x), (query, x)
+            else:
+                assert getattr(ops, query)(x, j) == ref.move(x, j, query), (query, x, j)
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -401,24 +436,32 @@ def test_generate_scans_heights_once_per_node_and_index(monkeypatch, label, rank
     assert scanned == Counter(itertools.product(graph.nodes, graph.indices))
 
 
+def _scanned(calls, power):
+    """The elements whose factors the recorded ``strings`` calls scanned, in runs of power."""
+    return Counter(tuple(x for (x,) in calls[k:k + power]) for k in range(0, len(calls), power))
+
+
 @pytest.mark.parametrize("label,rank,i,power", [("C", 2, 2, 2), ("A", 2, 1, 3)])
-def test_generate_scans_tensor_factors_once_per_node_and_index(monkeypatch, label, rank, i,
-                                                               power):
+def test_generate_scans_tensor_factors_once_per_node(monkeypatch, label, rank, i, power):
     base = fundamental_crystal(build_cartan(label, rank), i)
     calls = _count_calls(monkeypatch, base, "strings")
     graph = generate(TensorOps([base] * power), (base.seed,) * power)
-    # one scan asks every factor once
-    assert len(calls) == power * len(graph) * len(graph.indices)
+    # one scan asks every factor of a node once, in order, for all indices
+    assert len(calls) == power * len(graph)
+    assert _scanned(calls, power) == Counter(list(graph.nodes))
 
 
-def test_energy_sweep_and_recheck_scan_once_per_pair_and_index(monkeypatch):
+def test_energy_sweep_and_recheck_scan_once_per_pair(monkeypatch):
     base = fundamental_crystal(build_cartan("C", 2), 2)
     calls = _count_calls(monkeypatch, base, "strings")
     table = energy_table(base)
-    per_sweep = 2 * len(base) ** 2 * len(base.indices)
+    per_sweep = 2 * len(base) ** 2
+    pairs = Counter(itertools.product(base.nodes, repeat=2))
     assert len(calls) == per_sweep
+    assert _scanned(calls, 2) == pairs
     assert holds(energy_edge_check(base, table))
     assert len(calls) == 2 * per_sweep
+    assert _scanned(calls[per_sweep:], 2) == pairs
 
 
 @pytest.mark.parametrize("construction", ["classical", "affine window", "tensor square"])

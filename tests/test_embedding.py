@@ -134,7 +134,7 @@ def test_image_isomorphic_to_straight_piece(a1, a1_base, a1_energy):
     image_edges = {}
     for k in inner_class0:
         path = images[k]
-        eps, phi = zip(*(ops.strings(path, i) for i in a1.indices))
+        eps, phi = ops.strings(path)
         image_nodes[path.key()] = Node(path, path.endpoint(), eps, phi)
     for (src, i), dst in aff.f_edges.items():
         if src in inner_class0 and dst in inner_class0:

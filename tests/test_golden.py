@@ -1,11 +1,15 @@
 """Byte-for-byte digests of ``gen`` artifacts that the benchmark does not pin.
 
 ``perfbench/expected.json`` pins the closure artifacts of its own job
-list.  These four cover the constructions it leaves out: the affinised
+list.  These cover the constructions it leaves out: the affinised
 tensor window, a windowed path crystal from a labelled seed, the affine
-ambient window and a tensor square of a grid-2 crystal.  Each digest was
-recorded on the Fraction-weight nodes that integer stretch weights
-replaced, so node weights must still render to the same bytes.
+ambient window, a tensor square of a grid-2 crystal, a three-factor
+power (where the tensor rule's leftmost and rightmost maxima part) and a
+tensor square in dot format.  The first four digests were recorded on
+the Fraction-weight nodes that integer stretch weights replaced, so node
+weights must still render to the same bytes.  The last two were recorded
+at c1ef24e, while the tensor rule still took one string scan per
+(element, index) and the writers rendered every tensor key per node.
 """
 
 import hashlib
@@ -23,12 +27,17 @@ GOLDEN = [
      "fbc566b4425efd936e9f7a4df8a7091d13076f9a76430ade5e410c7bf91a4274"),
     (["--type", "C", "--rank", "2", "--i", "2", "--power", "2"],
      "a703089a7f873c010d4f3e2fa0aca91e47ca382ef78afa8e25983aaf3174175d"),
+    (["--type", "G2", "--rank", "2", "--i", "2", "--power", "3"],
+     "8c10e7c25cea2651084903d8356615d48340d99004220fcd87892cf7c2ca93e6"),
+    (["--type", "B", "--rank", "3", "--i", "1", "--power", "2", "--format", "dot"],
+     "02d22d2b6f3e962e44aacc555c24add9f67da00869ac77f580a25c163a680583"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN,
-                         ids=["A1-affinize", "A1-ls", "C2-affine-window", "C2-square"])
+                         ids=["A1-affinize", "A1-ls", "C2-affine-window", "C2-square",
+                              "G2-cube", "B3-square-dot"])
 def test_gen_artifact_matches_its_golden_digest(tmp_path, argv, digest):
-    out = tmp_path / "artifact.json"
+    out = tmp_path / "artifact"
     assert main(["gen", *argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -284,7 +284,7 @@ def test_root_operators_reach_h_extrema(monkeypatch):
 
     monkeypatch.setattr(loom.paths, "h_extrema", counting)
     for run in (lambda: raising_op(a2, path, 0), lambda: lowering_op(a2, path, 1),
-                lambda: PathOps(a2).strings(path, 2)):
+                lambda: PathOps(a2).strings(path)):
         before = len(calls)
         run()
         assert len(calls) > before

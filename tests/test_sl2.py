@@ -266,8 +266,8 @@ def test_string_chain_is_a_normal_crystal():
 
 def test_sl2_suite_reads_the_production_tensor_rule(monkeypatch):
     def rightmost_e(self, b, i):
-        vals = self._string_funcs(b, i)[0]
-        k = len(vals) - 1 - vals[::-1].index(max(vals))
+        # raise in the place where lowering acts
+        k = self._row(b)[3][i]
         moved = self.components[k].e(b[k], i)
         return None if moved is None else b[:k] + (moved,) + b[k + 1:]
 
