@@ -16,7 +16,7 @@ import re
 import sys
 import tempfile
 
-from .cartan import Weight, build_cartan
+from .cartan import Stretch, build_cartan
 from .crystals import NodeCapError, TensorOps, generate
 from .embedding import affinized_tensor_crystal, fundamental_crystal, path_crystal_window
 from .verify import SUITE_ALIASES, SUITES, run_suite, suite_params
@@ -36,7 +36,7 @@ def _node_cap(args, parser):
     return cap
 
 
-def parse_weight_label(cartan, text: str) -> Weight:
+def parse_weight_label(cartan, text: str) -> Stretch:
     """Integer combinations of level-zero fundamentals and the null root.
 
     Grammar: one or more terms like ``2w1``, ``-w2``, ``+3d``, each after
@@ -50,7 +50,7 @@ def parse_weight_label(cartan, text: str) -> Weight:
     delta = cartan.null_root().stretch()
     total = 0 * delta
     if squeezed in ("0", "+0", "-0"):
-        return total.weight()
+        return total
     pos = 0
     pattern = re.compile(r"([+-]?)(\d*)(?:w(\d+)|d)")
     while pos < len(squeezed):
@@ -65,7 +65,7 @@ def parse_weight_label(cartan, text: str) -> Weight:
             fw = cartan.classical_fundamental(int(index), classical=False)
             total = total + coeff * fw.stretch()
         pos = m.end()
-    return total.weight()
+    return total
 
 
 def _emit(args, text: str):
@@ -90,38 +90,30 @@ def _dump_json(obj) -> str:
 
 def cmd_gen(args, parser) -> int:
     cartan = build_cartan(args.type, args.rank)
-    if args.power < 1:
-        parser.error("--power must be positive")
     # every flag must reach the construction it is given to
-    if args.ls and (args.affinize or args.ambient == "affine" or args.power != 1 or args.i != 1):
-        parser.error("--ls takes no --affinize, --ambient affine, --power or --i")
-    if args.ambient == "affine" and (args.affinize or args.power != 1):
-        parser.error("--ambient affine takes no --affinize or --power")
-    if args.weight is not None and not args.ls:
-        parser.error("--weight needs --ls")
-    if args.window is not None and not (args.ls or args.ambient == "affine" or args.affinize):
-        parser.error("--window needs --ls, --ambient affine or --affinize")
-    if args.ls and (args.weight is None or args.window is None):
-        parser.error("--ls needs --weight and --window")
-    if args.window is None and (args.affinize or args.ambient == "affine"):
-        parser.error("%s needs --window" % ("--affinize" if args.affinize else "--ambient affine"))
-    # --ls takes only --i 1, which every rank has
-    if not 1 <= args.i <= args.rank:
+    if args.weight is not None and (args.i, args.power, args.affinize) != (None, None, False):
+        parser.error("--weight takes no --i, --power or --affinize")
+    if (args.window is None) == (args.weight is not None or args.affinize):
+        parser.error("--window goes with --weight or --affinize, and each needs it")
+    i = 1 if args.i is None else args.i
+    power = 1 if args.power is None else args.power
+    if power < 1:
+        parser.error("--power must be positive")
+    if not 1 <= i <= args.rank:
         parser.error("--i must be between 1 and the rank")
     cap = _node_cap(args, parser)
-    if args.ls or args.ambient == "affine":
-        seed = (parse_weight_label(cartan, args.weight) if args.ls
-                else cartan.classical_fundamental(args.i, classical=False)).stretch()
+    if args.weight is not None:
+        seed = parse_weight_label(cartan, args.weight)
         graph = path_crystal_window(cartan, seed, args.window, node_cap=cap)
     else:
-        base = fundamental_crystal(cartan, args.i, node_cap=cap)
+        base = fundamental_crystal(cartan, i, node_cap=cap)
         if args.affinize:
-            graph = affinized_tensor_crystal(base, args.power, args.window, node_cap=cap)
-        elif args.power > 1:
-            ops = TensorOps([base] * args.power)
+            graph = affinized_tensor_crystal(base, power, args.window, node_cap=cap)
+        elif power > 1:
+            ops = TensorOps([base] * power)
             graph = generate(
-                ops, (base.seed,) * args.power, node_cap=cap,
-                label="%s:power%d" % (base.label, args.power),
+                ops, (base.seed,) * power, node_cap=cap,
+                label="%s:power%d" % (base.label, power),
             )
         else:
             graph = base
@@ -185,21 +177,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out")
-    common.add_argument("--threads", type=int, default=1,
-                        help="accepted and ignored; kept so existing command lines run unchanged")
     common.add_argument("--node-cap", type=int, dest="node_cap")
 
     gen = sub.add_parser("gen", parents=[common], help="generate a crystal graph artifact")
     gen.add_argument("--type", required=True, help="A, B, C, D, E6, E7, E8, F4 or G2")
     gen.add_argument("--rank", required=True, type=int)
-    gen.add_argument("--i", type=int, default=1, help="fundamental index")
-    gen.add_argument("--power", type=int, default=1, help="tensor power")
-    gen.add_argument("--ambient", choices=["classical", "affine"], default="classical")
+    # no defaults for --i and --power, so cmd_gen sees which were given
+    gen.add_argument("--i", type=int, help="fundamental index (default 1)")
+    gen.add_argument("--power", type=int, help="tensor power (default 1)")
     gen.add_argument("--affinize", action="store_true",
                      help="affinise the tensor power inside --window")
-    gen.add_argument("--ls", action="store_true",
-                     help="windowed affine path crystal from a straight seed")
-    gen.add_argument("--weight", help='seed for --ls, e.g. "2w1+1d"')
+    gen.add_argument("--weight", help='straight seed of a windowed path crystal, e.g. "2w1+1d"')
     gen.add_argument("--window", type=int)
     gen.add_argument("--format", choices=["json", "dot", "summary"], default="json")
     gen.set_defaults(func=cmd_gen, parser=gen)

@@ -309,12 +309,19 @@ class TensorOps:
                 raise GenerationError("tensor factors must be finite kinds")
         self._last = (None, None, None, None)
 
+    def _pairs(self, b):
+        """Each factor with its entry of b; an element of another length is refused."""
+        if len(b) != len(self.components):
+            raise GenerationError("tensor element of length %d for %d factors"
+                                  % (len(b), len(self.components)))
+        return zip(self.components, b)
+
     def key(self, b):
-        return tuple([c.key(x) for c, x in zip(self.components, b)])
+        return tuple([c.key(x) for c, x in self._pairs(b)])
 
     def wt(self, b):
         total = None
-        for c, x in zip(self.components, b):
+        for c, x in self._pairs(b):
             w = c.wt(x)
             total = w if total is None else total + w
         return total
@@ -324,10 +331,7 @@ class TensorOps:
         row = self._last
         if row[0] is b:
             return row
-        if len(b) != len(self.components):
-            raise GenerationError("tensor element of length %d for %d factors"
-                                  % (len(b), len(self.components)))
-        (eps0, phi0), *rest = [c.strings(x) for c, x in zip(self.components, b)]
+        (eps0, phi0), *rest = [c.strings(x) for c, x in self._pairs(b)]
         eps, phi, lefts, rights = [], [], {}, {}
         for p, i in enumerate(self.indices):
             # string function k is eps_k minus the pairings <h_i, wt> = phi - eps left of k

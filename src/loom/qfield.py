@@ -212,21 +212,9 @@ class QScalar:
     den: tuple[int, ...]
 
     @staticmethod
-    def _make(scale: Fraction, num, den) -> "QScalar":
-        """Reduce scale * num / den for integer polynomials of any shape."""
-        num, den = _trim(num), _trim(den)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if scale == 0 or not num:
-            return Q_ZERO
-        (kn, num), (kd, den) = _strip(num), _strip(den)
-        (cn, num), (cd, den) = _unit_split(num), _unit_split(den)
-        _, num, den = _cancel(num, den)
-        return QScalar(scale * Fraction(cn, cd), kn - kd, num, den)
-
-    @staticmethod
     def const(x) -> "QScalar":
-        return QScalar._make(frac(x), (1,), (1,))
+        x = frac(x)
+        return QScalar(x, 0, (1,), (1,)) if x else Q_ZERO
 
     @staticmethod
     @lru_cache(maxsize=None)

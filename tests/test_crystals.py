@@ -80,7 +80,8 @@ def test_tensor_rule_refuses_a_mis_sized_element(a1_base):
     seed = a1_base.seed
     for b in ((seed,), (seed,) * 3):
         message = "^tensor element of length %d for 2 factors$" % len(b)
-        for query in (lambda: ops.strings(b), lambda: ops.e(b, 0), lambda: ops.f(b, 1)):
+        for query in (lambda: ops.strings(b), lambda: ops.e(b, 0), lambda: ops.f(b, 1),
+                      lambda: ops.key(b), lambda: ops.wt(b)):
             with pytest.raises(GenerationError, match=message):
                 query()
     with pytest.raises(GenerationError, match="^tensor element of length 3 for 2 factors$"):

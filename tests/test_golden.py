@@ -2,14 +2,17 @@
 
 ``perfbench/expected.json`` pins the closure artifacts of its own job
 list.  These cover the constructions it leaves out: the affinised
-tensor window, a windowed path crystal from a labelled seed, the affine
-ambient window, a tensor square of a grid-2 crystal, a three-factor
-power (where the tensor rule's leftmost and rightmost maxima part) and a
-tensor square in dot format.  The first four digests were recorded on
-the Fraction-weight nodes that integer stretch weights replaced, so node
-weights must still render to the same bytes.  The last two were recorded
-at c1ef24e, while the tensor rule still took one string scan per
-(element, index) and the writers rendered every tensor key per node.
+tensor window, windowed path crystals from a labelled seed and from a
+level-zero fundamental, a tensor square of a grid-2 crystal, a
+three-factor power (where the tensor rule's leftmost and rightmost
+maxima part) and a tensor square in dot format.  The first four digests
+were recorded on the Fraction-weight nodes that integer stretch weights
+replaced, so node weights must still render to the same bytes; the two
+path-crystal rows were recorded under the retired spellings
+``--ls --weight 2w1+1d`` and ``--ambient affine --i 2``.  The last two
+were recorded at c1ef24e, while the tensor rule still took one string
+scan per (element, index) and the writers rendered every tensor key per
+node.
 """
 
 import hashlib
@@ -21,9 +24,9 @@ from loom.cli import main
 GOLDEN = [
     (["--type", "A", "--rank", "1", "--i", "1", "--affinize", "--power", "2", "--window", "3"],
      "5fc9ff782b723278010d1c934418aa55cf0b7e138d5986a0a8e2f2f8112743d7"),
-    (["--type", "A", "--rank", "1", "--i", "1", "--ls", "--weight", "2w1+1d", "--window", "3"],
+    (["--type", "A", "--rank", "1", "--weight", "2w1+1d", "--window", "3"],
      "60c5ce04bf70d7993306a7e577a1db88fded2b6c73984902d001857129795b44"),
-    (["--type", "C", "--rank", "2", "--i", "2", "--ambient", "affine", "--window", "2"],
+    (["--type", "C", "--rank", "2", "--weight", "w2", "--window", "2"],
      "fbc566b4425efd936e9f7a4df8a7091d13076f9a76430ade5e410c7bf91a4274"),
     (["--type", "C", "--rank", "2", "--i", "2", "--power", "2"],
      "a703089a7f873c010d4f3e2fa0aca91e47ca382ef78afa8e25983aaf3174175d"),

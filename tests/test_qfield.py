@@ -25,6 +25,14 @@ def test_qint_examples():
     assert qfact(3) == qint(1) * qint(2) * qint(3)
 
 
+def test_const_matches_the_reduced_constant():
+    assert QScalar.const(0) is Q_ZERO and QScalar.const(Fraction(0)) is Q_ZERO
+    for x in (1, -3, Fraction(-2, 3)):
+        assert QScalar.const(x) == of([x])
+    with pytest.raises(TypeError):
+        QScalar.const(0.5)
+
+
 def test_qbinom_laurent_and_symmetric():
     b = qbinom(4, 2)
     expected = Q_ZERO
