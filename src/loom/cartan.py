@@ -4,9 +4,11 @@ A weight is held as one reduced integer :class:`Stretch`: numerators over
 the affine fundamental weights, the null-root numerator last when the
 weight is affine, and one common denominator.  In that basis a coroot
 pairing is a coordinate read and the null-root direction stays explicit;
-sums refuse to mix the two ambients silently.  :class:`Weight` is only
-the named form a user types and reads: seeds cross to a stretch once, and
-a label renders through :meth:`Stretch.weight`.
+sums refuse to mix the two ambients, which the one flag ``affine`` names
+here and on paths.  :class:`Weight` is only the named form a user types
+and reads: the seeds :meth:`AffineCartan.null_root` and
+:meth:`AffineCartan.classical_fundamental` cross from it to a stretch
+once, inside this module, and a label renders through :meth:`Stretch.weight`.
 
 Every numeric entry is exact.  Marks, comarks and the symmetrizers are
 recomputed from the affine matrix itself rather than copied from tables,
@@ -286,20 +288,15 @@ def replay(steps, rhs) -> list:
     return b
 
 
-def solve_square(matrix, rhs) -> list:
-    """The one solution of a square system: ``eliminate`` then ``replay``."""
-    return replay(eliminate(matrix), rhs)
-
-
 def _primitive_null_vector(mat) -> list[int]:
     """The positive primitive integer kernel vector of an affine integer matrix.
 
     Node 0 gets one and the nonsingular finite block gives the rest; the
     caller checks row 0.
     """
-    vec = [Fraction(1)] + solve_square(
-        [[Fraction(x) for x in row[1:]] for row in mat[1:]], [Fraction(-row[0]) for row in mat[1:]]
-    )
+    vec = [Fraction(1)] + replay(
+        eliminate([[Fraction(x) for x in row[1:]] for row in mat[1:]]),
+        [Fraction(-row[0]) for row in mat[1:]])
     denom = lcm(*[v.denominator for v in vec])
     ints = [int(v * denom) for v in vec]
     g = gcd(*ints)
@@ -339,17 +336,17 @@ class AffineCartan:
 
     # -- weights ---------------------------------------------------------
 
-    def null_root(self) -> Weight:
-        return Weight((0,) * (self.rank + 1), 1)
+    def null_root(self) -> Stretch:
+        return Weight((0,) * (self.rank + 1), 1).stretch()
 
-    def classical_fundamental(self, i: int, classical: bool = True) -> Weight:
+    def classical_fundamental(self, i: int, *, affine: bool = False) -> Stretch:
         """Level-zero lift of the i-th finite fundamental weight, 1 <= i <= rank."""
         if not 1 <= i <= self.rank:
             raise CartanError("classical fundamental index must be in 1..rank")
         coords = [0] * (self.rank + 1)
         coords[i] = 1
         coords[0] = -self.comarks[i]
-        return Weight(tuple(coords), None if classical else 0)
+        return Weight(tuple(coords), 0 if affine else None).stretch()
 
     def simple_root(self, j: int) -> Stretch:
         """The classical alpha_j in the fundamental-weight basis."""
@@ -377,7 +374,7 @@ def build_cartan(label: str, rank: int) -> AffineCartan:
     The affine matrix is assembled from the finite matrix and the highest
     finite root.  Marks and comarks are the primitive positive kernel
     vectors of the matrix and its transpose: node 0 gets one and
-    :func:`solve_square` solves the finite block for the rest.  Every row of
+    one elimination solves the finite block for the rest.  Every row of
     both null identities and both node-0 entries are then checked.
     """
     if not isinstance(rank, int):

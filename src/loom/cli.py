@@ -23,14 +23,8 @@ from .verify import SUITE_ALIASES, SUITES, run_suite, suite_params
 
 
 def _node_cap(args, parser):
-    """--node-cap, else LOOM_NODE_CAP, else None for the default cap."""
-    env = os.environ.get("LOOM_NODE_CAP")
+    """--node-cap, else None for the default cap."""
     cap = args.node_cap
-    if cap is None and env:
-        try:
-            cap = int(env)
-        except ValueError:
-            parser.error("LOOM_NODE_CAP must be an integer, got %r" % env)
     if cap is not None and cap < 1:
         parser.error("the node cap must be positive, got %d" % cap)
     return cap
@@ -47,7 +41,7 @@ def parse_weight_label(cartan, text: str) -> Stretch:
     squeezed = text.replace(" ", "")
     if not squeezed:
         raise ValueError("empty weight label")
-    delta = cartan.null_root().stretch()
+    delta = cartan.null_root()
     total = 0 * delta
     if squeezed in ("0", "+0", "-0"):
         return total
@@ -62,8 +56,7 @@ def parse_weight_label(cartan, text: str) -> Stretch:
         if index is None:
             total = total + coeff * delta
         else:
-            fw = cartan.classical_fundamental(int(index), classical=False)
-            total = total + coeff * fw.stretch()
+            total = total + coeff * cartan.classical_fundamental(int(index), affine=True)
         pos = m.end()
     return total
 
@@ -211,6 +204,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a separate value with one leading minus for an option,
+    # so a weight label such as "-w1+d" is glued to its flag or a prefix of it
+    for k in range(len(argv) - 1, 0, -1):
+        flag, value = argv[k - 1], argv[k]
+        if flag[2:] and "--weight".startswith(flag) and value[:1] == "-" and value[:2] != "--":
+            argv[k - 1:k + 1] = [flag + "=" + value]
     args = build_parser().parse_args(argv)
     # errors print the usage of the subcommand that was given
     if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):

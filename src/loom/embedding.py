@@ -81,7 +81,7 @@ def psi(table: EnergyTable, graph: CrystalGraph, element) -> Path:
     scaled = {k: tuple([x * len(factors) * (den // w.den) for x in w.nums])
               for k, w in wts.items()}
     dirs = [scaled[k] + ((b - a) * (den // grid),) for k, a, b in zip(word, nums, nums[1:])]
-    return make_path(den, total, dirs, [1] * total, "affine", len(scaled[word[0]]))
+    return make_path(den, total, dirs, [1] * total, True, len(scaled[word[0]]))
 
 
 def c_class(table: EnergyTable, element, m: int) -> int:
@@ -99,10 +99,9 @@ def c_class(table: EnergyTable, element, m: int) -> int:
 
 def fundamental_crystal(cartan: AffineCartan, i: int, *, node_cap=None) -> CrystalGraph:
     """Closure of the straight classical path to the i-th level-zero weight."""
-    seed = linear_path(cartan.classical_fundamental(i).stretch())
     return generate(
-        PathOps(cartan, "classical"),
-        seed,
+        PathOps(cartan),
+        linear_path(cartan.classical_fundamental(i)),
         node_cap=node_cap,
         label="%s:B(w%d)" % (cartan.name, i),
     )
@@ -173,7 +172,7 @@ def path_crystal_window(cartan, seed: Stretch, window: int,
                         *, node_cap=None, ops: PathOps | None = None) -> CrystalGraph:
     """Windowed closure of the straight affine path to ``seed``, on ``ops`` if given."""
     return generate(
-        ops or PathOps(cartan, "affine"), linear_path(seed), window=window, node_cap=node_cap,
+        ops or PathOps(cartan, affine=True), linear_path(seed), window=window, node_cap=node_cap,
         label="%s:LS(%r):W%d" % (cartan.name, seed.weight(), window),
     )
 
@@ -299,8 +298,8 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
     base = fundamental_crystal(cartan, i, node_cap=node_cap)
     table = energy_table(base, node_cap=node_cap)
     aff = affinized_tensor_crystal(base, m, window, node_cap=node_cap)
-    fw = cartan.classical_fundamental(i, classical=False).stretch()
-    delta = cartan.null_root().stretch()
+    fw = cartan.classical_fundamental(i, affine=True)
+    delta = cartan.null_root()
     inner = window - 1
 
     rep = Report("decompose", type=cartan.name, i=i, power=m, window=window)
@@ -310,7 +309,7 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
 
     pieces = [None] * min(2 * m, window + 1)
     for r in range(m):
-        ops = PathOps(cartan, "affine")
+        ops = PathOps(cartan, affine=True)
         for s in range(r, len(pieces), m):
             pieces[s] = {k for k, node in path_crystal_window(
                 cartan, m * fw + s * delta, window, node_cap=node_cap, ops=ops).nodes.items()

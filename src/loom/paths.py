@@ -14,7 +14,9 @@ ints, and they order themselves as the weights they stand for.
 :func:`linear_path`, the root operators, :func:`concat`,
 :func:`stretch`, :func:`project` or ``embedding.psi``, is built from an
 integer grid form through it.  Weights come and go as stretches:
-:func:`linear_path` takes one and :meth:`Path.endpoint` returns one.
+:func:`linear_path` takes one, a seed that crossed in :mod:`loom.cartan`,
+and :meth:`Path.endpoint` returns one.  The ambient is the flag ``affine``
+of :class:`~loom.cartan.Stretch`, which paths and :class:`PathOps` carry.
 
 The raising operator acts on the height function ``h(tau)``, the negated
 coroot pairing along the path.  It leaves the path alone until the last
@@ -66,7 +68,7 @@ class Path:
     n: int
     dirs: tuple[tuple[int, ...], ...]
     cells: tuple[int, ...]
-    ambient: str
+    affine: bool
     ncoords: int
     _key: tuple | None = field(default=None, init=False, repr=False)
 
@@ -76,29 +78,29 @@ class Path:
 
     def endpoint(self) -> Stretch:
         """Endpoint of the path, as an integer stretch."""
-        width = self.ncoords + (self.ambient == "affine")
+        width = self.ncoords + self.affine
         ends = [sum(d[k] * c for d, c in zip(self.dirs, self.cells)) for k in range(width)]
-        return _stretch(ends, self.m * self.n, self.ambient == "affine")
+        return _stretch(ends, self.m * self.n, self.affine)
 
     def key(self) -> tuple[Stretch, ...]:
         """Reparametrisation-invariant identity: the stretch displacements."""
         if self._key is None:
-            mn, affine = self.m * self.n, self.ambient == "affine"
+            mn, affine = self.m * self.n, self.affine
             key = tuple([Stretch(tuple([x * c // g for x in d]), mn // g, affine)
                          for d, c in zip(self.dirs, self.cells) for g in (gcd(mn, c * gcd(*d)),)])
             object.__setattr__(self, "_key", key)
         return self._key
 
     def __eq__(self, other):
-        return (isinstance(other, Path) and self.ambient == other.ambient
+        return (isinstance(other, Path) and self.affine == other.affine
                 and self.ncoords == other.ncoords and self.key() == other.key())
 
     def __hash__(self):
-        return hash((self.ambient, self.key()))
+        return hash((self.affine, self.key()))
 
     def directions(self) -> list[Stretch]:
         """Derivative of the path on each stretch."""
-        return [_stretch(d, self.m, self.ambient == "affine") for d in self.dirs]
+        return [_stretch(d, self.m, self.affine) for d in self.dirs]
 
     def __repr__(self):
         if self.is_constant:
@@ -116,7 +118,7 @@ def _on_ray(u, v) -> bool:
     return u[j] * v[j] > 0 and all(a * v[j] == b * u[j] for a, b in zip(u, v))
 
 
-def make_path(m: int, n: int, dirs, cells, ambient: str, ncoords: int) -> Path:
+def make_path(m: int, n: int, dirs, cells, affine: bool, ncoords: int) -> Path:
     """Canonical path through stretches along ``d / m`` lasting ``c / n``.
 
     The one path constructor: ``dirs`` are integer directions (null-root
@@ -127,7 +129,7 @@ def make_path(m: int, n: int, dirs, cells, ambient: str, ncoords: int) -> Path:
     """
     moves = [(d, c) for d, c in zip(dirs, cells) if any(d)]
     if not moves:
-        return Path(1, 1, (), (), ambient, ncoords)
+        return Path(1, 1, (), (), affine, ncoords)
     total = sum([c for _, c in moves])
     # stretching total / n of the time to fill [0, 1] scales each direction by that
     scale, m = (1, m) if total == n else (total, m * n)
@@ -157,19 +159,18 @@ def make_path(m: int, n: int, dirs, cells, ambient: str, ncoords: int) -> Path:
     n = sum(out_c)
     if any(sum(map(mul, col, out_c)) % (m * n) for col in zip(*out_d)):
         raise PathError("path endpoint is not a lattice weight")
-    return Path(m, n, tuple(out_d), tuple(out_c), ambient, ncoords)
+    return Path(m, n, tuple(out_d), tuple(out_c), affine, ncoords)
 
 
 def linear_path(w: Stretch) -> Path:
     """The straight path from the origin to w."""
     if w.den != 1:
         raise PathError("linear paths need an integral endpoint")
-    return make_path(1, 1, [w.nums], [1], "affine" if w.affine else "classical",
-                     len(w.nums) - w.affine)
+    return make_path(1, 1, [w.nums], [1], w.affine, len(w.nums) - w.affine)
 
 
-def constant_path(cartan: AffineCartan, classical: bool = True) -> Path:
-    return make_path(1, 1, [], [], "classical" if classical else "affine", cartan.rank + 1)
+def constant_path(cartan: AffineCartan, *, affine: bool = False) -> Path:
+    return make_path(1, 1, [], [], affine, cartan.rank + 1)
 
 
 # -- height data -------------------------------------------------------
@@ -257,7 +258,7 @@ def _split_reflect(cartan, path, i, a, b):
             dirs.append(d)
             cells.append(s - t)
         t = s
-    return make_path(path.m, path.n * q, dirs, cells, path.ambient, path.ncoords)
+    return make_path(path.m, path.n * q, dirs, cells, path.affine, path.ncoords)
 
 
 def raising_op(cartan: AffineCartan, path: Path, i: int,
@@ -298,10 +299,9 @@ def concat(paths) -> Path:
     paths = list(paths)
     if not paths:
         raise PathError("concatenation needs at least one path")
-    ambient = paths[0].ambient
-    ncoords = paths[0].ncoords
+    affine, ncoords = paths[0].affine, paths[0].ncoords
     for p in paths:
-        if p.ambient != ambient:
+        if p.affine != affine:
             raise AmbientError("concatenation mixes ambients")
         if p.ncoords != ncoords:
             raise PathError("concatenation mixes ranks")
@@ -311,7 +311,7 @@ def concat(paths) -> Path:
     m, n = lcm(*(p.m for p in movers)), lcm(*(p.n for p in movers))
     dirs = [tuple(x * k * (m // p.m) for x in d) for p in movers for d in p.dirs]
     cells = [c * (n // p.n) for p in movers for c in p.cells]
-    return make_path(m, k * n, dirs, cells, ambient, ncoords)
+    return make_path(m, k * n, dirs, cells, affine, ncoords)
 
 
 def stretch(path: Path, n: int) -> Path:
@@ -319,15 +319,15 @@ def stretch(path: Path, n: int) -> Path:
     if n < 1:
         raise PathError("stretch factor must be a positive integer")
     dirs = [tuple(x * n for x in d) for d in path.dirs]
-    return make_path(path.m, path.n, dirs, path.cells, path.ambient, path.ncoords)
+    return make_path(path.m, path.n, dirs, path.cells, path.affine, path.ncoords)
 
 
 def project(path: Path) -> Path:
     """Kill the null-root component of every direction."""
-    if path.ambient != "affine":
+    if not path.affine:
         raise AmbientError("path is already classical")
     dirs = [d[:-1] for d in path.dirs]
-    return make_path(path.m, path.n, dirs, path.cells, "classical", path.ncoords)
+    return make_path(path.m, path.n, dirs, path.cells, False, path.ncoords)
 
 
 def uniform_stretches(path: Path, n: int) -> list[Stretch]:
@@ -338,16 +338,15 @@ def uniform_stretches(path: Path, n: int) -> list[Stretch]:
     """
     if n < 1:
         raise PathError("grid size must be a positive integer")
-    affine = path.ambient == "affine"
     if path.is_constant:
-        return [Stretch((0,) * (path.ncoords + affine), 1, affine)] * n
+        return [Stretch((0,) * (path.ncoords + path.affine), 1, path.affine)] * n
     out = []
     t = 0
     for d, c in zip(path.dirs, path.cells):
         t += c
         if c * n % path.n:
             raise PathError("breakpoint %s is not a multiple of 1/%d" % (Fraction(t, path.n), n))
-        out.extend([_stretch(d, path.m, affine)] * (c * n // path.n))
+        out.extend([_stretch(d, path.m, path.affine)] * (c * n // path.n))
     return out
 
 
@@ -359,20 +358,18 @@ class PathOps:
     one grid form, and the table keeps one path per key.
     """
 
-    def __init__(self, cartan: AffineCartan, ambient: str = "classical"):
-        if ambient not in ("classical", "affine"):
-            raise PathError("ambient must be 'classical' or 'affine'")
+    def __init__(self, cartan: AffineCartan, *, affine: bool = False):
         self.cartan = cartan
-        self.ambient = ambient
         self.indices = tuple(cartan.indices)
-        self.infinite = ambient == "affine"
+        # an affine kind is infinite: generate needs a window for it
+        self.infinite = affine
         self._rows, self._paths = {}, {}
         self._last = (None, None)
 
     def key(self, x: Path):
         # the ambient decides whether closure needs a window, so a stray
         # element of the other ambient must not slip into a generation
-        if x.ambient != self.ambient:
+        if x.affine != self.infinite:
             raise AmbientError("path ambient does not match the crystal ambient")
         return x.key()
 
@@ -406,6 +403,6 @@ class PathOps:
 
     def level(self, x: Path) -> int:
         """Null-root entry of the endpoint, an integer since that is a lattice weight."""
-        if self.ambient != "affine":
+        if not self.infinite:
             raise AmbientError("classical paths have no null-root level")
         return sum(d[-1] * c for d, c in zip(x.dirs, x.cells)) // (x.m * x.n)

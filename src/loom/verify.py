@@ -144,7 +144,7 @@ def suite_xi(cartan: AffineCartan, i: int, window: int, **kw) -> dict:
         # every node with |delta| > window - 1 is skipped, so nothing is checked
         raise ValueError("xi needs window >= 1, got %d" % window)
     rep = Report("xi", type=cartan.name, i=i, window=window)
-    seed = cartan.classical_fundamental(i, classical=False).stretch()
+    seed = cartan.classical_fundamental(i, affine=True)
     graph = path_crystal_window(cartan, seed, window, **kw)
     shadows = {key: project(node.element) for key, node in graph.nodes.items()}
     # an inner node has every neighbour inside the window, so the graph's
@@ -209,8 +209,8 @@ def suite_psi(cartan: AffineCartan, i: int, power: int, window: int, **kw) -> di
     base = fundamental_crystal(cartan, i, **kw)
     table = energy_table(base, **kw)
     aff = affinized_tensor_crystal(base, power, window, **kw)
-    psi_checks(rep, base, table, aff, cartan.classical_fundamental(i, classical=False).stretch(),
-               cartan.null_root().stretch())
+    psi_checks(rep, base, table, aff, cartan.classical_fundamental(i, affine=True),
+               cartan.null_root())
     return rep.done()
 
 

@@ -30,15 +30,15 @@ from weights import coords
 Extrema = namedtuple("Extrema", "max_value eps e_minus e_plus f_plus f_minus end")
 
 
-def path_from_segments(segs, ambient=None, ncoords=None):
+def path_from_segments(segs, affine=None, ncoords=None):
     """The path through ``(direction, duration)`` segments, read onto a grid form.
 
     Directions are stretches and durations integers or ``Fraction`` values.
-    A zero duration is skipped and a negative one refused; the ambient and
-    the rank must agree across the segments (or with the ones given); the
-    durations must sum to one unless every direction is zero, and the
-    endpoint must be a lattice weight, which ``loom.paths.make_path``
-    checks.
+    A zero duration is skipped and a negative one refused; the ambient flag
+    ``affine`` and the rank must agree across the segments (or with the ones
+    given); the durations must sum to one unless every direction is zero,
+    and the endpoint must be a lattice weight, which
+    ``loom.paths.make_path`` checks.
     """
     dirs, times = [], []
     for d, t in segs:
@@ -47,10 +47,9 @@ def path_from_segments(segs, ambient=None, ncoords=None):
             raise PathError("segment durations must be positive")
         if t == 0:
             continue
-        amb = "affine" if d.affine else "classical"
-        if ambient is None:
-            ambient = amb
-        elif ambient != amb:
+        if affine is None:
+            affine = d.affine
+        elif affine != d.affine:
             raise AmbientError("path mixes classical and affine directions")
         if ncoords is None:
             ncoords = len(d.nums) - d.affine
@@ -58,12 +57,12 @@ def path_from_segments(segs, ambient=None, ncoords=None):
             raise PathError("path mixes weights of different ranks")
         dirs.append(d)
         times.append(t)
-    if ambient is None or ncoords is None:
+    if affine is None or ncoords is None:
         raise PathError("ambient of a constant path cannot be inferred")
     m, n = lcm(*(d.den for d in dirs)), lcm(*(t.denominator for t in times))
     dirs = [tuple(x * (m // d.den) for x in d.nums) for d in dirs]
     cells = [t.numerator * (n // t.denominator) for t in times]
-    path = make_path(m, n, dirs, cells, ambient, ncoords)
+    path = make_path(m, n, dirs, cells, affine, ncoords)
     if sum(times) != 1 and not path.is_constant:
         raise PathError("durations must sum to one")
     return path

@@ -124,8 +124,8 @@ def test_criterion_3_operator_identity_suites():
                     ok &= big == (None if lifted is None else stretch(lifted, n))
 
         # projection is a morphism on the affine window
-        fw = fund(cartan, 1, classical=False)
-        window = generate(PathOps(cartan, "affine"), linear_path(fw), window=2)
+        fw = fund(cartan, 1, affine=True)
+        window = generate(PathOps(cartan, affine=True), linear_path(fw), window=2)
         for key in window.sorted_keys():
             path = window.nodes[key].element
             if abs(coords(path.endpoint())[-1]) > 1:

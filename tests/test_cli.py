@@ -43,6 +43,23 @@ def test_gen_path_window(tmp_path):
     assert obj["truncated"] is True and obj["window"] == 3
 
 
+def test_gen_weight_label_may_start_with_a_sign(tmp_path, capsys):
+    # the grammar allows a leading sign, also on a label given as a separate argument
+    gen = ["gen", "--type", "A", "--rank", "2", "--window", "1"]
+    glued = run(tmp_path, *gen, "--weight=-w1+d")
+    for flag, label in (("--weight", "-w1+d"), ("--weight", "+d-w1"), ("--wei", "-w1+d")):
+        assert run(tmp_path, *gen, flag, label) == glued
+    assert glued[0] == 0 and len(json.loads(glued[1])["nodes"]) == 9
+    assert run(tmp_path, *gen, "--weight", "-2w2")[0] == 0
+    # a flag after --weight is still not taken for its label, and --w stays ambiguous
+    for argv, message in ((["--weight", "--format", "summary"], "expected one argument"),
+                          (["--w", "-w1"], "ambiguous option: --w")):
+        with pytest.raises(SystemExit) as err:
+            main(gen + argv)
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+
+
 def test_gen_affine_ambient(tmp_path):
     code, text = run(tmp_path, "gen", "--type", "A", "--rank", "1",
                      "--weight", "w1", "--window", "2")
@@ -95,13 +112,6 @@ def test_invalid_config_exit_code():
 def test_node_cap_exit_code(tmp_path):
     code = main(["gen", "--type", "A", "--rank", "2", "--i", "1", "--power", "2",
                  "--node-cap", "2", "--out", str(tmp_path / "x.json")])
-    assert code == 3
-
-
-def test_node_cap_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("LOOM_NODE_CAP", "2")
-    code = main(["gen", "--type", "A", "--rank", "2", "--i", "1", "--power", "2",
-                 "--out", str(tmp_path / "x.json")])
     assert code == 3
 
 
@@ -195,50 +205,45 @@ def test_errors_print_subcommand_usage(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("usage: loom verify")
 
 
-@pytest.mark.parametrize("env,argv", [
-    ("abc", []),
-    (None, ["--weight", "w1", "--window", "-1"]),
-    (None, ["--affinize", "--power", "2", "--window", "-1"]),
-    (None, ["--power", "0"]),
-    (None, ["--affinize", "--power", "0", "--window", "2"]),
-    (None, ["--weight", "w1w1", "--window", "1"]),
-    (None, ["--weight", "2w1d", "--window", "1"]),
-    (None, ["--weight", "", "--window", "1"]),
-    (None, ["--weight", "  ", "--window", "1"]),
-    (None, ["--node-cap", "0"]),
-    (None, ["--node-cap", "-5"]),
-    ("0", []),
-    ("-5", []),
-    (None, ["--weight", "2w1+1d", "--window", "2", "--affinize"]),
-    (None, ["--weight", "w1", "--window", "2", "--i", "1", "--power", "1"]),
-    (None, ["--weight", "w1", "--window", "2", "--power", "3"]),
-    (None, ["--weight", "w1", "--window", "2", "--affinize", "--power", "3"]),
-    (None, ["--weight", "w1", "--window", "1", "--i", "7"]),
-    (None, ["--weight", "w1", "--affinize", "--power", "2"]),
-    (None, ["--weight", "w1", "--power", "2"]),
-    (None, ["--weight", "w1"]),
-    (None, ["--weight", "w1", "--window", "2", "--power", "0"]),
-    (None, ["--window", "2"]),
-    (None, ["--power", "2", "--window", "2"]),
-    (None, ["--weight", "2w1+1d"]),
-    (None, ["--window", "1", "--i", "1"]),
-    (None, ["--i", "2"]),
-    (None, ["--weight", "w2", "--window", "1"]),
-    (None, ["--affinize", "--node-cap", "1"]),
-    (None, ["--weight", "w1", "--window", "2", "--i", "1"]),
-    (None, ["--weight", "w1", "--window", "2", "--power", "1"]),
-    (None, ["--i", "0"]),
-], ids=["cap-env-not-int", "affine-window", "affinize-window", "power", "affinize-power",
+@pytest.mark.parametrize("argv", [
+    ["--weight", "w1", "--window", "-1"],
+    ["--affinize", "--power", "2", "--window", "-1"],
+    ["--power", "0"],
+    ["--affinize", "--power", "0", "--window", "2"],
+    ["--weight", "w1w1", "--window", "1"],
+    ["--weight", "2w1d", "--window", "1"],
+    ["--weight", "", "--window", "1"],
+    ["--weight", "  ", "--window", "1"],
+    ["--node-cap", "0"],
+    ["--node-cap", "-5"],
+    ["--weight", "2w1+1d", "--window", "2", "--affinize"],
+    ["--weight", "w1", "--window", "2", "--i", "1", "--power", "1"],
+    ["--weight", "w1", "--window", "2", "--power", "3"],
+    ["--weight", "w1", "--window", "2", "--affinize", "--power", "3"],
+    ["--weight", "w1", "--window", "1", "--i", "7"],
+    ["--weight", "w1", "--affinize", "--power", "2"],
+    ["--weight", "w1", "--power", "2"],
+    ["--weight", "w1"],
+    ["--weight", "w1", "--window", "2", "--power", "0"],
+    ["--window", "2"],
+    ["--power", "2", "--window", "2"],
+    ["--weight", "2w1+1d"],
+    ["--window", "1", "--i", "1"],
+    ["--i", "2"],
+    ["--weight", "w2", "--window", "1"],
+    ["--affinize", "--node-cap", "1"],
+    ["--weight", "w1", "--window", "2", "--i", "1"],
+    ["--weight", "w1", "--window", "2", "--power", "1"],
+    ["--i", "0"],
+], ids=["affine-window", "affinize-window", "power", "affinize-power",
         "weight-unsigned-terms", "weight-unsigned-null-root", "weight-empty",
-        "weight-blank", "cap-zero", "cap-negative", "cap-env-zero", "cap-env-negative",
-        "ls-affinize", "ls-affine", "ls-power", "ls-affinize-power", "ls-i", "affine-affinize",
-        "affine-power", "weight-alone", "weight-affine", "window-classical",
-        "window-power", "ls-no-window", "ls-no-weight", "i-above-rank", "affine-i-above-rank",
-        "affinize-no-window", "weight-i-default", "weight-power-default", "i-zero"])
-def test_bad_gen_input_exits_2(tmp_path, monkeypatch, capsys, env, argv):
+        "weight-blank", "cap-zero", "cap-negative", "ls-affinize", "ls-affine", "ls-power",
+        "ls-affinize-power", "ls-i", "affine-affinize", "affine-power", "weight-alone",
+        "weight-affine", "window-classical", "window-power", "ls-no-window", "ls-no-weight",
+        "i-above-rank", "affine-i-above-rank", "affinize-no-window", "weight-i-default",
+        "weight-power-default", "i-zero"])
+def test_bad_gen_input_exits_2(tmp_path, capsys, argv):
     # the ids "ls" and "affine" name the windowed path crystal of --weight
-    if env is not None:
-        monkeypatch.setenv("LOOM_NODE_CAP", env)
     with pytest.raises(SystemExit) as err:
         main(["gen", "--type", "A", "--rank", "1"] + argv
              + ["--out", str(tmp_path / "x.json")])
@@ -378,8 +383,8 @@ def test_artifacts_identical_across_interpreters(argv):
 
 def test_weight_grammar():
     a2 = build_cartan("A", 2)
-    fw1, fw2 = (fund(a2, i, classical=False) for i in (1, 2))
-    delta = a2.null_root().stretch()
+    fw1, fw2 = (fund(a2, i, affine=True) for i in (1, 2))
+    delta = a2.null_root()
     assert parse_weight_label(a2, "2w1 + w2 + 3d") == 2 * fw1 + fw2 + 3 * delta
     assert parse_weight_label(a2, "-w2+1d") == -fw2 + delta
     assert parse_weight_label(a2, "0").weight() == Weight((0, 0, 0), 0)
@@ -396,7 +401,7 @@ def test_weight_grammar():
         got = parse_weight_label(cartan, text)
         assert repr(got.weight()) == want, (label, text)
         # key 0 counts the null root
-        parts = [c * (fund(cartan, j, classical=False) if j else cartan.null_root().stretch())
+        parts = [c * (fund(cartan, j, affine=True) if j else cartan.null_root())
                  for j, c in terms.items()]
         assert got == sum(parts[1:], parts[0]), (label, text)
     for text in ("w3", "w1+w0"):

@@ -58,7 +58,7 @@ def test_a2_base_fixture(a2, a2_base):
 
 
 def test_constant_seed(a1):
-    graph = generate(PathOps(a1, "classical"), constant_path(a1))
+    graph = generate(PathOps(a1), constant_path(a1))
     assert len(graph) == 1 and graph.edge_count() == 0
 
 
@@ -128,8 +128,8 @@ def test_tensor_square_connected(a1, a1_base):
 
 
 def test_truncated_graphs_reject_global_checks(a1):
-    fw = fund(a1, 1, classical=False)
-    graph = generate(PathOps(a1, "affine"), linear_path(fw), window=2)
+    fw = fund(a1, 1, affine=True)
+    graph = generate(PathOps(a1, affine=True), linear_path(fw), window=2)
     assert graph.truncated
     with pytest.raises(GenerationError):
         graph.is_indecomposable()
@@ -139,16 +139,16 @@ def test_truncated_graphs_reject_global_checks(a1):
 
 
 def test_window_required_for_affine(a1):
-    fw = fund(a1, 1, classical=False)
+    fw = fund(a1, 1, affine=True)
     with pytest.raises(GenerationError):
-        generate(PathOps(a1, "affine"), linear_path(fw))
+        generate(PathOps(a1, affine=True), linear_path(fw))
 
 
 def test_tensor_of_affine_kinds_is_refused(a1):
     # no construction windows a tensor product, so its factors must be finite kinds
     with pytest.raises(GenerationError, match="^tensor factors must be finite kinds$"):
-        TensorOps([PathOps(a1, "classical"), PathOps(a1, "affine")])
-    assert TensorOps([PathOps(a1, "classical")] * 2).components
+        TensorOps([PathOps(a1), PathOps(a1, affine=True)])
+    assert TensorOps([PathOps(a1)] * 2).components
 
 
 def _audit_failures(graph):
@@ -311,10 +311,10 @@ def test_tensor_rule_matches_pairing_reference(label, rank, i, power):
 def test_strings_match_path_reference(label, rank, i, window):
     cartan = build_cartan(label, rank)
     if window is None:
-        ops, graph = PathOps(cartan, "classical"), fundamental_crystal(cartan, i)
+        ops, graph = PathOps(cartan), fundamental_crystal(cartan, i)
     else:
-        seed = fund(cartan, i, classical=False)
-        ops, graph = PathOps(cartan, "affine"), path_crystal_window(cartan, seed, window)
+        seed = fund(cartan, i, affine=True)
+        ops, graph = PathOps(cartan, affine=True), path_crystal_window(cartan, seed, window)
     for key, node in graph.nodes.items():
         exts = [h_extrema(cartan, node.element, j) for j in graph.indices]
         want = (tuple(ext.eps for ext in exts), tuple(ext.phi for ext in exts))
@@ -323,7 +323,7 @@ def test_strings_match_path_reference(label, rank, i, window):
 
 
 def test_generation_independence(a2, a2_base):
-    ops = PathOps(a2, "classical")
+    ops = PathOps(a2)
     for key in a2_base.sorted_keys():
         again = generate(ops, a2_base.nodes[key].element)
         assert sorted(again.nodes) == a2_base.sorted_keys()
@@ -331,7 +331,7 @@ def test_generation_independence(a2, a2_base):
 
 def test_node_cap(a1):
     with pytest.raises(NodeCapError):
-        generate(PathOps(a1, "classical"),
+        generate(PathOps(a1),
                  linear_path(fund(a1, 1)), node_cap=1)
 
 
@@ -381,7 +381,7 @@ def test_interleaved_queries_never_read_a_stale_scan(label, rank, i):
     cartan = build_cartan(label, rank)
     base = fundamental_crystal(cartan, i)
     paths = [base.nodes[k].element for k in base.sorted_keys()]
-    path_ops = PathOps(cartan, "classical")
+    path_ops = PathOps(cartan)
     kinds = [
         (path_ops, ScanFreePaths(cartan), paths),
         (TensorOps([base] * 2), PairingTensor([base] * 2),
@@ -432,7 +432,7 @@ def test_generate_scans_heights_once_per_node_and_index(monkeypatch, label, rank
     if window is None:
         graph = fundamental_crystal(cartan, i)
     else:
-        graph = path_crystal_window(cartan, fund(cartan, i, classical=False), window)
+        graph = path_crystal_window(cartan, fund(cartan, i, affine=True), window)
     scanned = Counter((path.key(), j) for _cartan, path, j in calls)
     assert scanned == Counter(itertools.product(graph.nodes, graph.indices))
 
@@ -473,7 +473,7 @@ def test_node_cap_boundary(construction):
         if construction == "classical":
             return fundamental_crystal(cartan, 2, node_cap=cap)
         if construction == "affine window":
-            seed = fund(cartan, 2, classical=False)
+            seed = fund(cartan, 2, affine=True)
             return path_crystal_window(cartan, seed, 2, node_cap=cap)
         base = fundamental_crystal(cartan, 1)
         return generate(TensorOps([base] * 2), (base.seed,) * 2, node_cap=cap)

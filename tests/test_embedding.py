@@ -61,8 +61,8 @@ def test_kappa_endpoint_is_degree(a1, a1_base, a1_energy):
 
 def test_psi_fixtures(a1, a1_base, a1_energy):
     kp, km = a1_keys(a1)
-    fw = fund(a1, 1, classical=False)
-    delta = a1.null_root().stretch()
+    fw = fund(a1, 1, affine=True)
+    delta = a1.null_root()
     img = psi(a1_energy, a1_base, ((kp, kp), 0))
     assert img == linear_path(2 * fw)
     bent = psi(a1_energy, a1_base, ((kp, km), 0))
@@ -129,7 +129,7 @@ def test_image_isomorphic_to_straight_piece(a1, a1_base, a1_energy):
         k for k in aff.nodes
         if abs(k[1]) <= window - 1 and c_class(a1_energy, k, m) == 0
     }
-    ops = PathOps(a1, "affine")
+    ops = PathOps(a1, affine=True)
     image_nodes = {}
     image_edges = {}
     for k in inner_class0:
@@ -145,7 +145,7 @@ def test_image_isomorphic_to_straight_piece(a1, a1_base, a1_energy):
         truncated=True, window=window - 1,
     )
 
-    fw = fund(a1, 1, classical=False)
+    fw = fund(a1, 1, affine=True)
     piece = path_crystal_window(a1, 2 * fw, window)
     keep = {k for k in piece.nodes if abs(coords(piece.nodes[k].wt)[-1]) <= window - 1}
     piece_graph = _subgraph(piece, keep)
@@ -178,7 +178,7 @@ def test_decomposition_reports(a1, a2):
 def test_m1_image_matches_piece(a1, a1_base, a1_energy):
     window = 3
     aff = affinized_tensor_crystal(a1_base, 1, window)
-    fw = fund(a1, 1, classical=False)
+    fw = fund(a1, 1, affine=True)
     piece = path_crystal_window(a1, fw, window)
     inner_piece = {
         k for k in piece.nodes if abs(coords(piece.nodes[k].wt)[-1]) <= window - 1
@@ -343,7 +343,7 @@ def test_every_decomposition_check_can_fail(a1, a1_base, monkeypatch):
     def overlapping(cartan, seed, window, **kw):
         # piece 1 comes back as piece 0, so all 11 nodes of piece 0 lie in two pieces
         if coords(seed)[-1] == 1:
-            seed = seed - a1.null_root().stretch()
+            seed = seed - a1.null_root()
         return real_window(cartan, seed, window, **kw)
 
     with monkeypatch.context() as mp:
@@ -355,7 +355,7 @@ def test_every_decomposition_check_can_fail(a1, a1_base, monkeypatch):
     def wrong_shift(cartan, seed, window, **kw):
         # a piece shifted by m comes back shifted by m - 1, another class
         if coords(seed)[-1] >= m:
-            seed = seed - a1.null_root().stretch()
+            seed = seed - a1.null_root()
         return real_window(cartan, seed, window, **kw)
 
     with monkeypatch.context() as mp:
@@ -471,7 +471,7 @@ def _from_heights(base, table, factors, heights):
     letters = [coords(base.nodes[k].wt) for k in refine(base, factors, table.grid)]
     segs = [(stretch_of(tuple(c * m for c in w) + ((h1 - h0) * total,), True),
              Fraction(1, total)) for w, h0, h1 in zip(letters, heights, heights[1:])]
-    return path_from_segments(segs, ambient="affine", ncoords=len(letters[0]))
+    return path_from_segments(segs, affine=True, ncoords=len(letters[0]))
 
 
 @pytest.mark.parametrize("label,rank,i,m,window", [
@@ -481,10 +481,10 @@ def test_shifted_piece_on_its_partners_table_matches_a_fresh_one(monkeypatch, la
                                                                  m, window):
     # verify_decomposition generates piece r + m on piece r's PathOps
     cartan = build_cartan(label, rank)
-    fw = fund(cartan, i, classical=False)
-    delta = cartan.null_root().stretch()
+    fw = fund(cartan, i, affine=True)
+    delta = cartan.null_root()
     for r in range(min(m, window + 1 - m)):
-        ops = PathOps(cartan, "affine")
+        ops = PathOps(cartan, affine=True)
         path_crystal_window(cartan, m * fw + r * delta, window, ops=ops)
         fresh = path_crystal_window(cartan, m * fw + (r + m) * delta, window)
         scans = []

@@ -45,7 +45,7 @@ FUNDAMENTALS = (("A", 2, 1), ("B", 3, 1), ("C", 2, 2), ("G2", 2, 1), ("D", 4, 2)
 
 def _key_of(path, segs):
     """The key of segments ``segs`` on the ambient of path."""
-    return tuple(stretch_of(v, path.ambient == "affine") for v, _ in segs)
+    return tuple(stretch_of(v, path.affine) for v, _ in segs)
 
 
 def _assert_matches_reference(cartan, path, indices=None):
@@ -76,24 +76,24 @@ def test_classical_crystal_matches_reference(label, rank, i):
 @pytest.mark.parametrize("label,rank,i", FUNDAMENTALS)
 def test_affine_window_matches_reference(label, rank, i):
     cartan = build_cartan(label, rank)
-    graph = path_crystal_window(cartan, fund(cartan, i, classical=False), 2)
+    graph = path_crystal_window(cartan, fund(cartan, i, affine=True), 2)
     for key in graph.sorted_keys():
         _assert_matches_reference(cartan, graph.nodes[key].element)
 
 
 def _grid_form(path):
-    return None if path is None else (path.m, path.n, path.dirs, path.cells, path.ambient)
+    return None if path is None else (path.m, path.n, path.dirs, path.cells, path.affine)
 
 
-@pytest.mark.parametrize("ambient", ["classical", "affine"])
+@pytest.mark.parametrize("affine", [False, True], ids=["classical", "affine"])
 @pytest.mark.parametrize("label,rank,i", FUNDAMENTALS)
-def test_table_rows_match_fresh_root_operators(label, rank, i, ambient):
+def test_table_rows_match_fresh_root_operators(label, rank, i, affine):
     # PathOps answers by key, so every path met with a key must share
     # the grid form of the path its row was built from
     cartan = build_cartan(label, rank)
-    ops = PathOps(cartan, ambient)
-    seed = linear_path(fund(cartan, i, classical=ambient == "classical"))
-    graph = generate(ops, seed, window=2 if ambient == "affine" else None)
+    ops = PathOps(cartan, affine=affine)
+    seed = linear_path(fund(cartan, i, affine=affine))
+    graph = generate(ops, seed, window=2 if affine else None)
     for node in graph.nodes.values():
         x = node.element
         met = [x, dataclasses.replace(x)]
@@ -111,7 +111,7 @@ def test_uniform_stretches_walk_the_grid(label, rank, i):
     # refine keys cells by uniform_stretches
     cartan = build_cartan(label, rank)
     base = fundamental_crystal(cartan, i)
-    window = path_crystal_window(cartan, fund(cartan, i, classical=False), 2)
+    window = path_crystal_window(cartan, fund(cartan, i, affine=True), 2)
     grid = energy_table(base).grid
     for graph in (base, window):
         for node in graph.nodes.values():
@@ -128,9 +128,9 @@ def test_uniform_stretches_walk_the_grid(label, rank, i):
 
 def test_uniform_stretches_of_hand_built_paths():
     a2 = build_cartan("A", 2)
-    for classical in (True, False):
-        zero = Stretch((0,) * (3 + (not classical)), 1, not classical)
-        assert uniform_stretches(constant_path(a2, classical=classical), 3) == [zero] * 3
+    for affine in (False, True):
+        zero = Stretch((0,) * (3 + affine), 1, affine)
+        assert uniform_stretches(constant_path(a2, affine=affine), 3) == [zero] * 3
     w, w2 = fund(a2, 1), fund(a2, 2)
     # on the common denominator 4, the first direction 6 (w - w2) / 4 is not in lowest terms
     u, v = scaled(Fraction(3, 2), w - w2), scaled(Fraction(3, 4), w + w2)
@@ -204,7 +204,7 @@ def test_segment_reader_refuses_malformed_segments():
     # the Fraction segment reader keeps every check of its input, the
     # lattice endpoint through loom.paths.make_path
     a2 = build_cartan("A", 2)
-    w, fw = (fund(a2, 1, classical=c) for c in (True, False))
+    w, fw = (fund(a2, 1, affine=a) for a in (False, True))
     half = Fraction(1, 2)
     cases = [
         ([(w, Fraction(3, 2)), (-w, -half)], PathError, "segment durations must be positive"),
@@ -220,7 +220,7 @@ def test_segment_reader_refuses_malformed_segments():
         with pytest.raises(error, match="^%s$" % message):
             ref.path_from_segments(segs)
     with pytest.raises(AmbientError, match="^path mixes classical and affine directions$"):
-        ref.path_from_segments([(w, 1)], ambient="affine")
+        ref.path_from_segments([(w, 1)], affine=True)
     with pytest.raises(PathError, match="^path mixes weights of different ranks$"):
         ref.path_from_segments([(w, 1)], ncoords=2)
     # a zero duration is skipped, and pauses need not fill the interval
@@ -259,8 +259,8 @@ def test_hand_built_paths_match_reference():
 def test_constant_path_extrema():
     for label, rank in (("A", 2), ("G2", 2)):
         cartan = build_cartan(label, rank)
-        for classical in (True, False):
-            zero = constant_path(cartan, classical=classical)
+        for affine in (False, True):
+            zero = constant_path(cartan, affine=affine)
             for i in cartan.indices:
                 ext = ref.rational_extrema(zero, h_extrema(cartan, zero, i))
                 assert ext.f_plus == 1 and ext.e_plus == 0 and ext.end == 0
@@ -292,8 +292,8 @@ def test_root_operators_reach_h_extrema(monkeypatch):
 
 def test_weights_and_paths_have_no_instance_dict():
     a2 = build_cartan("A", 2)
-    named = a2.classical_fundamental(1)
-    w = named.stretch()
+    w = a2.classical_fundamental(1)
+    named = w.weight()
     path = lowering_op(a2, linear_path(w), 1)
     for obj in (named, w, w + w, w - w, -w, w * 2, Weight((1, 2, 3)), path, linear_path(w),
                 path.endpoint(), *path.key()):

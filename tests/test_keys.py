@@ -36,8 +36,7 @@ FUNDAMENTALS = (("A", 2, 1), ("B", 3, 1), ("C", 2, 2), ("G2", 2, 1), ("D", 4, 2)
 def _weight_key(key, paths):
     """The key with every path key replaced by its tuple of displacement weights."""
     if key in paths:
-        affine = paths[key].ambient == "affine"
-        return tuple(named(v, affine) for v, _ in segments(paths[key]))
+        return tuple(named(v, paths[key].affine) for v, _ in segments(paths[key]))
     if isinstance(key, tuple):
         return tuple(_weight_key(k, paths) for k in key)
     return key
@@ -81,7 +80,7 @@ def test_classical_and_affine_window_keys(label, rank, i):
     cartan = build_cartan(label, rank)
     base = fundamental_crystal(cartan, i)
     _assert_keys_match_weights(base, _paths(base))
-    window = path_crystal_window(cartan, fund(cartan, i, classical=False), 2)
+    window = path_crystal_window(cartan, fund(cartan, i, affine=True), 2)
     _assert_keys_match_weights(window, _paths(window))
 
 
@@ -113,7 +112,7 @@ def _assert_order_matches_weights(stretches):
 def test_stretch_order_is_weight_order(label, rank, i):
     cartan = build_cartan(label, rank)
     base = fundamental_crystal(cartan, i)
-    window = path_crystal_window(cartan, fund(cartan, i, classical=False), 2)
+    window = path_crystal_window(cartan, fund(cartan, i, affine=True), 2)
     square = tensor_power_crystal(base, 2)
     found = set()
     for graph in (base, window, square):

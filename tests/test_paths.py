@@ -6,6 +6,7 @@ from loom import (
     AmbientError,
     IntegralityError,
     PathError,
+    PathOps,
     build_cartan,
     concat,
     constant_path,
@@ -45,31 +46,44 @@ def test_linear_path_statistics(a1, a2):
 def test_linear_path_needs_integrality(a1, a2):
     with pytest.raises(PathError):
         linear_path(Stretch((1, -1), 2, False))
-    delta = a2.null_root().stretch()
+    delta = a2.null_root()
     with pytest.raises(PathError, match="^linear paths need an integral endpoint$"):
-        linear_path(scaled(Fraction(1, 2), fund(a2, classical=False)) + delta)
+        linear_path(scaled(Fraction(1, 2), fund(a2, affine=True)) + delta)
     with pytest.raises(PathError, match="^linear paths need an integral endpoint$"):
-        linear_path(fund(a2, classical=False) + scaled(Fraction(1, 3), delta))
+        linear_path(fund(a2, affine=True) + scaled(Fraction(1, 3), delta))
 
 
 def test_linear_path_matches_the_rational_rebuild(a1, a2):
     # linear_path reads its weight once into a grid form; the Fraction
     # segment reader is the independent route
     for cartan in (a1, a2):
-        for classical in (True, False):
-            zero = linear_path(Stretch((0,) * (cartan.rank + 1 + (not classical)), 1,
-                                       not classical))
-            assert zero == constant_path(cartan, classical=classical)
+        for affine in (False, True):
+            zero = linear_path(Stretch((0,) * (cartan.rank + 1 + affine), 1, affine))
+            assert zero == constant_path(cartan, affine=affine)
             assert (zero.m, zero.n, zero.dirs, zero.cells) == (1, 1, (), ())
-            assert zero.ambient == ("classical" if classical else "affine")
+            assert zero.affine is affine
             assert zero.ncoords == len(cartan.indices)
-        fw, delta = fund(cartan, classical=False), cartan.null_root().stretch()
+        fw, delta = fund(cartan, affine=True), cartan.null_root()
         classical = fund(cartan, cartan.rank) - 2 * fund(cartan)
         for w in (fw, 2 * fw - 3 * delta, delta, -fw + delta, classical):
             path, want = linear_path(w), path_from_segments([(w, 1)])
             assert (path.m, path.n, path.dirs, path.cells) == (
                 want.m, want.n, want.dirs, want.cells)
             assert path.endpoint() == w
+
+
+def test_the_ambient_is_a_keyword_only_flag(a1):
+    # the old spellings fail loudly: a positional "classical" would read as
+    # a truthy flag and build an affine kind
+    assert not PathOps(a1).infinite and PathOps(a1, affine=True).infinite
+    with pytest.raises(TypeError):
+        PathOps(a1, "classical")
+    with pytest.raises(TypeError):
+        constant_path(a1, classical=True)
+    with pytest.raises(TypeError):
+        a1.classical_fundamental(1, classical=False)
+    with pytest.raises(TypeError):
+        a1.classical_fundamental(1, True)
 
 
 def test_height_extrema(a1):
@@ -136,7 +150,7 @@ def test_split_times_match_reference():
         cartan = build_cartan(t, r)
         crystals.append((cartan, fundamental_crystal(cartan, i)))
     a1 = build_cartan("A", 1)
-    crystals.append((a1, path_crystal_window(a1, fund(a1, classical=False), 2)))
+    crystals.append((a1, path_crystal_window(a1, fund(a1, affine=True), 2)))
     grids = set()
     for cartan, graph in crystals:
         for key in graph.sorted_keys():
@@ -217,7 +231,7 @@ def test_concat(a1):
     assert concat([pp, pp]) == stretch(pp, 2)
     assert concat([pp, constant_path(a1)]) == pp
     with pytest.raises(AmbientError):
-        concat([pp, constant_path(a1, classical=False)])
+        concat([pp, constant_path(a1, affine=True)])
 
 
 def test_stretch(a1):
@@ -242,8 +256,8 @@ def test_stretch_intertwines_operators(a1, a1_base, a2, a2_base):
 
 
 def test_projection(a1):
-    fw = fund(a1, classical=False)
-    delta = a1.null_root().stretch()
+    fw = fund(a1, affine=True)
+    delta = a1.null_root()
     assert project(linear_path(3 * fw + 2 * delta)) == linear_path(3 * fund(a1))
     with pytest.raises(AmbientError):
         project(linear_path(fund(a1)))
@@ -255,7 +269,7 @@ def test_projection(a1):
 def test_projection_commutes_on_window(a1):
     from loom import PathOps, generate
 
-    graph = generate(PathOps(a1, "affine"), linear_path(fund(a1, classical=False)),
+    graph = generate(PathOps(a1, affine=True), linear_path(fund(a1, affine=True)),
                      window=2)
     for key in graph.sorted_keys():
         path = graph.nodes[key].element

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from loom import cartan, qfield, sl2, verify
-from loom.cartan import solve_square
+from loom.cartan import eliminate, replay
 from loom.cli import main
 from loom.crystals import TensorOps
 from loom.qfield import Q_ONE, Q_ZERO, QScalar, qfact, qint
@@ -292,7 +292,7 @@ def _count_calls(monkeypatch):
         monkeypatch.setattr(sl2, name, counted(name, getattr(sl2, name)))
     monkeypatch.setattr(StringLattice, "__init__",
                         counted("lattice", StringLattice.__init__))
-    # a Gauss–Jordan elimination reached from sl2 directly or through solve_square
+    # a Gauss–Jordan elimination reached from sl2 or from cartan
     monkeypatch.setattr(sl2, "eliminate", counted("eliminate", sl2.eliminate))
     monkeypatch.setattr(cartan, "eliminate", counted("eliminate", cartan.eliminate))
     return counts
@@ -319,7 +319,7 @@ def test_coords_replays_the_level_records_without_eliminating(monkeypatch):
         keys = sorted(key for key in tags if sum(key) == level)
         matrix = [[lattice.strings[tag].as_dict().get(key, Q_ZERO) for tag in cols]
                   for key in keys]
-        sol = solve_square(matrix, [Q_ONE if key == idx else Q_ZERO for key in keys])
+        sol = replay(eliminate(matrix), [Q_ONE if key == idx else Q_ZERO for key in keys])
         expected[idx] = {tag: c for tag, c in zip(cols, sol) if not c.is_zero}
     counts = _count_calls(monkeypatch)
     assert {idx: lattice.coords(basis((t1, t2), idx)) for idx in tags} == expected

@@ -35,9 +35,9 @@ def named(v, affine: bool) -> Weight:
     return Weight(v[:-1], v[-1]) if affine else Weight(v)
 
 
-def fund(cartan, i: int = 1, classical: bool = True) -> Stretch:
+def fund(cartan, i: int = 1, affine: bool = False) -> Stretch:
     """The level-zero fundamental weight i, as the library's seeds read it."""
-    return cartan.classical_fundamental(i, classical=classical).stretch()
+    return cartan.classical_fundamental(i, affine=affine)
 
 
 def fundamental_weight(cartan, i: int) -> Stretch:
