@@ -18,8 +18,9 @@ import tempfile
 
 from .cartan import Stretch, build_cartan
 from .crystals import NodeCapError, TensorOps, generate
-from .embedding import affinized_tensor_crystal, fundamental_crystal, path_crystal_window
-from .verify import SUITE_ALIASES, SUITES, run_suite, suite_params
+from .embedding import (affinized_tensor_crystal, check_power_coverage, fundamental_crystal,
+                        path_crystal_window)
+from .verify import SUITES, run_suite, suite_params
 
 
 def _node_cap(args, parser):
@@ -108,6 +109,7 @@ def cmd_gen(args, parser) -> int:
                 ops, (base.seed,) * power, node_cap=cap,
                 label="%s:power%d" % (base.label, power),
             )
+            check_power_coverage(graph, base, power)
         else:
             graph = base
 
@@ -130,12 +132,11 @@ FLAG_PARAMS = {"type": "cartan", "rank": "cartan", "i": "i", "power": "power", "
 
 
 def cmd_verify(args, parser) -> int:
-    name = SUITE_ALIASES.get(args.suite, args.suite)
-    if name != "all":
-        if name not in SUITES:
+    if args.suite != "all":
+        if args.suite not in SUITES:
             parser.error("unknown suite %r" % args.suite)
         # every flag must reach the suite it is given to, as on gen
-        reads = suite_params(name)
+        reads = suite_params(args.suite)
         stray = ["--" + flag for flag, param in FLAG_PARAMS.items()
                  if getattr(args, flag) is not None and param not in reads]
         if stray:
@@ -146,7 +147,7 @@ def cmd_verify(args, parser) -> int:
               "power": args.power if args.m is None else args.m, "window": args.window,
               "t1": args.t1, "t2": args.t2, "seeds": args.seeds}
     # a flag not given takes run_suite's default
-    report = run_suite(name, **{k: v for k, v in params.items() if v is not None},
+    report = run_suite(args.suite, **{k: v for k, v in params.items() if v is not None},
                        node_cap=_node_cap(args, parser))
     if args.json:
         _emit(args, _dump_json(report))
@@ -187,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", parents=[common], help="run a verification suite")
     ver.add_argument("--suite", required=True,
-                     help="one of %s, an alias, or 'all'" % ", ".join(sorted(SUITES)))
+                     help="one of %s, or 'all'" % ", ".join(sorted(SUITES)))
     # no defaults here, so cmd_verify sees which flags were given; run_suite holds them
     ver.add_argument("--type")
     ver.add_argument("--rank", type=int)

@@ -107,21 +107,23 @@ def fundamental_crystal(cartan: AffineCartan, i: int, *, node_cap=None) -> Cryst
     )
 
 
+def check_power_coverage(graph: CrystalGraph, base: CrystalGraph, m: int) -> None:
+    """Tensor powers of a fundamental crystal are indecomposable, so closure
+    from one element reaches every tuple; this is asserted rather than assumed."""
+    if len(graph) != len(base) ** m:
+        raise EmbeddingError("tensor power closure missed elements: %d of %d"
+                             % (len(graph), len(base) ** m))
+
+
 def tensor_power_crystal(base: CrystalGraph, m: int, *, node_cap=None) -> CrystalGraph:
     """Closure of the diagonal seed tuple; covers the whole power set.
 
-    Tensor powers of a fundamental crystal are indecomposable, so closure
-    from one element reaches every tuple; this is asserted rather than
-    assumed.  Elements are m-tuples of base keys even for m equal to one.
+    Elements are m-tuples of base keys even for m equal to one.
     """
     ops = TensorOps([base] * m)
     graph = generate(ops, (base.seed,) * m, node_cap=node_cap,
                      label="%s:power%d" % (base.label, m))
-    if len(graph) != len(base) ** m:
-        raise EmbeddingError(
-            "tensor power closure missed elements: %d of %d"
-            % (len(graph), len(base) ** m)
-        )
+    check_power_coverage(graph, base, m)
     return graph
 
 

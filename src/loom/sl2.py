@@ -10,10 +10,12 @@ change of basis of each weight level is eliminated once by
 the affine marks and comarks, and each vector's coordinates replay that
 record (``cartan.replay``).
 
-The singular vectors are built from their hypergeometric-style closed
-form; ``tests/test_sl2.py::test_singular_vectors_match_kernel_solve``
-re-derives them by solving for the kernel of the raising action, so the
-two routes police each other.
+One :class:`StringLattice` per shape holds the singular vectors, built
+from their hypergeometric-style closed form, the string vectors and the
+level records; ``crystal_limit_table`` reads the lattice it is given.
+``tests/test_sl2.py::test_singular_vectors_match_kernel_solve``
+re-derives the singular vectors by solving for the kernel of the raising
+action, so the two routes police each other.
 
 The lowering divided power ``act_F_div`` is closed form, with Laurent
 coefficients from the coproduct (G. Lusztig, Introduction to Quantum
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cartan import eliminate, replay
 from .crystals import CrystalGraph, Node, TensorOps, moves
@@ -229,21 +230,20 @@ def string_decompose(v: TensorVector) -> list[tuple[int, TensorVector]]:
     return parts
 
 
-def kashiwara_e(v: TensorVector, *, parts=None) -> TensorVector:
-    """Send F^(s) u to F^(s-1) u on each part of the string decomposition of v
-    (s = 0 parts vanish).  ``parts`` must be ``string_decompose(v)``, passed by
-    a caller that already has it; with None, v is decomposed here."""
+def kashiwara_e(v: TensorVector, parts) -> TensorVector:
+    """Send F^(s) u to F^(s-1) u on each part of ``parts``, which must be
+    ``string_decompose(v)`` (s = 0 parts vanish)."""
     out = TensorVector.zero(v.shape)
-    for s, u in string_decompose(v) if parts is None else parts:
+    for s, u in parts:
         if s >= 1:
             out = out + act_F_div(u, s - 1)
     return out
 
 
-def kashiwara_f(v: TensorVector, *, parts=None) -> TensorVector:
+def kashiwara_f(v: TensorVector, parts) -> TensorVector:
     """Send F^(s) u to F^(s+1) u on each part; ``parts`` as for ``kashiwara_e``."""
     out = TensorVector.zero(v.shape)
-    for s, u in string_decompose(v) if parts is None else parts:
+    for s, u in parts:
         out = out + act_F_div(u, s + 1)
     return out
 
@@ -281,16 +281,21 @@ def check_shape(t1: int, t2: int) -> None:
         raise ValueError("sl2 shape (%d, %d) needs t1, t2 >= 0" % (t1, t2))
 
 
-def singular_vectors(t1: int, t2: int) -> list[TensorVector]:
-    check_shape(t1, t2)
-    return [singular_vector(t1, t2, r) for r in range(min(t1, t2) + 1)]
+def _clean_class(values: dict):
+    """The one key of ``values`` (values at the origin) that is 1, all others 0."""
+    live = [key for key, val in values.items() if val != 0]
+    if len(live) != 1 or values[live[0]] != 1:
+        raise ArithmeticError("origin reduction is not a single class")
+    return live[0]
 
 
 class StringLattice:
     """The divided-power string basis of a two-factor tensor.
 
-    Holds every string vector through the singular vectors, the
-    Gauss–Jordan record of the exact change of basis per weight level,
+    Holds the closed-form singular vectors (``singular``), every string
+    vector built from them by iterated ``act_F`` and division by [b] (a
+    route apart from the closed-form ``act_F_div`` of ``string_decompose``),
+    the Gauss–Jordan record of the exact change of basis per weight level,
     eliminated once here, and the class each string vector occupies at the
     origin.
     """
@@ -331,16 +336,9 @@ class StringLattice:
                               for key in self._dp_keys[level]])
             for level, tags in by_level.items()
         }
-        self.class_of_string = {}
-        self.string_of_class = {}
-        for tag, vec in sorted(self.strings.items()):
-            limit = {idx: c.at_zero() for idx, c in vec.coords if c.at_zero() != 0}
-            if len(limit) != 1 or set(limit.values()) != {Fraction(1)}:
-                raise ArithmeticError("string vector has no clean origin class")
-            (idx,) = limit
-            self.class_of_string[tag] = idx
-            self.string_of_class[idx] = tag
-        if len(self.string_of_class) != len(self.strings):
+        self.class_of_string = {tag: _clean_class({idx: c.at_zero() for idx, c in vec.coords})
+                                for tag, vec in self.strings.items()}
+        if len(set(self.class_of_string.values())) != len(self.strings):
             raise ArithmeticError("origin classes are not distinct")
 
     def coords(self, v: TensorVector) -> dict:
@@ -360,47 +358,38 @@ class StringLattice:
                     out[tag] = c
         return out
 
-    def reduce_at_zero(self, v: TensorVector) -> dict:
-        """Classes surviving at the origin; poles raise."""
-        out = {}
+    def origin_class(self, v: TensorVector):
+        """The basis class of v at the origin, or None; poles raise, and the
+        reduction must be clean."""
+        values = {}
         for tag, c in self.coords(v).items():
             if not c.regular_at_zero:
                 raise NotInLatticeError(
                     "coordinate at %r has a pole at the origin" % (tag,)
                 )
-            val = c.at_zero()
-            if val != 0:
-                out[tag] = val
-        return out
-
-    def origin_class(self, v: TensorVector):
-        """The basis class of v at the origin, or None; must be clean."""
-        red = self.reduce_at_zero(v)
-        if not red:
+            values[tag] = c.at_zero()
+        if not any(values.values()):
             return None
-        if len(red) != 1 or set(red.values()) != {Fraction(1)}:
-            raise ArithmeticError("origin reduction is not a single class")
-        (tag,) = red
-        return self.class_of_string[tag]
+        return self.class_of_string[_clean_class(values)]
 
 
-def crystal_limit_table(t1: int, t2: int) -> dict:
+def crystal_limit_table(lattice: StringLattice) -> dict:
     """Exact origin behaviour of both Kashiwara operators on every tag.
 
-    Maps ('e'|'f', s1, s2) to the resulting tag or None.  Each tag is
-    string-decomposed once and both operators read that decomposition.
-    The arithmetic is the ground truth; the callers check against it the
-    four-case split and the production tensor rule, ``crystals.TensorOps``
-    as read by ``tensor_rule_table``.
+    Maps ('e'|'f', s1, s2) to the resulting tag or None, read in the given
+    lattice.  Each tag is string-decomposed once and both operators read
+    that decomposition.  The arithmetic is the ground truth; the callers
+    check against it the four-case split and the production tensor rule,
+    ``crystals.TensorOps`` as read by ``tensor_rule_table``.
     """
-    lattice = StringLattice(t1, t2)
+    t1, t2 = lattice.shape
     table = {}
     for s1 in range(t1 + 1):
         for s2 in range(t2 + 1):
-            vec = TensorVector.basis((t1, t2), (s1, s2))
+            vec = TensorVector.basis(lattice.shape, (s1, s2))
             parts = string_decompose(vec)
-            table[("e", s1, s2)] = lattice.origin_class(kashiwara_e(vec, parts=parts))
-            table[("f", s1, s2)] = lattice.origin_class(kashiwara_f(vec, parts=parts))
+            table[("e", s1, s2)] = lattice.origin_class(kashiwara_e(vec, parts))
+            table[("f", s1, s2)] = lattice.origin_class(kashiwara_f(vec, parts))
     return table
 
 

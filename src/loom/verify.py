@@ -11,6 +11,8 @@ and energy audits hand it one outcome per item they compared, and the sl2
 transition tables are compared key by key over the union of their keys.
 The ``psi`` suite records ``decompose``'s psi checks through
 :func:`~loom.embedding.psi_checks`, also at powers above the window.
+The ``sl2`` suite builds one :class:`~loom.sl2.StringLattice` per run,
+inside its ``ArithmeticError`` guard, and every sl2 check reads it.
 """
 
 from __future__ import annotations
@@ -241,16 +243,16 @@ def suite_sl2(t1: int, t2: int, *, node_cap=None) -> dict:
         return (sl2lab.act_E(u).is_zero and u.weight() == t1 + t2 - 2 * r
                 and top is not None and top.valuation() == 0)
 
-    rep.count("singular_vectors",
-              itertools.starmap(singular, enumerate(sl2lab.singular_vectors(t1, t2))), "vectors")
-
+    # one lattice per run: a failed build leaves no vectors to compare
+    lattice, limit, failure = None, {}, ""
     try:
-        limit = sl2lab.crystal_limit_table(t1, t2)
+        lattice = sl2lab.StringLattice(t1, t2)
+        limit = sl2lab.crystal_limit_table(lattice)
     except ArithmeticError as err:  # NotInLatticeError, or a failed oracle check
-        limit = {}
-        rep.check("lattice_preserved", False, "%s: %s" % (type(err).__name__, err))
-    else:
-        rep.check("lattice_preserved", True)
+        failure = "%s: %s" % (type(err).__name__, err)
+    singulars = lattice.singular.items() if lattice else ()
+    rep.count("singular_vectors", itertools.starmap(singular, singulars), "vectors")
+    rep.check("lattice_preserved", not failure, failure)
     # a transition missing from either table fails, so an empty limit cannot match
     for name, table in (("matches_case_split", sl2lab.origin_case_table(t1, t2)),
                         ("matches_tensor_rule", sl2lab.tensor_rule_table(t1, t2))):
@@ -277,11 +279,6 @@ SUITES = {
     "sl2": suite_sl2,
 }
 
-SUITE_ALIASES = {
-    "psi-decomposition": "decompose",
-    "sl2-lemma": "sl2",
-}
-
 
 def suite_params(name: str) -> list[str]:
     """The parameter names of a suite's signature, in order."""
@@ -290,7 +287,6 @@ def suite_params(name: str) -> list[str]:
 
 def run_suite(name: str, *, type_label="A", rank=1, i=1, power=2, window=3,
               t1=1, t2=1, seeds=20, node_cap=None) -> dict:
-    name = SUITE_ALIASES.get(name, name)
     if name != "all" and name not in SUITES:
         raise KeyError("unknown suite %r" % name)
     cartan = None if name == "sl2" else build_cartan(type_label, rank)

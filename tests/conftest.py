@@ -1,6 +1,7 @@
 import pytest
 
-from loom import build_cartan, energy_table, fundamental_crystal
+from loom import build_cartan, energy_table, fundamental_crystal, linear_path
+from weights import fund
 
 
 @pytest.fixture(scope="session")
@@ -26,6 +27,13 @@ def b3():
 @pytest.fixture(scope="session")
 def a1_base(a1):
     return fundamental_crystal(a1, 1)
+
+
+@pytest.fixture(scope="session")
+def a1_keys(a1):
+    """The keys of the A1 paths along w1 and -w1."""
+    w = fund(a1, 1)
+    return linear_path(w).key(), linear_path(-w).key()
 
 
 @pytest.fixture(scope="session")

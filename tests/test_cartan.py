@@ -65,7 +65,7 @@ def test_exceptional_marks_and_comarks(label, rank, marks, comarks):
     assert cartan.comarks == comarks
 
 
-def test_solve_square_over_both_fields():
+def test_eliminate_and_replay_over_both_fields():
     fr = [[Fraction(2), Fraction(1)], [Fraction(1, 3), Fraction(-1)]]
     fr_rhs = [Fraction(1), Fraction(5, 2)]
     q = QScalar.q_power(1)

@@ -84,7 +84,7 @@ def test_verify_pass_and_exit_codes(tmp_path):
                      "--rank", "1", "--i", "1", "--m", "2", "--window", "3", "--json")
     assert code == 0
     assert json.loads(text)["pass"] is True
-    code, _ = run(tmp_path, "verify", "--suite", "sl2-lemma", "--t1", "1", "--t2", "1")
+    code, _ = run(tmp_path, "verify", "--suite", "sl2", "--t1", "1", "--t2", "1")
     assert code == 0
 
 
@@ -100,13 +100,36 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch):
     assert "FAIL" in text
 
 
-def test_invalid_config_exit_code():
+def test_invalid_config_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         main(["gen", "--type", "Z", "--rank", "3"])
     assert err.value.code == 2
+    # each suite has one name: the old aliases are unknown suites
+    for name in ("nonsense", "sl2-lemma", "psi-decomposition"):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--suite", name])
+        assert err.value.code == 2
+        assert "unknown suite %r" % name in capsys.readouterr().err
+
+
+def test_gen_power_checks_that_the_closure_covers_the_power(tmp_path, monkeypatch, capsys):
+    right = loom.cli.generate
+
+    def drops_a_node(*args, **kw):
+        # a closure that missed one tuple, and the edges to and from it
+        graph = right(*args, **kw)
+        lost, _ = graph.nodes.popitem()
+        graph.f_edges = {(src, i): dst for (src, i), dst in graph.f_edges.items()
+                         if lost not in (src, dst)}
+        return graph
+
+    monkeypatch.setattr("loom.cli.generate", drops_a_node)
     with pytest.raises(SystemExit) as err:
-        main(["verify", "--suite", "nonsense"])
+        main(["gen", "--type", "A", "--rank", "2", "--power", "2",
+              "--out", str(tmp_path / "x.json")])
     assert err.value.code == 2
+    assert "tensor power closure missed elements: 8 of 9" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_node_cap_exit_code(tmp_path):
@@ -300,14 +323,14 @@ def test_verify_power_below_one_names_the_flag(capsys, suite, reported):
 @pytest.mark.parametrize("argv,stray", [
     (["--suite", "sl2", "--type", "E6", "--rank", "6"], "--type, --rank"),
     (["--suite", "sl2", "--power", "3"], "--power"),
-    (["--suite", "sl2-lemma", "--m", "3", "--i", "2"], "--i, --m"),
+    (["--suite", "sl2", "--m", "3", "--i", "2"], "--i, --m"),
     (["--suite", "normality", "--t1", "3"], "--t1"),
     (["--suite", "weyl", "--window", "5"], "--window"),
     (["--suite", "energy", "--power", "2"], "--power"),
     (["--suite", "decompose", "--seeds", "2"], "--seeds"),
-    (["--suite", "psi-decomposition", "--t2", "2"], "--t2"),
-], ids=["sl2-type-rank", "sl2-power", "sl2-alias-m-i", "normality-t1", "weyl-window",
-        "energy-power", "decompose-seeds", "decompose-alias-t2"])
+    (["--suite", "decompose", "--t2", "2"], "--t2"),
+], ids=["sl2-type-rank", "sl2-power", "sl2-m-i", "normality-t1", "weyl-window",
+        "energy-power", "decompose-seeds", "decompose-t2"])
 def test_verify_flag_the_suite_ignores_exits_2(tmp_path, monkeypatch, capsys, argv, stray):
     def untouched(*args, **kw):
         raise AssertionError("ran a suite with a flag it ignores")

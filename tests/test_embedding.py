@@ -31,21 +31,16 @@ from isomorphism import isomorphic
 from weights import coords, fund, scaled, stretch_of
 
 
-def a1_keys(a1):
-    w = fund(a1, 1)
-    return linear_path(w).key(), linear_path(-w).key()
-
-
-def test_kappa_fixture(a1, a1_base, a1_energy):
-    kp, km = a1_keys(a1)
+def test_kappa_fixture(a1_keys, a1_base, a1_energy):
+    kp, km = a1_keys
     assert kappa(a1_energy, a1_base, (kp, km), 0, 1) == Fraction(-1, 2)
     assert kappa(a1_energy, a1_base, (kp, km), 0, 2) == 0
     with pytest.raises(EmbeddingError):
         kappa(a1_energy, a1_base, (kp, km), 0, 3)
 
 
-def test_kappa_on_diagonal_is_linear(a1, a1_base, a1_energy):
-    kp, _ = a1_keys(a1)
+def test_kappa_on_diagonal_is_linear(a1_keys, a1_base, a1_energy):
+    kp, _ = a1_keys
     for m in (1, 2, 3):
         for n in range(-2, 3):
             for j in range(m + 1):
@@ -59,8 +54,8 @@ def test_kappa_endpoint_is_degree(a1, a1_base, a1_energy):
                 assert kappa(a1_energy, a1_base, b, n, m * a1_energy.grid) == n
 
 
-def test_psi_fixtures(a1, a1_base, a1_energy):
-    kp, km = a1_keys(a1)
+def test_psi_fixtures(a1, a1_keys, a1_base, a1_energy):
+    kp, km = a1_keys
     fw = fund(a1, 1, affine=True)
     delta = a1.null_root()
     img = psi(a1_energy, a1_base, ((kp, kp), 0))
@@ -88,8 +83,8 @@ def test_psi_projects_to_concatenation(a1, a1_base, a1_energy):
             assert project(img) == shadow
 
 
-def test_c_class(a1, a1_base, a1_energy):
-    kp, km = a1_keys(a1)
+def test_c_class(a1_keys, a1_base, a1_energy):
+    kp, km = a1_keys
     for m in (2, 3):
         for r in range(-3, 4):
             assert c_class(a1_energy, ((kp,) * m, r), m) == r % m

@@ -27,13 +27,8 @@ from weights import fund
 from test_crystals import PairingTensor
 
 
-def a1_keys(a1):
-    w = fund(a1, 1)
-    return linear_path(w).key(), linear_path(-w).key()
-
-
-def test_a1_energy_fixture(a1, a1_energy):
-    kp, km = a1_keys(a1)
+def test_a1_energy_fixture(a1_keys, a1_energy):
+    kp, km = a1_keys
     assert a1_energy.value(kp, kp) == 0
     assert a1_energy.value(kp, km) == 1
     assert a1_energy.value(km, kp) == 0
@@ -170,8 +165,8 @@ def test_choose_grid(a1_base, a2_base, a1):
     assert choose_grid(fake) == 6
 
 
-def test_refine(a1, a1_base, a1_energy):
-    kp, km = a1_keys(a1)
+def test_refine(a1_keys, a1_base, a1_energy):
+    kp, km = a1_keys
     assert refine(a1_base, (kp, km), 1) == [kp, km]
     assert refine(a1_base, (kp,), 2) == [kp, kp]
     for key in refine(a1_base, (kp, km, km), 1):
@@ -200,8 +195,8 @@ def test_refine_bent_paths_and_its_errors(a1):
         refine(graph, (flat.key(),), 1)
 
 
-def test_major_index(a1, a1_energy, a1_base):
-    kp, km = a1_keys(a1)
+def test_major_index(a1_keys, a1_energy, a1_base):
+    kp, km = a1_keys
     assert major_index(a1_energy, [kp, kp]) == 0
     assert major_index(a1_energy, [kp, km]) == 1
     assert major_index(a1_energy, [km, kp]) == 0

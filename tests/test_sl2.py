@@ -25,7 +25,6 @@ from loom.sl2 import (
     origin_case_table,
     singular_coefficient,
     singular_vector,
-    singular_vectors,
     string_decompose,
     tensor_rule_table,
 )
@@ -112,36 +111,38 @@ def test_string_decompose():
 def test_kashiwara_examples():
     lattice = StringLattice(1, 1)
     vv = basis((1, 1), (0, 0))
-    assert lattice.origin_class(kashiwara_f(vv)) == (1, 0)
-    assert kashiwara_e(vv).is_zero
+    assert lattice.origin_class(kashiwara_f(vv, string_decompose(vv))) == (1, 0)
+    assert kashiwara_e(vv, string_decompose(vv)).is_zero
     # v (x) Fv spans the trivial string at the origin: both operators kill
     # its class, so the lowering-then-raising round trip lands in qL
     v01 = basis((1, 1), (0, 1))
-    assert lattice.origin_class(kashiwara_f(v01)) is None
-    assert lattice.origin_class(kashiwara_e(kashiwara_f(v01))) is None
+    down = kashiwara_f(v01, string_decompose(v01))
+    assert lattice.origin_class(down) is None
+    assert lattice.origin_class(kashiwara_e(down, string_decompose(down))) is None
 
 
 def test_quasi_inverse_where_defined():
     for t1, t2 in ((1, 1), (2, 1), (2, 2)):
         lattice = StringLattice(t1, t2)
-        table = crystal_limit_table(t1, t2)
+        table = crystal_limit_table(lattice)
         for s1 in range(t1 + 1):
             for s2 in range(t2 + 1):
                 target = table[("f", s1, s2)]
                 if target is None:
                     continue
-                down = kashiwara_f(basis((t1, t2), (s1, s2)))
-                assert lattice.origin_class(kashiwara_e(down)) == (s1, s2)
+                v = basis((t1, t2), (s1, s2))
+                down = kashiwara_f(v, string_decompose(v))
+                assert lattice.origin_class(kashiwara_e(down, string_decompose(down))) == (s1, s2)
 
 
 def test_singular_vector_fixtures():
-    u0, u1 = singular_vectors(1, 1)
+    u0, u1 = StringLattice(1, 1).singular.values()
     assert u0 == basis((1, 1), (0, 0))
     assert u1 == basis((1, 1), (0, 1)) - basis((1, 1), (1, 0)).scale(QScalar.q_power(1))
     for t2 in range(1, 5):
         expect = -(QScalar.q_power(t2) * qint(t2))
         assert singular_coefficient(1, t2, 1, 1) == expect
-    for r, u in enumerate(singular_vectors(3, 2)):
+    for r, u in StringLattice(3, 2).singular.items():
         assert act_E(u).is_zero
         assert u.weight() == 5 - 2 * r
         lead = dict(u.coords)[(0, r)]
@@ -206,14 +207,16 @@ def test_lattice_change_of_basis_is_invertible_at_origin():
         lattice = StringLattice(t1, t2)
         for tag, vec in lattice.strings.items():
             assert all(c.regular_at_zero for _, c in vec.coords)
-        for idx in itertools.product(range(t1 + 1), range(t2 + 1)):
+        tags = list(itertools.product(range(t1 + 1), range(t2 + 1)))
+        for idx in tags:
             coords = lattice.coords(basis((t1, t2), idx))
             assert all(c.regular_at_zero for c in coords.values())
-            assert lattice.class_of_string[lattice.string_of_class[idx]] == idx
+        # the classes are distinct and cover every tag
+        assert sorted(lattice.class_of_string.values()) == tags
 
 
 def test_crystal_limit_small_fixture():
-    table = crystal_limit_table(1, 1)
+    table = crystal_limit_table(StringLattice(1, 1))
     assert table[("f", 0, 0)] == (1, 0)
     assert table[("f", 1, 0)] == (1, 1)
     assert table[("f", 0, 1)] is None
@@ -225,7 +228,7 @@ def test_crystal_limit_small_fixture():
 
 @pytest.mark.parametrize("t1,t2", [(1, 2), (2, 2), (3, 1)])
 def test_crystal_limit_matches_both_tables(t1, t2):
-    table = crystal_limit_table(t1, t2)
+    table = crystal_limit_table(StringLattice(t1, t2))
     assert table == origin_case_table(t1, t2)
     assert table == tensor_rule_table(t1, t2)
 
@@ -233,11 +236,14 @@ def test_crystal_limit_matches_both_tables(t1, t2):
 @pytest.mark.parametrize("shape", list(itertools.product(range(4), repeat=2))
                          + [(1, 1, 1), (2, 1, 2)])
 def test_kashiwara_operators_accept_a_given_decomposition(shape):
+    # each operator moves every part of the decomposition it is given one
+    # step along its string, and decomposing the image reads that back
     for idx in itertools.product(*(range(t + 1) for t in shape)):
         v = basis(shape, idx)
         parts = string_decompose(v)
-        assert kashiwara_e(v, parts=parts) == kashiwara_e(v)
-        assert kashiwara_f(v, parts=parts) == kashiwara_f(v)
+        up = [(s + 1, u) for s, u in parts if not act_F_div(u, s + 1).is_zero]
+        assert string_decompose(kashiwara_f(v, parts)) == up
+        assert string_decompose(kashiwara_e(v, parts)) == [(s - 1, u) for s, u in parts if s]
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 1, 2), (2, 2, 2), (1, 1, 1, 1)])
@@ -248,8 +254,8 @@ def test_kashiwara_operators_follow_the_tensor_rule_at_the_origin(shape):
     for idx in itertools.product(*(range(t + 1) for t in shape)):
         v = basis(shape, idx)
         parts = string_decompose(v)
-        for image, move in ((kashiwara_e(v, parts=parts), ops.e(idx, 1)),
-                            (kashiwara_f(v, parts=parts), ops.f(idx, 1))):
+        for image, move in ((kashiwara_e(v, parts), ops.e(idx, 1)),
+                            (kashiwara_f(v, parts), ops.f(idx, 1))):
             assert all(c.regular_at_zero for _, c in image.coords)
             limit = {tag: c.at_zero() for tag, c in image.coords if c.at_zero() != 0}
             assert set(limit.values()) <= {1} and len(limit) <= 1
@@ -301,7 +307,7 @@ def _count_calls(monkeypatch):
 @pytest.mark.parametrize("t1,t2", [(2, 3), (4, 4)])
 def test_crystal_limit_decomposes_each_tag_once(monkeypatch, t1, t2):
     counts = _count_calls(monkeypatch)
-    crystal_limit_table(t1, t2)
+    crystal_limit_table(StringLattice(t1, t2))
     tags = (t1 + 1) * (t2 + 1)
     # and eliminates the change of basis of each weight level once
     assert counts == {"string_decompose": tags, "kashiwara_e": tags,
@@ -331,8 +337,9 @@ def test_crystal_limit_is_the_same_with_a_cold_and_a_warm_gcd_memo():
         vectors = []
         for idx in itertools.product(range(3), range(4)):
             vec = basis((2, 3), idx)
-            vectors += [kashiwara_e(vec), kashiwara_f(vec)]
-        return crystal_limit_table(2, 3), vectors
+            parts = string_decompose(vec)
+            vectors += [kashiwara_e(vec, parts), kashiwara_f(vec, parts)]
+        return crystal_limit_table(StringLattice(2, 3)), vectors
 
     memo = qfield._gcd_cofactors
     memo.cache_clear()
@@ -355,7 +362,7 @@ def test_not_in_lattice_detected():
     lattice = StringLattice(1, 1)
     bad = basis((1, 1), (0, 0)).scale(Q_ONE / QScalar.q_power(1))
     with pytest.raises(NotInLatticeError):
-        lattice.reduce_at_zero(bad)
+        lattice.origin_class(bad)
 
 
 def test_string_decompose_fails_when_a_peel_does_not_shorten(monkeypatch):
@@ -390,7 +397,7 @@ def test_string_decompose_reassembles_from_recomputed_strings(monkeypatch):
 def test_an_oracle_failure_is_a_failed_check_not_a_traceback(monkeypatch, tmp_path):
     right = sl2.kashiwara_f
     monkeypatch.setattr(sl2, "kashiwara_f",
-                        lambda v, *, parts=None: right(v, parts=parts).scale(QScalar.const(2)))
+                        lambda v, parts: right(v, parts).scale(QScalar.const(2)))
     out = tmp_path / "sl2.json"
     assert main(["verify", "--suite", "sl2", "--t1", "1", "--t2", "1", "--json",
                  "--out", str(out)]) == 1
@@ -399,11 +406,26 @@ def test_an_oracle_failure_is_a_failed_check_not_a_traceback(monkeypatch, tmp_pa
         False, "ArithmeticError: origin reduction is not a single class")
 
 
+def test_a_singular_vector_fault_is_a_failed_check_not_a_traceback(monkeypatch, tmp_path):
+    # the lattice is built on the closed-form singular vectors inside the
+    # suite's guard, so a fault there fails both checks that read them
+    right = sl2.singular_coefficient
+    monkeypatch.setattr(sl2, "singular_coefficient",
+                        lambda t1, t2, r, a: right(t1, t2, r, a) * QScalar.const(2 if a else 1))
+    out = tmp_path / "sl2.json"
+    assert main(["verify", "--suite", "sl2", "--t1", "1", "--t2", "1", "--json",
+                 "--out", str(out)]) == 1
+    checks = {c["name"]: (c["pass"], c["detail"]) for c in json.loads(out.read_text())["checks"]}
+    assert checks["singular_vectors"] == (False, "0 vectors compared, 0 skipped")
+    assert checks["lattice_preserved"] == (
+        False, "ArithmeticError: closed-form singular vector is not singular")
+    assert checks["defining_relations"][0]
+
+
 @pytest.mark.parametrize("build", [
     lambda: StringLattice(-1, 2),
-    lambda: crystal_limit_table(-1, 0),
-    lambda: crystal_limit_table(0, -2),
-    lambda: singular_vectors(-1, 3),
+    lambda: crystal_limit_table(StringLattice(-1, 0)),
+    lambda: crystal_limit_table(StringLattice(0, -2)),
     lambda: origin_case_table(2, -1),
     lambda: tensor_rule_table(-3, 1),
 ])
@@ -417,8 +439,6 @@ def test_lattice_rejects_vectors_of_another_shape():
     # (1, 0) is a valid tag of both shapes, so only the shape tells them apart
     with pytest.raises(ValueError, match="shape"):
         lattice.origin_class(basis((1, 3), (1, 0)))
-    with pytest.raises(ValueError, match="shape"):
-        lattice.reduce_at_zero(basis((1, 3), (1, 0)))
     # level 4 does not exist in the (1, 1) lattice
     with pytest.raises(ValueError, match="shape"):
         lattice.coords(basis((1, 3), (1, 3)))

@@ -32,12 +32,6 @@ def test_each_suite_passes_on_defaults(name):
     assert report["params"] == expected_params(name, 2, 3, 5, 1, 2)
 
 
-def test_suite_aliases():
-    report = run_suite("psi-decomposition", type_label="A", rank=1, i=1,
-                       power=2, window=3)
-    assert report["suite"] == "decompose" and report["pass"]
-
-
 def test_all_runs_everything():
     report = run_suite("all", type_label="A", rank=1, i=1, power=3, window=3,
                        t1=1, t2=2, seeds=4)
@@ -323,7 +317,8 @@ def test_sl2_transition_checks_fail_on_a_dropped_or_altered_entry(monkeypatch, p
 
 
 def test_sl2_transition_checks_fail_on_empty_tables(monkeypatch):
-    for name in ("crystal_limit_table", "origin_case_table", "tensor_rule_table"):
+    monkeypatch.setattr(loom.verify.sl2lab, "crystal_limit_table", lambda lattice: {})
+    for name in ("origin_case_table", "tensor_rule_table"):
         monkeypatch.setattr(loom.verify.sl2lab, name, lambda t1, t2: {})
     checks = _checks(run_suite("sl2", t1=1, t2=1))
     assert checks["matches_case_split"] == (False, "0 transitions compared, 0 skipped")
@@ -331,7 +326,7 @@ def test_sl2_transition_checks_fail_on_empty_tables(monkeypatch):
 
 
 def test_sl2_transition_checks_fail_when_the_lattice_check_fails(monkeypatch):
-    def not_in_lattice(t1, t2):
+    def not_in_lattice(lattice):
         raise loom.verify.sl2lab.NotInLatticeError("planted")
 
     monkeypatch.setattr(loom.verify.sl2lab, "crystal_limit_table", not_in_lattice)
