@@ -1,7 +1,8 @@
 """Exact arithmetic in the field of rational functions of one variable.
 
-A nonzero element is ``scale * q**power * num / den``: a rational scale,
-an integer power, and coprime primitive integer polynomials with positive
+A nonzero element is ``scale * q**power * num / den``: a rational scale
+(an ``int`` when it is integral, else a ``Fraction``, never a float), an
+integer power, and coprime primitive integer polynomials with positive
 leading coefficients and nonzero constant terms (zero is scale 0, num ()).
 Powers of q and rational content never reach a gcd, and a Laurent
 polynomial has ``den == (1,)``.  Since both operands are reduced, a gcd is
@@ -65,11 +66,18 @@ def _imul(a, b):
     if b == (1,):
         return a
     out = [0] * (len(a) + len(b) - 1)
+    # most operands are polynomials in q^2: visit only the nonzero terms of b
+    terms = [(j, y) for j, y in enumerate(b) if y]
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
+            for j, y in terms:
                 out[i + j] += x * y
     return _trim(out)
+
+
+def _scale(x):
+    """The rational x as a scale: an int when it is integral, else the Fraction."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def _iscale(a, c: int):
@@ -206,20 +214,20 @@ def _gcd_cofactors(a, b):
 class QScalar:
     """Rational function in q over the rationals, in canonical form."""
 
-    scale: Fraction
+    scale: int | Fraction
     power: int
     num: tuple[int, ...]
     den: tuple[int, ...]
 
     @staticmethod
     def const(x) -> "QScalar":
-        x = frac(x)
+        x = _scale(frac(x))
         return QScalar(x, 0, (1,), (1,)) if x else Q_ZERO
 
     @staticmethod
     @lru_cache(maxsize=None)
     def q_power(k: int) -> "QScalar":
-        return QScalar(Fraction(1), k, (1,), (1,))
+        return QScalar(1, k, (1,), (1,))
 
     @property
     def is_zero(self) -> bool:
@@ -251,7 +259,7 @@ class QScalar:
         # a common factor of num and d1 * d2 would divide an operand's
         # numerator and denominator, so only g can share one with num
         _, num, g = _cancel(num, g)
-        return QScalar(Fraction(c) if pd == rd == 1 else Fraction(c, pd * rd),
+        return QScalar(c if pd == rd == 1 else _scale(Fraction(c, pd * rd)),
                        power + k, num, _imul(_imul(d1, d2), g))
 
     def __sub__(self, other: "QScalar") -> "QScalar":
@@ -260,10 +268,10 @@ class QScalar:
     def __neg__(self) -> "QScalar":
         return QScalar(-self.scale, self.power, self.num, self.den)
 
-    def _times(self, scale: Fraction, power: int, num, den) -> "QScalar":
+    def _times(self, scale: int | Fraction, power: int, num, den) -> "QScalar":
         """self * scale * q**power * num / den, the factor in canonical form."""
         if self.scale != 1:
-            scale = self.scale if scale == 1 else scale * self.scale
+            scale = self.scale if scale == 1 else _scale(scale * self.scale)
         if num == den == (1,):
             num, den = self.num, self.den
         elif self.num != (1,) or self.den != (1,):
@@ -282,7 +290,8 @@ class QScalar:
             raise ZeroDivisionError("division by the zero rational function")
         if self.is_zero:
             return Q_ZERO
-        s = other.scale if other.scale in (1, -1) else 1 / other.scale
+        # through Fraction: 1 / an int scale would be a float
+        s = other.scale if other.scale in (1, -1) else _scale(Fraction(1, other.scale))
         return self._times(s, -other.power, other.den, other.num)
 
     def valuation(self) -> int | None:
@@ -330,8 +339,8 @@ class QScalar:
         return "QScalar((%s)/(%s))" % (poly(scaled), poly(den))
 
 
-Q_ZERO = QScalar(Fraction(0), 0, (), (1,))
-Q_ONE = QScalar(Fraction(1), 0, (1,), (1,))
+Q_ZERO = QScalar(0, 0, (), (1,))
+Q_ONE = QScalar(1, 0, (1,), (1,))
 
 
 @lru_cache(maxsize=None)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cartan import eliminate, replay
 from .crystals import CrystalGraph, Node, TensorOps, moves
@@ -42,6 +43,12 @@ class NotInLatticeError(ArithmeticError):
 
 class HomogeneityError(ValueError):
     """Operation needs a weight-homogeneous vector."""
+
+
+@lru_cache(maxsize=None)
+def _tags(shape) -> frozenset:
+    """Every tag of shape: the tuples of divided powers 0 <= s <= t."""
+    return frozenset(itertools.product(*(range(t + 1) for t in shape)))
 
 
 def _index_weight(shape, idx) -> int:
@@ -57,17 +64,16 @@ class TensorVector:
 
     @staticmethod
     def make(shape, coords: dict) -> "TensorVector":
+        """The vector of the nonzero ``coords``.  Every key must be a tag of
+        ``shape``, a tuple of one divided power 0 <= s <= t per factor t;
+        else ``ValueError`` names the first other key in ``coords``' order."""
         shape = tuple(shape)
-        clean = {}
-        for idx, c in coords.items():
-            idx = tuple(idx)
-            if len(idx) != len(shape):
-                raise ValueError("index arity does not match the shape")
-            if any(not 0 <= s <= t for s, t in zip(idx, shape)):
-                raise ValueError("index %r outside shape %r" % (idx, shape))
-            if not c.is_zero:
-                clean[idx] = c
-        return TensorVector(shape, tuple(sorted(clean.items())))
+        outside = coords.keys() - _tags(shape)
+        if outside:
+            idx = next(idx for idx in coords if idx in outside)
+            raise ValueError("index %r outside shape %r" % (idx, shape))
+        return TensorVector(shape, tuple(sorted(
+            (idx, c) for idx, c in coords.items() if not c.is_zero)))
 
     @staticmethod
     def basis(shape, idx) -> "TensorVector":

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 
 from loom.cartan import frac
-from loom.qfield import Q_ZERO, QScalar, _cancel, _strip, _trim, _unit_split
+from loom.qfield import Q_ZERO, QScalar, _cancel, _scale, _strip, _trim, _unit_split
 
 
 def _make(scale: Fraction, num, den) -> QScalar:
@@ -25,7 +25,7 @@ def _make(scale: Fraction, num, den) -> QScalar:
     (kn, num), (kd, den) = _strip(num), _strip(den)
     (cn, num), (cd, den) = _unit_split(num), _unit_split(den)
     _, num, den = _cancel(num, den)
-    return QScalar(scale * Fraction(cn, cd), kn - kd, num, den)
+    return QScalar(_scale(scale * Fraction(cn, cd)), kn - kd, num, den)
 
 
 def of(num, den=(1,)) -> QScalar:
@@ -45,7 +45,7 @@ def bar(x: QScalar) -> QScalar:
     # reversing keeps both parts primitive and coprime; only signs move
     cn, num = _unit_split(x.num[::-1])
     cd, den = _unit_split(x.den[::-1])
-    return QScalar(x.scale * (cn * cd), len(x.den) - len(x.num) - x.power, num, den)
+    return QScalar(_scale(x.scale * (cn * cd)), len(x.den) - len(x.num) - x.power, num, den)
 
 
 def is_laurent(x: QScalar) -> bool:

@@ -141,6 +141,9 @@ def _order(p):
 
 
 def _assert_canonical(x):
+    # the scale is an int exactly when it is integral, else a Fraction
+    assert type(x.scale) in (int, Fraction)
+    assert (type(x.scale) is int) == (Fraction(x.scale).denominator == 1)
     if x.is_zero:
         assert (x.scale, x.power, x.num, x.den) == (0, 0, (), (1,))
         return
@@ -211,6 +214,40 @@ def test_results_stay_canonical(monkeypatch):
         _assert_canonical(a)
         _assert_canonical(a - a)
     assert reduced["add"] > 0 and reduced["mul"] > 0
+    built = [Q_ZERO, Q_ONE, QScalar.const(3), QScalar.const(Fraction(6, 3)),
+             QScalar.const(Fraction(-2, 3)), QScalar.q_power(-2), QScalar.q_power(5)]
+    built += [f(m) for f in (qint, qfact) for m in range(7)]
+    built += [qbinom(m, n) for m in range(7) for n in range(m + 1)]
+    for x in built:
+        _assert_canonical(x)
+    # an inverse goes through Fraction: 1 / 3 on an int would be a float
+    third = Q_ONE / QScalar.const(3)
+    assert type(third.scale) is Fraction and third.scale == Fraction(1, 3)
+    assert type((third * QScalar.const(6)).scale) is int
+
+
+def _sparse_poly(rng, step):
+    """A trimmed polynomial in q^step, with interior zeros."""
+    out = [0] * (step * rng.randint(0, 4))
+    for k in range(0, len(out), step):
+        out[k] = rng.choice([0, 0, -2, -1, 1, 3])
+    return out + [rng.choice([-2, -1, 1, 3])]
+
+
+def test_product_skips_zero_terms_and_matches_the_dense_reference():
+    cases = [
+        ((1, 0, 0, -1), (1, 0, 0, 0, 2)),  # interior zeros
+        ((1, 0, 1, 0, 1), (1, 0, -1)),  # polynomials in q^2
+        ((0, 0, 3), (2, 0, -5)),
+        ((-3,), (1, 0, -1)), ((1, 0, -1), (-3,)), ((2,), (-7,)),  # one-term operands
+        ((1,), (0, 4)), ((0, 4), (1,)),
+    ]
+    rng = random.Random(13)
+    cases += [(_sparse_poly(rng, step), _sparse_poly(rng, step))
+              for step in (1, 2, 2, 3) for _ in range(50)]
+    for a, b in cases:
+        assert qfield._imul(tuple(a), tuple(b)) == qfield._trim(_pmul(a, b))
+    assert qfield._imul((), (1, 2)) == qfield._imul((1, 2), ()) == ()
 
 
 def _prs_cancel(a, b):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import time
 
 import pytest
@@ -44,6 +45,36 @@ def test_action_examples():
     u1 = singular_vector(1, 1, 1)
     assert u1 == basis((1, 1), (0, 1)) - basis((1, 1), (1, 0)).scale(QScalar.q_power(1))
     assert act_E(u1).is_zero
+
+
+@pytest.mark.parametrize("tag", [(3, 0), (0, 4), (0, -1), (1,), (1, 1, 0), 1, "01"],
+                         ids=["above-t1", "above-t2", "negative", "short", "long",
+                              "int", "str"])
+def test_make_rejects_a_tag_outside_the_shape(tag):
+    # the error names the first bad tag in the caller's order, also among
+    # keys that do not compare with each other, and a zero coefficient is
+    # no excuse
+    for coords in ({(1, 1): Q_ONE, tag: Q_ONE, (9, 9): Q_ONE}, {tag: Q_ZERO}):
+        with pytest.raises(ValueError, match=re.escape("index %r outside" % (tag,))):
+            TensorVector.make((2, 3), coords)
+
+
+def _inside(v, shape):
+    return v.shape == shape and all(
+        isinstance(idx, tuple) and len(idx) == len(shape)
+        and all(0 <= s <= t for s, t in zip(idx, shape)) for idx, _ in v.coords)
+
+
+def test_every_action_stays_inside_the_shape():
+    c = Q_ONE - QScalar.q_power(2)
+    for shape in itertools.product(range(5), repeat=2):
+        tags = list(itertools.product(*[range(t + 1) for t in shape]))
+        for idx in tags:
+            v = basis(shape, idx)
+            images = [act_E(v), act_F(v), act_K(v), act_K(v, -1), v.scale(c),
+                      v + basis(shape, tags[-1])]
+            images += [act_F_div(v, r) for r in range(sum(shape) + 2)]
+            assert all(_inside(w, shape) for w in images)
 
 
 def test_defining_relations_small():

@@ -6,7 +6,10 @@ and outside ``__init__.py``.  A use is a loaded ``Name`` that its
 enclosing functions do not bind as a parameter or an assignment target;
 for a method also any ``Attribute`` of its name, and for a module-level
 function only an ``Attribute`` read off an imported module, so a local
-variable or ``ext.phi`` does not keep a function ``phi`` alive.  A route
+variable or ``ext.phi`` does not keep a function ``phi`` alive.  A method
+named like an annotated field of some class in ``src/loom`` is used only
+by a call ``x.name(...)``, so a read of ``x.scale`` keeps no method
+``scale`` alive; a property, which is read and not called, is exempt.  A route
 that only the tests reach belongs in a test-side helper such as
 ``tests/fraction_paths.py``.  The one exemption is a route that
 ``perfbench/tracer.py`` lists in ``TARGETS``: the tracer wraps it by name,
@@ -47,6 +50,17 @@ def _routes(tree):
                     yield "%s.%s" % (node.name, sub.name), sub
 
 
+def _fields(tree):
+    """The names of the annotated fields of the classes in tree."""
+    return {sub.target.id for node in tree.body if isinstance(node, ast.ClassDef)
+            for sub in node.body
+            if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)}
+
+
+def _is_property(node):
+    return any(isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list)
+
+
 def _imported_modules(tree):
     """The names ``import m`` and ``from . import m`` bind in tree."""
     return {alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
@@ -55,11 +69,13 @@ def _imported_modules(tree):
 
 
 def _uses(tree, modules):
-    """Count the uses in tree: ``("name", id)``, ``("attr", attr)`` and ``("module", attr)``.
+    """Count the uses in tree: ``("name", id)``, ``("attr", attr)``,
+    ``("module", attr)`` and ``("call", attr)``.
 
     A ``Name`` counts when it is loaded and no enclosing function binds it
     as a parameter or an assignment target; every ``Attribute`` counts
-    under ``attr``, and one read off a name in ``modules`` also under ``module``.
+    under ``attr``, one read off a name in ``modules`` also under
+    ``module``, and one that is called also under ``call``.
     """
     uses = Counter()
 
@@ -76,6 +92,8 @@ def _uses(tree, modules):
             uses["attr", node.attr] += 1
             if isinstance(node.value, ast.Name) and node.value.id in modules:
                 uses["module", node.attr] += 1
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            uses["call", node.func.attr] += 1
         for child in ast.iter_child_nodes(node):
             visit(child, bound)
 
@@ -89,11 +107,17 @@ def unnamed_routes(src=SRC, targets=None):
     trees = {"loom." + p.stem: ast.parse(p.read_text())
              for p in sorted(src.glob("*.py")) if p.name != "__init__.py"}
     modules = {module: _imported_modules(tree) for module, tree in trees.items()}
+    fields = set().union(*map(_fields, trees.values()))
     total = sum((_uses(tree, modules[module]) for module, tree in trees.items()), Counter())
     out = []
     for module, tree in trees.items():
         for qualname, node in _routes(tree):
-            kind = "attr" if "." in qualname else "module"
+            if "." not in qualname:
+                kind = "module"
+            elif node.name in fields and not _is_property(node):
+                kind = "call"
+            else:
+                kind = "attr"
 
             def count(uses):
                 return uses["name", node.name] + uses[kind, node.name]
@@ -114,22 +138,32 @@ def test_every_library_route_is_named_in_the_library():
 def test_guard_names_unnamed_routes(tmp_path):
     # orphan is named only in __init__.py and K.again only in its own body;
     # b.phi is only bound as a parameter and a local and read off a call's
-    # result, so nothing uses it, while reached is read off the module a
+    # result, so nothing uses it, while reached is read off the module a.
+    # V.scale is named like the field Rec.scale and only ever read, never
+    # called, so nothing uses it; the property V.size is kept by its read
     (tmp_path / "__init__.py").write_text("from .a import orphan\n")
     (tmp_path / "a.py").write_text(
         "def used():\n    return 1\n\n"
         "def orphan():\n    return used()\n\n"
-        "def reached():\n    return 2\n\n"
+        "def reached(rec):\n    return rec.scale + rec.size\n\n"
         "class K:\n    def __len__(self):\n        return 0\n\n"
-        "    def again(self):\n        return self.again\n")
+        "    def again(self):\n        return self.again\n\n"
+        "class Rec:\n    scale: int\n    size: int\n\n"
+        "class V:\n    def scale(self, c):\n        return c\n\n"
+        "    @property\n    def size(self):\n        return 0\n")
     (tmp_path / "b.py").write_text(
         "from . import a\n\n"
         "def phi(path):\n    return path\n\n"
         "def h_extrema(path, phi=None):\n    return phi or path\n\n"
-        "def lower(path):\n    phi = a.reached()\n    return h_extrema(path).phi + phi\n\n"
+        "def lower(path):\n    phi = a.reached(path)\n    return h_extrema(path).phi + phi\n\n"
         "LOWER = lower\n")
-    assert unnamed_routes(tmp_path, set()) == ["loom.a:orphan", "loom.a:K.again", "loom.b:phi"]
-    assert unnamed_routes(tmp_path, {("loom.a", "orphan")}) == ["loom.a:K.again", "loom.b:phi"]
+    assert unnamed_routes(tmp_path, set()) == [
+        "loom.a:orphan", "loom.a:K.again", "loom.a:V.scale", "loom.b:phi"]
+    assert unnamed_routes(tmp_path, {("loom.a", "orphan")}) == [
+        "loom.a:K.again", "loom.a:V.scale", "loom.b:phi"]
+    # a call of the same name keeps the method alive
+    (tmp_path / "c.py").write_text("def grow(v):\n    return v.scale(2)\n\nGROW = grow\n")
+    assert "loom.a:V.scale" not in unnamed_routes(tmp_path, set())
 
 
 def test_weight_keeps_only_its_name():
