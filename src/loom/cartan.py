@@ -318,10 +318,19 @@ class AffineCartan:
     sym: tuple[int, ...]
     # alpha_j per index in the fundamental-weight basis, null-root entry last
     roots: tuple = field(init=False, repr=False, compare=False)
+    # the invariant form on classical weights, up to a positive factor, on their
+    # pairings f with h_1..h_rank: (f, f) ∝ sum_i sym_i f_i (A^-1 f)_i, A the finite block
+    form: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "roots", tuple(
             tuple(row[j] for row in self.matrix) + (int(j == 0),) for j in self.indices))
+        steps = eliminate([[Fraction(x) for x in row[1:]] for row in self.matrix[1:]])
+        cols = [replay(steps, [Fraction(int(k == j)) for k in range(self.rank)])
+                for j in range(self.rank)]
+        den = lcm(*(x.denominator for col in cols for x in col))
+        object.__setattr__(self, "form", tuple(
+            tuple(int(self.sym[i + 1] * col[i] * den) for col in cols) for i in range(self.rank)))
 
     @property
     def indices(self) -> range:

@@ -8,7 +8,8 @@ the endpoint as an integer :class:`~loom.cartan.Stretch`, the one weight
 arithmetic.  :func:`generate` asks ``strings`` once per node, then ``e``
 and ``f`` per index, all from one row: ``TensorOps`` keeps the row of
 its last element, matched by identity, and ``PathOps`` one row per path
-key.  Infinite kinds also expose ``level`` and are
+key, or for an affine kind one row per delta-orbit, read by every path of
+the orbit.  Infinite kinds also expose ``level`` and are
 generated inside an explicit window on the absolute level; a tensor
 product takes finite factors only.  Closure generation, the tensor
 product rule and the normality audit all work against that surface, so

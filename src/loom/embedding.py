@@ -264,8 +264,9 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
     the path crystals of the straight seeds m fw + r delta, and compares
     them on the shrunken window |degree| <= window - 1, where every node
     still has all its neighbours.  Piece r is the inner part of the seed
-    m fw + r delta; the first m pieces are the decomposition.  Pieces r and
-    r + m share one :class:`PathOps` table, and no piece graph is kept.  The checks:
+    m fw + r delta; the first m pieces are the decomposition.  Piece r + 1 is
+    piece r shifted by delta, so every piece reads one :class:`PathOps`
+    table, whose rows are level-zero paths; no piece graph is kept.  The checks:
 
     - ``psi_injective``, ``psi_of_straight_seeds`` and ``psi_endpoint_law``
       over every node of the window, recorded by :func:`psi_checks`;
@@ -309,13 +310,10 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
     classes = {key: c_class(table, key, m) for key in images}
     inner_keys = [key for key in images if abs(key[1]) <= inner]
 
-    pieces = [None] * min(2 * m, window + 1)
-    for r in range(m):
-        ops = PathOps(cartan, affine=True)
-        for s in range(r, len(pieces), m):
-            pieces[s] = {k for k, node in path_crystal_window(
-                cartan, m * fw + s * delta, window, node_cap=node_cap, ops=ops).nodes.items()
-                if abs(node.wt.nums[-1]) <= inner * node.wt.den}
+    ops = PathOps(cartan, affine=True)
+    pieces = [{k for k, node in path_crystal_window(
+        cartan, m * fw + r * delta, window, node_cap=node_cap, ops=ops).nodes.items()
+        if abs(node.wt.nums[-1]) <= inner * node.wt.den} for r in range(min(2 * m, window + 1))]
     shifts = [(r - m, r) for r in range(m, len(pieces))]
 
     class_sets = [set() for _ in range(m)]

@@ -34,6 +34,15 @@ The height maximum is required to be an integer.  Paths produced by
 closure from linear seeds satisfy this; anything else is outside the
 model and fails with :class:`IntegralityError` instead of being guessed
 at.
+
+The delta-law: <delta, h_i> = 0, so heights ignore the null-root entry,
+and the root operators commute with :func:`translate`, the shift by a
+multiple of delta, wherever :func:`make_path` does not reparametrise.
+The guard of :class:`PathOps` makes sure of that: every stretch is level
+zero, none has a zero classical part, and all classical parts have one
+norm under the invariant form, :attr:`~loom.cartan.AffineCartan.form`.  An affine
+:class:`PathOps` then keeps one row per delta-orbit, built on the orbit's
+level-zero path.
 """
 
 from __future__ import annotations
@@ -350,12 +359,35 @@ def uniform_stretches(path: Path, n: int) -> list[Stretch]:
     return out
 
 
+def translate(path: Path, s: int) -> Path:
+    """The affine path plus s delta: each direction's null-root entry moves by s m.
+
+    Times and pairings stay, so the grid form stays canonical when no
+    direction can turn zero and no two neighbours collinear; the guard of
+    :class:`PathOps` decides that.
+    """
+    k = s * path.m
+    return Path(path.m, path.n, tuple([d[:-1] + (d[-1] + k,) for d in path.dirs]),
+                path.cells, True, path.ncoords)
+
+
 class PathOps:
     """Crystal operations on paths of a fixed ambient, for the generator.
 
-    One table row per path key, from one :func:`h_extrema` scan per index, holds
-    the tuples ``(eps, phi)`` over all indices and e and f per index; a key names
-    one grid form, and the table keeps one path per key.
+    A table row, from one :func:`h_extrema` scan per index, holds the tuples
+    ``(eps, phi)`` over all indices and e and f per index; a key names one
+    grid form, and the table keeps one path per key.
+
+    An affine table keeps one row per delta-orbit, by the delta-law of the
+    module: a path x of level s != 0 reads the row of its level-zero
+    translate x - s delta, each output moved back by s delta, and only the
+    translate's row is stored.  The law holds on grid forms when
+    :func:`make_path` never reparametrises, which the guard ensures: every
+    stretch is level zero, with a nonzero classical part, and all classical
+    parts have one norm.  Then no stretch is a pause, two neighbours are
+    collinear only when equal, and the root operators keep all three
+    properties.  The verdict is kept per level-zero key; a path that fails
+    it gets a row of its own, as a classical path does.
     """
 
     def __init__(self, cartan: AffineCartan, *, affine: bool = False):
@@ -363,7 +395,7 @@ class PathOps:
         self.indices = tuple(cartan.indices)
         # an affine kind is infinite: generate needs a window for it
         self.infinite = affine
-        self._rows, self._paths = {}, {}
+        self._rows, self._paths, self._guard = {}, {}, {}
         self._last = (None, None)
 
     def key(self, x: Path):
@@ -376,20 +408,51 @@ class PathOps:
     def wt(self, x: Path) -> Stretch:
         return x.endpoint()
 
+    def _keep(self, y: Path) -> Path:
+        return self._paths.setdefault(y.key(), y)
+
+    def _translates(self, rep: Path, key) -> bool:
+        """The guard: the delta-law holds on the grid form of rep, whose key is key."""
+        ok = self._guard.get(key)
+        if ok is None:
+            comarks, form = self.cartan.comarks, self.cartan.form
+            # the form is definite, so a norm is 0 only on a zero classical part;
+            # a stretch off level zero counts as 0 too
+            norms = {0 if sum(map(mul, comarks, d)) else
+                     sum([a * sum(map(mul, row, d[1:-1])) for a, row in zip(d[1:-1], form) if a])
+                     for d in rep.dirs}
+            ok = self._guard[key] = len(norms) == 1 and 0 not in norms
+        return ok
+
+    def _scan(self, x: Path) -> tuple:
+        """``((eps, phi), moves)`` of x, moves taking an index to ``(e, f)``."""
+        c, eps, phi, moves = self.cartan, [], [], {}
+        for j in self.indices:
+            ext = h_extrema(c, x, j)
+            eps.append(ext.eps)
+            phi.append(ext.phi)
+            moved = (raising_op(c, x, j, ext), lowering_op(c, x, j, ext))
+            moves[j] = tuple([y and self._keep(y) for y in moved])
+        return (tuple(eps), tuple(phi)), moves
+
+    def _shifted(self, row: tuple, s: int) -> tuple:
+        """A level-zero row moved to level s: each output plus s delta."""
+        keep = self._keep
+        return row[0], {j: tuple([y and keep(translate(y, s)) for y in pair])
+                        for j, pair in row[1].items()}
+
     def _row(self, x: Path) -> tuple:
-        """``((eps, phi), moves)`` of x, moves taking an index to ``(e, f)``; built once."""
+        """The row of x; built once per level-zero key, translated for any other level."""
         if self._last[0] is not x:  # the identity check spares hashing x's key
-            row = self._rows.get(x.key())
+            s = self.infinite and self.level(x)
+            rep = translate(x, -s) if s else x
+            key = rep.key()
+            if s and not self._translates(rep, key):
+                rep, key, s = x, x.key(), 0
+            row = self._rows.get(key)
             if row is None:
-                c, keep, eps, phi, moves = self.cartan, self._paths.setdefault, [], [], {}
-                for j in self.indices:
-                    ext = h_extrema(c, x, j)
-                    eps.append(ext.eps)
-                    phi.append(ext.phi)
-                    moved = (raising_op(c, x, j, ext), lowering_op(c, x, j, ext))
-                    moves[j] = tuple([y and keep(y.key(), y) for y in moved])
-                row = self._rows[x.key()] = ((tuple(eps), tuple(phi)), moves)
-            self._last = (x, row)
+                row = self._rows[key] = self._scan(rep)
+            self._last = (x, self._shifted(row, s) if s else row)
         return self._last[1]
 
     def strings(self, x: Path) -> tuple[tuple[int, ...], tuple[int, ...]]:

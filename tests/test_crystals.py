@@ -27,8 +27,9 @@ from loom import (
 from loom.cartan import Stretch
 from loom.crystals import GenerationError, Node
 from isomorphism import isomorphic
+from fraction_paths import segments
 from outcomes import holds
-from weights import coords, fund
+from weights import coords, fund, stretch_of
 
 
 def keys_of(cartan, *weights):
@@ -423,18 +424,30 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
+def _level_zero_key(path):
+    """The key of path - s delta, s the level of path, read off its Fraction segments."""
+    segs = segments(path)
+    s = sum(v[-1] for v, _ in segs)
+    return tuple(stretch_of(v[:-1] + (v[-1] - s * t,), True) for v, t in segs)
+
+
 @pytest.mark.parametrize("label,rank,i,window", [
     ("C", 2, 2, None), ("G2", 2, 1, None), ("A", 2, 1, 2), ("C", 2, 1, 2),
 ])
 def test_generate_scans_heights_once_per_node_and_index(monkeypatch, label, rank, i, window):
+    # a classical node is scanned itself; an affine node of level s shares the
+    # row of its level-zero translate, so each translate is scanned once
     cartan = build_cartan(label, rank)
     calls = _count_calls(monkeypatch, loom.paths, "h_extrema")
     if window is None:
         graph = fundamental_crystal(cartan, i)
+        rows = set(graph.nodes)
     else:
         graph = path_crystal_window(cartan, fund(cartan, i, affine=True), window)
+        rows = {_level_zero_key(node.element) for node in graph.nodes.values()}
+        assert len(rows) < len(graph)
     scanned = Counter((path.key(), j) for _cartan, path, j in calls)
-    assert scanned == Counter(itertools.product(graph.nodes, graph.indices))
+    assert scanned == Counter(itertools.product(rows, graph.indices))
 
 
 def _scanned(calls, power):

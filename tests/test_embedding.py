@@ -23,7 +23,7 @@ from loom import (
     verify_decomposition,
 )
 from loom.cli import main
-from loom.crystals import moves
+from loom.crystals import GenerationError, moves
 from loom.embedding import EmbeddingError, Report, tensor_power_crystal
 from loom.verify import run_suite
 from fraction_paths import kappa, path_from_segments
@@ -359,6 +359,29 @@ def test_every_decomposition_check_can_fail(a1, a1_base, monkeypatch):
     assert "degree_shift_periodicity" in failed
 
 
+def test_a_planted_translation_fault_fails_the_decomposition(a2, monkeypatch):
+    # every piece reads one PathOps table, whose rows off level zero are
+    # translated level-zero rows.  Outputs moved by s + 1 delta instead of
+    # s delta break the operator graph itself, and generate refuses it
+    real = PathOps._shifted
+    with monkeypatch.context() as mp:
+        mp.setattr(PathOps, "_shifted", lambda self, row, s: real(self, row, s + 1))
+        with pytest.raises(GenerationError, match="^conflicting lowering edges"):
+            verify_decomposition(a2, 1, 2, 3)
+
+    def no_lowering(self, row, s):
+        # a translated row that loses its lowering moves still closes to a
+        # consistent graph; the psi images, built apart from the table, expose it
+        strings, moved = real(self, row, s)
+        return strings, {j: (e, None) for j, (e, f) in moved.items()}
+
+    with monkeypatch.context() as mp:
+        mp.setattr(PathOps, "_shifted", no_lowering)
+        failed = _failing(verify_decomposition(a2, 1, 2, 3))
+    assert {"image_equals_union", "classes_match_pieces"} <= failed
+    assert verify_decomposition(a2, 1, 2, 3)["pass"]
+
+
 def test_set_checks_that_compared_nothing_fail(a1, monkeypatch):
     import loom.embedding as emb
 
@@ -474,7 +497,8 @@ def _from_heights(base, table, factors, heights):
 ])
 def test_shifted_piece_on_its_partners_table_matches_a_fresh_one(monkeypatch, label, rank, i,
                                                                  m, window):
-    # verify_decomposition generates piece r + m on piece r's PathOps
+    # verify_decomposition generates every piece on one PathOps, so piece
+    # r + m reads the rows that piece r built
     cartan = build_cartan(label, rank)
     fw = fund(cartan, i, affine=True)
     delta = cartan.null_root()

@@ -33,6 +33,7 @@ from loom import (
     h_extrema,
     linear_path,
     lowering_op,
+    make_path,
     path_crystal_window,
     raising_op,
     stretch,
@@ -104,6 +105,84 @@ def test_table_rows_match_fresh_root_operators(label, rank, i, affine):
         for y, j in itertools.product(met, graph.indices):
             assert _grid_form(ops.e(y, j)) == _grid_form(raising_op(cartan, y, j)), (y, j)
             assert _grid_form(ops.f(y, j)) == _grid_form(lowering_op(cartan, y, j)), (y, j)
+
+
+def _weyl_orbit(cartan, w):
+    """The finite Weyl orbit of the level-zero stretch w, under s_1 .. s_rank."""
+    orbit, frontier = {w}, [w]
+    while frontier:
+        frontier = [v for u in frontier for j in cartan.indices[1:]
+                    for v in (cartan.reflect(j, u),) if v not in orbit]
+        orbit.update(frontier)
+    return sorted(orbit)
+
+
+def _random_affine_path(cartan, rng):
+    """A hand-built path at a nonzero level, from Weyl conjugates of a fundamental weight.
+
+    Each stretch is a conjugate, scaled as the whole path is, with a random
+    null-root entry; now and then one is doubled, moved off level zero or left
+    with no classical part.  On the grid m = 2 the height maximum need not be
+    an integer.
+    """
+    width = len(cartan.indices) + 1
+    orbit = _weyl_orbit(cartan, fund(cartan, rng.choice(cartan.indices[1:]), affine=True))
+    while True:
+        scale, dirs = rng.choice((1, 1, 2)), []
+        for _ in range(rng.randint(1, 4)):
+            v = [x * scale for x in rng.choice(orbit).nums]
+            flaw = rng.choice(("doubled", "off level zero", "no classical part") + (None,) * 9)
+            if flaw == "doubled":
+                v = [2 * x for x in v]
+            elif flaw == "off level zero":
+                v[0] += 1
+            elif flaw == "no classical part":
+                v = [0] * width
+            v[-1] = rng.randint(-2, 2)
+            dirs.append(v)
+        cells = [rng.randint(1, 3) for _ in dirs]
+        m, n = rng.choice((1, 1, 2)), sum(cells)
+        try:
+            path = make_path(m, n, [tuple(x * n for x in d) for d in dirs], cells, True,
+                             len(cartan.indices))
+        except PathError:  # the endpoint is not a lattice weight
+            continue
+        if path.endpoint().nums[-1]:
+            return path
+
+
+def test_delta_orbit_rows_match_fresh_root_operators(monkeypatch):
+    # an affine path off level zero reads the row of its level-zero translate
+    # only when the guard lets it; either way the table must answer as the
+    # fresh root operators do.  The A1 path along w1 and then 3 w1 is the one
+    # the norm clause refuses, the straight path to delta has no classical
+    # part, and the direct route may refuse a hand-built path outright
+    verdicts = []
+    guard = PathOps._translates
+    monkeypatch.setattr(PathOps, "_translates",
+                        lambda *args: verdicts.append(guard(*args)) or verdicts[-1])
+    rng = random.Random(3701)
+    a1 = build_cartan("A", 1)
+    cases = [(a1, make_path(1, 2, [(-1, 1, -5), (-3, 3, -5)], [1, 1], True, 2)),
+             (build_cartan("A", 2), linear_path(build_cartan("A", 2).null_root()))]
+    refused = len(cases)
+    for label, rank in (("A", 1), ("A", 2), ("C", 2)):
+        cartan = build_cartan(label, rank)
+        cases += [(cartan, _random_affine_path(cartan, rng)) for _ in range(150)]
+    tables, compared = {}, 0
+    for cartan, path in cases:
+        try:
+            exts = [h_extrema(cartan, path, j) for j in cartan.indices]
+        except IntegralityError:
+            continue
+        ops = tables.setdefault(cartan.name, PathOps(cartan, affine=True))
+        assert ops.strings(path) == (tuple(x.eps for x in exts), tuple(x.phi for x in exts))
+        for j in cartan.indices:
+            for op, fresh in ((ops.e, raising_op), (ops.f, lowering_op)):
+                assert _grid_form(op(path, j)) == _grid_form(fresh(cartan, path, j)), (path, j)
+        compared += 1
+    assert verdicts[:refused] == [False] * refused
+    assert compared > 300 and verdicts.count(True) > 100 and verdicts.count(False) > 100
 
 
 @pytest.mark.parametrize("label,rank,i", FUNDAMENTALS)
