@@ -4,7 +4,9 @@ Artifacts are deterministic: node and edge lists are emitted in sorted
 order, rationals are written exactly, and files are written atomically.
 Exit codes: 0 success, 1 a verification check failed, 2 invalid
 configuration, 3 node cap exceeded.  Every input error the library
-raises is a ``ValueError``, and :func:`main` alone maps each to exit 2.
+raises is a ``ValueError``, and every failed self-check of the library
+an ``ArithmeticError``; :func:`main` alone maps the first to exit 2 and
+the second to exit 1.
 """
 
 from __future__ import annotations
@@ -223,6 +225,9 @@ def main(argv=None) -> int:
     except NodeCapError as err:
         sys.stderr.write("error: %s\n" % err)
         return 3
+    except ArithmeticError as err:
+        sys.stderr.write("error: %s: %s\n" % (type(err).__name__, err))
+        return 1
     except ValueError as err:
         args.parser.error(str(err))
 

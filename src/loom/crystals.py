@@ -277,7 +277,7 @@ def generate(ops, seed, *, window=None, node_cap=None, label="") -> CrystalGraph
                     edge = (key, i) if kind == "f" else (ykey, i)
                     dst = ykey if kind == "f" else key
                     if f_edges.setdefault(edge, dst) != dst:
-                        raise GenerationError(
+                        raise ArithmeticError(
                             "conflicting lowering edges at %r, i=%d" % (edge[0], i)
                         )
             nodes[key] = Node(x, ops.wt(x), eps, phi)

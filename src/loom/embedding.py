@@ -111,8 +111,8 @@ def check_power_coverage(graph: CrystalGraph, base: CrystalGraph, m: int) -> Non
     """Tensor powers of a fundamental crystal are indecomposable, so closure
     from one element reaches every tuple; this is asserted rather than assumed."""
     if len(graph) != len(base) ** m:
-        raise EmbeddingError("tensor power closure missed elements: %d of %d"
-                             % (len(graph), len(base) ** m))
+        raise ArithmeticError("tensor power closure missed elements: %d of %d"
+                              % (len(graph), len(base) ** m))
 
 
 def tensor_power_crystal(base: CrystalGraph, m: int, *, node_cap=None) -> CrystalGraph:

@@ -5,9 +5,10 @@ fundamental path crystal that vanishes on the diagonal seed pair and
 shifts by one along 0-labelled operator moves, with the sign decided by
 which tensor factor the operator acts in.  It is built by a breadth
 first sweep of the tensor square; every edge is rechecked against the
-shift rule, so an operator bug surfaces as an inconsistency instead of a
-wrong table.  :func:`energy_edge_check` rechecks the finished table on
-every acting move, one True or False each, for
+shift rule, so an operator bug raises ``ArithmeticError``, the library's
+one fault type, instead of giving a wrong table.  :class:`EnergyError`
+is for bad input only.  :func:`energy_edge_check` rechecks the finished
+table on every acting move, one True or False each, for
 :meth:`~loom.embedding.Report.count`.
 """
 
@@ -24,14 +25,6 @@ from .paths import Path, uniform_stretches
 
 class EnergyError(ValueError):
     pass
-
-
-class InconsistentEnergyError(EnergyError):
-    """Two sweep paths assign different values; the operators are broken."""
-
-
-class DisconnectedTensorSquareError(EnergyError):
-    """The tensor square is not connected; the sweep cannot reach every pair."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +65,7 @@ def energy_table(graph: CrystalGraph, *, rng: random.Random | None = None,
 
     The sweep starts at the diagonal seed pair with value zero.  The
     traversal order may be shuffled; the resulting table may not depend
-    on it, and a conflict raises instead of being resolved.  The
+    on it: a conflict, or a pair left unreached, raises ArithmeticError.  The
     ``len(graph) ** 2`` pairs count against the node cap before the sweep.
     """
     if graph.truncated:
@@ -92,7 +85,7 @@ def energy_table(graph: CrystalGraph, *, rng: random.Random | None = None,
                 moved = value + shift
                 if target in chi:
                     if chi[target] != moved:
-                        raise InconsistentEnergyError(
+                        raise ArithmeticError(
                             "pair %r gets %d and %d" % (target, chi[target], moved)
                         )
                 else:
@@ -100,9 +93,7 @@ def energy_table(graph: CrystalGraph, *, rng: random.Random | None = None,
                     fresh.append(target)
         frontier = fresh
     if len(chi) != len(graph) ** 2:
-        raise DisconnectedTensorSquareError(
-            "reached %d of %d pairs" % (len(chi), len(graph) ** 2)
-        )
+        raise ArithmeticError("reached %d of %d pairs" % (len(chi), len(graph) ** 2))
     return EnergyTable(grid=choose_grid(graph), chi=chi)
 
 
@@ -128,7 +119,7 @@ def refine(graph: CrystalGraph, factors, grid: int) -> list:
         for entry in uniform_stretches(graph.nodes[fkey].element, grid):
             key = (entry,)
             if key not in graph.nodes:
-                raise EnergyError(
+                raise ArithmeticError(
                     "refined direction %r is not a crystal element" % (entry.weight(),)
                 )
             keys.append(key)

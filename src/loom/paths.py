@@ -299,7 +299,7 @@ def weyl_act(cartan: AffineCartan, path: Path, i: int) -> Path:
     for _ in range(abs(n)):
         out = lowering_op(cartan, out, i) if n > 0 else raising_op(cartan, out, i)
         if out is None:
-            raise PathError("Weyl action ran out of string; operators are inconsistent")
+            raise ArithmeticError("Weyl action ran out of string; operators are inconsistent")
     return out
 
 

@@ -243,7 +243,8 @@ def suite_sl2(t1: int, t2: int, *, node_cap=None) -> dict:
         return (sl2lab.act_E(u).is_zero and u.weight() == t1 + t2 - 2 * r
                 and top is not None and top.valuation() == 0)
 
-    # one lattice per run: a failed build leaves no vectors to compare
+    # one lattice per run: a failed build leaves no vectors to compare.  Its
+    # ArithmeticError, the library's one fault type, is a failed check here
     lattice, limit, failure = None, {}, ""
     try:
         lattice = sl2lab.StringLattice(t1, t2)
@@ -288,7 +289,7 @@ def suite_params(name: str) -> list[str]:
 def run_suite(name: str, *, type_label="A", rank=1, i=1, power=2, window=3,
               t1=1, t2=1, seeds=20, node_cap=None) -> dict:
     if name != "all" and name not in SUITES:
-        raise KeyError("unknown suite %r" % name)
+        raise ValueError("unknown suite %r" % name)
     cartan = None if name == "sl2" else build_cartan(type_label, rank)
 
     def run(suite, window=window):

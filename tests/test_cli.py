@@ -9,7 +9,10 @@ import pytest
 import loom
 from loom import CartanError, Weight, build_cartan
 from loom.cli import main, parse_weight_label
+from loom.crystals import NodeCapError
 from loom.embedding import EmbeddingError
+from loom.paths import PathOps
+from loom.sl2 import NotInLatticeError
 from loom.verify import SUITES
 from weights import fund
 
@@ -18,6 +21,23 @@ def run(tmp_path, *argv):
     out = tmp_path / "artifact.out"
     code = main(list(argv) + ["--out", str(out)])
     return code, out.read_text() if out.exists() else None
+
+
+def exit_code(argv):
+    """main's return value, or the code of the SystemExit it raised."""
+    try:
+        return main(argv)
+    except SystemExit as err:
+        return err.code
+
+
+def assert_fault_exits_1(tmp_path, capsys, argv, message):
+    # a failed self-check: exit 1, its type and message on stderr, no usage, no file
+    assert exit_code(argv + ["--out", str(tmp_path / "x.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ArithmeticError: " + message)
+    assert "usage:" not in err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_gen_base_graph(tmp_path):
@@ -124,12 +144,32 @@ def test_gen_power_checks_that_the_closure_covers_the_power(tmp_path, monkeypatc
         return graph
 
     monkeypatch.setattr("loom.cli.generate", drops_a_node)
-    with pytest.raises(SystemExit) as err:
-        main(["gen", "--type", "A", "--rank", "2", "--power", "2",
-              "--out", str(tmp_path / "x.json")])
-    assert err.value.code == 2
-    assert "tensor power closure missed elements: 8 of 9" in capsys.readouterr().err
-    assert not (tmp_path / "x.json").exists()
+    # a missed tuple is a fault of the library, not bad input
+    assert_fault_exits_1(tmp_path, capsys, ["gen", "--type", "A", "--rank", "2", "--power", "2"],
+                         "tensor power closure missed elements: 8 of 9\n")
+    base = loom.cli.fundamental_crystal(build_cartan("A", 2), 1)
+    missed = "^tensor power closure missed elements: 3 of 9$"
+    with pytest.raises(ArithmeticError, match=missed) as err:
+        loom.cli.check_power_coverage(base, base, 2)
+    assert not isinstance(err.value, ValueError)
+
+
+def test_a_planted_translation_fault_exits_1(tmp_path, monkeypatch, capsys):
+    # outputs moved by (s + 1) delta instead of s delta break the operator graph
+    real = PathOps._shifted
+    monkeypatch.setattr(PathOps, "_shifted", lambda self, row, s: real(self, row, s + 1))
+    assert_fault_exits_1(tmp_path, capsys, ["verify", "--suite", "decompose", "--type", "A",
+                                            "--rank", "2", "--i", "1", "--m", "2", "--window", "3"],
+                         "conflicting lowering edges at ")
+
+
+def test_a_planted_energy_sweep_conflict_exits_1(tmp_path, monkeypatch, capsys):
+    # one more on every lowering move: the raising move back disagrees
+    real = loom.energy._shifted_moves
+    monkeypatch.setattr(loom.energy, "_shifted_moves", lambda ops2, pair: (
+        (i, kind, target, shift + (kind == "f")) for i, kind, target, shift in real(ops2, pair)))
+    assert_fault_exits_1(tmp_path, capsys, ["verify", "--suite", "energy", "--type", "A",
+                                            "--rank", "2", "--i", "1", "--seeds", "1"], "pair ")
 
 
 def test_node_cap_exit_code(tmp_path):
@@ -204,16 +244,28 @@ def test_out_naming_a_directory_exits_2(tmp_path, monkeypatch, capsys, argv, out
     assert not list(tmp_path.iterdir())
 
 
-def test_library_errors_exit_2_with_their_message(tmp_path, monkeypatch, capsys):
-    # main maps every ValueError the library raises to exit 2
+@pytest.mark.parametrize("error,code,shown", [
+    (EmbeddingError("no fundamental crystal here"), 2,
+     "loom gen: error: no fundamental crystal here"),
+    (ArithmeticError("a self-check failed"), 1, "error: ArithmeticError: a self-check failed"),
+    (ZeroDivisionError("pole at the origin"), 1, "error: ZeroDivisionError: pole at the origin"),
+    (NotInLatticeError("not in the lattice"), 1, "error: NotInLatticeError: not in the lattice"),
+    (NodeCapError("closure exceeds the node cap of 2"), 3,
+     "error: closure exceeds the node cap of 2"),
+], ids=["ValueError", "ArithmeticError", "ZeroDivisionError", "NotInLatticeError",
+        "NodeCapError"])
+def test_library_errors_exit_by_kind(tmp_path, monkeypatch, capsys, error, code, shown):
+    # main is the one boundary: a ValueError is bad input and exits 2 with
+    # the usage line, an ArithmeticError a failed self-check and exits 1
     def broken(*args, **kw):
-        raise EmbeddingError("no fundamental crystal here")
+        raise error
 
     monkeypatch.setattr("loom.cli.fundamental_crystal", broken)
-    with pytest.raises(SystemExit) as err:
-        main(["gen", "--type", "A", "--rank", "1", "--out", str(tmp_path / "x.json")])
-    assert err.value.code == 2
-    assert "loom gen: error: no fundamental crystal here" in capsys.readouterr().err
+    argv = ["gen", "--type", "A", "--rank", "1", "--out", str(tmp_path / "x.json")]
+    assert exit_code(argv) == code
+    err = capsys.readouterr().err
+    assert err.endswith(shown + "\n")
+    assert err.startswith("usage: loom gen ") if code == 2 else err == shown + "\n"
     assert not (tmp_path / "x.json").exists()
 
 

@@ -23,7 +23,7 @@ from loom import (
     verify_decomposition,
 )
 from loom.cli import main
-from loom.crystals import GenerationError, moves
+from loom.crystals import moves
 from loom.embedding import EmbeddingError, Report, tensor_power_crystal
 from loom.verify import run_suite
 from fraction_paths import kappa, path_from_segments
@@ -362,12 +362,14 @@ def test_every_decomposition_check_can_fail(a1, a1_base, monkeypatch):
 def test_a_planted_translation_fault_fails_the_decomposition(a2, monkeypatch):
     # every piece reads one PathOps table, whose rows off level zero are
     # translated level-zero rows.  Outputs moved by s + 1 delta instead of
-    # s delta break the operator graph itself, and generate refuses it
+    # s delta break the operator graph itself, and generate raises the
+    # library's fault type, not the ValueError of bad input
     real = PathOps._shifted
     with monkeypatch.context() as mp:
         mp.setattr(PathOps, "_shifted", lambda self, row, s: real(self, row, s + 1))
-        with pytest.raises(GenerationError, match="^conflicting lowering edges"):
+        with pytest.raises(ArithmeticError, match="^conflicting lowering edges") as err:
             verify_decomposition(a2, 1, 2, 3)
+    assert not isinstance(err.value, ValueError)
 
     def no_lowering(self, row, s):
         # a translated row that loses its lowering moves still closes to a

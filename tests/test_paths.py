@@ -213,6 +213,15 @@ def test_weyl_action(a1, a2):
         assert weyl_act(a2, linear_path(lam), i) == linear_path(a2.reflect(i, lam))
 
 
+def test_weyl_action_out_of_string_is_a_fault(a1, monkeypatch):
+    # the string of a path is its endpoint pairing long; a shorter one means
+    # the operators are broken, not the input
+    monkeypatch.setattr("loom.paths.lowering_op", lambda cartan, path, i: None)
+    with pytest.raises(ArithmeticError, match="^Weyl action ran out of string") as err:
+        weyl_act(a1, linear_path(fund(a1)), 1)
+    assert not isinstance(err.value, ValueError)
+
+
 def test_weyl_involution_on_bent_paths(a1, a1_base, a2, a2_base):
     import itertools
 

@@ -59,7 +59,8 @@ def test_psi_fails_on_a_missing_straight_seed(monkeypatch):
 
 
 def test_unknown_suite_rejected():
-    with pytest.raises(KeyError):
+    # an unknown name is bad input, so a ValueError like every other
+    with pytest.raises(ValueError, match="^unknown suite 'nonsense'$"):
         run_suite("nonsense")
 
 
