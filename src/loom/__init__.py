@@ -9,7 +9,7 @@ crystals at desk scale.  A rank-one quantum-group laboratory provides
 the independent module-level oracle for the combinatorial tensor rule.
 """
 
-from .cartan import AffineCartan, AmbientError, CartanError, Stretch, Weight, build_cartan
+from .cartan import AffineCartan, Stretch, Weight, build_cartan
 from .crystals import (
     CrystalGraph,
     NodeCapError,
@@ -35,9 +35,7 @@ from .embedding import (
     verify_decomposition,
 )
 from .paths import (
-    IntegralityError,
     Path,
-    PathError,
     PathOps,
     concat,
     constant_path,

@@ -12,7 +12,9 @@ once, inside this module, and a label renders through :meth:`Stretch.weight`.
 
 Every numeric entry is exact.  Marks, comarks and the symmetrizers are
 recomputed from the affine matrix itself rather than copied from tables,
-so a transcription error in the type data cannot survive construction.
+so a transcription error in the type data cannot survive construction:
+every such check raises ``ArithmeticError``, a failed self-check, while a
+bad type, rank or index is refused with ``ValueError``.
 The simple roots form one integer table that both :meth:`AffineCartan.reflect`
 and the root operators of :mod:`loom.paths` read.
 """
@@ -23,14 +25,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
-
-
-class CartanError(ValueError):
-    """Invalid type/rank combination or inconsistent Cartan data."""
-
-
-class AmbientError(ValueError):
-    """Classical and affine quantities were mixed in one expression."""
 
 
 SUPPORTED_TYPES = ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2")
@@ -62,7 +56,7 @@ class Stretch(NamedTuple):
 
     def __add__(self, other: Stretch, sign: int = 1) -> Stretch:
         if self.affine != other.affine or len(self.nums) != len(other.nums):
-            raise AmbientError("stretches of different ambients or ranks")
+            raise ValueError("stretches of different ambients or ranks")
         den = lcm(self.den, other.den)
         a, b = den // self.den, sign * (den // other.den)
         return _stretch([x * a + y * b for x, y in zip(self.nums, other.nums)], den, self.affine)
@@ -140,44 +134,44 @@ def _finite_matrix(label: str, rank: int) -> list[list[int]]:
     """Cartan matrix of the finite type, rows indexed by coroots."""
     if label == "A":
         if rank < 1:
-            raise CartanError("type A needs rank >= 1")
+            raise ValueError("type A needs rank >= 1")
         edges = [(k, k + 1) for k in range(rank - 1)]
         special = {}
     elif label == "B":
         if rank < 2:
-            raise CartanError("type B needs rank >= 2")
+            raise ValueError("type B needs rank >= 2")
         edges = [(k, k + 1) for k in range(rank - 1)]
         special = {(rank - 1, rank - 2): -2}
     elif label == "C":
         if rank < 2:
-            raise CartanError("type C needs rank >= 2")
+            raise ValueError("type C needs rank >= 2")
         edges = [(k, k + 1) for k in range(rank - 1)]
         special = {(rank - 2, rank - 1): -2}
     elif label == "D":
         if rank < 4:
-            raise CartanError("type D needs rank >= 4")
+            raise ValueError("type D needs rank >= 4")
         edges = [(k, k + 1) for k in range(rank - 2)] + [(rank - 3, rank - 1)]
         special = {}
     elif label in ("E6", "E7", "E8"):
         want = int(label[1])
         if rank != want:
-            raise CartanError("type %s needs rank %d" % (label, want))
+            raise ValueError("type %s needs rank %d" % (label, want))
         edges = [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)]
         for k in range(5, rank - 1):
             edges.append((k, k + 1))
         special = {}
     elif label == "F4":
         if rank != 4:
-            raise CartanError("type F4 needs rank 4")
+            raise ValueError("type F4 needs rank 4")
         edges = [(0, 1), (1, 2), (2, 3)]
         special = {(2, 1): -2}
     elif label == "G2":
         if rank != 2:
-            raise CartanError("type G2 needs rank 2")
+            raise ValueError("type G2 needs rank 2")
         edges = [(0, 1)]
         special = {(1, 0): -3}
     else:
-        raise CartanError("unsupported type %r; expected one of %s" % (label, SUPPORTED_TYPES))
+        raise ValueError("unsupported type %r; expected one of %s" % (label, SUPPORTED_TYPES))
 
     mat = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
     for i, j in edges:
@@ -208,19 +202,19 @@ def _symmetrizers(mat: list[list[int]]) -> list[int]:
                     d[j] = val
                     stack.append(j)
                 elif d[j] != val:
-                    raise CartanError("matrix is not symmetrizable")
+                    raise ArithmeticError("matrix is not symmetrizable")
     if any(x is None for x in d):
-        raise CartanError("Dynkin diagram is not connected")
+        raise ArithmeticError("Dynkin diagram is not connected")
     denom = lcm(*[x.denominator for x in d])
     ints = [int(x * denom) for x in d]
     g = gcd(*ints)
     ints = [x // g for x in ints]
     if any(x <= 0 for x in ints):
-        raise CartanError("symmetrizers are not positive")
+        raise ArithmeticError("symmetrizers are not positive")
     for i in range(n):
         for j in range(n):
             if ints[i] * mat[i][j] != ints[j] * mat[j][i]:
-                raise CartanError("symmetrizer check failed")
+                raise ArithmeticError("symmetrizer check failed")
     return ints
 
 
@@ -248,7 +242,7 @@ def _highest_root(mat: list[list[int]]) -> tuple[int, ...]:
     best = max(roots, key=sum)
     ties = [r for r in roots if sum(r) == sum(best)]
     if len(ties) != 1:
-        raise CartanError("highest root is not unique")
+        raise ArithmeticError("highest root is not unique")
     return best
 
 
@@ -302,7 +296,7 @@ def _primitive_null_vector(mat) -> list[int]:
     g = gcd(*ints)
     ints = [v // g for v in ints]
     if any(v <= 0 for v in ints):
-        raise CartanError("kernel vector is not positive")
+        raise ArithmeticError("kernel vector is not positive")
     return ints
 
 
@@ -351,7 +345,7 @@ class AffineCartan:
     def classical_fundamental(self, i: int, *, affine: bool = False) -> Stretch:
         """Level-zero lift of the i-th finite fundamental weight, 1 <= i <= rank."""
         if not 1 <= i <= self.rank:
-            raise CartanError("classical fundamental index must be in 1..rank")
+            raise ValueError("classical fundamental index must be in 1..rank")
         coords = [0] * (self.rank + 1)
         coords[i] = 1
         coords[0] = -self.comarks[i]
@@ -364,13 +358,13 @@ class AffineCartan:
 
     def _check_index(self, i: int):
         if not 0 <= i <= self.rank:
-            raise CartanError("index %r out of range 0..%d" % (i, self.rank))
+            raise ValueError("index %r out of range 0..%d" % (i, self.rank))
 
     def reflect(self, i: int, w: Stretch) -> Stretch:
         """s_i w = w - <h_i, w> alpha_i; a classical w zips away the null-root entry."""
         self._check_index(i)
         if len(w.nums) != self.rank + 1 + w.affine:
-            raise AmbientError("weight of another rank than the cartan")
+            raise ValueError("weight of another rank than the cartan")
         c = w.nums[i]
         if c == 0:
             return w
@@ -387,7 +381,7 @@ def build_cartan(label: str, rank: int) -> AffineCartan:
     both null identities and both node-0 entries are then checked.
     """
     if not isinstance(rank, int):
-        raise CartanError("rank must be an integer")
+        raise ValueError("rank must be an integer")
     fin = _finite_matrix(label, rank)
     fin_sym = _symmetrizers(fin)
     theta = _highest_root(fin)
@@ -399,7 +393,7 @@ def build_cartan(label: str, rank: int) -> AffineCartan:
     d_theta = Fraction(theta_norm2, 2)
     theta_covec = [Fraction(theta[i] * fin_sym[i], 1) / d_theta for i in range(rank)]
     if any(c.denominator != 1 for c in theta_covec):
-        raise CartanError("highest coroot coefficients are not integral")
+        raise ArithmeticError("highest coroot coefficients are not integral")
 
     n = rank + 1
     aff = [[0] * n for _ in range(n)]
@@ -416,16 +410,16 @@ def build_cartan(label: str, rank: int) -> AffineCartan:
     sym = _symmetrizers(aff)
 
     if marks[0] != 1 or comarks[0] != 1:
-        raise CartanError("node-0 mark and comark must equal one")
+        raise ArithmeticError("node-0 mark and comark must equal one")
     for i in range(n):
         if sum(aff[i][j] * marks[j] for j in range(n)) != 0:
-            raise CartanError("marks are not a kernel vector")
+            raise ArithmeticError("marks are not a kernel vector")
         if sum(comarks[j] * aff[j][i] for j in range(n)) != 0:
-            raise CartanError("comarks are not a kernel vector")
+            raise ArithmeticError("comarks are not a kernel vector")
     for i in range(n):
         for j in range(n):
             if i != j and (aff[i][j] > 0 or (aff[i][j] == 0) != (aff[j][i] == 0)):
-                raise CartanError("affine matrix shape check failed")
+                raise ArithmeticError("affine matrix shape check failed")
 
     return AffineCartan(
         label=label,

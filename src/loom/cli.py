@@ -3,10 +3,10 @@
 Artifacts are deterministic: node and edge lists are emitted in sorted
 order, rationals are written exactly, and files are written atomically.
 Exit codes: 0 success, 1 a verification check failed, 2 invalid
-configuration, 3 node cap exceeded.  Every input error the library
-raises is a ``ValueError``, and every failed self-check of the library
-an ``ArithmeticError``; :func:`main` alone maps the first to exit 2 and
-the second to exit 1.
+configuration, 3 node cap exceeded.  The library raises three error
+types, one per code: a plain ``ValueError`` for bad input (2), a plain
+``ArithmeticError`` for a failed self-check (1) and ``NodeCapError`` (3);
+:func:`main` alone maps them.
 """
 
 from __future__ import annotations

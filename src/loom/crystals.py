@@ -42,10 +42,6 @@ def check_node_cap(count: int, node_cap, what: str):
         raise NodeCapError("%s exceeds the node cap of %d" % (what, cap))
 
 
-class GenerationError(ValueError):
-    """Invalid generation request."""
-
-
 @dataclass(frozen=True)
 class Node:
     """One processed element: its kind's ``wt`` (a ``Stretch`` for paths) and strings."""
@@ -131,7 +127,7 @@ class CrystalGraph:
 
     def is_indecomposable(self) -> bool:
         if self.truncated:
-            raise GenerationError("indecomposability is only defined for untruncated graphs")
+            raise ValueError("indecomposability is only defined for untruncated graphs")
         return len(self.components()) == 1
 
     def normality_audit(self) -> list[bool]:
@@ -142,7 +138,7 @@ class CrystalGraph:
         cycles and fails.  An edge holds when it is quasi-inverse.
         """
         if self.truncated:
-            raise GenerationError("normality audit needs an untruncated graph")
+            raise ValueError("normality audit needs an untruncated graph")
 
         def chain(edges, k, i):
             for steps in range(len(self.nodes) + 1):
@@ -243,12 +239,12 @@ def generate(ops, seed, *, window=None, node_cap=None, label="") -> CrystalGraph
     neither the node set nor the edges depend on that order.
     """
     if getattr(ops, "infinite", False) and window is None:
-        raise GenerationError("an infinite kind needs an explicit window")
+        raise ValueError("an infinite kind needs an explicit window")
     if window is not None:
         if window < 0:
-            raise GenerationError("window must be non-negative")
+            raise ValueError("window must be non-negative")
         if abs(ops.level(seed)) > window:
-            raise GenerationError("seed lies outside the window")
+            raise ValueError("seed lies outside the window")
 
     idx = ops.indices
     seed_key = ops.key(seed)
@@ -300,21 +296,21 @@ class TensorOps:
 
     def __init__(self, components):
         if not components:
-            raise GenerationError("tensor product needs at least one factor")
+            raise ValueError("tensor product needs at least one factor")
         self.components = list(components)
         self.indices = self.components[0].indices
         for c in self.components:
             if tuple(c.indices) != tuple(self.indices):
-                raise GenerationError("tensor factors have different index sets")
+                raise ValueError("tensor factors have different index sets")
             if getattr(c, "infinite", False):
-                raise GenerationError("tensor factors must be finite kinds")
+                raise ValueError("tensor factors must be finite kinds")
         self._last = (None, None, None, None)
 
     def _pairs(self, b):
         """Each factor with its entry of b; an element of another length is refused."""
         if len(b) != len(self.components):
-            raise GenerationError("tensor element of length %d for %d factors"
-                                  % (len(b), len(self.components)))
+            raise ValueError("tensor element of length %d for %d factors"
+                             % (len(b), len(self.components)))
         return zip(self.components, b)
 
     def key(self, b):

@@ -25,7 +25,6 @@ from math import lcm
 from .cartan import AffineCartan, Stretch
 from .crystals import (
     CrystalGraph,
-    GenerationError,
     Node,
     TensorOps,
     check_node_cap,
@@ -42,10 +41,6 @@ from .paths import (
     make_path,
     raising_op,
 )
-
-
-class EmbeddingError(ValueError):
-    pass
 
 
 def psi(table: EnergyTable, graph: CrystalGraph, element) -> Path:
@@ -142,7 +137,7 @@ def affinized_tensor_crystal(base: CrystalGraph, m: int, window: int,
     null root.
     """
     if window < 0:
-        raise GenerationError("window must be non-negative")
+        raise ValueError("window must be non-negative")
     tensor = tensor_power_crystal(base, m, node_cap=node_cap)
     check_node_cap(len(tensor) * (2 * window + 1), node_cap, "affinised window")
     nodes = {}
@@ -291,12 +286,12 @@ def verify_decomposition(cartan: AffineCartan, i: int, m: int, window: int,
     node counts added under ``counts``; every check must pass for the verdict.
     """
     if window < 2:
-        raise EmbeddingError("window must be at least 2")
+        raise ValueError("window must be at least 2")
     if m < 1:
-        raise EmbeddingError("tensor power must be positive")
+        raise ValueError("tensor power must be positive")
     if m > window:
         # the periodicity check shifts each piece by m, out of the window
-        raise EmbeddingError("tensor power %d exceeds the window %d" % (m, window))
+        raise ValueError("tensor power %d exceeds the window %d" % (m, window))
 
     base = fundamental_crystal(cartan, i, node_cap=node_cap)
     table = energy_table(base, node_cap=node_cap)

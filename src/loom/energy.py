@@ -6,7 +6,7 @@ shifts by one along 0-labelled operator moves, with the sign decided by
 which tensor factor the operator acts in.  It is built by a breadth
 first sweep of the tensor square; every edge is rechecked against the
 shift rule, so an operator bug raises ``ArithmeticError``, the library's
-one fault type, instead of giving a wrong table.  :class:`EnergyError`
+one fault type, instead of giving a wrong table.  A plain ``ValueError``
 is for bad input only.  :func:`energy_edge_check` rechecks the finished
 table on every acting move, one True or False each, for
 :meth:`~loom.embedding.Report.count`.
@@ -23,10 +23,6 @@ from .crystals import CrystalGraph, TensorOps, check_node_cap, moves
 from .paths import Path, uniform_stretches
 
 
-class EnergyError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class EnergyTable:
     """Total map from ordered node pairs of one crystal to integers."""
@@ -38,7 +34,7 @@ class EnergyTable:
         try:
             return self.chi[(a, b)]
         except KeyError:
-            raise EnergyError("pair not in the energy table") from None
+            raise ValueError("pair not in the energy table") from None
 
 
 def _shifted_moves(ops2, pair):
@@ -69,7 +65,7 @@ def energy_table(graph: CrystalGraph, *, rng: random.Random | None = None,
     ``len(graph) ** 2`` pairs count against the node cap before the sweep.
     """
     if graph.truncated:
-        raise EnergyError("energy needs an untruncated crystal")
+        raise ValueError("energy needs an untruncated crystal")
     check_node_cap(len(graph) ** 2, node_cap, "tensor square of %d nodes" % len(graph))
     ops2 = TensorOps([graph] * 2)
     seed = (graph.seed, graph.seed)
@@ -103,7 +99,7 @@ def choose_grid(graph: CrystalGraph) -> int:
     for key in graph.sorted_keys():
         element = graph.nodes[key].element
         if not isinstance(element, Path):
-            raise EnergyError("grid selection needs path-valued elements")
+            raise ValueError("grid selection needs path-valued elements")
         sizes.append(element.n)
     return lcm(*sizes) if sizes else 1
 

@@ -30,10 +30,11 @@ stretch whole.  The canonical form drops pauses, merges collinear
 neighbours and divides out common factors, so ``n`` is the least grid
 of the path.
 
-The height maximum is required to be an integer.  Paths produced by
-closure from linear seeds satisfy this; anything else is outside the
-model and fails with :class:`IntegralityError` instead of being guessed
-at.
+The height maximum is required to be an integer, and the endpoint a
+lattice weight.  Paths produced by closure from linear seeds satisfy
+both, so the library builds no path outside the model: a miss is a
+failed self-check and raises ``ArithmeticError`` instead of being
+guessed at.  A refused argument raises ``ValueError``.
 
 The delta-law: <delta, h_i> = 0, so heights ignore the null-root entry,
 and the root operators commute with :func:`translate`, the shift by a
@@ -54,15 +55,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .cartan import AffineCartan, AmbientError, Stretch, _stretch
-
-
-class PathError(ValueError):
-    """Malformed path input."""
-
-
-class IntegralityError(PathError):
-    """The height function has a non-integral maximum."""
+from .cartan import AffineCartan, Stretch, _stretch
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -167,14 +160,14 @@ def make_path(m: int, n: int, dirs, cells, affine: bool, ncoords: int) -> Path:
         out_d = [tuple([x // g for x in d]) for d in out_d]
     n = sum(out_c)
     if any(sum(map(mul, col, out_c)) % (m * n) for col in zip(*out_d)):
-        raise PathError("path endpoint is not a lattice weight")
+        raise ArithmeticError("path endpoint is not a lattice weight")
     return Path(m, n, tuple(out_d), tuple(out_c), affine, ncoords)
 
 
 def linear_path(w: Stretch) -> Path:
     """The straight path from the origin to w."""
     if w.den != 1:
-        raise PathError("linear paths need an integral endpoint")
+        raise ValueError("linear paths need an integral endpoint")
     return make_path(1, 1, [w.nums], [1], w.affine, len(w.nums) - w.affine)
 
 
@@ -217,7 +210,7 @@ def h_extrema(cartan: AffineCartan, path: Path, i: int) -> HeightExtrema:
         times, heights = [0, 1], [0, 0]
     hmax = max(heights)
     if hmax % mn:
-        raise IntegralityError(
+        raise ArithmeticError(
             "height maximum %s for index %d is not an integer" % (Fraction(hmax, mn), i)
         )
     level = hmax - mn
@@ -293,7 +286,7 @@ def weyl_act(cartan: AffineCartan, path: Path, i: int) -> Path:
     cartan._check_index(i)
     end = path.endpoint()
     if end.nums[i] % end.den:
-        raise PathError("endpoint pairing is not integral")
+        raise ValueError("endpoint pairing is not integral")
     n = end.nums[i] // end.den
     out = path
     for _ in range(abs(n)):
@@ -307,13 +300,13 @@ def concat(paths) -> Path:
     """Concatenation with equal time windows per non-constant operand."""
     paths = list(paths)
     if not paths:
-        raise PathError("concatenation needs at least one path")
+        raise ValueError("concatenation needs at least one path")
     affine, ncoords = paths[0].affine, paths[0].ncoords
     for p in paths:
         if p.affine != affine:
-            raise AmbientError("concatenation mixes ambients")
+            raise ValueError("concatenation mixes ambients")
         if p.ncoords != ncoords:
-            raise PathError("concatenation mixes ranks")
+            raise ValueError("concatenation mixes ranks")
     movers = [p for p in paths if not p.is_constant]
     k = len(movers)
     # each operand runs k times as fast on a common grid
@@ -326,7 +319,7 @@ def concat(paths) -> Path:
 def stretch(path: Path, n: int) -> Path:
     """Dilate the path by a positive integer factor."""
     if n < 1:
-        raise PathError("stretch factor must be a positive integer")
+        raise ValueError("stretch factor must be a positive integer")
     dirs = [tuple(x * n for x in d) for d in path.dirs]
     return make_path(path.m, path.n, dirs, path.cells, path.affine, path.ncoords)
 
@@ -334,7 +327,7 @@ def stretch(path: Path, n: int) -> Path:
 def project(path: Path) -> Path:
     """Kill the null-root component of every direction."""
     if not path.affine:
-        raise AmbientError("path is already classical")
+        raise ValueError("path is already classical")
     dirs = [d[:-1] for d in path.dirs]
     return make_path(path.m, path.n, dirs, path.cells, False, path.ncoords)
 
@@ -346,7 +339,7 @@ def uniform_stretches(path: Path, n: int) -> list[Stretch]:
     :class:`Stretch` of the constant derivative of the path on ((j-1)/n, j/n).
     """
     if n < 1:
-        raise PathError("grid size must be a positive integer")
+        raise ValueError("grid size must be a positive integer")
     if path.is_constant:
         return [Stretch((0,) * (path.ncoords + path.affine), 1, path.affine)] * n
     out = []
@@ -354,7 +347,7 @@ def uniform_stretches(path: Path, n: int) -> list[Stretch]:
     for d, c in zip(path.dirs, path.cells):
         t += c
         if c * n % path.n:
-            raise PathError("breakpoint %s is not a multiple of 1/%d" % (Fraction(t, path.n), n))
+            raise ValueError("breakpoint %s is not a multiple of 1/%d" % (Fraction(t, path.n), n))
         out.extend([_stretch(d, path.m, path.affine)] * (c * n // path.n))
     return out
 
@@ -402,7 +395,7 @@ class PathOps:
         # the ambient decides whether closure needs a window, so a stray
         # element of the other ambient must not slip into a generation
         if x.affine != self.infinite:
-            raise AmbientError("path ambient does not match the crystal ambient")
+            raise ValueError("path ambient does not match the crystal ambient")
         return x.key()
 
     def wt(self, x: Path) -> Stretch:
@@ -467,5 +460,5 @@ class PathOps:
     def level(self, x: Path) -> int:
         """Null-root entry of the endpoint, an integer since that is a lattice weight."""
         if not self.infinite:
-            raise AmbientError("classical paths have no null-root level")
+            raise ValueError("classical paths have no null-root level")
         return sum(d[-1] * c for d, c in zip(x.dirs, x.cells)) // (x.m * x.n)

@@ -24,6 +24,9 @@ Groups, 1993); the raising ``act_E_div`` applies ``act_E`` r times.
 The combinatorial tensor rule that the crystal limit is checked against
 is not restated here: ``tensor_rule_table`` reads ``crystals.TensorOps``
 over the string crystals B(t1) and B(t2).
+
+Every self-check of the oracle, the string peel and a pole at the origin
+included, raises ``ArithmeticError``; a refused argument ``ValueError``.
 """
 
 from __future__ import annotations
@@ -35,14 +38,6 @@ from functools import lru_cache
 from .cartan import eliminate, replay
 from .crystals import CrystalGraph, Node, TensorOps, moves
 from .qfield import Q_ONE, Q_ZERO, QScalar, qbinom, qfact, qint
-
-
-class NotInLatticeError(ArithmeticError):
-    """A coordinate in the string basis has a pole at the origin."""
-
-
-class HomogeneityError(ValueError):
-    """Operation needs a weight-homogeneous vector."""
 
 
 @lru_cache(maxsize=None)
@@ -107,10 +102,10 @@ class TensorVector:
     def weight(self) -> int:
         """Common weight of the support; fails on mixed support."""
         if self.is_zero:
-            raise HomogeneityError("the zero vector has every weight")
+            raise ValueError("the zero vector has every weight")
         weights = {_index_weight(self.shape, idx) for idx, _ in self.coords}
         if len(weights) != 1:
-            raise HomogeneityError("vector is not weight homogeneous")
+            raise ValueError("vector is not weight homogeneous")
         return weights.pop()
 
     def __repr__(self):
@@ -226,7 +221,7 @@ def string_decompose(v: TensorVector) -> list[tuple[int, TensorVector]]:
         parts.append((smax, u))
         peeled.append(act_F_div(u, smax))
         rest = rest - peeled[-1]
-        if not rest.is_zero and rest.weight() != nu:
+        if any(_index_weight(v.shape, idx) != nu for idx, _ in rest.coords):
             raise ArithmeticError("string peeling changed the weight")
     parts.sort()  # the peel shortened every string: this reverses the list
     if sum(reversed(peeled), TensorVector.zero(v.shape)) != v:
@@ -370,9 +365,7 @@ class StringLattice:
         values = {}
         for tag, c in self.coords(v).items():
             if not c.regular_at_zero:
-                raise NotInLatticeError(
-                    "coordinate at %r has a pole at the origin" % (tag,)
-                )
+                raise ArithmeticError("coordinate at %r has a pole at the origin" % (tag,))
             values[tag] = c.at_zero()
         if not any(values.values()):
             return None

@@ -244,12 +244,13 @@ def suite_sl2(t1: int, t2: int, *, node_cap=None) -> dict:
                 and top is not None and top.valuation() == 0)
 
     # one lattice per run: a failed build leaves no vectors to compare.  Its
-    # ArithmeticError, the library's one fault type, is a failed check here
+    # ArithmeticError, the library's one fault type (a pole at the origin, a
+    # failed string peel or oracle check), is a failed check here
     lattice, limit, failure = None, {}, ""
     try:
         lattice = sl2lab.StringLattice(t1, t2)
         limit = sl2lab.crystal_limit_table(lattice)
-    except ArithmeticError as err:  # NotInLatticeError, or a failed oracle check
+    except ArithmeticError as err:
         failure = "%s: %s" % (type(err).__name__, err)
     singulars = lattice.singular.items() if lattice else ()
     rep.count("singular_vectors", itertools.starmap(singular, singulars), "vectors")

@@ -22,9 +22,8 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
-from loom import AmbientError, PathError, major_index, make_path, refine
+from loom import major_index, make_path, refine
 from loom.cartan import frac
-from loom.embedding import EmbeddingError
 from weights import coords
 
 Extrema = namedtuple("Extrema", "max_value eps e_minus e_plus f_plus f_minus end")
@@ -44,27 +43,27 @@ def path_from_segments(segs, affine=None, ncoords=None):
     for d, t in segs:
         t = frac(t)
         if t < 0:
-            raise PathError("segment durations must be positive")
+            raise ValueError("segment durations must be positive")
         if t == 0:
             continue
         if affine is None:
             affine = d.affine
         elif affine != d.affine:
-            raise AmbientError("path mixes classical and affine directions")
+            raise ValueError("path mixes classical and affine directions")
         if ncoords is None:
             ncoords = len(d.nums) - d.affine
         elif ncoords != len(d.nums) - d.affine:
-            raise PathError("path mixes weights of different ranks")
+            raise ValueError("path mixes weights of different ranks")
         dirs.append(d)
         times.append(t)
     if affine is None or ncoords is None:
-        raise PathError("ambient of a constant path cannot be inferred")
+        raise ValueError("ambient of a constant path cannot be inferred")
     m, n = lcm(*(d.den for d in dirs)), lcm(*(t.denominator for t in times))
     dirs = [tuple(x * (m // d.den) for x in d.nums) for d in dirs]
     cells = [t.numerator * (n // t.denominator) for t in times]
     path = make_path(m, n, dirs, cells, affine, ncoords)
     if sum(times) != 1 and not path.is_constant:
-        raise PathError("durations must sum to one")
+        raise ValueError("durations must sum to one")
     return path
 
 
@@ -74,7 +73,7 @@ def kappa(table, graph, factors, degree, j):
     word = refine(graph, factors, grid)
     total = grid * len(factors)
     if not 0 <= j <= total:
-        raise EmbeddingError("turning point index out of range")
+        raise ValueError("turning point index out of range")
     if j == 0:
         return Fraction(0)
     maj = major_index(table, word)

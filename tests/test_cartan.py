@@ -1,14 +1,13 @@
 import copy
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from loom import (
     AffineCartan,
-    AmbientError,
-    CartanError,
     Stretch,
     Weight,
     build_cartan,
@@ -16,7 +15,7 @@ from loom import (
     path_crystal_window,
     verify_decomposition,
 )
-from loom.cartan import eliminate, replay
+from loom.cartan import SUPPORTED_TYPES, eliminate, replay
 from loom.qfield import Q_ONE, Q_ZERO, QScalar
 from fraction_paths import segments
 from weights import affine_root, coords, fund, fundamental_weight, highest_finite_root, level
@@ -113,7 +112,10 @@ def test_a_singular_matrix_fails_while_it_is_eliminated():
 @pytest.mark.parametrize("label,rank", [("A", 0), ("B", 1), ("C", 1), ("D", 3),
                                         ("E6", 5), ("F4", 3), ("G2", 3), ("X", 2)])
 def test_invalid_types_rejected(label, rank):
-    with pytest.raises(CartanError):
+    needs = {"A": ">= 1", "B": ">= 2", "C": ">= 2", "D": ">= 4", "E6": "6", "F4": "4", "G2": "2"}
+    message = ("type %s needs rank %s" % (label, needs[label]) if label in needs
+               else "unsupported type 'X'; expected one of %s" % (SUPPORTED_TYPES,))
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
         build_cartan(label, rank)
 
 
@@ -139,9 +141,9 @@ def test_pairing_basics(a1, a2):
     assert fund(a2, 1, affine=True) == Stretch((-1, 1, 0, 0), 1, True)
     assert Weight((Fraction(1, 2), Fraction(-1, 3)), Fraction(5, 6)).stretch() == Stretch(
         (3, -2, 5), 6, True)
-    with pytest.raises(CartanError):
+    with pytest.raises(ValueError, match=r"^index 2 out of range 0\.\.1$"):
         a1.simple_root(2)
-    with pytest.raises(CartanError):
+    with pytest.raises(ValueError, match=r"^index 2 out of range 0\.\.1$"):
         a1.reflect(2, fundamental_weight(a1, 1))
 
 
@@ -212,22 +214,22 @@ def test_classical_fundamentals(a1, a2, c2):
     assert a2.classical_fundamental(1).weight() == Weight((-1, 1, 0))
     for i in (1, 2):
         assert level(c2, fund(c2, i, affine=True)) == 0
-    with pytest.raises(CartanError):
+    with pytest.raises(ValueError, match=r"^classical fundamental index must be in 1\.\.rank$"):
         a1.classical_fundamental(2)
 
 
 def test_ambient_mixing_rejected(a1, a2):
     classical = fund(a1, 1)
     affine = fundamental_weight(a1, 1)
-    with pytest.raises(AmbientError):
+    with pytest.raises(ValueError, match="^stretches of different ambients or ranks$"):
         classical + affine
-    with pytest.raises(AmbientError):
+    with pytest.raises(ValueError, match="^stretches of different ambients or ranks$"):
         affine - classical
     # a reflection refuses a weight of another rank, classical or affine
     for cartan, w in ((a1, fund(a2, 1)), (a1, fundamental_weight(a2, 1)),
                       (a2, classical), (a2, affine)):
         for i in cartan.indices:
-            with pytest.raises(AmbientError):
+            with pytest.raises(ValueError, match="^weight of another rank than the cartan$"):
                 cartan.reflect(i, w)
 
 

@@ -1,18 +1,18 @@
+import itertools
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import loom
-from loom import CartanError, Weight, build_cartan
+from loom import Weight, build_cartan, sl2
 from loom.cli import main, parse_weight_label
 from loom.crystals import NodeCapError
-from loom.embedding import EmbeddingError
 from loom.paths import PathOps
-from loom.sl2 import NotInLatticeError
 from loom.verify import SUITES
 from weights import fund
 
@@ -172,6 +172,61 @@ def test_a_planted_energy_sweep_conflict_exits_1(tmp_path, monkeypatch, capsys):
                                             "--rank", "2", "--i", "1", "--seeds", "1"], "pair ")
 
 
+def test_a_planted_mark_fault_exits_1(tmp_path, monkeypatch, capsys):
+    # the last mark off by one: build_cartan's own kernel check catches it
+    right = loom.cartan._primitive_null_vector
+    built = []
+
+    def last_mark_off_by_one(mat):
+        vec = right(mat)
+        built.append(vec)
+        if len(built) == 1:  # the marks; the comarks come second
+            vec[-1] += 1
+        return vec
+
+    monkeypatch.setattr(loom.cartan, "_primitive_null_vector", last_mark_off_by_one)
+    assert_fault_exits_1(tmp_path, capsys, ["verify", "--suite", "weyl", "--type", "D",
+                                            "--rank", "4", "--i", "1"],
+                         "marks are not a kernel vector\n")
+
+
+def test_a_planted_root_operator_fault_exits_1(tmp_path, monkeypatch, capsys):
+    # a reflected block that ends halfway leaves the lattice: make_path refuses it
+    right = loom.paths._split_reflect
+
+    def halfway(cartan, path, i, a, b):
+        return right(cartan, path, i, a, (a[0] * b[1] + b[0] * a[1], 2 * a[1] * b[1]))
+
+    monkeypatch.setattr(loom.paths, "_split_reflect", halfway)
+    assert_fault_exits_1(tmp_path, capsys, ["gen", "--type", "A", "--rank", "2",
+                                            "--format", "summary"],
+                         "path endpoint is not a lattice weight\n")
+
+
+def test_a_planted_string_peel_fault_fails_lattice_preserved(tmp_path, monkeypatch):
+    # every lowering peel gains a basis term of another weight; only
+    # string_decompose's own act_F_div calls see it, the Kashiwara operators don't
+    right = sl2.act_F_div
+
+    def with_a_stray_term(v, r):
+        out = right(v, r)
+        if not r:
+            return out
+        stray = next(idx for idx in itertools.product(*(range(t + 1) for t in v.shape))
+                     if sl2._index_weight(v.shape, idx) != out.weight())
+        return out + sl2.TensorVector.basis(v.shape, stray)
+
+    code = sl2.string_decompose.__code__
+    monkeypatch.setattr(sl2, "string_decompose", types.FunctionType(
+        code, {**vars(sl2), "act_F_div": with_a_stray_term}))
+    out = tmp_path / "sl2.json"
+    assert main(["verify", "--suite", "sl2", "--t1", "1", "--t2", "1", "--json",
+                 "--out", str(out)]) == 1
+    checks = {c["name"]: (c["pass"], c["detail"]) for c in json.loads(out.read_text())["checks"]}
+    assert checks["lattice_preserved"] == (
+        False, "ArithmeticError: string peeling changed the weight")
+
+
 def test_node_cap_exit_code(tmp_path):
     code = main(["gen", "--type", "A", "--rank", "2", "--i", "1", "--power", "2",
                  "--node-cap", "2", "--out", str(tmp_path / "x.json")])
@@ -245,15 +300,13 @@ def test_out_naming_a_directory_exits_2(tmp_path, monkeypatch, capsys, argv, out
 
 
 @pytest.mark.parametrize("error,code,shown", [
-    (EmbeddingError("no fundamental crystal here"), 2,
+    (ValueError("no fundamental crystal here"), 2,
      "loom gen: error: no fundamental crystal here"),
     (ArithmeticError("a self-check failed"), 1, "error: ArithmeticError: a self-check failed"),
     (ZeroDivisionError("pole at the origin"), 1, "error: ZeroDivisionError: pole at the origin"),
-    (NotInLatticeError("not in the lattice"), 1, "error: NotInLatticeError: not in the lattice"),
     (NodeCapError("closure exceeds the node cap of 2"), 3,
      "error: closure exceeds the node cap of 2"),
-], ids=["ValueError", "ArithmeticError", "ZeroDivisionError", "NotInLatticeError",
-        "NodeCapError"])
+], ids=["ValueError", "ArithmeticError", "ZeroDivisionError", "NodeCapError"])
 def test_library_errors_exit_by_kind(tmp_path, monkeypatch, capsys, error, code, shown):
     # main is the one boundary: a ValueError is bad input and exits 2 with
     # the usage line, an ArithmeticError a failed self-check and exits 1
@@ -480,7 +533,7 @@ def test_weight_grammar():
                  for j, c in terms.items()]
         assert got == sum(parts[1:], parts[0]), (label, text)
     for text in ("w3", "w1+w0"):
-        with pytest.raises(CartanError, match=r"^classical fundamental index must be in 1\.\.rank"):
+        with pytest.raises(ValueError, match=r"^classical fundamental index must be in 1\.\.rank"):
             parse_weight_label(a2, text)
     with pytest.raises(ValueError):
         parse_weight_label(a2, "2x3")

@@ -24,7 +24,7 @@ from loom import (
 )
 from loom.cli import main
 from loom.crystals import moves
-from loom.embedding import EmbeddingError, Report, tensor_power_crystal
+from loom.embedding import Report, tensor_power_crystal
 from loom.verify import run_suite
 from fraction_paths import kappa, path_from_segments
 from isomorphism import isomorphic
@@ -35,7 +35,7 @@ def test_kappa_fixture(a1_keys, a1_base, a1_energy):
     kp, km = a1_keys
     assert kappa(a1_energy, a1_base, (kp, km), 0, 1) == Fraction(-1, 2)
     assert kappa(a1_energy, a1_base, (kp, km), 0, 2) == 0
-    with pytest.raises(EmbeddingError):
+    with pytest.raises(ValueError, match="^turning point index out of range$"):
         kappa(a1_energy, a1_base, (kp, km), 0, 3)
 
 
@@ -163,10 +163,10 @@ def test_decomposition_reports(a1, a2):
         assert {"image_equals_union", "pieces_pairwise_disjoint",
                 "classes_match_pieces", "psi_preserves_operators",
                 "psi_injective", "degree_shift_periodicity"} <= names
-    with pytest.raises(EmbeddingError):
+    with pytest.raises(ValueError, match="^window must be at least 2$"):
         verify_decomposition(a1, 1, 2, 1)
     # no piece shifted by m fits, so degree_shift_periodicity would check nothing
-    with pytest.raises(EmbeddingError):
+    with pytest.raises(ValueError, match="^tensor power 4 exceeds the window 3$"):
         verify_decomposition(a1, 1, 4, 3)
 
 

@@ -3,9 +3,6 @@ from fractions import Fraction
 import pytest
 
 from loom import (
-    AmbientError,
-    IntegralityError,
-    PathError,
     PathOps,
     build_cartan,
     concat,
@@ -44,12 +41,12 @@ def test_linear_path_statistics(a1, a2):
 
 
 def test_linear_path_needs_integrality(a1, a2):
-    with pytest.raises(PathError):
+    with pytest.raises(ValueError, match="^linear paths need an integral endpoint$"):
         linear_path(Stretch((1, -1), 2, False))
     delta = a2.null_root()
-    with pytest.raises(PathError, match="^linear paths need an integral endpoint$"):
+    with pytest.raises(ValueError, match="^linear paths need an integral endpoint$"):
         linear_path(scaled(Fraction(1, 2), fund(a2, affine=True)) + delta)
-    with pytest.raises(PathError, match="^linear paths need an integral endpoint$"):
+    with pytest.raises(ValueError, match="^linear paths need an integral endpoint$"):
         linear_path(fund(a2, affine=True) + scaled(Fraction(1, 3), delta))
 
 
@@ -166,7 +163,8 @@ def test_split_times_match_reference():
 def test_nonintegral_height_maximum_rejected(a1):
     w = fund(a1)
     bent = path_from_segments([(w, Fraction(1, 2)), (-3 * w, Fraction(1, 2))])
-    with pytest.raises(IntegralityError):
+    with pytest.raises(ArithmeticError,
+                       match="^height maximum 1/2 for index 0 is not an integer$"):
         h_extrema(a1, bent, 0)
 
 
@@ -239,7 +237,7 @@ def test_concat(a1):
     assert len(segments(two)) == 2 and not any(two.endpoint().nums)
     assert concat([pp, pp]) == stretch(pp, 2)
     assert concat([pp, constant_path(a1)]) == pp
-    with pytest.raises(AmbientError):
+    with pytest.raises(ValueError, match="^concatenation mixes ambients$"):
         concat([pp, constant_path(a1, affine=True)])
 
 
@@ -247,7 +245,7 @@ def test_stretch(a1):
     pp = linear_path(fund(a1))
     assert stretch(pp, 3) == linear_path(3 * fund(a1))
     assert stretch(pp, 1) == pp
-    with pytest.raises(PathError):
+    with pytest.raises(ValueError, match="^stretch factor must be a positive integer$"):
         stretch(pp, 0)
 
 
@@ -268,7 +266,7 @@ def test_projection(a1):
     fw = fund(a1, affine=True)
     delta = a1.null_root()
     assert project(linear_path(3 * fw + 2 * delta)) == linear_path(3 * fund(a1))
-    with pytest.raises(AmbientError):
+    with pytest.raises(ValueError, match="^path is already classical$"):
         project(linear_path(fund(a1)))
     affine = linear_path(fw + delta)
     for i in a1.indices:
@@ -298,7 +296,7 @@ def test_segment_uniform(a1):
     assert dirs == [-2 * fund(a1), 2 * fund(a1)]
     rebuilt = path_from_segments([(d, Fraction(1, 2)) for d in dirs])
     assert rebuilt == bent
-    with pytest.raises(PathError):
+    with pytest.raises(ValueError, match="^breakpoint 1/2 is not a multiple of 1/3$"):
         uniform_stretches(bent, 3)
     assert bent.n == 2
 

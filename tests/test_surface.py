@@ -18,6 +18,7 @@ read with ``ast``, never imported.
 """
 
 import ast
+import builtins
 import pathlib
 from collections import Counter
 
@@ -164,6 +165,28 @@ def test_guard_names_unnamed_routes(tmp_path):
     # a call of the same name keeps the method alive
     (tmp_path / "c.py").write_text("def grow(v):\n    return v.scale(2)\n\nGROW = grow\n")
     assert "loom.a:V.scale" not in unnamed_routes(tmp_path, set())
+
+
+def exception_classes(src=SRC):
+    """The classes of src that derive from ``BaseException``, directly or through each other."""
+    bases = {node.name: [ast.unparse(b) for b in node.bases]
+             for p in sorted(src.glob("*.py")) for node in ast.walk(ast.parse(p.read_text()))
+             if isinstance(node, ast.ClassDef)}
+    found = set()
+
+    def is_exception(name):
+        builtin = getattr(builtins, name, None)
+        return name in found or isinstance(builtin, type) and issubclass(builtin, BaseException)
+
+    for _ in bases:  # one round per link of the longest chain of subclasses
+        found |= {name for name, names in bases.items() if any(map(is_exception, names))}
+    return found
+
+
+def test_one_error_type_per_exit_code():
+    # bad input is a plain ValueError (exit 2), a failed self-check a plain
+    # ArithmeticError (exit 1), and the node cap the one class of its own (exit 3)
+    assert exception_classes() == {"NodeCapError"}
 
 
 def test_weight_keeps_only_its_name():
