@@ -9,9 +9,10 @@ arithmetic.  :func:`generate` asks ``strings`` once per node, then ``e``
 and ``f`` per index, all from one row: ``TensorOps`` keeps the row of
 its last element, matched by identity, and ``PathOps`` one row per path
 key, or for an affine kind one row per delta-orbit, read by every path of
-the orbit.  Infinite kinds also expose ``level`` and are
-generated inside an explicit window on the absolute level; a tensor
-product takes finite factors only.  Closure generation, the tensor
+the orbit, whose ``wt`` is the row's weight plus its level times delta.
+Infinite kinds also expose ``level`` and are generated inside an
+explicit window on the absolute level; a tensor product takes finite
+factors only.  Closure generation, the tensor
 product rule and the normality audit all work against that surface, so
 paths, generated graphs and ad hoc test crystals plug into the same
 engine.  The audit returns one True or False per item it compared,

@@ -43,11 +43,14 @@ The guard of :class:`PathOps` makes sure of that: every stretch is level
 zero, none has a zero classical part, and all classical parts have one
 norm under the invariant form, :attr:`~loom.cartan.AffineCartan.form`.  An affine
 :class:`PathOps` then keeps one row per delta-orbit, built on the orbit's
-level-zero path.
+level-zero path and holding that path's weight; a path of level s reads
+the weight plus s delta, and each output moved to level s is translated
+and keyed once per table.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain
@@ -284,10 +287,8 @@ def lowering_op(cartan: AffineCartan, path: Path, i: int,
 def weyl_act(cartan: AffineCartan, path: Path, i: int) -> Path:
     """Simple-reflection action: iterate a root operator endpoint-pairing times."""
     cartan._check_index(i)
-    end = path.endpoint()
-    if end.nums[i] % end.den:
-        raise ValueError("endpoint pairing is not integral")
-    n = end.nums[i] // end.den
+    # make_path keeps endpoints in the lattice, so the pairing is an integer
+    n = path.endpoint().nums[i]
     out = path
     for _ in range(abs(n)):
         out = lowering_op(cartan, out, i) if n > 0 else raising_op(cartan, out, i)
@@ -368,19 +369,23 @@ class PathOps:
     """Crystal operations on paths of a fixed ambient, for the generator.
 
     A table row, from one :func:`h_extrema` scan per index, holds the tuples
-    ``(eps, phi)`` over all indices and e and f per index; a key names one
-    grid form, and the table keeps one path per key.
+    ``(eps, phi)`` over all indices, e and f per index, and the weight of
+    the path it was built on; a key names one grid form, and the table
+    keeps one path per key.
 
     An affine table keeps one row per delta-orbit, by the delta-law of the
     module: a path x of level s != 0 reads the row of its level-zero
-    translate x - s delta, each output moved back by s delta, and only the
-    translate's row is stored.  The law holds on grid forms when
-    :func:`make_path` never reparametrises, which the guard ensures: every
-    stretch is level zero, with a nonzero classical part, and all classical
-    parts have one norm.  Then no stretch is a pause, two neighbours are
-    collinear only when equal, and the root operators keep all three
-    properties.  The verdict is kept per level-zero key; a path that fails
-    it gets a row of its own, as a classical path does.
+    translate x - s delta, and only the translate's row is stored.  Its
+    weight is the row's plus s delta, and e and f move only the output
+    they return back by s delta, through a memo per level keyed by the
+    level-zero output, so each output is translated once per level.  The
+    law holds on grid forms when :func:`make_path` never reparametrises,
+    which the guard ensures: every stretch is level zero, with a nonzero
+    classical part, and all classical parts have one norm.  Then no
+    stretch is a pause, two neighbours are collinear only when equal, and
+    the root operators keep all three properties.  The verdict is kept per
+    level-zero key; a path that fails it gets a row of its own, as a
+    classical path does.
     """
 
     def __init__(self, cartan: AffineCartan, *, affine: bool = False):
@@ -389,6 +394,7 @@ class PathOps:
         # an affine kind is infinite: generate needs a window for it
         self.infinite = affine
         self._rows, self._paths, self._guard = {}, {}, {}
+        self._translated = defaultdict(dict)
         self._last = (None, None)
 
     def key(self, x: Path):
@@ -397,9 +403,6 @@ class PathOps:
         if x.affine != self.infinite:
             raise ValueError("path ambient does not match the crystal ambient")
         return x.key()
-
-    def wt(self, x: Path) -> Stretch:
-        return x.endpoint()
 
     def _keep(self, y: Path) -> Path:
         return self._paths.setdefault(y.key(), y)
@@ -428,14 +431,8 @@ class PathOps:
             moves[j] = tuple([y and self._keep(y) for y in moved])
         return (tuple(eps), tuple(phi)), moves
 
-    def _shifted(self, row: tuple, s: int) -> tuple:
-        """A level-zero row moved to level s: each output plus s delta."""
-        keep = self._keep
-        return row[0], {j: tuple([y and keep(translate(y, s)) for y in pair])
-                        for j, pair in row[1].items()}
-
     def _row(self, x: Path) -> tuple:
-        """The row of x; built once per level-zero key, translated for any other level."""
+        """The row of x and the level s its outputs move by; built once per level-zero key."""
         if self._last[0] is not x:  # the identity check spares hashing x's key
             s = self.infinite and self.level(x)
             rep = translate(x, -s) if s else x
@@ -444,18 +441,38 @@ class PathOps:
                 rep, key, s = x, x.key(), 0
             row = self._rows.get(key)
             if row is None:
-                row = self._rows[key] = self._scan(rep)
-            self._last = (x, self._shifted(row, s) if s else row)
+                row = self._rows[key] = (*self._scan(rep), rep.endpoint())
+            self._last = (x, (row, s))
         return self._last[1]
 
+    def _moved(self, y: Path | None, s: int) -> Path | None:
+        """An output y of a level-zero row plus s delta, translated and keyed once per s."""
+        if not (s and y):
+            return y
+        memo = self._translated[s]
+        # y came through _keep, so its key is cached and y is the kept path
+        moved = memo.get(y._key)
+        if moved is None:
+            moved = memo[y._key] = self._keep(translate(y, s))
+        return moved
+
     def strings(self, x: Path) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return self._row(x)[0]
+        return self._row(x)[0][0]
 
     def e(self, x: Path, i: int):
-        return self._row(x)[1][i][0]
+        row, s = self._row(x)
+        return self._moved(row[1][i][0], s)
 
     def f(self, x: Path, i: int):
-        return self._row(x)[1][i][1]
+        row, s = self._row(x)
+        return self._moved(row[1][i][1], s)
+
+    def wt(self, x: Path) -> Stretch:
+        """The row's weight plus s delta: the null-root numerator moves by s den, still reduced."""
+        (_, _, w), s = self._row(x)
+        if not s:
+            return w
+        return Stretch(w.nums[:-1] + (w.nums[-1] + s * w.den,), w.den, True)
 
     def level(self, x: Path) -> int:
         """Null-root entry of the endpoint, an integer since that is a lattice weight."""

@@ -156,8 +156,8 @@ def test_gen_power_checks_that_the_closure_covers_the_power(tmp_path, monkeypatc
 
 def test_a_planted_translation_fault_exits_1(tmp_path, monkeypatch, capsys):
     # outputs moved by (s + 1) delta instead of s delta break the operator graph
-    real = PathOps._shifted
-    monkeypatch.setattr(PathOps, "_shifted", lambda self, row, s: real(self, row, s + 1))
+    real = PathOps._moved
+    monkeypatch.setattr(PathOps, "_moved", lambda self, y, s: real(self, y, s + 1) if s else y)
     assert_fault_exits_1(tmp_path, capsys, ["verify", "--suite", "decompose", "--type", "A",
                                             "--rank", "2", "--i", "1", "--m", "2", "--window", "3"],
                          "conflicting lowering edges at ")

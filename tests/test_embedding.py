@@ -361,27 +361,70 @@ def test_every_decomposition_check_can_fail(a1, a1_base, monkeypatch):
 
 def test_a_planted_translation_fault_fails_the_decomposition(a2, monkeypatch):
     # every piece reads one PathOps table, whose rows off level zero are
-    # translated level-zero rows.  Outputs moved by s + 1 delta instead of
-    # s delta break the operator graph itself, and generate raises the
-    # library's fault type, not the ValueError of bad input
-    real = PathOps._shifted
+    # level-zero rows with each output moved on demand.  Outputs moved by
+    # s + 1 delta instead of s delta break the operator graph itself, and
+    # generate raises the library's fault type, not the ValueError of bad input
+    real = PathOps._moved
     with monkeypatch.context() as mp:
-        mp.setattr(PathOps, "_shifted", lambda self, row, s: real(self, row, s + 1))
+        mp.setattr(PathOps, "_moved", lambda self, y, s: real(self, y, s + 1) if s else y)
         with pytest.raises(ArithmeticError, match="^conflicting lowering edges") as err:
             verify_decomposition(a2, 1, 2, 3)
     assert not isinstance(err.value, ValueError)
 
-    def no_lowering(self, row, s):
+    real_f = PathOps.f
+
+    def no_lowering(self, x, i):
         # a translated row that loses its lowering moves still closes to a
         # consistent graph; the psi images, built apart from the table, expose it
-        strings, moved = real(self, row, s)
-        return strings, {j: (e, None) for j, (e, f) in moved.items()}
+        return None if self._row(x)[1] else real_f(self, x, i)
 
     with monkeypatch.context() as mp:
-        mp.setattr(PathOps, "_shifted", no_lowering)
+        mp.setattr(PathOps, "f", no_lowering)
         failed = _failing(verify_decomposition(a2, 1, 2, 3))
     assert {"image_equals_union", "classes_match_pieces"} <= failed
     assert verify_decomposition(a2, 1, 2, 3)["pass"]
+
+
+@pytest.mark.parametrize("label,rank,i", [("A", 2, 1), ("C", 2, 2)])
+def test_a_planted_row_weight_fault_fails_the_decomposition(monkeypatch, label, rank, i):
+    # translated rows report their weight one delta too high: the pieces
+    # lose their nodes at the inner window's top degree
+    cartan = build_cartan(label, rank)
+    real, delta = PathOps.wt, cartan.null_root()
+
+    def one_delta_high(self, x):
+        return real(self, x) + delta if self._row(x)[1] else real(self, x)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(PathOps, "wt", one_delta_high)
+        failed = _failing(verify_decomposition(cartan, i, 2, 3))
+    assert {"image_equals_union", "classes_match_pieces"} <= failed
+
+
+def test_each_output_is_translated_once_per_level(a2, monkeypatch):
+    # every piece reads one table; an output moved to level s is kept and
+    # reused, wherever else it is reached from.  The row lookup, which
+    # moves a path down to its level-zero translate, is not counted
+    real, real_row = loom.paths.translate, PathOps._row
+    in_row, moved = [], []
+
+    def row(self, x):
+        in_row.append(x)
+        try:
+            return real_row(self, x)
+        finally:
+            in_row.pop()
+
+    def counted(path, s):
+        if not in_row:
+            moved.append((path.key(), s))
+        return real(path, s)
+
+    monkeypatch.setattr(PathOps, "_row", row)
+    monkeypatch.setattr(loom.paths, "translate", counted)
+    assert verify_decomposition(a2, 1, 2, 3)["pass"]
+    assert moved and len(set(moved)) == len(moved)
+    assert {s for _, s in moved} == {-3, -2, -1, 1, 2, 3}
 
 
 def test_set_checks_that_compared_nothing_fail(a1, monkeypatch):
@@ -500,13 +543,14 @@ def _from_heights(base, table, factors, heights):
 def test_shifted_piece_on_its_partners_table_matches_a_fresh_one(monkeypatch, label, rank, i,
                                                                  m, window):
     # verify_decomposition generates every piece on one PathOps, so piece
-    # r + m reads the rows that piece r built
+    # r + m reads the rows that piece r built.  A node's weight is its row's
+    # level-zero weight plus its level times delta, which must be its endpoint
     cartan = build_cartan(label, rank)
     fw = fund(cartan, i, affine=True)
     delta = cartan.null_root()
     for r in range(min(m, window + 1 - m)):
         ops = PathOps(cartan, affine=True)
-        path_crystal_window(cartan, m * fw + r * delta, window, ops=ops)
+        first = path_crystal_window(cartan, m * fw + r * delta, window, ops=ops)
         fresh = path_crystal_window(cartan, m * fw + (r + m) * delta, window)
         scans = []
         with monkeypatch.context() as mp:
@@ -514,6 +558,8 @@ def test_shifted_piece_on_its_partners_table_matches_a_fresh_one(monkeypatch, la
             mp.setattr(loom.paths, "h_extrema", lambda *args: scans.append(args) or original(*args))
             shared = path_crystal_window(cartan, m * fw + (r + m) * delta, window, ops=ops)
         assert scans == []
+        for node in [*first.nodes.values(), *shared.nodes.values()]:
+            assert node.wt == node.element.endpoint()
         assert list(shared.nodes) == list(fresh.nodes)
         for key, node in shared.nodes.items():
             want = fresh.nodes[key]

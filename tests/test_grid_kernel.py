@@ -179,6 +179,7 @@ def test_delta_orbit_rows_match_fresh_root_operators(monkeypatch):
             continue
         ops = tables.setdefault(cartan.name, PathOps(cartan, affine=True))
         assert ops.strings(path) == (tuple(x.eps for x in exts), tuple(x.phi for x in exts))
+        assert ops.wt(path) == path.endpoint()
         for j in cartan.indices:
             for op, fresh in ((ops.e, raising_op), (ops.f, lowering_op)):
                 assert _grid_form(op(path, j)) == _grid_form(fresh(cartan, path, j)), (path, j)
