@@ -10,11 +10,12 @@ and reads: the seeds :meth:`AffineCartan.null_root` and
 :meth:`AffineCartan.classical_fundamental` cross from it to a stretch
 once, inside this module, and a label renders through :meth:`Stretch.weight`.
 
-Every numeric entry is exact.  Marks, comarks and the symmetrizers are
-recomputed from the affine matrix itself rather than copied from tables,
-so a transcription error in the type data cannot survive construction:
-every such check raises ``ArithmeticError``, a failed self-check, while a
-bad type, rank or index is refused with ``ValueError``.
+Every numeric entry is exact.  :class:`AffineCartan` derives the marks,
+comarks and symmetrizers from its matrix rather than copying them from
+tables, and :func:`build_cartan` checks them against it, so a
+transcription error in the type data cannot survive construction: every
+such check raises ``ArithmeticError``, a failed self-check, while a bad
+type, rank, matrix shape or index is refused with ``ValueError``.
 The simple roots form one integer table that both :meth:`AffineCartan.reflect`
 and the root operators of :mod:`loom.paths` read.
 """
@@ -27,7 +28,10 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 
-SUPPORTED_TYPES = ("A", "B", "C", "D", "E6", "E7", "E8", "F4", "G2")
+# the least rank of each infinite family, and the one rank of each exceptional type
+_LEAST_RANK = {"A": 1, "B": 2, "C": 2, "D": 4}
+_RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}
+SUPPORTED_TYPES = (*_LEAST_RANK, *_RANK)
 
 
 def frac(x) -> Fraction:
@@ -131,53 +135,31 @@ class Weight:
 
 
 def _finite_matrix(label: str, rank: int) -> list[list[int]]:
-    """Cartan matrix of the finite type, rows indexed by coroots."""
-    if label == "A":
-        if rank < 1:
-            raise ValueError("type A needs rank >= 1")
-        edges = [(k, k + 1) for k in range(rank - 1)]
-        special = {}
-    elif label == "B":
-        if rank < 2:
-            raise ValueError("type B needs rank >= 2")
-        edges = [(k, k + 1) for k in range(rank - 1)]
-        special = {(rank - 1, rank - 2): -2}
-    elif label == "C":
-        if rank < 2:
-            raise ValueError("type C needs rank >= 2")
-        edges = [(k, k + 1) for k in range(rank - 1)]
-        special = {(rank - 2, rank - 1): -2}
-    elif label == "D":
-        if rank < 4:
-            raise ValueError("type D needs rank >= 4")
-        edges = [(k, k + 1) for k in range(rank - 2)] + [(rank - 3, rank - 1)]
-        special = {}
-    elif label in ("E6", "E7", "E8"):
-        want = int(label[1])
-        if rank != want:
-            raise ValueError("type %s needs rank %d" % (label, want))
-        edges = [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)]
-        for k in range(5, rank - 1):
-            edges.append((k, k + 1))
-        special = {}
-    elif label == "F4":
-        if rank != 4:
-            raise ValueError("type F4 needs rank 4")
-        edges = [(0, 1), (1, 2), (2, 3)]
-        special = {(2, 1): -2}
-    elif label == "G2":
-        if rank != 2:
-            raise ValueError("type G2 needs rank 2")
-        edges = [(0, 1)]
-        special = {(1, 0): -3}
+    """Cartan matrix of the finite type, rows indexed by coroots.
+
+    The diagram is the chain 0 - 1 - ... - (rank-1); D forks its last node
+    off node rank-3, E takes node 1 out of the chain and branches it off
+    node 3, and each non-simply-laced type sets one ``special`` entry.
+    """
+    if label in _LEAST_RANK:
+        if rank < _LEAST_RANK[label]:
+            raise ValueError("type %s needs rank >= %d" % (label, _LEAST_RANK[label]))
+    elif label in _RANK:
+        if rank != _RANK[label]:
+            raise ValueError("type %s needs rank %d" % (label, _RANK[label]))
     else:
         raise ValueError("unsupported type %r; expected one of %s" % (label, SUPPORTED_TYPES))
-
+    edges = {(k, k + 1) for k in range(rank - 1)}
+    if label == "D":
+        edges ^= {(rank - 2, rank - 1), (rank - 3, rank - 1)}
+    elif label[0] == "E":
+        edges ^= {(0, 1), (1, 2), (0, 2), (1, 3)}
+    special = {"B": {(rank - 1, rank - 2): -2}, "C": {(rank - 2, rank - 1): -2},
+               "F4": {(2, 1): -2}, "G2": {(1, 0): -3}}
     mat = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
     for i, j in edges:
-        mat[i][j] = -1
-        mat[j][i] = -1
-    for (i, j), v in special.items():
+        mat[i][j] = mat[j][i] = -1
+    for (i, j), v in special.get(label, {}).items():
         mat[i][j] = v
     return mat
 
@@ -282,19 +264,11 @@ def replay(steps, rhs) -> list:
     return b
 
 
-def _primitive_null_vector(mat) -> list[int]:
-    """The positive primitive integer kernel vector of an affine integer matrix.
-
-    Node 0 gets one and the nonsingular finite block gives the rest; the
-    caller checks row 0.
-    """
-    vec = [Fraction(1)] + replay(
-        eliminate([[Fraction(x) for x in row[1:]] for row in mat[1:]]),
-        [Fraction(-row[0]) for row in mat[1:]])
-    denom = lcm(*[v.denominator for v in vec])
-    ints = [int(v * denom) for v in vec]
-    g = gcd(*ints)
-    ints = [v // g for v in ints]
+def _primitive(vec) -> list[int]:
+    """The positive primitive integer multiple of a rational kernel vector."""
+    den = lcm(*(v.denominator for v in vec))
+    g = gcd(*(int(v * den) for v in vec))
+    ints = [int(v * den) // g for v in vec]
     if any(v <= 0 for v in ints):
         raise ArithmeticError("kernel vector is not positive")
     return ints
@@ -302,14 +276,21 @@ def _primitive_null_vector(mat) -> list[int]:
 
 @dataclass(frozen=True)
 class AffineCartan:
-    """Cartan data of an untwisted affine type, indices 0..rank."""
+    """Cartan data of an affine type, indices 0..rank, derived from its matrix.
+
+    One elimination of the finite block A (indices 1..rank) gives the
+    columns of A^-1.  The marks are ``[1] + A^-1 (-column 0)`` and the
+    comarks ``[1] + A^-T (-row 0)``, each scaled to the primitive positive
+    integer vector; the symmetrizers are solved along the Dynkin diagram.
+    The caller checks node 0 and both kernel identities.
+    """
 
     label: str
     rank: int
     matrix: tuple[tuple[int, ...], ...]
-    marks: tuple[int, ...]
-    comarks: tuple[int, ...]
-    sym: tuple[int, ...]
+    marks: tuple[int, ...] = field(init=False)
+    comarks: tuple[int, ...] = field(init=False)
+    sym: tuple[int, ...] = field(init=False)
     # alpha_j per index in the fundamental-weight basis, null-root entry last
     roots: tuple = field(init=False, repr=False, compare=False)
     # the invariant form on classical weights, up to a positive factor, on their
@@ -317,14 +298,24 @@ class AffineCartan:
     form: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "roots", tuple(
-            tuple(row[j] for row in self.matrix) + (int(j == 0),) for j in self.indices))
-        steps = eliminate([[Fraction(x) for x in row[1:]] for row in self.matrix[1:]])
-        cols = [replay(steps, [Fraction(int(k == j)) for k in range(self.rank)])
-                for j in range(self.rank)]
+        a = tuple(tuple(row) for row in self.matrix)
+        n = self.rank
+        if len(a) != n + 1 or any(len(row) != n + 1 for row in a):
+            raise ValueError("a rank-%d cartan needs a %d x %d matrix" % (n, n + 1, n + 1))
+        steps = eliminate([[Fraction(x) for x in row[1:]] for row in a[1:]])
+        # cols[j] is column j of A^-1
+        cols = [replay(steps, [Fraction(int(k == j)) for k in range(n)]) for j in range(n)]
+        marks = _primitive([1] + [sum(-row[0] * col[i] for row, col in zip(a[1:], cols))
+                                  for i in range(n)])
+        comarks = _primitive([1] + [sum(-x * y for x, y in zip(a[0][1:], col)) for col in cols])
+        sym = _symmetrizers(a)
         den = lcm(*(x.denominator for col in cols for x in col))
-        object.__setattr__(self, "form", tuple(
-            tuple(int(self.sym[i + 1] * col[i] * den) for col in cols) for i in range(self.rank)))
+        for name, value in (
+                ("matrix", a), ("marks", marks), ("comarks", comarks), ("sym", sym),
+                ("roots", (tuple(row[j] for row in a) + (int(j == 0),) for j in self.indices)),
+                ("form", (tuple(int(sym[i + 1] * col[i] * den) for col in cols)
+                          for i in range(n)))):
+            object.__setattr__(self, name, tuple(value))
 
     @property
     def indices(self) -> range:
@@ -374,11 +365,10 @@ class AffineCartan:
 def build_cartan(label: str, rank: int) -> AffineCartan:
     """Construct the affine Cartan data for an untwisted type.
 
-    The affine matrix is assembled from the finite matrix and the highest
-    finite root.  Marks and comarks are the primitive positive kernel
-    vectors of the matrix and its transpose: node 0 gets one and
-    one elimination solves the finite block for the rest.  Every row of
-    both null identities and both node-0 entries are then checked.
+    The affine matrix is assembled from the finite matrix, the highest
+    finite root and its coroot; :class:`AffineCartan` derives the marks,
+    comarks and symmetrizers from it.  Both node-0 entries, every row of
+    both null identities and the sign pattern of the matrix are then checked.
     """
     if not isinstance(rank, int):
         raise ValueError("rank must be an integer")
@@ -395,37 +385,20 @@ def build_cartan(label: str, rank: int) -> AffineCartan:
     if any(c.denominator != 1 for c in theta_covec):
         raise ArithmeticError("highest coroot coefficients are not integral")
 
-    n = rank + 1
-    aff = [[0] * n for _ in range(n)]
-    aff[0][0] = 2
-    for i in range(rank):
-        for j in range(rank):
-            aff[i + 1][j + 1] = fin[i][j]
-    for j in range(rank):
-        aff[0][j + 1] = -sum(int(theta_covec[i]) * fin[i][j] for i in range(rank))
-        aff[j + 1][0] = -sum(theta[i] * fin[j][i] for i in range(rank))
-
-    marks = _primitive_null_vector(aff)
-    comarks = _primitive_null_vector(list(zip(*aff)))
-    sym = _symmetrizers(aff)
-
+    # row 0 is -theta^vee paired with the simple roots, column 0 the simple coroots on -theta
+    aff = [[2] + [-sum(int(theta_covec[i]) * fin[i][j] for i in range(rank)) for j in range(rank)]]
+    aff += [[-sum(theta[i] * fin[j][i] for i in range(rank))] + fin[j] for j in range(rank)]
+    cartan = AffineCartan(label, rank, aff)
+    marks, comarks, aff, nodes = cartan.marks, cartan.comarks, cartan.matrix, cartan.indices
     if marks[0] != 1 or comarks[0] != 1:
         raise ArithmeticError("node-0 mark and comark must equal one")
-    for i in range(n):
-        if sum(aff[i][j] * marks[j] for j in range(n)) != 0:
+    for i in nodes:
+        if sum(aff[i][j] * marks[j] for j in nodes) != 0:
             raise ArithmeticError("marks are not a kernel vector")
-        if sum(comarks[j] * aff[j][i] for j in range(n)) != 0:
+        if sum(comarks[j] * aff[j][i] for j in nodes) != 0:
             raise ArithmeticError("comarks are not a kernel vector")
-    for i in range(n):
-        for j in range(n):
+    for i in nodes:
+        for j in nodes:
             if i != j and (aff[i][j] > 0 or (aff[i][j] == 0) != (aff[j][i] == 0)):
                 raise ArithmeticError("affine matrix shape check failed")
-
-    return AffineCartan(
-        label=label,
-        rank=rank,
-        matrix=tuple(tuple(row) for row in aff),
-        marks=tuple(marks),
-        comarks=tuple(comarks),
-        sym=tuple(sym),
-    )
+    return cartan

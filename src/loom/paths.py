@@ -174,8 +174,9 @@ def linear_path(w: Stretch) -> Path:
     return make_path(1, 1, [w.nums], [1], w.affine, len(w.nums) - w.affine)
 
 
-def constant_path(cartan: AffineCartan, *, affine: bool = False) -> Path:
-    return make_path(1, 1, [], [], affine, cartan.rank + 1)
+def constant_path(cartan: AffineCartan) -> Path:
+    """The classical zero path; the affine one is ``linear_path(0 * cartan.null_root())``."""
+    return make_path(1, 1, [], [], False, cartan.rank + 1)
 
 
 # -- height data -------------------------------------------------------

@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import hashlib
+import json
 import random
 import re
 from fractions import Fraction
@@ -64,6 +66,37 @@ def test_exceptional_marks_and_comarks(label, rank, marks, comarks):
     assert cartan.comarks == comarks
 
 
+def _every_cartan():
+    spec = ([("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
+            + [("C", r) for r in range(2, 9)] + [("D", r) for r in range(4, 9)]
+            + [("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4), ("G2", 2)])
+    return [build_cartan(label, rank) for label, rank in spec]
+
+
+def test_cartan_data_digest():
+    # every derived table of the 32 types up to rank 8: a change in any entry changes the digest
+    rows = [[c.label, c.rank, c.matrix, c.marks, c.comarks, c.sym, c.roots, c.form]
+            for c in _every_cartan()]
+    assert len(rows) == 32
+    assert hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest() == (
+        "1eb1f3e8e837eecc2c2153890bd2898bb4bff9531137adee51ca8d51fc8cc56c")
+
+
+def test_the_matrix_alone_rebuilds_the_cartan():
+    for cartan in _every_cartan():
+        rebuilt = AffineCartan(cartan.label, cartan.rank, [list(row) for row in cartan.matrix])
+        assert rebuilt == cartan
+        for name in ("matrix", "marks", "comarks", "sym", "roots", "form"):
+            assert getattr(rebuilt, name) == getattr(cartan, name), (cartan.name, name)
+    with pytest.raises(TypeError):
+        AffineCartan("A", 1, ((2, -2), (-2, 2)), (1, 1), (1, 1), (1, 1))
+    a2 = build_cartan("A", 2).matrix
+    for rank, matrix in ((1, a2), (3, a2), (2, a2[:2] + ((-1, -1),))):
+        with pytest.raises(ValueError, match="^a rank-%d cartan needs a %d x %d matrix$"
+                           % (rank, rank + 1, rank + 1)):
+            AffineCartan("A", rank, matrix)
+
+
 def test_eliminate_and_replay_over_both_fields():
     fr = [[Fraction(2), Fraction(1)], [Fraction(1, 3), Fraction(-1)]]
     fr_rhs = [Fraction(1), Fraction(5, 2)]
@@ -109,10 +142,11 @@ def test_a_singular_matrix_fails_while_it_is_eliminated():
             eliminate([row, [x + x for x in row]])
 
 
-@pytest.mark.parametrize("label,rank", [("A", 0), ("B", 1), ("C", 1), ("D", 3),
-                                        ("E6", 5), ("F4", 3), ("G2", 3), ("X", 2)])
+@pytest.mark.parametrize("label,rank", [("A", 0), ("B", 1), ("C", 1), ("D", 3), ("E6", 5),
+                                        ("E7", 6), ("E8", 9), ("F4", 3), ("G2", 3), ("X", 2)])
 def test_invalid_types_rejected(label, rank):
-    needs = {"A": ">= 1", "B": ">= 2", "C": ">= 2", "D": ">= 4", "E6": "6", "F4": "4", "G2": "2"}
+    needs = {"A": ">= 1", "B": ">= 2", "C": ">= 2", "D": ">= 4", "E6": "6", "E7": "7", "E8": "8",
+             "F4": "4", "G2": "2"}
     message = ("type %s needs rank %s" % (label, needs[label]) if label in needs
                else "unsupported type 'X'; expected one of %s" % (SUPPORTED_TYPES,))
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):

@@ -174,20 +174,21 @@ def test_a_planted_energy_sweep_conflict_exits_1(tmp_path, monkeypatch, capsys):
 
 def test_a_planted_mark_fault_exits_1(tmp_path, monkeypatch, capsys):
     # the last mark off by one: build_cartan's own kernel check catches it
-    right = loom.cartan._primitive_null_vector
+    right = loom.cartan._primitive
     built = []
 
-    def last_mark_off_by_one(mat):
-        vec = right(mat)
-        built.append(vec)
+    def last_mark_off_by_one(vec):
+        ints = right(vec)
+        built.append(ints)
         if len(built) == 1:  # the marks; the comarks come second
-            vec[-1] += 1
-        return vec
+            ints[-1] += 1
+        return ints
 
-    monkeypatch.setattr(loom.cartan, "_primitive_null_vector", last_mark_off_by_one)
+    monkeypatch.setattr(loom.cartan, "_primitive", last_mark_off_by_one)
     assert_fault_exits_1(tmp_path, capsys, ["verify", "--suite", "weyl", "--type", "D",
                                             "--rank", "4", "--i", "1"],
                          "marks are not a kernel vector\n")
+    assert len(built) == 2
 
 
 def test_a_planted_root_operator_fault_exits_1(tmp_path, monkeypatch, capsys):

@@ -212,7 +212,8 @@ def test_uniform_stretches_of_hand_built_paths():
     a2 = build_cartan("A", 2)
     for affine in (False, True):
         zero = Stretch((0,) * (3 + affine), 1, affine)
-        assert uniform_stretches(constant_path(a2, affine=affine), 3) == [zero] * 3
+        path = linear_path(0 * a2.null_root()) if affine else constant_path(a2)
+        assert uniform_stretches(path, 3) == [zero] * 3
     w, w2 = fund(a2, 1), fund(a2, 2)
     # on the common denominator 4, the first direction 6 (w - w2) / 4 is not in lowest terms
     u, v = scaled(Fraction(3, 2), w - w2), scaled(Fraction(3, 4), w + w2)
@@ -342,7 +343,7 @@ def test_constant_path_extrema():
     for label, rank in (("A", 2), ("G2", 2)):
         cartan = build_cartan(label, rank)
         for affine in (False, True):
-            zero = constant_path(cartan, affine=affine)
+            zero = linear_path(0 * cartan.null_root()) if affine else constant_path(cartan)
             for i in cartan.indices:
                 ext = ref.rational_extrema(zero, h_extrema(cartan, zero, i))
                 assert ext.f_plus == 1 and ext.e_plus == 0 and ext.end == 0

@@ -56,7 +56,8 @@ def test_linear_path_matches_the_rational_rebuild(a1, a2):
     for cartan in (a1, a2):
         for affine in (False, True):
             zero = linear_path(Stretch((0,) * (cartan.rank + 1 + affine), 1, affine))
-            assert zero == constant_path(cartan, affine=affine)
+            want = linear_path(0 * cartan.null_root()) if affine else constant_path(cartan)
+            assert zero == want
             assert (zero.m, zero.n, zero.dirs, zero.cells) == (1, 1, (), ())
             assert zero.affine is affine
             assert zero.ncoords == len(cartan.indices)
@@ -238,7 +239,7 @@ def test_concat(a1):
     assert concat([pp, pp]) == stretch(pp, 2)
     assert concat([pp, constant_path(a1)]) == pp
     with pytest.raises(ValueError, match="^concatenation mixes ambients$"):
-        concat([pp, constant_path(a1, affine=True)])
+        concat([pp, linear_path(0 * a1.null_root())])
 
 
 def test_stretch(a1):
