@@ -10,12 +10,16 @@ and reads: the seeds :meth:`AffineCartan.null_root` and
 :meth:`AffineCartan.classical_fundamental` cross from it to a stretch
 once, inside this module, and a label renders through :meth:`Stretch.weight`.
 
-Every numeric entry is exact.  :class:`AffineCartan` derives the marks,
-comarks and symmetrizers from its matrix rather than copying them from
-tables, and :func:`build_cartan` checks them against it, so a
-transcription error in the type data cannot survive construction: every
-such check raises ``ArithmeticError``, a failed self-check, while a bad
-type, rank, matrix shape or index is refused with ``ValueError``.
+Every numeric entry is exact.  :func:`build_cartan` finds the highest
+root theta and its coroot theta^vee by a Weyl walk to the dominant chamber
+and assembles the affine matrix; :class:`AffineCartan` derives the marks
+and comarks from that matrix by one elimination, and the symmetrizers as
+comarks over marks, rather than copying them from tables.
+:func:`build_cartan` then checks the null identities and the symmetry of
+D·A, so a transcription error in the type data cannot survive
+construction: every such check raises ``ArithmeticError``, a failed
+self-check, while a bad type, rank, matrix shape or index is refused with
+``ValueError``.
 The simple roots form one integer table that both :meth:`AffineCartan.reflect`
 and the root operators of :mod:`loom.paths` read.
 """
@@ -31,7 +35,8 @@ from typing import NamedTuple
 # the least rank of each infinite family, and the one rank of each exceptional type
 _LEAST_RANK = {"A": 1, "B": 2, "C": 2, "D": 4}
 _RANK = {"E6": 6, "E7": 7, "E8": 8, "F4": 4, "G2": 2}
-SUPPORTED_TYPES = (*_LEAST_RANK, *_RANK)
+# the supported types in words, as the --type help and a refused type name them
+SUPPORTED_TYPES_TEXT = "one of %s" % ", ".join((*_LEAST_RANK, *_RANK))
 
 
 def frac(x) -> Fraction:
@@ -148,7 +153,7 @@ def _finite_matrix(label: str, rank: int) -> list[list[int]]:
         if rank != _RANK[label]:
             raise ValueError("type %s needs rank %d" % (label, _RANK[label]))
     else:
-        raise ValueError("unsupported type %r; expected one of %s" % (label, SUPPORTED_TYPES))
+        raise ValueError("unsupported type %r; expected %s" % (label, SUPPORTED_TYPES_TEXT))
     edges = {(k, k + 1) for k in range(rank - 1)}
     if label == "D":
         edges ^= {(rank - 2, rank - 1), (rank - 3, rank - 1)}
@@ -164,68 +169,21 @@ def _finite_matrix(label: str, rank: int) -> list[list[int]]:
     return mat
 
 
-def _symmetrizers(mat: list[list[int]]) -> list[int]:
-    """Coprime positive integers d with d_i a_ij symmetric.
+def _dominant(mat: list[list[int]], k: int) -> tuple[int, ...]:
+    """The dominant root of the Weyl orbit of alpha_k, in simple-root coordinates.
 
-    The Dynkin diagram must be connected, which holds for every finite and
-    affine matrix built here.
+    Reflects in a simple root that pairs negatively until none does; each
+    reflection raises the height, so on a finite-type matrix the walk ends.
     """
-    n = len(mat)
-    d: list[Fraction | None] = [None] * n
-    d[0] = Fraction(1)
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(n):
-            if i != j and mat[i][j] != 0:
-                ratio = Fraction(mat[i][j], mat[j][i])
-                val = d[i] * ratio
-                if d[j] is None:
-                    d[j] = val
-                    stack.append(j)
-                elif d[j] != val:
-                    raise ArithmeticError("matrix is not symmetrizable")
-    if any(x is None for x in d):
-        raise ArithmeticError("Dynkin diagram is not connected")
-    denom = lcm(*[x.denominator for x in d])
-    ints = [int(x * denom) for x in d]
-    g = gcd(*ints)
-    ints = [x // g for x in ints]
-    if any(x <= 0 for x in ints):
-        raise ArithmeticError("symmetrizers are not positive")
-    for i in range(n):
-        for j in range(n):
-            if ints[i] * mat[i][j] != ints[j] * mat[j][i]:
-                raise ArithmeticError("symmetrizer check failed")
-    return ints
-
-
-def _positive_roots(mat: list[list[int]]) -> list[tuple[int, ...]]:
-    """All positive roots in simple-root coordinates, by reflection closure."""
-    n = len(mat)
-    simple = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-    seen = set(simple)
-    frontier = list(simple)
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for j in range(n):
-                pair = sum(c[i] * mat[j][i] for i in range(n))
-                refl = tuple(c[k] - pair if k == j else c[k] for k in range(n))
-                if refl not in seen:
-                    seen.add(refl)
-                    nxt.append(refl)
-        frontier = nxt
-    return [c for c in seen if all(x >= 0 for x in c)]
-
-
-def _highest_root(mat: list[list[int]]) -> tuple[int, ...]:
-    roots = _positive_roots(mat)
-    best = max(roots, key=sum)
-    ties = [r for r in roots if sum(r) == sum(best)]
-    if len(ties) != 1:
-        raise ArithmeticError("highest root is not unique")
-    return best
+    root = [int(i == k) for i in range(len(mat))]
+    while True:
+        for j, row in enumerate(mat):
+            pair = sum(x * c for x, c in zip(row, root))
+            if pair < 0:
+                root[j] -= pair
+                break
+        else:
+            return tuple(root)
 
 
 def eliminate(matrix) -> list:
@@ -265,7 +223,7 @@ def replay(steps, rhs) -> list:
 
 
 def _primitive(vec) -> list[int]:
-    """The positive primitive integer multiple of a rational kernel vector."""
+    """The positive primitive integer multiple of a rational vector."""
     den = lcm(*(v.denominator for v in vec))
     g = gcd(*(int(v * den) for v in vec))
     ints = [int(v * den) // g for v in vec]
@@ -281,8 +239,9 @@ class AffineCartan:
     One elimination of the finite block A (indices 1..rank) gives the
     columns of A^-1.  The marks are ``[1] + A^-1 (-column 0)`` and the
     comarks ``[1] + A^-T (-row 0)``, each scaled to the primitive positive
-    integer vector; the symmetrizers are solved along the Dynkin diagram.
-    The caller checks node 0 and both kernel identities.
+    integer vector, and the symmetrizers are the comarks over the marks
+    scaled the same way (Kac §6.1).  The caller checks node 0, both kernel
+    identities and that the symmetrizers symmetrize the matrix.
     """
 
     label: str
@@ -308,7 +267,7 @@ class AffineCartan:
         marks = _primitive([1] + [sum(-row[0] * col[i] for row, col in zip(a[1:], cols))
                                   for i in range(n)])
         comarks = _primitive([1] + [sum(-x * y for x, y in zip(a[0][1:], col)) for col in cols])
-        sym = _symmetrizers(a)
+        sym = _primitive([Fraction(c, m) for c, m in zip(comarks, marks)])
         den = lcm(*(x.denominator for col in cols for x in col))
         for name, value in (
                 ("matrix", a), ("marks", marks), ("comarks", comarks), ("sym", sym),
@@ -366,30 +325,27 @@ def build_cartan(label: str, rank: int) -> AffineCartan:
     """Construct the affine Cartan data for an untwisted type.
 
     The affine matrix is assembled from the finite matrix, the highest
-    finite root and its coroot; :class:`AffineCartan` derives the marks,
-    comarks and symmetrizers from it.  Both node-0 entries, every row of
-    both null identities and the sign pattern of the matrix are then checked.
+    finite root theta and its coroot theta^vee: theta is the highest of the
+    dominant roots that :func:`_dominant` walks to from the simple roots,
+    and theta^vee the walk of the transposed matrix from a simple root
+    whose walk ends at theta.  :class:`AffineCartan` derives the marks,
+    comarks and symmetrizers from the matrix.  Both node-0 entries, every
+    row of both null identities, the symmetry of D·A and the sign pattern
+    of the matrix are then checked.
     """
     if not isinstance(rank, int):
         raise ValueError("rank must be an integer")
     fin = _finite_matrix(label, rank)
-    fin_sym = _symmetrizers(fin)
-    theta = _highest_root(fin)
-
-    # (theta, theta)/2 in the normalization (alpha_i, alpha_j) = d_i a_ij.
-    theta_norm2 = sum(
-        theta[i] * theta[j] * fin_sym[i] * fin[i][j] for i in range(rank) for j in range(rank)
-    )
-    d_theta = Fraction(theta_norm2, 2)
-    theta_covec = [Fraction(theta[i] * fin_sym[i], 1) / d_theta for i in range(rank)]
-    if any(c.denominator != 1 for c in theta_covec):
-        raise ArithmeticError("highest coroot coefficients are not integral")
+    walks = [_dominant(fin, k) for k in range(rank)]
+    long = max(range(rank), key=lambda k: sum(walks[k]))
+    theta, theta_co = walks[long], _dominant([list(col) for col in zip(*fin)], long)
 
     # row 0 is -theta^vee paired with the simple roots, column 0 the simple coroots on -theta
-    aff = [[2] + [-sum(int(theta_covec[i]) * fin[i][j] for i in range(rank)) for j in range(rank)]]
-    aff += [[-sum(theta[i] * fin[j][i] for i in range(rank))] + fin[j] for j in range(rank)]
+    aff = [[2] + [-sum(c * row[j] for c, row in zip(theta_co, fin)) for j in range(rank)]]
+    aff += [[-sum(t * x for t, x in zip(theta, row))] + row for row in fin]
     cartan = AffineCartan(label, rank, aff)
-    marks, comarks, aff, nodes = cartan.marks, cartan.comarks, cartan.matrix, cartan.indices
+    marks, comarks, sym, aff, nodes = (cartan.marks, cartan.comarks, cartan.sym, cartan.matrix,
+                                       cartan.indices)
     if marks[0] != 1 or comarks[0] != 1:
         raise ArithmeticError("node-0 mark and comark must equal one")
     for i in nodes:
@@ -397,8 +353,9 @@ def build_cartan(label: str, rank: int) -> AffineCartan:
             raise ArithmeticError("marks are not a kernel vector")
         if sum(comarks[j] * aff[j][i] for j in nodes) != 0:
             raise ArithmeticError("comarks are not a kernel vector")
-    for i in nodes:
-        for j in nodes:
-            if i != j and (aff[i][j] > 0 or (aff[i][j] == 0) != (aff[j][i] == 0)):
-                raise ArithmeticError("affine matrix shape check failed")
+    if any(sym[i] * aff[i][j] != sym[j] * aff[j][i] for i in nodes for j in nodes):
+        raise ArithmeticError("matrix is not symmetrizable")
+    # with D·A symmetric and D positive, a zero entry has a zero transpose
+    if any(aff[i][j] > 0 for i in nodes for j in nodes if i != j):
+        raise ArithmeticError("affine matrix shape check failed")
     return cartan

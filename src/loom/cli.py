@@ -18,7 +18,7 @@ import re
 import sys
 import tempfile
 
-from .cartan import SUPPORTED_TYPES, Stretch, build_cartan
+from .cartan import SUPPORTED_TYPES_TEXT, Stretch, build_cartan
 from .crystals import NodeCapError, TensorOps, generate
 from .embedding import (affinized_tensor_crystal, check_power_coverage, fundamental_crystal,
                         path_crystal_window)
@@ -174,10 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out")
     common.add_argument("--node-cap", type=int, dest="node_cap")
-    types = "one of %s" % ", ".join(SUPPORTED_TYPES)
 
     gen = sub.add_parser("gen", parents=[common], help="generate a crystal graph artifact")
-    gen.add_argument("--type", required=True, help=types)
+    gen.add_argument("--type", required=True, help=SUPPORTED_TYPES_TEXT)
     gen.add_argument("--rank", required=True, type=int)
     # no defaults for --i and --power, so cmd_gen sees which were given
     gen.add_argument("--i", type=int, help="fundamental index (default 1)")
@@ -193,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--suite", required=True,
                      help="one of %s, or 'all'" % ", ".join(sorted(SUITES)))
     # no defaults here, so cmd_verify sees which flags were given; run_suite holds them
-    ver.add_argument("--type", help=types)
+    ver.add_argument("--type", help=SUPPORTED_TYPES_TEXT)
     ver.add_argument("--rank", type=int)
     ver.add_argument("--i", type=int)
     ver.add_argument("--power", type=int, help="tensor power (default 2)")

@@ -17,10 +17,18 @@ from loom import (
     path_crystal_window,
     verify_decomposition,
 )
-from loom.cartan import SUPPORTED_TYPES, eliminate, replay
+from loom.cartan import eliminate, replay
 from loom.qfield import Q_ONE, Q_ZERO, QScalar
 from fraction_paths import segments
-from weights import affine_root, coords, fund, fundamental_weight, highest_finite_root, level
+from weights import (
+    affine_root,
+    coords,
+    fund,
+    fundamental_weight,
+    highest_finite_root,
+    level,
+    positive_roots,
+)
 
 
 def test_a1_matrix_and_null_vectors(a1):
@@ -97,6 +105,14 @@ def test_the_matrix_alone_rebuilds_the_cartan():
             AffineCartan("A", rank, matrix)
 
 
+def test_marks_are_the_highest_root_of_the_reflection_closure():
+    # the dominant-root walk of build_cartan against every positive root of the finite block
+    for cartan in _every_cartan():
+        roots = positive_roots([row[1:] for row in cartan.matrix[1:]])
+        top = max(map(sum, roots))
+        assert [r for r in roots if sum(r) == top] == [cartan.marks[1:]], cartan.name
+
+
 def test_eliminate_and_replay_over_both_fields():
     fr = [[Fraction(2), Fraction(1)], [Fraction(1, 3), Fraction(-1)]]
     fr_rhs = [Fraction(1), Fraction(5, 2)]
@@ -148,7 +164,7 @@ def test_invalid_types_rejected(label, rank):
     needs = {"A": ">= 1", "B": ">= 2", "C": ">= 2", "D": ">= 4", "E6": "6", "E7": "7", "E8": "8",
              "F4": "4", "G2": "2"}
     message = ("type %s needs rank %s" % (label, needs[label]) if label in needs
-               else "unsupported type 'X'; expected one of %s" % (SUPPORTED_TYPES,))
+               else "unsupported type 'X'; expected one of A, B, C, D, E6, E7, E8, F4, G2")
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
         build_cartan(label, rank)
 

@@ -180,7 +180,7 @@ def test_a_planted_mark_fault_exits_1(tmp_path, monkeypatch, capsys):
     def last_mark_off_by_one(vec):
         ints = right(vec)
         built.append(ints)
-        if len(built) == 1:  # the marks; the comarks come second
+        if len(built) == 1:  # the marks; the comarks and the symmetrizers follow
             ints[-1] += 1
         return ints
 
@@ -188,7 +188,26 @@ def test_a_planted_mark_fault_exits_1(tmp_path, monkeypatch, capsys):
     assert_fault_exits_1(tmp_path, capsys, ["verify", "--suite", "weyl", "--type", "D",
                                             "--rank", "4", "--i", "1"],
                          "marks are not a kernel vector\n")
-    assert len(built) == 2
+    assert len(built) == 3
+
+
+def test_a_planted_symmetrizer_fault_exits_1(tmp_path, monkeypatch, capsys):
+    # the last symmetrizer off by one: build_cartan's symmetry check of D·A catches it
+    right = loom.cartan._primitive
+    built = []
+
+    def last_symmetrizer_off_by_one(vec):
+        ints = right(vec)
+        built.append(ints)
+        if len(built) == 3:  # the symmetrizers, after the marks and the comarks
+            ints[-1] += 1
+        return ints
+
+    monkeypatch.setattr(loom.cartan, "_primitive", last_symmetrizer_off_by_one)
+    assert_fault_exits_1(tmp_path, capsys, ["verify", "--suite", "weyl", "--type", "D",
+                                            "--rank", "4", "--i", "1"],
+                         "matrix is not symmetrizable\n")
+    assert len(built) == 3
 
 
 def test_a_planted_root_operator_fault_exits_1(tmp_path, monkeypatch, capsys):
@@ -332,6 +351,17 @@ def test_errors_print_subcommand_usage(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "energy", "--seeds", "0"])
     assert capsys.readouterr().err.startswith("usage: loom verify")
+
+
+def test_an_unsupported_type_is_named_as_the_help_names_the_types(tmp_path, capsys):
+    expected = "one of A, B, C, D, E6, E7, E8, F4, G2"
+    assert exit_code(["gen", "--type", "X", "--rank", "2", "--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: loom gen")
+    assert err.endswith("loom gen: error: unsupported type 'X'; expected %s\n" % expected)
+    assert exit_code(["gen", "--help"]) == 0
+    # argparse wraps the help to the terminal width
+    assert "--type TYPE %s" % expected in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize("argv", [

@@ -25,6 +25,7 @@ from loom import (
 from loom.crystals import moves
 from fraction_paths import breakpoints, kappa, segments
 from outcomes import holds
+from weights import positive_roots
 
 
 def test_bent_fundamental_crystal(c2):
@@ -138,13 +139,13 @@ def test_grid_divides_coroot_coefficient_bound(a1, a2, c2):
     # must divide it
     from math import lcm
 
-    from loom.cartan import _finite_matrix, _positive_roots
+    from loom.cartan import _finite_matrix
 
     cases = [(a1, 1), (a2, 1), (c2, 1), (c2, 2), (build_cartan("G2", 2), 1)]
     for cartan, i in cases:
         fin = _finite_matrix(cartan.label, cartan.rank)
         transposed = [[fin[j][k] for j in range(cartan.rank)] for k in range(cartan.rank)]
-        coroots = _positive_roots(transposed)
+        coroots = positive_roots(transposed)
         bound = lcm(*[c[i - 1] for c in coroots if c[i - 1]])
         observed = choose_grid(fundamental_crystal(cartan, i))
         assert bound % observed == 0, (cartan.name, i, observed, bound)

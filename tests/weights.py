@@ -1,11 +1,12 @@
 """Weight routes that only the tests read.
 
 The library never asks for an affine fundamental weight, an affine
-simple root, the highest finite root, the level of a weight, a rational
-multiple of a weight or an order on ``Weight`` values; the tests use
-them to state expectations by an independent route.  A weight here is either a library
-:class:`~loom.cartan.Stretch` or its exact coordinates as a tuple of
-``Fraction`` values, null-root entry last when affine.
+simple root, the highest finite root, the set of positive roots, the level
+of a weight, a rational multiple of a weight or an order on ``Weight``
+values; the tests use them to state expectations by an independent route.
+A weight here is either a library :class:`~loom.cartan.Stretch` or its
+exact coordinates as a tuple of ``Fraction`` values, null-root entry last
+when affine.
 """
 
 from fractions import Fraction
@@ -55,6 +56,25 @@ def affine_root(cartan, j: int) -> Stretch:
 def highest_finite_root(cartan) -> Stretch:
     """theta as a classical weight; the node-0 root projects to -theta."""
     return -cartan.simple_root(0)
+
+
+def positive_roots(mat) -> list[tuple[int, ...]]:
+    """Every positive root of a finite-type matrix in simple-root coordinates, by reflection."""
+    n = len(mat)
+    simple = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+    seen = set(simple)
+    frontier = list(simple)
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for j in range(n):
+                pair = sum(c[i] * mat[j][i] for i in range(n))
+                refl = tuple(c[k] - pair if k == j else c[k] for k in range(n))
+                if refl not in seen:
+                    seen.add(refl)
+                    nxt.append(refl)
+        frontier = nxt
+    return [c for c in seen if all(x >= 0 for x in c)]
 
 
 def level(cartan, w: Stretch) -> Fraction:
