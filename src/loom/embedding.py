@@ -52,31 +52,39 @@ def psi(table: EnergyTable, graph: CrystalGraph, element) -> Path:
     in one pass as an integer numerator over ``total * grid``.  The image
     is built in grid form over one common denominator, each of the
     ``total`` stretches one cell long, and goes straight to
-    :func:`make_path`.
+    :func:`make_path`.  The degree only adds ``degree`` times the
+    denominator to every null-root entry, so the degree-free part is
+    computed once per tensor element: the table keeps it for the last
+    graph and factors asked for, and the degrees of one element come in a row.
     """
     factors, degree = element
-    grid = table.grid
-    word = refine(graph, factors, grid)
-    total = len(word)
-    chis = [table.value(a, b) for a, b in zip(word, word[1:])]
-    # total grid times the height of turning point j:
-    # j (maj + grid degree) - total (sum_{s<j} s chi_s + j sum_{s>=j} chi_s)
-    head = sum(s * chi for s, chi in enumerate(chis, 1)) + grid * degree
-    early, late = 0, sum(chis)
-    nums = [0]
-    for j, chi in enumerate(chis + [0], 1):
-        nums.append(j * head - total * (early + j * late))
-        early += j * chi
-        late -= chi
+    memo = table._psi
+    if memo[0] is not graph or memo[1] != factors:
+        grid = table.grid
+        word = refine(graph, factors, grid)
+        total = len(word)
+        chis = [table.value(a, b) for a, b in zip(word, word[1:])]
+        # total grid times the height of turning point j at degree 0:
+        # j maj - total (sum_{s<j} s chi_s + j sum_{s>=j} chi_s)
+        head = sum(s * chi for s, chi in enumerate(chis, 1))
+        early, late = 0, sum(chis)
+        nums = [0]
+        for j, chi in enumerate(chis + [0], 1):
+            nums.append(j * head - total * (early + j * late))
+            early += j * chi
+            late -= chi
 
-    # stretch j lasts 1 / total, so its null-root entry is (nums[j] - nums[j - 1]) / grid;
-    # every direction goes over the one denominator den
-    wts = {k: graph.nodes[k].wt for k in set(word)}
-    den = lcm(grid, *(w.den for w in wts.values()))
-    scaled = {k: tuple([x * len(factors) * (den // w.den) for x in w.nums])
-              for k, w in wts.items()}
-    dirs = [scaled[k] + ((b - a) * (den // grid),) for k, a, b in zip(word, nums, nums[1:])]
-    return make_path(den, total, dirs, [1] * total, True, len(scaled[word[0]]))
+        # stretch j lasts 1 / total, so its null-root entry is (nums[j] - nums[j - 1]) / grid;
+        # every direction goes over the one denominator den
+        wts = {k: graph.nodes[k].wt for k in set(word)}
+        den = lcm(grid, *(w.den for w in wts.values()))
+        scaled = {k: tuple([x * len(factors) * (den // w.den) for x in w.nums])
+                  for k, w in wts.items()}
+        memo[:] = graph, factors, (den, [(scaled[k], (b - a) * (den // grid))
+                                         for k, a, b in zip(word, nums, nums[1:])])
+    den, part = memo[2]
+    dirs = [d + (z + degree * den,) for d, z in part]
+    return make_path(den, len(dirs), dirs, [1] * len(dirs), True, len(part[0][0]))
 
 
 def c_class(table: EnergyTable, element, m: int) -> int:

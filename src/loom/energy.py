@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lcm
 
 from .crystals import CrystalGraph, TensorOps, check_node_cap, moves
@@ -29,6 +29,8 @@ class EnergyTable:
 
     grid: int
     chi: dict
+    # embedding.psi's degree-free part of the last element asked for: [graph, factors, part]
+    _psi: list = field(default_factory=lambda: [None] * 3, init=False, repr=False, compare=False)
 
     def value(self, a, b) -> int:
         try:

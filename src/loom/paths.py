@@ -45,7 +45,8 @@ norm under the invariant form, :attr:`~loom.cartan.AffineCartan.form`.  An affin
 :class:`PathOps` then keeps one row per delta-orbit, built on the orbit's
 level-zero path and holding that path's weight; a path of level s reads
 the weight plus s delta, and each output moved to level s is translated
-and keyed once per table.
+and keyed once per table.  A moved output carries its level-zero source
+and its level, so its own row lookup translates nothing.
 """
 
 from __future__ import annotations
@@ -97,8 +98,11 @@ class Path:
         return self._key
 
     def __eq__(self, other):
+        # one grid form is one path, and comparing it needs no key
         return (isinstance(other, Path) and self.affine == other.affine
-                and self.ncoords == other.ncoords and self.key() == other.key())
+                and self.ncoords == other.ncoords
+                and (self.cells == other.cells and self.dirs == other.dirs
+                     and self.m == other.m and self.n == other.n or self.key() == other.key()))
 
     def __hash__(self):
         return hash((self.affine, self.key()))
@@ -379,7 +383,10 @@ class PathOps:
     translate x - s delta, and only the translate's row is stored.  Its
     weight is the row's plus s delta, and e and f move only the output
     they return back by s delta, through a memo per level keyed by the
-    level-zero output, so each output is translated once per level.  The
+    level-zero output, so each output is translated once per level.  Each
+    moved output is given its level-zero source and its level when it is
+    made, and reads the source's row with no translation; the guard still
+    decides on the source's key.  The
     law holds on grid forms when :func:`make_path` never reparametrises,
     which the guard ensures: every stretch is level zero, with a nonzero
     classical part, and all classical parts have one norm.  Then no
@@ -396,6 +403,8 @@ class PathOps:
         self.infinite = affine
         self._rows, self._paths, self._guard = {}, {}, {}
         self._translated = defaultdict(dict)
+        # id of a moved output off level zero -> (its level-zero source, its level)
+        self._sources = {}
         self._last = (None, None)
 
     def key(self, x: Path):
@@ -435,8 +444,10 @@ class PathOps:
     def _row(self, x: Path) -> tuple:
         """The row of x and the level s its outputs move by; built once per level-zero key."""
         if self._last[0] is not x:  # the identity check spares hashing x's key
-            s = self.infinite and self.level(x)
-            rep = translate(x, -s) if s else x
+            # a moved output names its level-zero source; any other x goes down by its level
+            rep, s = self._sources.get(id(x)) or (x, self.infinite and self.level(x))
+            if rep is x and s:
+                rep = translate(x, -s)
             key = rep.key()
             if s and not self._translates(rep, key):
                 rep, key, s = x, x.key(), 0
@@ -455,6 +466,11 @@ class PathOps:
         moved = memo.get(y._key)
         if moved is None:
             moved = memo[y._key] = self._keep(translate(y, s))
+            # y is rep + t delta; a y off level zero with no source goes down once, by the memo
+            rep, t = self._sources.get(id(y)) or (y, self.level(y))
+            if t + s:
+                rep = self._moved(y, -t) if rep is y and t else rep
+                self._sources.setdefault(id(moved), (rep, t + s))
         return moved
 
     def strings(self, x: Path) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import itertools
 import json
 from fractions import Fraction
@@ -24,7 +26,8 @@ from loom import (
 )
 from loom.cli import main
 from loom.crystals import moves
-from loom.embedding import Report, tensor_power_crystal
+from loom.embedding import Report, psi_checks, tensor_power_crystal
+from loom.energy import EnergyTable
 from loom.verify import run_suite
 from fraction_paths import kappa, path_from_segments
 from isomorphism import isomorphic
@@ -403,10 +406,12 @@ def test_a_planted_row_weight_fault_fails_the_decomposition(monkeypatch, label, 
 
 def test_each_output_is_translated_once_per_level(a2, monkeypatch):
     # every piece reads one table; an output moved to level s is kept and
-    # reused, wherever else it is reached from.  The row lookup, which
-    # moves a path down to its level-zero translate, is not counted
-    real, real_row = loom.paths.translate, PathOps._row
-    in_row, moved = [], []
+    # reused, wherever else it is reached from.  A moved output reads its
+    # row through its level-zero source, so the row lookup, which moves only
+    # other paths down to their level-zero translates, never translates a
+    # path that came out of _moved
+    real, real_row, real_moved = loom.paths.translate, PathOps._row, PathOps._moved
+    in_row, moved, came_out, looked_up = [], [], {}, []
 
     def row(self, x):
         in_row.append(x)
@@ -416,15 +421,27 @@ def test_each_output_is_translated_once_per_level(a2, monkeypatch):
             in_row.pop()
 
     def counted(path, s):
-        if not in_row:
+        if in_row:
+            looked_up.append(path)
+            assert id(path) not in came_out, path
+        else:
             moved.append((path.key(), s))
         return real(path, s)
 
+    def remembered(self, y, s):
+        out = real_moved(self, y, s)
+        if s and out:
+            came_out[id(out)] = out
+        return out
+
     monkeypatch.setattr(PathOps, "_row", row)
+    monkeypatch.setattr(PathOps, "_moved", remembered)
     monkeypatch.setattr(loom.paths, "translate", counted)
     assert verify_decomposition(a2, 1, 2, 3)["pass"]
     assert moved and len(set(moved)) == len(moved)
     assert {s for _, s in moved} == {-3, -2, -1, 1, 2, 3}
+    # the seeds of the pieces off level zero still go down in the row lookup
+    assert looked_up and len(came_out) > len(looked_up)
 
 
 def test_set_checks_that_compared_nothing_fail(a1, monkeypatch):
@@ -567,3 +584,67 @@ def test_shifted_piece_on_its_partners_table_matches_a_fresh_one(monkeypatch, la
             assert (node.eps, node.phi) == (want.eps, want.phi)
         assert shared.f_edges == fresh.f_edges
         assert shared.truncated == fresh.truncated
+
+
+@pytest.mark.parametrize("label,rank,i,m,window", [("A", 2, 1, 2, 3), ("C", 2, 2, 2, 2)])
+def test_psi_memo_gives_the_images_of_a_memo_free_psi(label, rank, i, m, window):
+    # psi keeps the degree-free part of the last element on its table.  A
+    # fresh table per call never hits it; sorted and reversed orders miss
+    # once per element, and degree-major order misses on every call
+    cartan = build_cartan(label, rank)
+    base = fundamental_crystal(cartan, i)
+    table = energy_table(base)
+    keys = affinized_tensor_crystal(base, m, window).sorted_keys()
+    want = {key: _grid_form(psi(EnergyTable(table.grid, table.chi), base, key)) for key in keys}
+    for order in (keys, keys[::-1], sorted(keys, key=lambda key: key[::-1])):
+        memo = EnergyTable(table.grid, table.chi)
+        assert {key: _grid_form(psi(memo, base, key)) for key in order} == want
+
+
+def test_psi_checks_refine_each_tensor_element_once(a2, monkeypatch):
+    # the 2W + 1 degrees of one element come in a row, so one entry is enough
+    import loom.embedding as emb
+
+    base = fundamental_crystal(a2, 1)
+    table = energy_table(base)
+    aff = affinized_tensor_crystal(base, 2, 3)
+    real, refined = emb.refine, []
+    monkeypatch.setattr(emb, "refine", lambda *args: refined.append(args[1]) or real(*args))
+    psi_checks(Report("psi"), base, table, aff, fund(a2, 1, affine=True), a2.null_root())
+    assert len(refined) == len(set(refined)) == len(aff) // 7 == 9
+
+
+def test_psi_memo_is_keyed_by_graph_and_factors(a2, monkeypatch):
+    # psi keeps its signature, so the planted psi controls still fit it; an
+    # equal graph that is another object must not read the entry of the first
+    import loom.embedding as emb
+
+    assert list(inspect.signature(psi).parameters) == ["table", "graph", "element"]
+    base = fundamental_crystal(a2, 1)
+    table, other = energy_table(base), dataclasses.replace(base)
+    real, refined = emb.refine, []
+    monkeypatch.setattr(emb, "refine", lambda *args: refined.append(args[0]) or real(*args))
+    factors = (base.seed, base.seed)
+    images = [psi(table, graph, (factors, n)) for graph, n in ((base, 0), (base, 1), (other, 1))]
+    assert refined == [base, other]
+    assert images[1] == images[2] != images[0]
+    assert table._psi[0] is other and table._psi[1] == factors
+
+
+def test_a_stale_psi_entry_fails_the_psi_checks(a2, monkeypatch):
+    # the entry of the first element is planted as the second element's, so
+    # the second element's degrees get the first element's images
+    import loom.embedding as emb
+
+    real, planted = emb.psi, []
+
+    def stale(table, graph, element):
+        memo = table._psi
+        if memo[0] is graph and memo[1] != element[0] and not planted:
+            planted.append(element)
+            memo[1] = element[0]
+        return real(table, graph, element)
+
+    monkeypatch.setattr(emb, "psi", stale)
+    failed = _failing(verify_decomposition(a2, 1, 2, 3))
+    assert planted and {"psi_injective", "psi_endpoint_law"} <= failed

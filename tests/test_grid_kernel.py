@@ -157,7 +157,10 @@ def test_delta_orbit_rows_match_fresh_root_operators(monkeypatch):
     # only when the guard lets it; either way the table must answer as the
     # fresh root operators do.  The A1 path along w1 and then 3 w1 is the one
     # the norm clause refuses, the straight path to delta has no classical
-    # part, and the direct route may refuse a hand-built path outright
+    # part, and the direct route may refuse a hand-built path outright.  Every
+    # output the table hands back is queried too, to depth 2, so the moved
+    # outputs, which read their rows through their level-zero sources, are
+    # checked as well
     verdicts = []
     guard = PathOps._translates
     monkeypatch.setattr(PathOps, "_translates",
@@ -170,22 +173,50 @@ def test_delta_orbit_rows_match_fresh_root_operators(monkeypatch):
     for label, rank in (("A", 1), ("A", 2), ("C", 2)):
         cartan = build_cartan(label, rank)
         cases += [(cartan, _random_affine_path(cartan, rng)) for _ in range(150)]
-    tables, compared = {}, 0
-    for cartan, path in cases:
-        try:
-            exts = [h_extrema(cartan, path, j) for j in cartan.indices]
-        except ArithmeticError as err:
-            assert re.fullmatch(HEIGHT_MAXIMUM % r"\d+", str(err)), err
-            continue
+    tables, compared, moved = {}, 0, 0
+    for n, (cartan, path) in enumerate(cases):
         ops = tables.setdefault(cartan.name, PathOps(cartan, affine=True))
-        assert ops.strings(path) == (tuple(x.eps for x in exts), tuple(x.phi for x in exts))
-        assert ops.wt(path) == path.endpoint()
-        for j in cartan.indices:
-            for op, fresh in ((ops.e, raising_op), (ops.f, lowering_op)):
-                assert _grid_form(op(path, j)) == _grid_form(fresh(cartan, path, j)), (path, j)
-        compared += 1
-    assert verdicts[:refused] == [False] * refused
-    assert compared > 300 and verdicts.count(True) > 100 and verdicts.count(False) > 100
+        queries = [path]
+        for depth in range(3):
+            outputs = []
+            for x in queries:
+                try:
+                    exts = [h_extrema(cartan, x, j) for j in cartan.indices]
+                except ArithmeticError as err:
+                    assert re.fullmatch(HEIGHT_MAXIMUM % r"\d+", str(err)), err
+                    continue
+                asked = len(verdicts)
+                assert ops.strings(x) == (tuple(e.eps for e in exts), tuple(e.phi for e in exts))
+                if n < refused and depth == 0:
+                    # refused by the guard, the path gets a row of its own
+                    assert verdicts[asked:] == [False] and ops._row(x)[1] == 0
+                assert ops.wt(x) == x.endpoint()
+                for j in cartan.indices:
+                    for op, fresh in ((ops.e, raising_op), (ops.f, lowering_op)):
+                        got, want = op(x, j), fresh(cartan, x, j)
+                        # the table keeps one path per key, so past the case itself an
+                        # output may come back as the first path it kept with that key
+                        if depth and want:
+                            want = ops._paths.get(want.key(), want)
+                        assert _grid_form(got) == _grid_form(want), (x, j)
+                        outputs += [got] if got else []
+                compared += 1
+                moved += depth > 0 and id(x) in ops._sources
+            queries = outputs
+    assert compared > 5000 and moved > 2000
+    assert verdicts.count(True) > 1000 and verdicts.count(False) > 1000
+
+
+def test_only_an_affine_table_keeps_sources():
+    # a classical table has no levels, so it moves no output and keeps no
+    # source; an affine window moves outputs off level zero and keeps theirs
+    cartan = build_cartan("C", 2)
+    classical = PathOps(cartan)
+    generate(classical, linear_path(fund(cartan, 2)))
+    affine = PathOps(cartan, affine=True)
+    path_crystal_window(cartan, fund(cartan, 2, affine=True), 2, ops=affine)
+    assert classical._rows and not classical._sources
+    assert affine._sources
 
 
 @pytest.mark.parametrize("label,rank,i", FUNDAMENTALS)

@@ -7,6 +7,7 @@ from loom import (
     build_cartan,
     concat,
     constant_path,
+    make_path,
     fundamental_crystal,
     h_extrema,
     linear_path,
@@ -347,6 +348,19 @@ def test_equality_up_to_reparametrization(a1):
     assert one == other
     assert hash(one) == hash(other)
     assert one.key() == (w, u)
+
+
+def test_equal_grid_forms_compare_without_keys():
+    # one grid form is one path, so the comparison computes no key; the
+    # ambient and the rank still tell two such paths apart
+    def fresh(affine, ncoords):
+        return make_path(1, 2, [(2, 0, 2), (0, 2, -2)], [1, 1], affine, ncoords)
+
+    one, other = fresh(True, 2), fresh(True, 2)
+    assert one is not other and one == other
+    assert one._key is None and other._key is None
+    assert one != fresh(False, 3) and one != fresh(True, 3)
+    assert fresh(False, 3) != fresh(False, 2)
 
 
 def test_pause_segments_are_dropped(a1):
