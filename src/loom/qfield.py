@@ -17,7 +17,7 @@ valuation, and exact evaluation when it is non-negative.
 
 One pass of the 25 sl2 shapes repeats 83% of its multi-term gcd pairs (the
 denominators are products of a few 1 - q^2k), so ``_gcd_cofactors`` keeps
-each checked result in an unbounded memo, 2,987 pairs after it (1.7 MB: what
+each checked result in an unbounded memo, 3,005 pairs after it (1.7 MB: what
 clearing it frees, under tracemalloc on CPython 3.11).
 
 A gcd is found by the heuristic GCDHEU (B. Char, K. Geddes, G. Gonnet,
@@ -32,10 +32,10 @@ sequence decides, so every gcd is exact and deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from .cartan import frac
 
@@ -210,9 +210,12 @@ def _gcd_cofactors(a, b):
     return out
 
 
-@dataclass(frozen=True)
-class QScalar:
-    """Rational function in q over the rationals, in canonical form."""
+class QScalar(NamedTuple):
+    """Rational function in q over the rationals, in canonical form.
+
+    A ``NamedTuple``: immutable, with ``==`` and ``hash`` on the four fields;
+    ``__rmul__`` refuses the tuple repetition ``2 * x``.
+    """
 
     scale: int | Fraction
     power: int
@@ -234,12 +237,12 @@ class QScalar:
         return not self.num
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self.num)
 
     def __add__(self, other: "QScalar") -> "QScalar":
-        if self.is_zero:
+        if not self.num:
             return other
-        if other.is_zero:
+        if not other.num:
             return self
         # the lcm of the denominators is g * d1 * d2
         g, d1, d2 = _cancel(self.den, other.den)
@@ -281,14 +284,17 @@ class QScalar:
         return QScalar(scale, self.power + power, num, den)
 
     def __mul__(self, other: "QScalar") -> "QScalar":
-        if self.is_zero or other.is_zero:
+        if not self.num or not other.num:
             return Q_ZERO
         return self._times(other.scale, other.power, other.num, other.den)
 
+    def __rmul__(self, other):
+        return NotImplemented
+
     def __truediv__(self, other: "QScalar") -> "QScalar":
-        if other.is_zero:
+        if not other.num:
             raise ZeroDivisionError("division by the zero rational function")
-        if self.is_zero:
+        if not self.num:
             return Q_ZERO
         # through Fraction: 1 / an int scale would be a float
         s = other.scale if other.scale in (1, -1) else _scale(Fraction(1, other.scale))
@@ -296,15 +302,15 @@ class QScalar:
 
     def valuation(self) -> int | None:
         """Order at the origin; None for the zero function."""
-        return None if self.is_zero else self.power
+        return None if not self.num else self.power
 
     @property
     def regular_at_zero(self) -> bool:
-        return self.is_zero or self.power >= 0
+        return not self.num or self.power >= 0
 
     def at_zero(self) -> Fraction:
         """Exact value at the origin; defined when the valuation allows it."""
-        if self.is_zero or self.power > 0:
+        if not self.num or self.power > 0:
             return Fraction(0)
         if self.power < 0:
             raise ZeroDivisionError("pole at the origin")
@@ -317,7 +323,7 @@ class QScalar:
         return tuple(self.scale * c for c in num), tuple(Fraction(c) for c in den)
 
     def __repr__(self):
-        if self.is_zero:
+        if not self.num:
             return "QScalar(0)"
 
         def poly(cs):

@@ -20,6 +20,13 @@ action, so the two routes police each other.
 The lowering divided power ``act_F_div`` is closed form, with Laurent
 coefficients from the coproduct (G. Lusztig, Introduction to Quantum
 Groups, 1993); the raising ``act_E_div`` applies ``act_E`` r times.
+``act_E``, ``act_F`` and ``act_F_div`` read each basis tag's row of
+(target tag, structure constant), each constant multiplied out once.  The
+one memo of rows, ``_ROWS``, holds the last shape asked for only, so
+alternating shapes rebuild their rows.  A planted fault in ``qint`` or
+``qbinom`` must patch a row builder or clear ``_ROWS``: a warm memo keeps
+the constants built before it.  ``act_F`` keeps its own [s + 1] rows, so
+the lattice's iterated route stays apart from the closed form.
 
 The combinatorial tensor rule that the crystal limit is checked against
 is not restated here: ``tensor_rule_table`` reads ``crystals.TensorOps``
@@ -117,33 +124,75 @@ class TensorVector:
 
 # -- generator actions ---------------------------------------------------
 
+# [shape, {(builder, *args): {tag: row}}] for the last shape asked for; a
+# builder patched by a test keys rows of its own
+_ROWS: list = [None, {}]
 
-def act_E(v: TensorVector) -> TensorVector:
+
+def _apply(v: TensorVector, build, *args) -> TensorVector:
+    """The sum of c * k at target over v's coordinates c at idx and the
+    (target, k) of idx's row, which ``build(v.shape, idx, *args)`` makes."""
+    if _ROWS[0] != v.shape:
+        _ROWS[:] = v.shape, {}
+    rows = _ROWS[1].setdefault((build,) + args, {})
     out: dict = {}
     for idx, c in v.coords:
-        tail_weight = 0
-        for j in reversed(range(len(idx))):
-            s, t = idx[j], v.shape[j]
-            if s >= 1:
-                coeff = c * qint(t - s + 1) * QScalar.q_power(-tail_weight)
-                nidx = idx[:j] + (s - 1,) + idx[j + 1 :]
-                out[nidx] = out.get(nidx, Q_ZERO) + coeff
-            tail_weight += t - 2 * s
+        row = rows.get(idx)
+        if row is None:
+            row = rows[idx] = build(v.shape, idx, *args)
+        for nidx, k in row:
+            out[nidx] = out.get(nidx, Q_ZERO) + c * k
     return TensorVector.make(v.shape, out)
+
+
+def _e_row(shape, idx) -> tuple:
+    """Factor j lowers s to s - 1 with [t - s + 1] q^-(weight right of j)."""
+    row = []
+    tail_weight = 0
+    for j in reversed(range(len(idx))):
+        s, t = idx[j], shape[j]
+        if s >= 1:
+            row.append((idx[:j] + (s - 1,) + idx[j + 1 :],
+                        qint(t - s + 1) * QScalar.q_power(-tail_weight)))
+        tail_weight += t - 2 * s
+    return tuple(row)
+
+
+def _f_row(shape, idx) -> tuple:
+    """Factor j raises s to s + 1 with [s + 1] q^(weight left of j)."""
+    row = []
+    head_weight = 0
+    for j in range(len(idx)):
+        s, t = idx[j], shape[j]
+        if s + 1 <= t:
+            row.append((idx[:j] + (s + 1,) + idx[j + 1 :],
+                        qint(s + 1) * QScalar.q_power(head_weight)))
+        head_weight += t - 2 * s
+    return tuple(row)
+
+
+def _f_div_row(shape, idx, r) -> tuple:
+    """Each spread of r: its q-binomials times its q-power, as in ``act_F_div``."""
+    row = []
+    room = [range(min(r, t - s) + 1) for t, s in zip(shape, idx)]
+    for spread in (p for p in itertools.product(*room) if sum(p) == r):
+        coeff, tail, exponent = Q_ONE, r, 0
+        for t, s, a in zip(shape, idx, spread):
+            tail -= a
+            exponent += tail * (t - 2 * s - a)
+            if a:
+                coeff = coeff * qbinom(s + a, a)
+        row.append((tuple(s + a for s, a in zip(idx, spread)),
+                    coeff * QScalar.q_power(exponent)))
+    return tuple(row)
+
+
+def act_E(v: TensorVector) -> TensorVector:
+    return _apply(v, _e_row)
 
 
 def act_F(v: TensorVector) -> TensorVector:
-    out: dict = {}
-    for idx, c in v.coords:
-        head_weight = 0
-        for j in range(len(idx)):
-            s, t = idx[j], v.shape[j]
-            if s + 1 <= t:
-                coeff = c * qint(s + 1) * QScalar.q_power(head_weight)
-                nidx = idx[:j] + (s + 1,) + idx[j + 1 :]
-                out[nidx] = out.get(nidx, Q_ZERO) + coeff
-            head_weight += t - 2 * s
-    return TensorVector.make(v.shape, out)
+    return _apply(v, _f_row)
 
 
 def act_K(v: TensorVector, power: int = 1) -> TensorVector:
@@ -163,19 +212,7 @@ def act_F_div(v: TensorVector, r: int) -> TensorVector:
     """
     if r < 0:
         raise ValueError("divided power needs r >= 0")
-    out: dict = {}
-    for idx, c in v.coords:
-        room = [range(min(r, t - s) + 1) for t, s in zip(v.shape, idx)]
-        for spread in (p for p in itertools.product(*room) if sum(p) == r):
-            coeff, tail, exponent = c, r, 0
-            for t, s, a in zip(v.shape, idx, spread):
-                tail -= a
-                exponent += tail * (t - 2 * s - a)
-                if a:
-                    coeff = coeff * qbinom(s + a, a)
-            nidx = tuple(s + a for s, a in zip(idx, spread))
-            out[nidx] = out.get(nidx, Q_ZERO) + coeff * QScalar.q_power(exponent)
-    return TensorVector.make(v.shape, out)
+    return _apply(v, _f_div_row, r)
 
 
 def act_E_div(v: TensorVector, r: int) -> TensorVector:

@@ -46,6 +46,21 @@ def test_qbinom_laurent_and_symmetric():
             assert bar(c) == c
 
 
+def test_scalars_are_immutable_values_not_tuples():
+    x = qint(3)
+    for name in ("scale", "power", "num", "den"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+    # two routes to one value: equal, one hash, one set element
+    y = QScalar.q_power(2) + Q_ONE + QScalar.q_power(-2)
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    # a tuple would repeat itself
+    with pytest.raises(TypeError):
+        2 * Q_ONE
+    # perfbench/tracer.py wraps the arithmetic through the class's own __dict__
+    assert {"__add__", "__sub__", "__mul__", "__truediv__"} <= set(QScalar.__dict__)
+
+
 def test_argument_validation():
     with pytest.raises(ValueError):
         qint(-1)

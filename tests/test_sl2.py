@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import re
@@ -361,8 +362,10 @@ def test_coords_replays_the_level_records_without_eliminating(monkeypatch):
     assert counts["eliminate"] == 0
 
 
-def test_crystal_limit_is_the_same_with_a_cold_and_a_warm_gcd_memo():
+def test_crystal_limit_is_the_same_with_a_cold_and_a_warm_gcd_memo(monkeypatch):
     def run():
+        # a cold row memo each time, so both runs do the same arithmetic
+        monkeypatch.setattr(sl2, "_ROWS", [None, {}])
         vectors = []
         for idx in itertools.product(range(3), range(4)):
             vec = basis((2, 3), idx)
@@ -379,6 +382,85 @@ def test_crystal_limit_is_the_same_with_a_cold_and_a_warm_gcd_memo():
     assert seen.currsize > 0 and after.hits > seen.hits
     assert after.misses == seen.misses
     assert warm == cold
+
+
+def _action_results(v):
+    return ([act_E(v), act_F(v), act_K(v), act_K(v, -1)]
+            + [act_F_div(v, r) for r in range(4)], string_decompose(v))
+
+
+def test_action_results_digest():
+    # every action and decomposition, byte for byte, on 169 basis tags
+    digest, count = hashlib.sha256(), 0
+    shapes = list(itertools.product(range(4), repeat=2)) + [
+        (1, 1, 1), (2, 1, 2), (2, 2, 2), (1, 1, 1, 1)]
+    for shape in shapes:
+        for idx in itertools.product(*(range(t + 1) for t in shape)):
+            digest.update(repr(_action_results(basis(shape, idx))).encode())
+            count += 1
+    assert count == 169
+    assert digest.hexdigest() == (
+        "298997e4bd4885a1bce5f6fcdc71a69bd4272400b738b298be807e7fa2610742")
+
+
+def _rows_hold_one_shape(shape):
+    held, tables = sl2._ROWS
+    return held == shape and all(
+        set(rows) <= sl2._tags(shape) and all({t for t, _ in row} <= sl2._tags(shape)
+                                              for row in rows.values())
+        for rows in tables.values())
+
+
+def test_actions_and_crystal_limit_agree_cold_warm_and_alternating(monkeypatch):
+    shapes = [(2, 3), (1, 1, 2)]
+
+    def results():
+        out = [crystal_limit_table(StringLattice(2, 3))]
+        for shape in shapes:
+            for idx in itertools.product(*(range(t + 1) for t in shape)):
+                out.append(_action_results(basis(shape, idx)))
+                assert _rows_hold_one_shape(shape)
+        return out
+
+    monkeypatch.setattr(sl2, "_ROWS", [None, {}])
+    cold = results()
+    warm = results()
+    # every action call first reads a row of another shape, so the memo
+    # starts afresh on each call and holds only the rows that call read
+    real, other = sl2._apply, basis((1,), (0,))
+
+    def switching(v, build, *args):
+        real(other, build, *args)
+        out = real(v, build, *args)
+        (rows,) = sl2._ROWS[1].values()
+        assert sl2._ROWS[0] == v.shape and set(rows) == {idx for idx, _ in v.coords}
+        return out
+
+    monkeypatch.setattr(sl2, "_apply", switching)
+    alternating = results()
+    assert cold == warm == alternating
+    assert cold[0] == origin_case_table(2, 3)
+
+
+@pytest.mark.parametrize("memo", ["cold", "warm"])
+def test_a_planted_row_coefficient_fails_defining_relations(monkeypatch, memo):
+    # one E coefficient off by a factor q; a warm memo must not hide it
+    monkeypatch.setattr(sl2, "_ROWS", [None, {}])
+    if memo == "warm":
+        assert verify.suite_sl2(2, 2)["pass"]
+        assert sl2._ROWS[0] == (2, 2) and (sl2._e_row,) in sl2._ROWS[1]
+    right = sl2._e_row
+
+    def with_a_stray_q(shape, idx):
+        row = right(shape, idx)
+        if idx != (1, 1):
+            return row
+        (target, k), *rest = row
+        return ((target, k * QScalar.q_power(1)), *rest)
+
+    monkeypatch.setattr(sl2, "_e_row", with_a_stray_q)
+    checks = {c["name"]: c["pass"] for c in verify.suite_sl2(2, 2)["checks"]}
+    assert checks["defining_relations"] is False
 
 
 def test_sl2_suite_builds_one_lattice(monkeypatch):
