@@ -11,8 +11,10 @@ the affine marks and comarks, and each vector's coordinates replay that
 record (``cartan.replay``).
 
 One :class:`StringLattice` per shape holds the singular vectors, built
-from their hypergeometric-style closed form, the string vectors and the
-level records; ``crystal_limit_table`` reads the lattice it is given.
+from their hypergeometric-style closed form, the string vectors and one
+record per weight level; ``crystal_limit_table`` reads the lattice it is
+given.  Both Kashiwara operators are one shift loop over the string
+parts, ``_kashiwara``, with s - 1 and s + 1.
 ``tests/test_sl2.py::test_singular_vectors_match_kernel_solve``
 re-derives the singular vectors by solving for the kernel of the raising
 action, so the two routes police each other.
@@ -268,22 +270,24 @@ def string_decompose(v: TensorVector) -> list[tuple[int, TensorVector]]:
     return parts
 
 
+def _kashiwara(v: TensorVector, parts, step: int) -> TensorVector:
+    """Send F^(s) u to F^(s+step) u on each part; a negative power vanishes."""
+    out = TensorVector.zero(v.shape)
+    for s, u in parts:
+        if s + step >= 0:
+            out = out + act_F_div(u, s + step)
+    return out
+
+
 def kashiwara_e(v: TensorVector, parts) -> TensorVector:
     """Send F^(s) u to F^(s-1) u on each part of ``parts``, which must be
     ``string_decompose(v)`` (s = 0 parts vanish)."""
-    out = TensorVector.zero(v.shape)
-    for s, u in parts:
-        if s >= 1:
-            out = out + act_F_div(u, s - 1)
-    return out
+    return _kashiwara(v, parts, -1)
 
 
 def kashiwara_f(v: TensorVector, parts) -> TensorVector:
     """Send F^(s) u to F^(s+1) u on each part; ``parts`` as for ``kashiwara_e``."""
-    out = TensorVector.zero(v.shape)
-    for s, u in parts:
-        out = out + act_F_div(u, s + 1)
-    return out
+    return _kashiwara(v, parts, 1)
 
 
 # -- singular vectors and the string lattice ------------------------------
@@ -333,9 +337,11 @@ class StringLattice:
     Holds the closed-form singular vectors (``singular``), every string
     vector built from them by iterated ``act_F`` and division by [b] (a
     route apart from the closed-form ``act_F_div`` of ``string_decompose``),
-    the Gauss–Jordan record of the exact change of basis per weight level,
-    eliminated once here, and the class each string vector occupies at the
-    origin.
+    one record per weight level 0..t1 + t2, and the class each string
+    vector occupies at the origin.  A level's record is its string tags,
+    its divided-power tags and the Gauss–Jordan record of the change of
+    basis between them, built once here where the level is checked to be
+    filled.
     """
 
     def __init__(self, t1: int, t2: int):
@@ -352,28 +358,15 @@ class StringLattice:
                 if vec.is_zero:
                     raise ArithmeticError("string vector vanished early")
                 self.strings[(r, b)] = vec
-        by_level: dict = {}
-        for (r, b), vec in self.strings.items():
-            by_level.setdefault(r + b, []).append((r, b))
-        for level in by_level:
-            by_level[level].sort()
-        self._levels = by_level
-        self._dp_keys = {
-            level: sorted(
-                (s1, level - s1)
-                for s1 in range(max(0, level - t2), min(t1, level) + 1)
-            )
-            for level in by_level
-        }
-        for level, tags in by_level.items():
-            if len(tags) != len(self._dp_keys[level]):
+        self._levels: dict = {}
+        for level in range(t1 + t2 + 1):
+            tags = [(r, level - r) for r in self.singular if (r, level - r) in self.strings]
+            keys = [(s1, level - s1) for s1 in range(max(0, level - t2), min(t1, level) + 1)]
+            if len(tags) != len(keys):
                 raise ArithmeticError("string basis does not fill the level")
-        columns = {tag: vec.as_dict() for tag, vec in self.strings.items()}
-        self._steps = {
-            level: eliminate([[columns[tag].get(key, Q_ZERO) for tag in tags]
-                              for key in self._dp_keys[level]])
-            for level, tags in by_level.items()
-        }
+            columns = [self.strings[tag].as_dict() for tag in tags]
+            steps = eliminate([[col.get(key, Q_ZERO) for col in columns] for key in keys])
+            self._levels[level] = (tags, keys, steps)
         self.class_of_string = {tag: _clean_class({idx: c.at_zero() for idx, c in vec.coords})
                                 for tag, vec in self.strings.items()}
         if len(set(self.class_of_string.values())) != len(self.strings):
@@ -389,9 +382,9 @@ class StringLattice:
         for idx, c in v.coords:
             by_level.setdefault(idx[0] + idx[1], {})[idx] = c
         for level, comp in by_level.items():
-            rhs = [comp.get(key, Q_ZERO) for key in self._dp_keys[level]]
-            sol = replay(self._steps[level], rhs)
-            for tag, c in zip(self._levels[level], sol):
+            tags, keys, steps = self._levels[level]
+            sol = replay(steps, [comp.get(key, Q_ZERO) for key in keys])
+            for tag, c in zip(tags, sol):
                 if not c.is_zero:
                     out[tag] = c
         return out

@@ -191,6 +191,39 @@ def test_a_planted_mark_fault_exits_1(tmp_path, monkeypatch, capsys):
     assert len(built) == 3
 
 
+@pytest.mark.parametrize("call,change,message", [
+    (2, lambda ints: ints[:-1] + [ints[-1] + 1], "comarks are not a kernel vector\n"),
+    (1, lambda ints: [2 * x for x in ints], "node-0 mark and comark must equal one\n"),
+], ids=["last-comark-off-by-one", "marks-doubled"])
+def test_a_planted_mark_or_comark_fault_exits_1(tmp_path, monkeypatch, capsys, call, change,
+                                               message):
+    # _primitive builds the marks, then the comarks, then the symmetrizers
+    right = loom.cartan._primitive
+    calls = []
+
+    def planted(vec):
+        calls.append(vec)
+        ints = right(vec)
+        return change(ints) if len(calls) == call else ints
+
+    monkeypatch.setattr(loom.cartan, "_primitive", planted)
+    assert_fault_exits_1(tmp_path, capsys, ["verify", "--suite", "weyl", "--type", "D",
+                                            "--rank", "4", "--i", "1"], message)
+
+
+@pytest.mark.parametrize("rank,finite,message", [
+    (2, [[2, 1], [1, 2]], "kernel vector is not positive\n"),
+    (3, [[2, -2, -2], [-1, 2, 1], [-1, 1, 2]], "affine matrix shape check failed\n"),
+], ids=["positive-off-diagonal", "positive-entry-in-the-affine-matrix"])
+def test_a_planted_finite_matrix_fault_exits_1(tmp_path, monkeypatch, capsys, rank, finite,
+                                              message):
+    # a finite matrix with a positive off-diagonal entry; _dominant ends on
+    # these two, it need not on others
+    monkeypatch.setattr(loom.cartan, "_finite_matrix", lambda label, r: finite)
+    assert_fault_exits_1(tmp_path, capsys, ["verify", "--suite", "weyl", "--type", "A",
+                                            "--rank", str(rank), "--i", "1"], message)
+
+
 def test_a_planted_symmetrizer_fault_exits_1(tmp_path, monkeypatch, capsys):
     # the last symmetrizer off by one: build_cartan's symmetry check of D·A catches it
     right = loom.cartan._primitive
@@ -394,13 +427,14 @@ def test_an_unsupported_type_is_named_as_the_help_names_the_types(tmp_path, caps
     ["--weight", "w1", "--window", "2", "--i", "1"],
     ["--weight", "w1", "--window", "2", "--power", "1"],
     ["--i", "0"],
+    ["--weight", "w1+2d", "--window", "1"],
 ], ids=["affine-window", "affinize-window", "power", "affinize-power",
         "weight-unsigned-terms", "weight-unsigned-null-root", "weight-empty",
         "weight-blank", "cap-zero", "cap-negative", "ls-affinize", "ls-affine", "ls-power",
         "ls-affinize-power", "ls-i", "affine-affinize", "affine-power", "weight-alone",
         "weight-affine", "window-classical", "window-power", "ls-no-window", "ls-no-weight",
         "i-above-rank", "affine-i-above-rank", "affinize-no-window", "weight-i-default",
-        "weight-power-default", "i-zero"])
+        "weight-power-default", "i-zero", "seed-outside-window"])
 def test_bad_gen_input_exits_2(tmp_path, capsys, argv):
     # the ids "ls" and "affine" name the windowed path crystal of --weight
     with pytest.raises(SystemExit) as err:
@@ -437,9 +471,10 @@ def test_removed_flags_are_unknown(tmp_path, capsys, argv):
     ["--suite", "maj", "--power", "0"],
     ["--suite", "psi", "--m", "-1"],
     ["--suite", "all", "--power", "0"],
+    ["--suite", "decompose", "--type", "A", "--rank", "1", "--m", "0"],
 ], ids=["sl2-t1", "sl2-t2", "xi-window", "energy-seeds", "decompose-power-above-window",
         "cap-zero", "m-and-power-disagree", "normality-power", "maj-power", "psi-m",
-        "all-power"])
+        "all-power", "decompose-m-zero"])
 def test_vacuous_verify_exits_2(tmp_path, argv):
     with pytest.raises(SystemExit) as err:
         main(["verify"] + argv + ["--out", str(tmp_path / "r.txt")])

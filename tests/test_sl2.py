@@ -403,6 +403,22 @@ def test_action_results_digest():
         "298997e4bd4885a1bce5f6fcdc71a69bd4272400b738b298be807e7fa2610742")
 
 
+def test_string_lattice_digest():
+    # strings, coordinates, origin classes and crystal limit, byte for byte,
+    # on the 25 shapes up to (4, 4)
+    digest = hashlib.sha256()
+    for t1, t2 in itertools.product(range(5), repeat=2):
+        lattice = StringLattice(t1, t2)
+        coords = [(tag, sorted(lattice.coords(basis((t1, t2), tag)).items()))
+                  for tag in sorted(itertools.product(range(t1 + 1), range(t2 + 1)))]
+        digest.update(repr((
+            (t1, t2), sorted(lattice.strings.items()), coords,
+            sorted(lattice.class_of_string.items()),
+            sorted(crystal_limit_table(lattice).items(), key=repr))).encode())
+    assert digest.hexdigest() == (
+        "eef65f90da2d0f6f274294b5a42a54da63b1196e9e860c97347e0c6d65bfed56")
+
+
 def _rows_hold_one_shape(shape):
     held, tables = sl2._ROWS
     return held == shape and all(
@@ -475,6 +491,23 @@ def test_not_in_lattice_detected():
     with pytest.raises(ArithmeticError,
                        match=r"^coordinate at \(0, 0\) has a pole at the origin$"):
         lattice.origin_class(bad)
+
+
+def test_a_vanishing_string_vector_fails_the_lattice(monkeypatch):
+    # every lowering step lost: the lattice refuses the short strings, and
+    # the suite reports it as a failed check
+    monkeypatch.setattr(sl2, "act_F", lambda v: TensorVector.zero(v.shape))
+    with pytest.raises(ArithmeticError, match="^string vector vanished early$"):
+        StringLattice(2, 2)
+    checks = {c["name"]: (c["pass"], c["detail"]) for c in verify.suite_sl2(2, 2)["checks"]}
+    assert checks["lattice_preserved"] == (
+        False, "ArithmeticError: string vector vanished early")
+
+
+def test_strings_of_one_origin_class_fail_the_lattice(monkeypatch):
+    monkeypatch.setattr(sl2, "_clean_class", lambda values: (0, 0))
+    with pytest.raises(ArithmeticError, match="^origin classes are not distinct$"):
+        StringLattice(2, 2)
 
 
 def test_string_decompose_fails_when_a_peel_does_not_shorten(monkeypatch):
